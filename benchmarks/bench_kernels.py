@@ -14,7 +14,7 @@ import pytest
 from repro.data.relation import Relation
 from repro.hashing.batch import grouped_bucket_chaining_join
 from repro.hashing.bucket_chaining import BucketChainingTable
-from repro.join.batched import batched_radix_join_arrays
+from repro.join.batched import batched_radix_join
 from repro.kernels.scatter import counting_order
 
 BUILD_ROWS = 1 << 19
@@ -88,11 +88,10 @@ def test_per_partition_table_loop(benchmark, grouped_arrays):
 
 
 def test_batched_radix_join_two_pass(benchmark, relations):
+    """The operators' functional join: one partition pass, serial morsels."""
     build, probe = relations
-    keys, _ = benchmark(
-        batched_radix_join_arrays, build, probe, 10, 4
-    )
-    assert len(keys) == PROBE_ROWS
+    match = benchmark(batched_radix_join, build, probe, 10, 4)
+    assert match.matches == PROBE_ROWS
 
 
 #: Slot space of a bits1=10 grouped join (1024 partitions x 2048

@@ -9,17 +9,19 @@ memory-map reads per shard on disk — and hash partitions are disjoint,
 so per-morsel :class:`~repro.join.base.JoinMatch` summaries merge
 exactly: the checksums are order-independent modular sums (the same
 property :func:`repro.join.coprocess.merge_matches` relies on), so the
-merged result is byte-identical to the single-pass in-memory join.
+merged summary equals the summary of the whole join's ordered pairs
+(:func:`repro.join.batched.batched_radix_join_arrays`).
 
 Each morsel runs :func:`~repro.hashing.batch.grouped_bucket_chaining_
 join` with the partition ids **rebased** to the morsel's range. The
 grouped kernel's slot domain is ``(max_group + 1) * buckets``; absolute
 partition ids would bill every morsel for the whole fanout's slot
-space, rebasing keeps it proportional to the morsel. This is also why
-the morsel path skips the in-memory path's second-pass composite
-reorder entirely: one counting pass over the ``bits1`` domain, no
-``bits2`` shuffle — measured ~1.3x faster serially at fig13 scale,
-which is the margin that pays for the worker pool's IPC.
+space, rebasing keeps it proportional to the morsel — a cache-sized
+table per call, the way the paper sizes each partition's table to fast
+memory. :func:`serial_join` runs this loop in-process; it is the plain
+in-memory join behind :func:`repro.join.batched.batched_radix_join`,
+and the out-of-core executor runs the same morsels serially, off disk,
+or across the worker pool.
 """
 
 from __future__ import annotations
@@ -37,12 +39,20 @@ from repro.hashing.batch import DEFAULT_BUCKETS, grouped_bucket_chaining_join
 from repro.hashing.functions import hash_u64, radix_window
 from repro.join import base
 from repro.join.base import JoinMatch
-from repro.kernels.scatter import counting_order_and_offsets
+from repro.kernels.scatter import (
+    DENSE_FLOOR_ENTRIES,
+    counting_order_and_offsets,
+)
 
 #: The JoinMatch checksum modulus; per-morsel sums merge exactly under
 #: it (2**64 is a multiple of 2**62, so numpy's wrapping int64 sums
 #: agree with arbitrary-precision sums modulo it).
 CHECKSUM_MOD = 2**62
+
+#: Fewest rows a partition-capped in-memory morsel may hold on average
+#: (see :func:`serial_join`); below it, per-morsel dispatch costs more
+#: than the dense probe saves.
+MIN_DENSE_MORSEL_ROWS = 4096
 
 #: One morsel's functional outcome: (matches, key_checksum,
 #: payload_checksum, rows_processed).
@@ -62,69 +72,89 @@ class Morsel:
 
 
 def plan_morsels(
-    build_sizes: np.ndarray, probe_sizes: np.ndarray, morsel_rows: int
+    build_sizes: np.ndarray,
+    probe_sizes: np.ndarray,
+    morsel_rows: int,
+    max_partitions: Optional[int] = None,
 ) -> List[Morsel]:
     """Cut the partition range into morsels of ~``morsel_rows`` rows.
 
     Greedy contiguous packing: partitions are appended until the
-    combined build + probe rows reach the target; a single partition
-    larger than the target becomes its own morsel (hash skew cannot be
-    split without breaking the per-partition hash tables).
+    combined build + probe rows reach the target (or the morsel spans
+    ``max_partitions`` partitions); a single partition larger than the
+    target becomes its own morsel (hash skew cannot be split without
+    breaking the per-partition hash tables). Each cut is one binary
+    search over the running row total, so planning costs
+    O(morsels log partitions), not a Python step per partition.
     """
-    combined = np.asarray(build_sizes) + np.asarray(probe_sizes)
+    totals = np.cumsum(
+        np.asarray(build_sizes, dtype=np.int64)
+        + np.asarray(probe_sizes, dtype=np.int64)
+    )
+    partitions = len(totals)
     morsels: List[Morsel] = []
     lo = 0
-    rows = 0
-    for p in range(len(combined)):
-        rows += int(combined[p])
-        if rows >= morsel_rows:
-            morsels.append(Morsel(len(morsels), lo, p + 1, rows))
-            lo, rows = p + 1, 0
-    if lo < len(combined):
-        morsels.append(Morsel(len(morsels), lo, len(combined), rows))
+    base = 0  # rows before partition ``lo``
+    while lo < partitions:
+        # First partition whose running total reaches the target; sizes
+        # are non-negative, so it is never left of ``lo`` (the clamp
+        # covers a non-positive target, which closes every partition).
+        cut = max(
+            int(np.searchsorted(totals, base + morsel_rows, side="left")), lo
+        )
+        if max_partitions is not None:
+            cut = min(cut, lo + max_partitions - 1)
+        hi = min(cut + 1, partitions)
+        end = int(totals[hi - 1])
+        morsels.append(Morsel(len(morsels), lo, hi, end - base))
+        lo, base = hi, end
     return morsels
 
 
 # -- sources --------------------------------------------------------------------
 
 
+def _range_groups(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Partition ids of the rows of partitions ``[lo, hi)``, rebased to 0."""
+    return np.repeat(
+        np.arange(hi - lo, dtype=np.int64), np.diff(offsets[lo : hi + 1])
+    )
+
+
 @dataclass
 class ArraySource:
     """Partition-major arrays in memory (heap or shared memory).
 
-    ``build_offsets`` / ``probe_offsets`` are the ``fanout + 1``
-    partition offset tables; a morsel's rows are the contiguous slices
-    ``[offsets[lo], offsets[hi])`` — views, never copies.
+    Only the three columns a join reads are held: build keys, build
+    values and probe keys. ``build_offsets`` / ``probe_offsets`` are the
+    ``fanout + 1`` partition offset tables; a morsel's rows are the
+    contiguous slices ``[offsets[lo], offsets[hi])`` — views, never
+    copies. Group ids and hashes are recomputed per morsel, as
+    :class:`ChunkedSource` does: rehashing a morsel's keys while they
+    are cache-resident is cheaper than gathering (and, for the pool,
+    shipping) four more full columns.
     """
 
     build_keys: np.ndarray
     build_values: np.ndarray
-    build_groups: np.ndarray
-    build_hashes: np.ndarray
     probe_keys: np.ndarray
-    probe_groups: np.ndarray
-    probe_hashes: np.ndarray
     build_offsets: np.ndarray
     probe_offsets: np.ndarray
 
     def load(self, morsel: Morsel):
-        bs, be = (
-            int(self.build_offsets[morsel.lo]),
-            int(self.build_offsets[morsel.hi]),
-        )
-        ps, pe = (
-            int(self.probe_offsets[morsel.lo]),
-            int(self.probe_offsets[morsel.hi]),
-        )
-        lo = np.int64(morsel.lo)
+        lo, hi = morsel.lo, morsel.hi
+        bs, be = int(self.build_offsets[lo]), int(self.build_offsets[hi])
+        ps, pe = int(self.probe_offsets[lo]), int(self.probe_offsets[hi])
+        build_keys = self.build_keys[bs:be]
+        probe_keys = self.probe_keys[ps:pe]
         return (
-            self.build_keys[bs:be],
+            build_keys,
             self.build_values[bs:be],
-            self.build_groups[bs:be] - lo,
-            self.build_hashes[bs:be],
-            self.probe_keys[ps:pe],
-            self.probe_groups[ps:pe] - lo,
-            self.probe_hashes[ps:pe],
+            _range_groups(self.build_offsets, lo, hi),
+            hash_u64(build_keys),
+            probe_keys,
+            _range_groups(self.probe_offsets, lo, hi),
+            hash_u64(probe_keys),
         )
 
 
@@ -185,20 +215,19 @@ def partition_state(
     """One partitioning pass producing a morsel-ready :class:`ArraySource`.
 
     Hash once, counting-order by the ``bits1`` window once, gather the
-    key/value/hash columns into partition-major order. ``allocate(name,
-    rows, dtype)`` supplies the destination arrays — the pool path hands
-    in shared-memory-backed arrays so the gather writes straight into
-    the segment workers attach to, with no extra copy or pickling.
+    build key, build value and probe key columns into partition-major
+    order. ``allocate(name, rows, dtype)`` supplies the destination
+    arrays — the pool path hands in shared-memory-backed arrays so the
+    gather writes straight into the segment workers attach to, with no
+    extra copy or pickling.
     """
     fanout = 1 << bits1
     if allocate is None:
         def allocate(name, rows, dtype):
             return np.empty(rows, dtype=dtype)
 
-    build_hashes = hash_u64(build.keys)
-    probe_hashes = hash_u64(probe.keys)
-    build_selector = radix_window(build_hashes, bits1, 0)
-    probe_selector = radix_window(probe_hashes, bits1, 0)
+    build_selector = radix_window(hash_u64(build.keys), bits1, 0)
+    probe_selector = radix_window(hash_u64(probe.keys), bits1, 0)
     build_order, build_offsets = counting_order_and_offsets(
         build_selector, fanout
     )
@@ -216,11 +245,7 @@ def partition_state(
         build_values=gather(
             "bv", base.build_payload_column(build), build_order
         ),
-        build_groups=gather("bg", build_selector, build_order),
-        build_hashes=gather("bh", build_hashes, build_order),
         probe_keys=gather("pk", probe.keys, probe_order),
-        probe_groups=gather("pg", probe_selector, probe_order),
-        probe_hashes=gather("ph", probe_hashes, probe_order),
         build_offsets=build_offsets,
         probe_offsets=probe_offsets,
     )
@@ -262,6 +287,42 @@ def merge_partials(partials: Iterable[Partial]) -> JoinMatch:
         matches=matches,
         key_checksum=key_checksum,
         payload_checksum=payload_checksum,
+    )
+
+
+def serial_join(
+    build: Relation,
+    probe: Relation,
+    bits1: int,
+    morsel_rows: int,
+    buckets: int = DEFAULT_BUCKETS,
+) -> JoinMatch:
+    """The in-memory join: one partitioning pass, then serial morsels.
+
+    Uninstrumented on purpose — the ``exec.*`` counters describe the
+    out-of-core executor, and this is every plain in-memory join.
+    """
+    source = partition_state(build, probe, bits1)
+    build_sizes = np.diff(source.build_offsets)
+    # At most ``dense_span`` partitions' tables fit under the kernels'
+    # dense-offsets floor, so a morsel that narrow probes by O(1)
+    # lookups instead of binary searches. Sparse partitions keep the row
+    # target alone: capped morsels would be too small to amortize their
+    # dispatch.
+    dense_span = max(1, (DENSE_FLOOR_ENTRIES - 1) // buckets)
+    rows_per_partition = (len(build) + len(probe)) / len(build_sizes)
+    morsels = plan_morsels(
+        build_sizes,
+        np.diff(source.probe_offsets),
+        morsel_rows,
+        max_partitions=(
+            dense_span
+            if dense_span * rows_per_partition >= MIN_DENSE_MORSEL_ROWS
+            else None
+        ),
+    )
+    return merge_partials(
+        execute_morsel(source, morsel, buckets) for morsel in morsels
     )
 
 

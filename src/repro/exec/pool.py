@@ -132,11 +132,7 @@ def _open_source(job: dict, segments: list):
     return ArraySource(
         build_keys=arrays["bk"],
         build_values=arrays["bv"],
-        build_groups=arrays["bg"],
-        build_hashes=arrays["bh"],
         probe_keys=arrays["pk"],
-        probe_groups=arrays["pg"],
-        probe_hashes=arrays["ph"],
         build_offsets=job["build_offsets"],
         probe_offsets=job["probe_offsets"],
     )

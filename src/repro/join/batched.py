@@ -6,20 +6,28 @@ build/probe a scratchpad hash table. At 2**12-2**14 partitions this
 dispatch overhead dominates the functional layer's wall-clock — the
 co-processing pitfall the paper's bulk GPU kernels avoid by design.
 
-This module executes the identical computation as a handful of
-vectorized passes over the whole relation:
+:func:`batched_radix_join` runs the same join the way the paper's
+Triton join does: partition once, then join cache-sized pieces.
 
-1. hash every key exactly once (:func:`~repro.hashing.functions.hash_u64`);
-2. stable-sort by the composite ``(pass-1 window, pass-2 window)``
-   selector — two chained stable partitioning passes are equivalent to
-   one stable sort by their lexicographic composite;
-3. run one grouped build/probe over the concatenated per-partition
-   bucket-chaining tables (:func:`~repro.hashing.batch.
-   grouped_bucket_chaining_join`), grouped by the pass-1 partition
-   exactly like the reference loop joins each first-level partition.
+1. one counting partition pass over the ``bits1`` window lays both
+   relations out partition-major (:func:`~repro.exec.morsel.
+   partition_state`);
+2. contiguous partition ranges are packed into morsels of
+   :data:`~repro.exec.context.DEFAULT_MORSEL_ROWS` rows — fewer
+   partitions when that keeps a morsel's slot space within the dense
+   probe table's floor (:func:`~repro.exec.morsel.serial_join`);
+3. each morsel is one grouped build/probe (:func:`~repro.hashing.batch.
+   grouped_bucket_chaining_join`) over that morsel's small slot space,
+   and the per-morsel summaries merge exactly into the
+   :class:`~repro.join.base.JoinMatch`.
 
-The matched pairs come out byte-identical, in identical order, to the
-per-partition reference loops; tests cross-check both paths.
+The summary is order-independent, so the second pass's ``bits2``
+subdivision (which only reorders rows inside a partition) changes
+nothing and is skipped. :func:`batched_radix_join_arrays` keeps the
+ordered-pairs form — one stable sort by the composite ``(pass-1,
+pass-2)`` window and one grouped join over the whole relation — whose
+pairs are byte-identical, in identical order, to the per-partition
+reference loops; tests cross-check both functions against it.
 """
 
 from __future__ import annotations
@@ -37,6 +45,13 @@ from repro.join import base
 from repro.kernels.scatter import counting_order
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _validate_bits(bits1: int, bits2: int) -> None:
+    if bits1 <= 0:
+        raise ConfigurationError("bits1 must be positive")
+    if bits2 < 0:
+        raise ConfigurationError("bits2 cannot be negative")
 
 
 def _composite_order(
@@ -69,44 +84,32 @@ def batched_radix_join_arrays(
     bits2: int = 0,
     buckets: int = DEFAULT_BUCKETS,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The batched join's matched ``(probe_keys, build_values)`` arrays.
+    """The join's matched ``(probe_keys, build_values)`` arrays, in order.
 
     Byte-identical to concatenating the reference loop's per-partition
-    outputs (tests assert this element-wise); exposed separately from
-    :func:`batched_radix_join` so cross-checks can compare raw pairs.
+    outputs (tests assert this element-wise). This is the ordered-pairs
+    reference the summary path is checked against; no operator runs it.
     """
-    if bits1 <= 0:
-        raise ConfigurationError("bits1 must be positive")
-    if bits2 < 0:
-        raise ConfigurationError("bits2 cannot be negative")
+    _validate_bits(bits1, bits2)
     if len(build) == 0 or len(probe) == 0:
         return _EMPTY, _EMPTY
-    with telemetry.span(
-        "batched_radix_join",
-        build=len(build),
-        probe=len(probe),
-        bits1=bits1,
-        bits2=bits2,
-    ):
-        build_hashes = hash_u64(build.keys)
-        probe_hashes = hash_u64(probe.keys)
-        build_order, build_groups = _composite_order(build_hashes, bits1, bits2)
-        probe_order, probe_groups = _composite_order(probe_hashes, bits1, bits2)
+    build_hashes = hash_u64(build.keys)
+    probe_hashes = hash_u64(probe.keys)
+    build_order, build_groups = _composite_order(build_hashes, bits1, bits2)
+    probe_order, probe_groups = _composite_order(probe_hashes, bits1, bits2)
 
-        build_keys = build.keys[build_order]
-        build_values = base.build_payload_column(build)[build_order]
-        probe_keys = probe.keys[probe_order]
-        idx, values = grouped_bucket_chaining_join(
-            build_keys,
-            build_values,
-            build_groups,
-            probe_keys,
-            probe_groups,
-            buckets=buckets,
-            build_hashes=build_hashes[build_order],
-            probe_hashes=probe_hashes[probe_order],
-        )
-        return probe_keys[idx], values
+    probe_keys = probe.keys[probe_order]
+    idx, values = grouped_bucket_chaining_join(
+        build.keys[build_order],
+        base.build_payload_column(build)[build_order],
+        build_groups,
+        probe_keys,
+        probe_groups,
+        buckets=buckets,
+        build_hashes=build_hashes[build_order],
+        probe_hashes=probe_hashes[probe_order],
+    )
+    return probe_keys[idx], values
 
 
 def batched_radix_join(
@@ -116,31 +119,43 @@ def batched_radix_join(
     bits2: int = 0,
     buckets: int = DEFAULT_BUCKETS,
 ) -> base.JoinMatch:
-    """One- or two-pass partitioned join as single vectorized passes.
+    """One- or two-pass partitioned join, executed as serial morsels.
 
     Drop-in replacement for the operators' per-partition functional
     loops: ``bits1`` is the first (or only) pass's radix window, ``bits2``
-    the second pass's window at offset ``bits1``.
+    the second pass's window at offset ``bits1`` (validated, but it
+    cannot change the summary, so it is not executed).
 
     This is the functional layer's single choke point, so the ambient
     out-of-core config (:mod:`repro.exec.context`) is consulted here:
     when a host-memory budget is exceeded (or ``force`` is set), the
     join runs through :func:`repro.exec.outofcore.out_of_core_join` —
     spilled radix shards and/or the morsel worker pool — and returns the
-    byte-identical match summary. The reference per-partition loops and
+    identical match summary. The reference per-partition loops and
     :func:`batched_radix_join_arrays` never divert, so cross-checks
-    always compare against the plain in-memory execution.
+    always compare against a plain in-memory execution.
     """
-    # Deferred import: repro.exec sits above the join layer (it reuses
+    # Deferred imports: repro.exec sits above the join layer (it reuses
     # JoinMatch and the grouped kernels); importing it lazily keeps the
-    # layering acyclic and costs nothing when no config is active.
+    # layering acyclic.
     from repro.exec import context as exec_context
 
     if exec_context.should_go_out_of_core(build, probe):
         from repro.exec.outofcore import out_of_core_join
 
         return out_of_core_join(build, probe, bits1, bits2, buckets)
-    probe_keys, values = batched_radix_join_arrays(
-        build, probe, bits1, bits2, buckets
-    )
-    return base.JoinMatch.from_arrays(probe_keys, values)
+    _validate_bits(bits1, bits2)
+    if len(build) == 0 or len(probe) == 0:
+        return base.JoinMatch(matches=0, key_checksum=0, payload_checksum=0)
+    from repro.exec.morsel import serial_join
+
+    with telemetry.span(
+        "batched_radix_join",
+        build=len(build),
+        probe=len(probe),
+        bits1=bits1,
+        bits2=bits2,
+    ):
+        return serial_join(
+            build, probe, bits1, exec_context.DEFAULT_MORSEL_ROWS, buckets
+        )

@@ -4,7 +4,8 @@ The batched functional path (``repro.hashing.batch`` and
 ``repro.join.batched``) must be *byte-identical* to the per-partition
 reference loops it replaces — same matched pairs, in the same order,
 and identical simulated cost (counters and phase profiles), across
-random fanouts, skew, duplicate keys, and empty partitions.
+random fanouts, skew, duplicate keys, and empty partitions. The
+morsel-driven summary path must equal the summary of those pairs.
 """
 
 import numpy as np
@@ -15,6 +16,10 @@ from hypothesis import strategies as st
 from repro.data.generator import Workload, WorkloadConfig, generate_workload
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
+from repro.exec import context as exec_context
+from repro.exec.context import DEFAULT_MORSEL_ROWS, ExecutionConfig
+from repro.exec.morsel import partition_state, plan_morsels
+from repro.exec.outofcore import out_of_core_join
 from repro.hashing.batch import (
     expand_ranges,
     grouped_bucket_chaining_join,
@@ -24,7 +29,8 @@ from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.hashing.perfect import PerfectTable
 from repro.hw.specs import ac922
 from repro.join import run_cache
-from repro.join.batched import batched_radix_join_arrays
+from repro.join.base import JoinMatch
+from repro.join.batched import batched_radix_join, batched_radix_join_arrays
 from repro.join.cpu_partitioned import CpuPartitionedJoin
 from repro.join.cpu_radix import CpuRadixJoin
 from repro.join.multi_gpu import MultiGpuTritonJoin
@@ -176,14 +182,25 @@ class TestExpandRanges:
 
 
 @st.composite
-def pk_fk_relations(draw, min_probe_rows=0):
-    """Random PK/FK relation pairs (dense build keys, skewable probes)."""
-    build_rows = draw(st.integers(min_value=1, max_value=1500))
+def pk_fk_relations(
+    draw, min_probe_rows=0, min_build_rows=1, duplicate_build_keys=False
+):
+    """Random PK/FK relation pairs (dense build keys, skewable probes).
+
+    ``duplicate_build_keys`` lets some examples repeat build keys (each
+    probe then matches several build rows).
+    """
+    build_rows = draw(st.integers(min_value=min_build_rows, max_value=1500))
     probe_rows = draw(st.integers(min_value=min_probe_rows, max_value=3000))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     skew = draw(st.sampled_from([0.0, 0.5, 1.1]))
     rng = np.random.default_rng(seed)
-    build_keys = rng.permutation(build_rows).astype(np.int64) + 1
+    if duplicate_build_keys and draw(st.booleans()):
+        build_keys = rng.integers(
+            1, build_rows // 3 + 2, size=build_rows
+        ).astype(np.int64)
+    else:
+        build_keys = rng.permutation(build_rows).astype(np.int64) + 1
     if probe_rows and skew:
         ranks = rng.zipf(1.0 + skew, size=probe_rows)
         probe_keys = ((ranks - 1) % int(build_rows * 1.5 + 1) + 1).astype(
@@ -250,6 +267,55 @@ class TestBatchedRadixJoin:
             want_values = np.empty(0, dtype=np.int64)
         np.testing.assert_array_equal(got_keys, want_keys)
         np.testing.assert_array_equal(got_values, want_values)
+
+    @given(
+        pk_fk_relations(min_build_rows=0, duplicate_build_keys=True),
+        st.integers(1, 14),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_summary_matches_ordered_pairs_and_out_of_core(
+        self, relations, bits1, bits2
+    ):
+        """The morsel summary path equals the ordered-pairs reference
+        and the forced out-of-core executor."""
+        build, probe = relations
+        want = JoinMatch.from_arrays(
+            *batched_radix_join_arrays(build, probe, bits1, bits2)
+        )
+        assert batched_radix_join(build, probe, bits1, bits2) == want
+        forced = out_of_core_join(
+            build, probe, bits1, bits2, config=ExecutionConfig(force=True)
+        )
+        exec_context.consume_notes()
+        assert forced == want
+
+    def test_large_join_spans_several_morsels(self):
+        rng = np.random.default_rng(5)
+        rows = 200_000
+        build = Relation(
+            rng.permutation(rows).astype(np.int64) + 1,
+            {"attr0": rng.integers(0, 2**40, rows).astype(np.int64)},
+            name="R",
+        )
+        probe = Relation(
+            rng.integers(1, rows * 3 // 2, rows).astype(np.int64),
+            {"attr0": rng.integers(0, 2**40, rows).astype(np.int64)},
+            name="S",
+        )
+        bits1, bits2 = 9, 4
+        source = partition_state(build, probe, bits1)
+        morsels = plan_morsels(
+            np.diff(source.build_offsets),
+            np.diff(source.probe_offsets),
+            DEFAULT_MORSEL_ROWS,
+        )
+        assert len(morsels) > 1
+        want = JoinMatch.from_arrays(
+            *batched_radix_join_arrays(build, probe, bits1, bits2)
+        )
+        assert want.matches > 0
+        assert batched_radix_join(build, probe, bits1, bits2) == want
 
 
 def _workload(build, probe):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.exec import context as exec_context
 from repro.exec.context import ExecutionConfig, should_go_out_of_core
@@ -18,7 +21,7 @@ from repro.exec.pool import ShmBlock, get_pool, shutdown_pool
 from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.join import run_cache
 from repro.join.base import JoinMatch
-from repro.join.batched import batched_radix_join
+from repro.join.batched import batched_radix_join, batched_radix_join_arrays
 from repro.join.triton import TritonJoin
 
 BITS1 = 6
@@ -26,9 +29,11 @@ BITS1 = 6
 
 @pytest.fixture(scope="module")
 def reference(small_workload):
-    """The in-memory join the out-of-core paths must reproduce."""
-    return batched_radix_join(
-        small_workload.build, small_workload.probe, BITS1, 4
+    """The summary of the ordered-pairs join every path must reproduce."""
+    return JoinMatch.from_arrays(
+        *batched_radix_join_arrays(
+            small_workload.build, small_workload.probe, BITS1, 4
+        )
     )
 
 
@@ -113,6 +118,30 @@ class TestMorselPlanning:
         assert fat[0].hi == 2
         assert fat[0].rows >= 5000
 
+    @given(
+        st.lists(st.integers(0, 300), max_size=80),
+        st.integers(1, 600),
+        st.one_of(st.none(), st.integers(1, 10)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_greedy_reference(
+        self, sizes, morsel_rows, max_partitions
+    ):
+        """The binary-search planner cuts exactly where the greedy
+        per-partition loop does."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        build, probe = sizes // 3, sizes - sizes // 3
+        want, lo, rows = [], 0, 0
+        for p, size in enumerate(sizes):
+            rows += int(size)
+            if rows >= morsel_rows or p + 1 - lo == max_partitions:
+                want.append((len(want), lo, p + 1, rows))
+                lo, rows = p + 1, 0
+        if lo < len(sizes):
+            want.append((len(want), lo, len(sizes), rows))
+        got = plan_morsels(build, probe, morsel_rows, max_partitions)
+        assert [(m.index, m.lo, m.hi, m.rows) for m in got] == want
+
     def test_merge_partials_is_exact(self):
         """Chunk-wise merged checksums equal the full-array result.
 
@@ -191,6 +220,22 @@ class TestOutOfCoreIdentity:
         )
         assert summary(match) == (0, 0, 0)
         assert note["mode"] == "memory"
+
+
+def test_in_memory_join_leaves_exec_counters_alone(small_workload):
+    """``exec.*`` metrics describe the out-of-core executor only: a plain
+    in-memory join runs serial morsels without moving them."""
+    before = telemetry.registry.snapshot()
+    batched_radix_join(small_workload.build, small_workload.probe, BITS1, 4)
+    delta = telemetry.registry.delta_since(before)
+    moved = [
+        name
+        for section in ("counters", "timings")
+        for name in delta[section]
+        if name.startswith("exec.")
+    ]
+    assert moved == []
+    assert delta["counters"]  # the kernels' own counters did move
 
 
 def shm_partition_state(build, probe):
