@@ -43,9 +43,12 @@ runs the bottleneck attribution engine (:mod:`repro.explain`) over
 every simulated execution — critical path, per-resource utilization,
 bound classes — prints a one-line summary per experiment, and writes
 the full explanations as ``{"experiments": {name: [run, ...]}}``
-(the input format of ``tools/bench_diff.py``). All three work with
-``--jobs``: per-worker spans, metrics, and explanations are drained
-after every experiment and merged here. Note that with the run cache
+(the input format of ``tools/bench_diff.py``). Each experiment is one
+trace root (``experiment:<name>``), exactly as each service query is.
+All three work with ``--jobs``: every worker ships its spans, metrics,
+and events home in one :func:`repro.telemetry.capture` envelope per
+experiment (explanations travel beside it) and they are absorbed
+here. Note that with the run cache
 on, a figure that replays a memoized (operator, workload) run does not
 re-simulate it, so the explanation appears only under the experiment
 that ran it first.
@@ -56,9 +59,8 @@ event stream as JSONL; ``--prom out.prom`` exports the final metrics
 registry in Prometheus text format and ``--prom-port N`` additionally
 serves exactly one scrape of it over HTTP; ``--live`` paints a fleet
 dashboard to stderr (falling back to plain ``[live]`` lines on
-non-TTY streams). All compose with ``--jobs``: worker events are
-drained per experiment and absorbed here, identically to the metrics
-delta contract. See docs/observability.md.
+non-TTY streams). All compose with ``--jobs``: worker events ride
+the same envelope as spans and metrics. See docs/observability.md.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from repro.bench.harness import ExperimentTable
 from repro.exec import ExecutionConfig, shutdown_pool
 from repro.exec import context as exec_context
 from repro.join import run_cache
+from repro.telemetry import tracing
 from repro.units import parse_bytes
 
 #: Assumed peak host memory for experiments that do not declare their
@@ -129,7 +132,11 @@ def _render_one(name: str, sizes, divisor) -> "tuple[str, list]":
         kwargs["scale_divisor"] = divisor
     started = time.time()
     telemetry.emit_event("experiment.start", experiment=name)
-    with telemetry.span(f"experiment:{name}", divisor=divisor):
+    with tracing.trace_query(
+        tracing.derive_trace_id("experiment", name),
+        name=f"experiment:{name}",
+        divisor=divisor,
+    ):
         result = module.run(**kwargs)
     elapsed = time.time() - started
     telemetry.registry.observe("bench.experiment_seconds", elapsed)
@@ -177,54 +184,44 @@ def _worker(
     sizes,
     divisor,
     use_cache: bool,
-    trace: bool,
+    telemetry_settings: dict,
     fault_plan=None,
     collect_explanations: bool = False,
     exec_config=None,
-    record_events: bool = False,
 ):
     """Process-pool entry point.
 
-    Returns ``(name, output, seconds, metrics delta, trace snapshot,
-    explanation dicts, flight-recorder events)``. Metrics are reported
-    as a delta against the snapshot taken before the experiment, and
-    the span trace, explanations, and recorder events are drained after
-    it — a pool process reused for several experiments never reports
-    the same work twice (summing cumulative per-worker stats would).
-    ``fault_plan`` is the parent's ``--faults`` plan as a dict, and
-    ``exec_config`` the parent's out-of-core :class:`ExecutionConfig`
-    as a dict (both are ambient per-process state, so each worker
-    re-activates them).
+    Returns ``(name, output, seconds, telemetry envelope, explanation
+    dicts)``. The experiment runs inside :func:`telemetry.capture` under
+    the parent's ``telemetry_settings``, and explanations are drained
+    after it — a pool process reused for several experiments never
+    reports the same work twice (summing cumulative per-worker stats
+    would). ``fault_plan`` is the parent's ``--faults`` plan as a dict,
+    and ``exec_config`` the parent's out-of-core
+    :class:`ExecutionConfig` as a dict (both are ambient per-process
+    state, so each worker re-activates them).
     """
     if use_cache:
         run_cache.enable()
-    if trace:
-        telemetry.enable()
     if collect_explanations:
-        telemetry.enable()  # span labels name the explanations
         explain_mod.enable_collection()
-    if record_events:
-        telemetry.events.enable()
     if fault_plan is not None:
         faults.activate(faults.FaultPlan.from_dict(fault_plan))
     if exec_config is not None:
         exec_context.activate(ExecutionConfig(**exec_config))
-    before = telemetry.registry.snapshot()
     started = time.time()
-    try:
-        output, explanations = _render_one(name, sizes, divisor)
-    finally:
-        # A worker's morsel pool must not outlive its experiment: the
-        # bench pool reuses this process for other experiments, and the
-        # tempdir-leak / stray-process guards in CI check for exactly
-        # this kind of residue.
-        shutdown_pool()
-    seconds = time.time() - started
-    telemetry.update_process_gauges()
-    delta = telemetry.registry.delta_since(before)
-    snapshot = telemetry.trace_snapshot(drain=True) if trace else None
-    events = telemetry.events.drain() if record_events else None
-    return name, output, seconds, delta, snapshot, explanations, events
+    with telemetry.capture(telemetry_settings) as envelope:
+        try:
+            output, explanations = _render_one(name, sizes, divisor)
+        finally:
+            # A worker's morsel pool must not outlive its experiment:
+            # the bench pool reuses this process for other experiments,
+            # and the tempdir-leak / stray-process guards in CI check
+            # for exactly this kind of residue.
+            shutdown_pool()
+        seconds = time.time() - started
+        telemetry.update_process_gauges()
+    return name, output, seconds, envelope, explanations
 
 
 def _timing_table(seconds_by_name, workers=1) -> ExperimentTable:
@@ -282,9 +279,8 @@ def _run_all(
     from dataclasses import asdict
 
     use_cache = run_cache.enabled()
-    trace = telemetry.enabled()
+    settings = telemetry.settings()
     collect = explain_mod.collecting()
-    record_events = telemetry.events.enabled()
     plan = faults.active()
     plan_dict = plan.to_dict() if plan is not None else None
     config = exec_context.active()
@@ -326,11 +322,10 @@ def _run_all(
                     sizes,
                     divisor,
                     use_cache,
-                    trace,
+                    settings,
                     plan_dict,
                     collect,
                     config_dict,
-                    record_events,
                 )
                 running[future] = name
                 in_flight += need
@@ -360,20 +355,12 @@ def _run_all(
             # in deterministic experiment order regardless of completion
             # (and of the admission scheduler's reorderings).
             while printed < len(names) and names[printed] in results:
-                (
-                    name,
-                    output,
-                    seconds,
-                    delta,
-                    snapshot,
-                    explanations,
-                    events,
-                ) = results.pop(names[printed])
+                name, output, seconds, envelope, explanations = results.pop(
+                    names[printed]
+                )
                 print(output)
                 timings_by_name[name] = seconds
-                telemetry.registry.merge(delta)
-                telemetry.absorb_trace(snapshot, label=f"worker: {name}")
-                telemetry.events.absorb(events)
+                telemetry.absorb(envelope)
                 if explained is not None and explanations:
                     explained.setdefault(name, []).extend(explanations)
                 printed += 1
@@ -581,8 +568,8 @@ def main(argv=None) -> int:
     if args.explain:
         explained = {}
         # Span labels name each explanation (experiment / operator /
-        # simulate), so attribution needs the span stack recorded even
-        # without --trace.
+        # simulate), so attribution needs spans recorded even without
+        # --trace.
         telemetry.enable()
         explain_mod.enable_collection()
     if args.events or args.live:
@@ -671,7 +658,7 @@ def main(argv=None) -> int:
         run_cache.disable()
         run_cache.clear()
         telemetry.disable()
-        telemetry.spans.reset()
+        tracing.reset()
         telemetry.events.disable()
         telemetry.events.reset()
         explain_mod.disable_collection()

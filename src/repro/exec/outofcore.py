@@ -78,7 +78,7 @@ def _add_pool_track(result: PoolResult) -> None:
         )
         for worker, morsel, start, end, stolen in result.intervals
     ]
-    telemetry.collector().add_virtual_track(
+    telemetry.tracing.add_track(
         "morsel-pool",
         entries,
         makespan=result.wall_seconds,

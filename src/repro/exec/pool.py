@@ -28,8 +28,9 @@ morsel with an unset flag inline and respawns the dead worker. Partials
 are order-independent mergeable sums, so recovery is exact — see
 ``docs/robustness.md``. Fault plans are threaded through job payloads
 and re-activated ambiently inside each worker, and each worker returns
-its telemetry registry delta for the parent to merge (the same
-aggregation contract as the parallel bench runner).
+a :func:`repro.telemetry.capture` envelope (metrics delta, spans,
+events) for the parent to absorb — the same hand-off as the parallel
+bench runner.
 """
 
 from __future__ import annotations
@@ -163,11 +164,7 @@ def _claim(ctrl: np.ndarray, workers: int, worker_id: int, lock):
 
 
 def _run_job(worker_id: int, job: dict, lock) -> dict:
-    from contextlib import nullcontext
-
     from repro import faults, telemetry
-    from repro.telemetry import events as _events
-    from repro.telemetry import tracing as _tracing
 
     out: dict = {
         "job_id": job["job_id"],
@@ -178,102 +175,88 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
     }
     segments: list = []
     plan = job.get("fault_plan")
-    record_events = bool(job.get("record_events"))
-    trace_payload = job.get("trace")
-    if trace_payload is not None:
-        # Adopt the dispatching query's trace context so morsel spans
-        # recorded here land under that query's span in the merged tree.
-        _tracing.enable()
-        ambient = _tracing.activate(
-            trace_payload["trace"], trace_payload["span"], name="pool-job"
-        )
-    else:
-        ambient = nullcontext()
-    try:
-        ambient.__enter__()
-        before = telemetry.registry.snapshot()
-        if plan is not None:
-            faults.activate(faults.FaultPlan.from_dict(plan))
-        if record_events:
-            _events.enable()
+    # The dispatching thread's telemetry settings ride the job: morsel
+    # spans parent under the dispatching query's span in the merged tree.
+    with telemetry.capture(job["telemetry"]) as envelope:
         try:
-            source = _open_source(job, segments)
-            control = _attach(job["control"])
-            segments.append(control)
-            workers = job["workers"]
-            morsels = job["morsels"]
-            ctrl = _view(
-                control, 2 * workers + 1 + len(morsels), np.dtype(np.int64).str
-            )
-            die_on = job.get("die_on") or {}
-            sleep_on = job.get("sleep_on") or {}
-            epoch = time.perf_counter()
-            while True:
-                claim = _claim(ctrl, workers, worker_id, lock)
-                if claim is None:
-                    break
-                index, stolen, victim = claim
-                if die_on.get(worker_id) == index:
-                    # Crash-test hook: die after claiming, before the
-                    # done flag — exactly the mid-morsel failure the
-                    # parent's recovery scan must cover.
-                    os._exit(CRASH_EXIT_CODE)
-                _events.emit(
-                    "morsel.dispatched",
-                    worker=worker_id,
-                    morsel=index,
-                    stolen=stolen,
+            if plan is not None:
+                faults.activate(faults.FaultPlan.from_dict(plan))
+            try:
+                source = _open_source(job, segments)
+                control = _attach(job["control"])
+                segments.append(control)
+                workers = job["workers"]
+                morsels = job["morsels"]
+                ctrl = _view(
+                    control,
+                    2 * workers + 1 + len(morsels),
+                    np.dtype(np.int64).str,
                 )
-                if stolen:
-                    _events.emit(
-                        "morsel.stolen",
+                die_on = job.get("die_on") or {}
+                sleep_on = job.get("sleep_on") or {}
+                epoch = time.perf_counter()
+                while True:
+                    claim = _claim(ctrl, workers, worker_id, lock)
+                    if claim is None:
+                        break
+                    index, stolen, victim = claim
+                    if die_on.get(worker_id) == index:
+                        # Crash-test hook: die after claiming, before the
+                        # done flag — exactly the mid-morsel failure the
+                        # parent's recovery scan must cover.
+                        os._exit(CRASH_EXIT_CODE)
+                    telemetry.emit_event(
+                        "morsel.dispatched",
                         worker=worker_id,
                         morsel=index,
-                        victim=victim,
+                        stolen=stolen,
                     )
-                pause = sleep_on.get(worker_id)
-                if pause is not None and pause[0] == index:
-                    # Stall-test hook: hold the morsel (claimed, not
-                    # done) long enough for the parent's watchdog to
-                    # flag this worker as silent.
-                    time.sleep(pause[1])
-                started = time.perf_counter() - epoch
-                with _tracing.span(
-                    f"morsel[{index}]",
-                    worker=worker_id,
-                    stolen=stolen,
-                    rows=morsels[index][3],
-                ):
-                    partial = execute_morsel(
-                        source, Morsel(*morsels[index]), job["buckets"]
+                    if stolen:
+                        telemetry.emit_event(
+                            "morsel.stolen",
+                            worker=worker_id,
+                            morsel=index,
+                            victim=victim,
+                        )
+                    pause = sleep_on.get(worker_id)
+                    if pause is not None and pause[0] == index:
+                        # Stall-test hook: hold the morsel (claimed, not
+                        # done) long enough for the parent's watchdog to
+                        # flag this worker as silent.
+                        time.sleep(pause[1])
+                    started = time.perf_counter() - epoch
+                    with telemetry.span(
+                        f"morsel[{index}]",
+                        worker=worker_id,
+                        stolen=stolen,
+                        rows=morsels[index][3],
+                    ):
+                        partial = execute_morsel(
+                            source, Morsel(*morsels[index]), job["buckets"]
+                        )
+                    ended = time.perf_counter() - epoch
+                    ctrl[2 * workers + 1 + index] = 1
+                    out["partials"].append((index, partial))
+                    out["intervals"].append((index, started, ended, stolen))
+                    out["busy"] += ended - started
+                    telemetry.registry.observe(
+                        "exec.morsel_seconds", ended - started
                     )
-                ended = time.perf_counter() - epoch
-                ctrl[2 * workers + 1 + index] = 1
-                out["partials"].append((index, partial))
-                out["intervals"].append((index, started, ended, stolen))
-                out["busy"] += ended - started
-                telemetry.registry.observe(
-                    "exec.morsel_seconds", ended - started
-                )
-        finally:
-            if plan is not None:
-                faults.deactivate()
-            for segment in segments:
-                try:
-                    segment.close()
-                except Exception:  # pragma: no cover - teardown best effort
-                    pass
-        out["metrics"] = telemetry.registry.delta_since(before)
-    except BaseException as error:  # noqa: BLE001 - report, don't kill worker
-        out["error"] = repr(error)
-    finally:
-        ambient.__exit__(None, None, None)
-        if trace_payload is not None:
-            out["trace_records"] = _tracing.drain()
-            _tracing.disable()
-        if record_events:
-            out["events"] = _events.drain()
-            _events.disable()
+            finally:
+                if plan is not None:
+                    faults.deactivate()
+                for segment in segments:
+                    try:
+                        segment.close()
+                    except Exception:  # pragma: no cover - teardown best effort
+                        pass
+        except BaseException as error:  # noqa: BLE001 - report, don't kill worker
+            out["error"] = repr(error)
+    if "error" in out:
+        # The parent re-runs a failed job's morsels inline, so this
+        # job's counters must not merge on top of the re-run's.
+        envelope["metrics"] = None
+    out["telemetry"] = envelope
     return out
 
 
@@ -476,21 +459,17 @@ class MorselPool:
 
         from repro import telemetry
         from repro.telemetry import events as _events
-        from repro.telemetry import tracing as _tracing
 
         job = dict(job)
         job["job_id"] = next(self._job_ids)
         job["workers"] = workers
         job["control"] = control.segment.name
         job["morsels"] = [(m.index, m.lo, m.hi, m.rows) for m in morsels]
-        # The recorder flag rides in the job payload so every pool
+        # The telemetry settings ride in the job payload so every pool
         # entry point (out-of-core runner, direct tests) inherits the
-        # parent's recorder state without threading a parameter.
-        job["record_events"] = _events.enabled()
-        # The ambient trace context rides the same way (None when the
-        # dispatching thread is untraced): workers re-parent their
-        # morsel spans under the dispatching query's span.
-        job["trace"] = _tracing.payload()
+        # dispatching thread's recorder flag and ambient span without
+        # threading a parameter.
+        job["telemetry"] = telemetry.settings()
 
         _events.emit(
             "pool.job.start",
@@ -537,8 +516,7 @@ class MorselPool:
                 if reply.get("job_id") != job["job_id"]:
                     continue  # stale result from an abandoned job
                 pending.discard(reply["worker"])
-                _events.absorb(reply.get("events"))
-                _tracing.absorb(reply.get("trace_records"))
+                telemetry.absorb(reply["telemetry"])
                 if reply.get("error") is not None:
                     result.deaths += 1
                     telemetry.registry.count("exec.pool.worker_errors")
@@ -551,7 +529,6 @@ class MorselPool:
                     (reply["worker"], i, s, e, stolen)
                     for i, s, e, stolen in reply["intervals"]
                 )
-                telemetry.registry.merge(reply.get("metrics"))
 
             # Crash recovery: any morsel whose partial never arrived —
             # its claimer died mid-morsel or errored before reporting —

@@ -336,10 +336,9 @@ def maybe_collect(result) -> None:
     """Called by the engine after every run; no-op unless collecting."""
     if not _collecting:
         return
-    from repro import telemetry
     from repro.telemetry import tracing
 
-    label = telemetry.current_path() or f"sim #{len(_collected)}"
+    label = tracing.current_path() or f"sim #{len(_collected)}"
     explained = explain(result, label=label)
     explained.trace_id = tracing.current_trace_id() or ""
     _collected.append(explained)
@@ -347,7 +346,7 @@ def maybe_collect(result) -> None:
 
 def drain() -> List[ExplainedRun]:
     """Return and clear the collected explanations (multiprocess-safe:
-    workers drain after each experiment like they drain spans)."""
+    bench workers drain after each experiment)."""
     global _collected
     collected, _collected = _collected, []
     return collected

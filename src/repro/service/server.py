@@ -28,10 +28,10 @@ a pool of worker threads with the semantics a shared join server needs:
   registry whose snapshot lands on the handle — concurrent queries
   never read each other's counters, notes, faults, or events.
 
-One caveat is enforced rather than documented: the span tracer and the
-explain collector keep *module-global* stacks, so explain-enabled
-queries take an exclusive lock (normal queries share it) and their
-traces stay coherent under concurrency.
+One caveat is enforced rather than documented: the explain collector is
+*module-global* (it gathers every simulated run in the process), so
+explain-enabled queries take an exclusive lock (normal queries share
+it) and each explanation belongs to exactly one query.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class JoinService:
         self._rejected = 0
         self._finished = 0
         self._shutdown = False
-        # Explain queries need the module-global span/explain stacks to
+        # Explain queries need the module-global explain collector to
         # themselves: normal queries hold this as readers, explain
         # queries as the single writer.
         self._explain_lock = _ReadWriteLock()
@@ -262,9 +262,14 @@ class JoinService:
         if tracing.enabled():
             # One trace per query, its id a pure function of the
             # workload seed and the submission sequence — the same
-            # facts that make admission and results deterministic.
+            # facts that make admission and results deterministic. A
+            # query submitted inside another trace (a bench experiment
+            # may run several services on one seed) also folds in its
+            # position there, so ids stay unique within the process.
+            ambient = tracing.current()
+            position = () if ambient is None else (ambient.child_id("query"),)
             handle.trace_id = tracing.derive_trace_id(
-                compiled.config.seed, sequence
+                compiled.config.seed, sequence, *position
             )
             handle._root_span = tracing.root_span_id(handle.trace_id)
             tracing.record_span(
@@ -474,17 +479,14 @@ class JoinService:
         handle._done.set()
 
     def _execute_explained(self, handle: QueryHandle, checkpoint):
-        """Run one query with span tracing + explain collection on.
+        """Run one query with explain collection on.
 
         Only ever called under the exclusive half of the explain lock —
-        the tracer's span stack and the explain collector are module
-        globals, unusable from two queries at once.
+        the explain collector is a module global, unusable from two
+        queries at once.
         """
         from repro import explain as explain_module
-        from repro import telemetry
 
-        tracing_was_on = telemetry.enabled()
-        telemetry.enable()
         explain_module.enable_collection()
         try:
             result = handle._plan.execute(
@@ -504,8 +506,6 @@ class JoinService:
             return result
         finally:
             explain_module.disable_collection()
-            if not tracing_was_on:
-                telemetry.disable()
 
     # -- lifecycle -------------------------------------------------------------
 

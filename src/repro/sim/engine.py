@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import explain, faults, telemetry
 from repro.errors import SimulationError, TaskFailedError
-from repro.telemetry import tracing
 from repro.faults import FaultEvent
 from repro.hw.counters import PerfCounters
 from repro.sim.resources import ResourcePool
@@ -629,14 +628,10 @@ class SimEngine:
             task_records=tuple(records),
             resource_capacities=self.pool.capacities(),
         )
-        if telemetry.enabled() or tracing.current() is not None:
-            # Capture the virtual-time schedule as its own trace track so
-            # one Chrome-trace file shows host wall-clock spans alongside
-            # the simulated kernel timeline. Also captured when the run
-            # belongs to a traced query (span recording itself off): the
-            # track is tagged with the query's trace id and joins its
-            # tree in the merged export.
-            telemetry.add_sim_result(result)
+        # Capture the virtual-time schedule as its own trace track (a
+        # no-op off-trace) so one Chrome-trace file shows the host spans
+        # alongside the simulated kernel timeline they produced.
+        telemetry.add_sim_result(result)
         # Post-hoc attribution (critical path, utilization timelines,
         # bound classes) when ``bench --explain`` turned collection on.
         explain.maybe_collect(result)

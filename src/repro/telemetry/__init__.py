@@ -1,26 +1,34 @@
-"""Span tracing + metrics for the real (host) execution.
+"""Spans, metrics, and events for the real (host) execution.
 
 The simulator attributes *virtual* time (``repro.sim.trace``); this
 package attributes *wall-clock* time and path decisions in the numpy
 execution that produces it — the paper's own methodology (time
 breakdowns, per-kernel profiles) applied to the reproduction itself.
 
-Three pieces:
+Four pieces:
 
-- **Spans** (:mod:`repro.telemetry.spans`): nested wall-clock intervals
-  with structured attributes, gated behind a module flag so disabled
-  call sites cost one attribute check. ``telemetry.span(name, **attrs)``
-  is a context manager; ``telemetry.traced()`` the decorator form;
-  ``telemetry.annotate(**attrs)`` tags the innermost open span.
+- **Spans** (:mod:`repro.telemetry.tracing`): nested wall-clock
+  intervals on a per-thread trace context, gated behind one module flag
+  so disabled call sites cost one attribute check.
+  ``telemetry.span(name, **attrs)`` is a context manager that nests
+  under the ambient span; ``telemetry.annotate(**attrs)`` tags the
+  innermost open span. A service query and a bench experiment each
+  open a trace root, and simulated timelines are buffered beside the
+  spans of the run that produced them.
 - **Metrics** (:mod:`repro.telemetry.metrics`): an always-on registry of
   counters, gauges, and timing histograms (``telemetry.count``,
-  ``telemetry.gauge``, ``telemetry.observe``) absorbing the formerly
-  ad-hoc stats: run-cache hits/misses, scatter kernel path counts,
-  grouped-probe dense-vs-searchsorted selection.
+  ``telemetry.gauge``, ``telemetry.observe``).
+- **Flight recorder** (:mod:`repro.telemetry.events`): structured
+  lifecycle events, behind a flag of its own.
 - **Exporters** (:mod:`repro.telemetry.export`): one Chrome-trace/
-  Perfetto JSON writer shared by hosts spans, worker snapshots, and
-  simulated virtual-time tracks; a plain-text span tree; a JSON metrics
-  dump; and the structural validator tests run over emitted files.
+  Perfetto JSON writer for spans, simulated tracks, and recorder
+  instants; a plain-text span tree; a JSON metrics dump; and the
+  structural validator tests and CI run over emitted files.
+
+Work done in another process comes home through one hand-off:
+:func:`settings` rides the job to the worker, the worker runs it inside
+:func:`capture`, and the parent :func:`absorb`\\ s the envelope —
+metrics delta, span records, simulated tracks, and events together.
 
 Capture a trace::
 
@@ -30,6 +38,10 @@ then open ``trace.json`` at https://ui.perfetto.dev. See
 ``docs/observability.md``.
 """
 
+import os
+from contextlib import contextmanager, nullcontext
+from typing import Optional
+
 from repro.telemetry import (
     events,
     export,
@@ -37,7 +49,6 @@ from repro.telemetry import (
     metrics,
     prometheus,
     slo,
-    spans,
     tracing,
 )
 from repro.telemetry.events import (
@@ -66,19 +77,15 @@ from repro.telemetry.prometheus import (
     write_prometheus,
 )
 from repro.telemetry.slo import SLOMonitor, SLOObjective, SLOSpec
-from repro.telemetry.spans import (
+from repro.telemetry.tracing import (
     NULL_SPAN,
-    absorb_trace,
     add_sim_result,
     annotate,
-    collector,
     current_path,
     disable,
     enable,
     enabled,
     span,
-    trace_snapshot,
-    traced,
 )
 
 #: Convenience aliases onto the process-wide registry.
@@ -92,12 +99,84 @@ emit_event = events.emit
 
 
 def reset() -> None:
-    """Drop all recorded spans, virtual tracks, metrics, events, and
-    trace-context span records."""
-    spans.reset()
+    """Drop all recorded spans, simulated tracks, metrics, and events."""
+    tracing.reset()
     registry.reset()
     events.reset()
-    tracing.reset()
+
+
+def settings() -> dict:
+    """This thread's telemetry state, as a job payload for a worker.
+
+    ``trace``/``events`` are the two enable flags; ``parent`` is the
+    ambient span (``None`` off-trace) the worker's spans parent under.
+    """
+    return {
+        "trace": tracing.enabled(),
+        "parent": tracing.payload(),
+        "events": events.enabled(),
+    }
+
+
+@contextmanager
+def capture(job_settings: Optional[dict] = None):
+    """Record one unit of work and yield the envelope that ships it home.
+
+    The worker half of the hand-off: the block runs under
+    ``job_settings`` (default: this thread's :func:`settings`), and on
+    exit the yielded dict is filled with everything the block recorded
+    — ``metrics`` (a registry delta), ``spans`` and ``tracks`` (drained
+    from the span buffers) and ``events`` (drained from the recorder).
+    Draining is what keeps a reused worker from reporting the same work
+    twice. The flags are restored afterwards.
+    """
+    job_settings = settings() if job_settings is None else job_settings
+    flags = tracing.enabled(), events.enabled()
+    (tracing.enable if job_settings.get("trace") else tracing.disable)()
+    (events.enable if job_settings.get("events") else events.disable)()
+    parent = job_settings.get("parent")
+    ambient = (
+        tracing.activate(parent["trace"], parent["span"], name="worker")
+        if parent is not None
+        else nullcontext()
+    )
+    envelope: dict = {}
+    before = registry.snapshot()
+    try:
+        with ambient:
+            yield envelope
+    finally:
+        envelope["metrics"] = registry.delta_since(before)
+        envelope["spans"], envelope["tracks"] = tracing.drain()
+        envelope["events"] = events.drain()
+        (tracing.enable if flags[0] else tracing.disable)()
+        (events.enable if flags[1] else events.disable)()
+
+
+def absorb(envelope: Optional[dict]) -> None:
+    """The parent half of the hand-off: fold a :func:`capture` envelope
+    into this process (absorbed records keep their origin pid)."""
+    if not envelope:
+        return
+    registry.merge(envelope.get("metrics"))
+    tracing.absorb(envelope.get("spans"), envelope.get("tracks"))
+    events.absorb(envelope.get("events"))
+
+
+def _drop_inherited_buffers() -> None:
+    # A forked worker inherits the parent's buffered spans, tracks and
+    # events, stamped with the parent's pid; capture() would ship them
+    # back as duplicates. No locks: one held by another thread at fork
+    # time stays held forever in the child. The recorder's ``seq``
+    # counter is kept — the child emits under its own pid, so
+    # continuing the inherited sequence stays unique.
+    tracing._records.clear()
+    tracing._tracks.clear()
+    events._events.clear()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(after_in_child=_drop_inherited_buffers)
 
 
 __all__ = [
@@ -109,11 +188,11 @@ __all__ = [
     "SLOMonitor",
     "SLOObjective",
     "SLOSpec",
-    "absorb_trace",
+    "absorb",
     "add_sim_result",
     "annotate",
+    "capture",
     "chrome_trace_document",
-    "collector",
     "count",
     "current_path",
     "disable",
@@ -134,11 +213,9 @@ __all__ = [
     "registry",
     "update_process_gauges",
     "reset",
+    "settings",
     "slo",
     "span",
-    "spans",
-    "trace_snapshot",
-    "traced",
     "tracing",
     "validate_chrome_trace",
     "validate_events",

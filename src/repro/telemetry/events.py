@@ -12,18 +12,19 @@ Design mirrors the span layer:
 
 - **off by default** — :func:`emit` is one module-flag check when
   disabled, so the emission sites live permanently in the harness,
-  operators, fault injector, and pool without a perf tax;
-- **drain/absorb across processes** — a worker :func:`drain`\\ s its
-  buffer after each unit of work and ships the plain-dict list with its
-  result; the parent :func:`absorb`\\ s it. A reused pool process never
-  re-reports an event (the identical contract as
-  ``telemetry.trace_snapshot(drain=True)`` and
-  ``registry.delta_since``);
+  operators, fault injector, and pool without a perf tax. The flag is
+  separate from the span flag: ``--events`` and ``--trace`` are set
+  independently;
+- **one hand-off across processes** — a worker's events travel home in
+  the :func:`repro.telemetry.capture` envelope (drained once, so a
+  reused pool process never re-reports an event) and the parent
+  :func:`repro.telemetry.absorb`\\ s them with the worker's spans and
+  metrics;
 - **versioned schema** — every event envelope carries
   ``v`` (:data:`EVENT_SCHEMA_VERSION`), ``type``, ``ts`` (Unix wall
   clock on the fork-consistent basis of :func:`repro.telemetry.tracing.
   wall_now`, so events from many processes order globally), ``pid``,
-  and a per-process ``seq``; while query tracing is on, the envelope
+  and a per-process ``seq``; inside a trace, the envelope
   additionally carries the ambient ``trace``/``span`` ids, so
   :func:`by_trace` splits a merged log per query trace the way
   :func:`by_query` splits it per query id. :data:`EVENT_TYPES` names
@@ -136,24 +137,6 @@ def context_fields() -> dict:
     return dict(getattr(_context, "fields", None) or {})
 
 
-def _clear_after_fork() -> None:
-    """Drop the buffer in forked children.
-
-    A forked worker inherits the parent's buffered events — with the
-    *parent's* pid on them. If the child then drained, the parent would
-    absorb copies of its own events (duplicate ``(pid, seq)`` pairs,
-    exactly what :func:`validate_events` rejects). The per-process
-    ``seq`` counter is deliberately kept: the child emits under its own
-    pid, so continuing the inherited sequence stays unique and
-    monotonic.
-    """
-    _events.clear()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_clear_after_fork)
-
-
 def enable() -> None:
     """Turn the recorder on (events buffer in-process until drained)."""
     global _enabled
@@ -227,26 +210,22 @@ def events() -> List[dict]:
 
 
 def drain() -> List[dict]:
-    """Remove and return the buffered events — the worker-side half of
-    the cross-process contract (see the module docstring)."""
+    """Remove and return the buffered events (see
+    :func:`repro.telemetry.capture`)."""
     with _lock:
         drained = list(_events)
         _events.clear()
     return drained
 
 
-def absorb(foreign: Optional[Iterable[dict]]) -> int:
+def absorb(foreign: Optional[Iterable[dict]]) -> None:
     """Fold a worker's drained events into this process's buffer.
 
     Absorbed events keep their origin ``pid``/``seq``/``ts`` — the
-    parent is a carrier, not an editor. Returns how many were absorbed.
+    parent is a carrier, not an editor.
     """
-    if not foreign:
-        return 0
-    absorbed = list(foreign)
     with _lock:
-        _events.extend(absorbed)
-    return len(absorbed)
+        _events.extend(foreign or ())
 
 
 # -- JSONL sink -----------------------------------------------------------------
@@ -304,8 +283,8 @@ def validate_events(records: Sequence[dict]) -> List[str]:
     Checks the envelope (version match, known type, numeric ``ts``,
     integer ``pid``/``seq``), each type's required payload fields, and
     that no ``(pid, seq)`` pair repeats (a duplicate means a worker's
-    buffer was absorbed twice — exactly the double-count the drain
-    contract exists to prevent).
+    buffer was absorbed twice — exactly the double-count draining once
+    exists to prevent).
     """
     problems: List[str] = []
     seen: set = set()
@@ -366,19 +345,10 @@ def by_query(records: Sequence[dict]) -> Dict[str, List[dict]]:
     return grouped
 
 
-def by_trace(records: Sequence[dict]) -> Dict[str, List[dict]]:
-    """Group events by their ``trace`` id (untraced events under "").
-
-    The trace-context sibling of :func:`by_query`: while tracing is on,
-    every event the service, plan operators, and pool workers emit
-    inside a query's execution carries that query's trace id, so one
-    merged log splits into per-trace slices that line up with the span
-    forest in :mod:`repro.telemetry.tracing`.
-    """
-    grouped: Dict[str, List[dict]] = {}
-    for event in records:
-        grouped.setdefault(str(event.get("trace", "")), []).append(event)
-    return grouped
+#: Group events by their ``trace`` id (untraced events under "") — the
+#: same grouping as span records, so one merged log splits into
+#: per-trace slices that line up with the span forest.
+by_trace = _tracing.by_trace
 
 
 def counts_by_type(records: Sequence[dict]) -> Dict[str, int]:

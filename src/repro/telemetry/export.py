@@ -1,37 +1,38 @@
 """Exporters: Chrome-trace (Perfetto) JSON, span trees, metrics dumps.
 
-This is the **one trace-event writer in the codebase**: host wall-clock
-spans, worker-process spans, and simulated virtual-time timelines
-(:class:`repro.sim.trace.TraceEntry` lists) all serialize through the
-same helpers, so ``python -m repro.bench ... --trace`` and
-``python -m repro.sim.visualize --format chrome`` produce files a single
-viewer opens side by side.
+This is the **one trace-event writer in the codebase**: span records
+(from this process and absorbed from workers), simulated virtual-time
+timelines (:class:`repro.sim.trace.TraceEntry` lists), and flight-
+recorder instants all serialize through the same helpers, so
+``python -m repro.bench ... --trace``, ``tools/load_gen.py
+--trace-out`` and ``python -m repro.sim.visualize --format chrome``
+produce files a single viewer opens side by side.
 
 The format is the Chrome trace-event JSON object form
 (``{"traceEvents": [...]}``) that chrome://tracing and
 https://ui.perfetto.dev load directly:
 
-- host spans are complete events (``ph: "X"``, ``cat: "host"``) with
-  microsecond ``ts``/``dur`` relative to the trace epoch, one Perfetto
-  process per OS process;
+- spans are complete events (``ph: "X"``, ``cat: "trace"``) with
+  microsecond ``ts``/``dur`` relative to the earliest span, one
+  Perfetto process per OS process and one thread per trace within it,
+  each carrying ``args.trace``/``args.span``/``args.parent`` for tree
+  reconstruction;
 - each captured simulated execution becomes its **own process track**
   (pid ``SIM_PID_BASE + k``, ``cat: "sim"``) whose threads are the
   simulation's phases and whose timestamps are *virtual* microseconds —
   a paper figure's simulated breakdown opens next to its real host cost.
 
 :func:`validate_chrome_trace` is the structural checker the tests (and
-CI) run over emitted files.
+CI) run over emitted files, span-forest checks included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.telemetry import metrics as _metrics
-from repro.telemetry import spans as _spans
 from repro.telemetry import tracing as _tracing
 
 #: Virtual-time (simulated) tracks get pids in their own range so a
@@ -56,24 +57,49 @@ def _metadata(pid: int, name: str, value: str, tid: int = 0) -> dict:
     }
 
 
-def _span_events(
-    spans: Sequence[dict], pid: int, tid: int = 1, cat: str = "host"
-) -> List[dict]:
-    """Complete events for finished span dicts (see ``Span.to_dict``)."""
-    events = []
-    for record in spans:
-        if record.get("end") is None:
-            continue
+def _ordered(span_records: Sequence[dict]) -> List[dict]:
+    """Records by start time, parents before the children they enclose."""
+    return sorted(span_records, key=lambda r: (r["ts"], -r["dur"], r["pid"]))
+
+
+def span_events(span_records: Sequence[dict], epoch: float) -> List[dict]:
+    """Complete events (``cat: "trace"``) for span records.
+
+    Within one process, each trace gets its own thread track (tid
+    assigned by first appearance, named after the trace id), so a
+    query's spans render as one swimlane per process it touched —
+    service pid and pool-worker pids side by side. ``epoch`` is the
+    wall-clock instant rendered as ``ts == 0``.
+    """
+    events: List[dict] = []
+    tids: Dict[tuple, int] = {}
+    for record in _ordered(span_records):
+        pid, trace_id = record["pid"], record["trace"]
+        tid = tids.get((pid, trace_id))
+        if tid is None:
+            tid = tids[(pid, trace_id)] = 1 + sum(p == pid for p, _ in tids)
+            if tid == 1:
+                events.append(
+                    _metadata(pid, "process_name", f"traced pid {pid}")
+                )
+            events.append(
+                _metadata(pid, "thread_name", f"trace {trace_id}", tid=tid)
+            )
         events.append(
             {
                 "name": record["name"],
-                "cat": cat,
+                "cat": "trace",
                 "ph": "X",
-                "ts": _us(record["start"]),
-                "dur": _us(max(record["end"] - record["start"], 0.0)),
+                "ts": _us(record["ts"] - epoch),
+                "dur": _us(record["dur"]),
                 "pid": pid,
                 "tid": tid,
-                "args": dict(record.get("attrs") or {}),
+                "args": {
+                    **record.get("attrs", {}),
+                    "trace": trace_id,
+                    "span": record["span"],
+                    "parent": record["parent"],
+                },
             }
         )
     return events
@@ -100,11 +126,10 @@ def sim_track_events(
     ``counters`` are ``(resource_name, [(time_s, utilization), ...])``
     pairs — per-resource occupancy series — rendered as Perfetto counter
     tracks (``ph: "C"``), one named counter per resource.
-    ``trace`` is the owning query's trace id when the track was captured
-    under query tracing; it lands in every complete event's ``args`` so
-    :func:`repro.telemetry.tracing.validate_chrome_trace_tree` (and any
-    viewer query) can tie the simulated resources back to the query's
-    span tree.
+    ``trace`` is the id of the trace the track was captured under; it
+    lands in every complete event's ``args`` so
+    :func:`validate_chrome_trace` (and any viewer query) can tie the
+    simulated resources back to the trace's span tree.
     """
     events: List[dict] = [_metadata(pid, "process_name", f"sim: {label}")]
     tids: Dict[str, int] = {}
@@ -172,8 +197,8 @@ def recorder_instant_events(
     process-scoped instant events (``ph: "i"``) on the emitting
     process's track — a worker death shows up as a pin on that pool
     worker's pid, next to the host spans. Recorder timestamps are wall
-    clock; ``wall_epoch`` (the collector's, normally) anchors them to
-    the trace timeline. Without an epoch the earliest instant is t=0.
+    clock; ``wall_epoch`` (the earliest span's, normally) anchors them
+    to the trace timeline. Without an epoch the earliest instant is t=0.
     """
     from repro.telemetry import events as _events
 
@@ -208,49 +233,28 @@ def recorder_instant_events(
     return rendered
 
 
-def chrome_trace_events(collector: Optional[_spans.SpanCollector] = None) -> List[dict]:
-    """All trace events for the current collector state."""
-    collector = collector or _spans.collector()
-    events: List[dict] = []
-    local_pid = os.getpid()
-    local_spans = [s.to_dict() for s in collector.spans]
-    if local_spans:
-        events.append(_metadata(local_pid, "process_name", f"host pid {local_pid}"))
-        events.append(_metadata(local_pid, "thread_name", "main", tid=1))
-        events.extend(_span_events(local_spans, pid=local_pid))
-    for snapshot in collector.foreign:
-        pid = snapshot.get("pid", 0)
-        label = snapshot.get("label") or f"worker pid {pid}"
-        if snapshot.get("spans"):
-            events.append(_metadata(pid, "process_name", f"host {label}"))
-            events.append(_metadata(pid, "thread_name", "main", tid=1))
-            events.extend(_span_events(snapshot["spans"], pid=pid))
-    sim_index = 0
-    for track in collector.virtual_tracks + [
-        t for snap in collector.foreign for t in snap.get("virtual", ())
-    ]:
+def chrome_trace_events() -> List[dict]:
+    """All trace events for this process's buffered records.
+
+    Spans, simulated tracks, and recorder instants share one wall-clock
+    epoch (the earliest span), so a query's service spans, pool-worker
+    morsel spans, and recorder instants line up on one timeline.
+    """
+    span_records = _tracing.records()
+    epoch = min((r["ts"] for r in span_records), default=None)
+    events = span_events(span_records, epoch)
+    for index, track in enumerate(_tracing.tracks()):
         events.extend(
             sim_track_events(
                 track["entries"],
-                SIM_PID_BASE + sim_index,
+                SIM_PID_BASE + index,
                 track["label"],
                 instants=track.get("instants", ()),
                 counters=track.get("counters", ()),
                 trace=track.get("trace"),
             )
         )
-        sim_index += 1
-    # Query-trace spans (repro.telemetry.tracing) share the recorder's
-    # wall-clock basis; anchor both on the same epoch so a query's
-    # service spans, pool-worker morsel spans, and recorder instants
-    # line up on one timeline.
-    trace_records = _tracing.records()
-    wall_epoch = collector.wall_epoch
-    if wall_epoch is None and trace_records:
-        wall_epoch = min(r.get("ts", 0.0) for r in trace_records)
-    if trace_records:
-        events.extend(_tracing.chrome_events(trace_records, epoch=wall_epoch))
-    events.extend(recorder_instant_events(wall_epoch))
+    events.extend(recorder_instant_events(epoch))
     return events
 
 
@@ -275,25 +279,31 @@ def write_chrome_trace(path, document: Optional[dict] = None) -> dict:
 
 
 def format_span_tree(
-    collector: Optional[_spans.SpanCollector] = None, precision_ms: int = 3
+    span_records: Optional[Sequence[dict]] = None, precision_ms: int = 3
 ) -> str:
-    """Indented plain-text rendering of the recorded host spans."""
-    collector = collector or _spans.collector()
-    spans = sorted(collector.spans, key=lambda s: (s.start, s.depth))
-    if not spans:
+    """Indented plain-text rendering of span records (default: the
+    buffer), one line per span under its parent."""
+    ordered = _ordered(
+        _tracing.records() if span_records is None else span_records
+    )
+    if not ordered:
         return "(no spans recorded)"
-    width = max(2 * s.depth + len(s.name) for s in spans)
+    depth: Dict[Optional[str], int] = {}
+    for record in ordered:
+        depth[record["span"]] = depth.get(record["parent"], -1) + 1
+    labels = ["  " * depth[r["span"]] + r["name"] for r in ordered]
+    width = max(len(label) for label in labels)
     lines = []
-    for s in spans:
-        label = "  " * s.depth + s.name
-        attrs = (
-            "  " + ", ".join(f"{k}={v}" for k, v in sorted(s.attrs.items()))
-            if s.attrs
+    for label, record in zip(labels, ordered):
+        attrs = record.get("attrs") or {}
+        suffix = (
+            "  " + ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+            if attrs
             else ""
         )
         lines.append(
             f"{label.ljust(width)}  "
-            f"{s.duration * 1e3:10.{precision_ms}f} ms{attrs}"
+            f"{record['dur'] * 1e3:10.{precision_ms}f} ms{suffix}"
         )
     return "\n".join(lines)
 
@@ -388,12 +398,14 @@ def validate_chrome_trace(document) -> List[str]:
     Checks the object form, the required keys on every complete event,
     non-negative timestamps/durations, counter (``ph: "C"``) events with
     finite non-negative numeric samples, instant (``ph: "i"``) events
-    with a name, pid, non-negative timestamp, and valid scope, and —
-    for host spans, which are
-    recorded with strict stack discipline — proper nesting per
-    ``(pid, tid)`` (simulated tracks legitimately overlap: concurrent
-    kernels share a phase thread only when sequential, but concurrent
-    *phases* are the point of the Fig. 11 pipeline).
+    with a name, pid, non-negative timestamp, and valid scope, and the
+    span forest: spans nest properly per ``(pid, tid)`` (one trace's
+    spans in one process are strictly nested; simulated tracks
+    legitimately overlap — concurrent *phases* are the point of the
+    Fig. 11 pipeline), the :func:`~repro.telemetry.tracing.
+    validate_trace_tree` checks hold over the spans' ``args``, and every
+    ``cat: "sim"`` event tagged with a trace id tags one that has spans
+    in the document.
     """
     problems: List[str] = []
     if not isinstance(document, dict):
@@ -427,10 +439,10 @@ def validate_chrome_trace(document) -> List[str]:
         problems.append("no complete (ph == 'X') events")
         return problems
 
+    spans = [event for event in complete if event.get("cat") == "trace"]
     by_track: Dict[tuple, List[dict]] = {}
-    for event in complete:
-        if event.get("cat") == "host":
-            by_track.setdefault((event["pid"], event["tid"]), []).append(event)
+    for event in spans:
+        by_track.setdefault((event["pid"], event["tid"]), []).append(event)
     for (pid, tid), track in by_track.items():
         track.sort(key=lambda e: (e["ts"], -e["dur"]))
         stack: List[float] = []
@@ -444,4 +456,17 @@ def validate_chrome_trace(document) -> List[str]:
                     f"overlaps its enclosing span without nesting"
                 )
             stack.append(end)
+
+    span_records = [
+        {**(event.get("args") or {}), "name": event["name"]} for event in spans
+    ]
+    problems += _tracing.validate_trace_tree(span_records)
+    traces = {record.get("trace") for record in span_records}
+    for event in complete:
+        trace_id = (event.get("args") or {}).get("trace")
+        if event.get("cat") == "sim" and trace_id not in (None, *traces):
+            problems.append(
+                f"sim event {event['name']!r} tagged with trace "
+                f"{trace_id} that has no spans in the document"
+            )
     return problems

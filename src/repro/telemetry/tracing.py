@@ -1,36 +1,41 @@
-"""End-to-end query tracing: trace contexts, propagation, span records.
+"""Spans: the one wall-clock span model, carried by a context variable.
 
-The span layer (:mod:`repro.telemetry.spans`) answers "how long did
-this take" for *one* thread of execution — its stack is a module
-global, which is exactly why the concurrent join service runs explain
-queries under an exclusive lock. This module answers the question the
-service actually gets asked under load: **"what happened to query X"**,
-where X's work hops from the submitting thread to a service worker
-thread, from there into forked morsel-pool processes, and sideways into
-the simulated task graph.
+Every span in the codebase — a service query's stages, a plan node, an
+operator's ``functional``/``simulate`` phases, a partition or probe
+kernel, a pool worker's morsel, a bench experiment — is opened with
+:func:`span` and nests under whatever span is ambient on the current
+thread. A trace is one tree of such spans: a service query and a bench
+experiment each open a root, so "what happened to query X" and "where
+did fig13's time go" are read from the same records.
 
 The design is the W3C trace-context shape reduced to what the repo
 needs:
 
 - **Deterministic ids.** A query's ``trace_id`` derives from its
-  workload seed and submission sequence number
-  (:func:`derive_trace_id`), and every span id derives from
-  ``(trace_id, parent_id, name, sibling index)``
-  (:func:`derive_span_id`) — same seed, same submission stream, same
-  forest of ids, so trace artifacts diff byte-for-byte across runs the
-  way ``BENCH_service.json``'s results digest does.
+  workload seed and submission sequence number, a bench experiment's
+  from its name (:func:`derive_trace_id`), and every span id derives
+  from ``(trace_id, parent_id, name, sibling index)``
+  (:func:`derive_span_id`) — same inputs, same forest of ids, so trace
+  artifacts diff byte-for-byte across runs the way
+  ``BENCH_service.json``'s results digest does.
 - **Ambient propagation via context variables.** The active
   :class:`TraceContext` lives in a :class:`contextvars.ContextVar`, so
   concurrent service threads each carry their own query's context with
-  no locking and no module-global stack to corrupt —
-  :func:`trace_query` opens a root, :func:`span` nests under whatever
-  is ambient, and :func:`current` is what the flight recorder stamps
-  onto every event.
+  no locking and no shared stack to corrupt — :func:`trace_query`
+  opens a root, :func:`span` nests under whatever is ambient,
+  :func:`annotate` tags the innermost open span, and :func:`current`
+  is what the flight recorder stamps onto every event. A span opened
+  with no ambient trace records nothing.
+- **Simulated timelines ride along.** :func:`add_sim_result` buffers a
+  simulated execution's virtual-time track beside the span records,
+  tagged with the span that ran it, so one export shows a query's host
+  spans and its simulated resources together.
 - **Payload propagation across processes.** :func:`payload` serializes
-  the ambient context into a job dict; a pool worker re-activates it
-  with :func:`activate` so morsel spans parent under the dispatching
-  query's span, then ships its finished records back via the same
-  :func:`drain`/:func:`absorb` contract the flight recorder uses.
+  the ambient context into a job dict; a worker re-activates it with
+  :func:`activate` so its spans parent under the dispatching span.
+  Records travel home through :func:`repro.telemetry.capture` /
+  :func:`repro.telemetry.absorb`, built on :func:`drain` /
+  :func:`absorb` here.
 - **Wall-clock on a fork-consistent basis.** Span timestamps come from
   :func:`wall_now`: ``time.time`` sampled once at import plus
   ``time.monotonic`` deltas. A forked child inherits the parent's
@@ -39,10 +44,9 @@ needs:
   is consistent even when the system clock steps (the flight recorder
   stamps events with the same clock).
 
-Like spans and events, tracing is **off by default** — every
-instrumentation site costs one module-flag check while disabled, so
-``load_gen`` runs without ``--trace-out`` are byte-identical to the
-pre-tracing service.
+Tracing is **off by default** — every instrumentation site costs one
+module-flag check while disabled, so ``load_gen`` runs without
+``--trace-out`` are byte-identical to the untraced service.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Hex digits in every trace and span id (64-bit, like W3C span ids).
@@ -69,8 +73,10 @@ _CLOCK_OFFSET = time.time() - time.monotonic()
 
 _enabled = False
 
-#: Finished span records (plain dicts — the JSONL/IPC currency).
+#: Finished span records and simulated tracks (plain dicts — the
+#: JSONL/IPC currency).
 _records: List[dict] = []
+_tracks: List[dict] = []
 _lock = threading.Lock()
 
 #: The ambient trace context. ContextVars are per-thread (and survive
@@ -99,15 +105,15 @@ def _short_hash(*parts) -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:ID_HEX_DIGITS]
 
 
-def derive_trace_id(seed: int, sequence: int) -> str:
-    """The deterministic trace id of one submitted query.
+def derive_trace_id(*parts) -> str:
+    """The deterministic trace id of one root (a query, an experiment).
 
-    Derived from the query's workload seed and its submission sequence
+    A service query passes its workload seed and submission sequence
     number — the same two facts that make the service's admission and
     results deterministic — so re-running a seeded workload reproduces
     every trace id exactly.
     """
-    return _short_hash("trace", seed, sequence)
+    return _short_hash("trace", *parts)
 
 
 def derive_span_id(
@@ -134,26 +140,68 @@ def is_valid_id(value) -> bool:
 
 
 class TraceContext:
-    """The ambient state of one active trace on one thread.
+    """One open span — while open, the ambient state of its thread.
 
-    ``span_id`` is the innermost open span (the parent of anything
-    opened next); ``sibling_counts`` allocates deterministic sibling
-    indices per parent. One instance exists per activation — contexts
-    are never shared across threads.
+    ``span_id`` is the parent of anything opened next and ``attrs`` the
+    span's attributes; ``sibling_counts`` allocates deterministic
+    sibling indices per parent and is shared by every span of one
+    activation. Contexts are never shared across threads. Used as a
+    context manager, a context is activated on entry and recorded as a
+    finished span on exit.
     """
 
-    __slots__ = ("trace_id", "span_id", "names", "sibling_counts")
+    __slots__ = (
+        "trace_id", "span_id", "parent_id", "names", "sibling_counts",
+        "attrs", "_token", "_start",
+    )
 
-    def __init__(self, trace_id: str, span_id: str, name: str) -> None:
+    def __init__(
+        self,
+        trace_id: str,
+        span_id: str,
+        name: str,
+        attrs: Optional[dict] = None,
+        parent: Optional["TraceContext"] = None,
+    ) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
-        self.names = [name]
-        self.sibling_counts: Dict[str, int] = {}
+        self.attrs = {} if attrs is None else attrs
+        if parent is None:
+            self.parent_id = None
+            self.names = [name]
+            self.sibling_counts: Dict[str, int] = {}
+        else:
+            self.parent_id = parent.span_id
+            self.names = parent.names + [name]
+            self.sibling_counts = parent.sibling_counts
 
     def child_id(self, name: str) -> str:
         index = self.sibling_counts.get(self.span_id, 0)
         self.sibling_counts[self.span_id] = index + 1
         return derive_span_id(self.trace_id, self.span_id, name, index)
+
+    def set(self, **attrs) -> "TraceContext":
+        """Attach attributes to the span (e.g. a path decision)."""
+        self.attrs.update(attrs)
+        return self
+
+    def __enter__(self) -> "TraceContext":
+        self._token = _active.set(self)
+        self._start = wall_now()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        _active.reset(self._token)
+        _record(
+            self.names[-1],
+            self._start,
+            wall_now(),
+            self.trace_id,
+            self.span_id,
+            self.parent_id,
+            self.attrs,
+        )
+        return False
 
 
 def enable() -> None:
@@ -172,9 +220,11 @@ def enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop buffered span records (the ambient context is unaffected)."""
+    """Drop buffered span records and tracks (the ambient context is
+    unaffected)."""
     with _lock:
         _records.clear()
+        _tracks.clear()
 
 
 def current() -> Optional[TraceContext]:
@@ -187,6 +237,12 @@ def current() -> Optional[TraceContext]:
 def current_trace_id() -> Optional[str]:
     context = current()
     return context.trace_id if context is not None else None
+
+
+def current_path() -> str:
+    """Slash-joined names of the open spans (for labeling sub-records)."""
+    context = current()
+    return " / ".join(context.names) if context is not None else ""
 
 
 def record_span(
@@ -209,6 +265,10 @@ def record_span(
     """
     if span_id is None:
         span_id = derive_span_id(trace_id, parent_id, name, 0)
+    return _record(name, start, end, trace_id, span_id, parent_id, attrs)
+
+
+def _record(name, start, end, trace_id, span_id, parent_id, attrs) -> dict:
     record = {
         "trace": trace_id,
         "span": span_id,
@@ -219,112 +279,63 @@ def record_span(
         "pid": os.getpid(),
     }
     if attrs:
-        record["attrs"] = attrs
+        record["attrs"] = dict(attrs)
     with _lock:
         _records.append(record)
     return record
 
 
-class _OpenSpan:
-    """Context manager for one ambient span (only built while enabled)."""
-
-    __slots__ = ("name", "attrs", "_context", "_token", "_parent", "_start")
-
-    def __init__(self, name: str, attrs: dict) -> None:
-        self.name = name
-        self.attrs = attrs
-
-    def set(self, **attrs) -> "_OpenSpan":
-        self.attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "_OpenSpan":
-        parent = _active.get()
-        if parent is None:
-            raise RuntimeError(
-                f"span {self.name!r} opened with no active trace; "
-                "wrap the work in trace_query()/activate() first"
-            )
-        context = TraceContext(
-            parent.trace_id, parent.child_id(self.name), self.name
-        )
-        context.names = parent.names + [self.name]
-        context.sibling_counts = parent.sibling_counts
-        self._context = context
-        self._parent = parent
-        self._token = _active.set(context)
-        self._start = wall_now()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _active.reset(self._token)
-        record_span(
-            self.name,
-            self._start,
-            wall_now(),
-            trace_id=self._context.trace_id,
-            span_id=self._context.span_id,
-            parent_id=self._parent.span_id,
-            **self.attrs,
-        )
-        return False
-
-
-class _NullTraceSpan:
+class _NullSpan:
     """Shared no-op returned while tracing is off or no trace is active."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullTraceSpan":
+    def __enter__(self) -> "_NullSpan":
         return self
 
     def __exit__(self, *exc) -> bool:
         return False
 
-    def set(self, **attrs) -> "_NullTraceSpan":
+    def set(self, **attrs) -> "_NullSpan":
         return self
 
 
-NULL_TRACE_SPAN = _NullTraceSpan()
+NULL_SPAN = _NullSpan()
 
 
 def span(name: str, **attrs):
-    """Open one ambient child span; a shared no-op unless a trace is
-    active on this thread (one flag check while tracing is disabled)."""
-    if not _enabled or _active.get() is None:
-        return NULL_TRACE_SPAN
-    return _OpenSpan(name, attrs)
+    """Open one ambient child span (``with telemetry.span(...)``); a
+    shared no-op unless a trace is active on this thread (one flag check
+    while tracing is disabled)."""
+    if not _enabled:
+        return NULL_SPAN
+    parent = _active.get()
+    if parent is None:
+        return NULL_SPAN
+    return TraceContext(
+        parent.trace_id, parent.child_id(name), name, attrs, parent
+    )
 
 
-@contextmanager
+def annotate(**attrs) -> None:
+    """Attach attributes to the innermost open span, if tracing."""
+    context = current()
+    if context is not None:
+        context.attrs.update(attrs)
+
+
 def trace_query(trace_id: str, name: str = "query", **attrs):
-    """Activate a trace root on this thread for the block's duration.
+    """Open a trace root on this thread for the block's duration.
 
-    Opens (and records, on exit) the trace's deterministic root span.
-    No-op context when tracing is disabled. The root span id is
+    Activates (and records, on exit) the trace's deterministic root
+    span; a no-op context when tracing is disabled. The root span id is
     ``derive_span_id(trace_id, None, name, 0)`` — callers that record
     retroactive children against the root (admission wait) recompute it
     with :func:`root_span_id`.
     """
     if not _enabled:
-        yield None
-        return
-    context = TraceContext(trace_id, root_span_id(trace_id, name), name)
-    token = _active.set(context)
-    start = wall_now()
-    try:
-        yield context
-    finally:
-        _active.reset(token)
-        record_span(
-            name,
-            start,
-            wall_now(),
-            trace_id=trace_id,
-            span_id=context.span_id,
-            parent_id=None,
-            **attrs,
-        )
+        return nullcontext()
+    return TraceContext(trace_id, root_span_id(trace_id, name), name, attrs)
 
 
 def root_span_id(trace_id: str, name: str = "query") -> str:
@@ -351,19 +362,87 @@ def activate(trace_id: str, span_id: str, name: str = "(remote)"):
 
 
 def payload() -> Optional[dict]:
-    """The ambient context as a job-payload dict (``None`` off-trace).
-
-    Rides multiprocessing job dicts the way the flight recorder's
-    ``record_events`` flag does; the worker passes it to
-    :func:`activate`.
-    """
+    """The ambient context as a job-payload dict (``None`` off-trace);
+    the worker passes it to :func:`activate`."""
     context = current()
     if context is None:
         return None
     return {"trace": context.trace_id, "span": context.span_id}
 
 
-# -- record buffer (drain/absorb across processes) ------------------------------
+# -- simulated tracks -----------------------------------------------------------
+
+
+def add_track(
+    label: str, entries, makespan: float, instants=(), counters=()
+) -> None:
+    """Buffer one virtual-time track under the ambient span (no-op
+    off-trace).
+
+    ``entries`` carry ``name``/``phase``/``start``/``end``; ``instants``
+    are injected fault events (``time_s``/``kind``/``target``/
+    ``detail``) and ``counters`` ``(name, [(time_s, value), ...])``
+    utilization series, rendered as Perfetto instants and counter
+    tracks.
+    """
+    context = current()
+    if context is None:
+        return
+    track = {
+        "label": label,
+        "makespan_seconds": float(makespan),
+        "entries": [
+            (e.name, e.phase, float(e.start), float(e.end)) for e in entries
+        ],
+        "trace": context.trace_id,
+        "span": context.span_id,
+        "pid": os.getpid(),
+    }
+    if instants:
+        track["instants"] = [
+            (float(e.time_s), e.kind, e.target, e.detail) for e in instants
+        ]
+    if counters:
+        track["counters"] = [
+            (name, [(float(t), float(v)) for t, v in series])
+            for name, series in counters
+        ]
+    with _lock:
+        _tracks.append(track)
+
+
+def add_sim_result(result, label: Optional[str] = None) -> None:
+    """Register a simulated execution as a virtual-time track.
+
+    ``result`` is duck-typed (``.trace`` entries with name/phase/start/
+    end plus ``.makespan_seconds``) so the simulator does not import the
+    exporters. The label defaults to the open span path, which is how a
+    trace viewer ties a simulated timeline back to the host span (e.g.
+    ``experiment:fig13 / run:GPU Triton Join / simulate``).
+    """
+    if current() is None:
+        return
+    counters = ()
+    if getattr(result, "occupancy", ()):
+        # Lazy import: telemetry must stay importable without the
+        # explain package (and the simulator without telemetry).
+        from repro.explain.timeline import utilization_samples
+
+        counters = tuple(
+            (name, samples)
+            for name, samples in sorted(utilization_samples(result).items())
+            if any(value > 0 for _, value in samples)
+        )
+    add_track(
+        label or current_path(),
+        result.trace,
+        result.makespan_seconds,
+        instants=getattr(result, "fault_events", ()),
+        counters=counters,
+    )
+
+
+# -- buffers (the building blocks of telemetry.capture/absorb) ------------------
 
 
 def records() -> List[dict]:
@@ -372,36 +451,29 @@ def records() -> List[dict]:
         return list(_records)
 
 
-def drain() -> List[dict]:
-    """Remove and return buffered records — the worker-side contract."""
+def tracks() -> List[dict]:
+    """A copy of the buffered simulated tracks."""
     with _lock:
-        drained = list(_records)
+        return list(_tracks)
+
+
+def drain() -> "tuple[List[dict], List[dict]]":
+    """Remove and return the buffered ``(span records, tracks)``."""
+    with _lock:
+        drained = list(_records), list(_tracks)
         _records.clear()
+        _tracks.clear()
     return drained
 
 
-def absorb(foreign: Optional[Iterable[dict]]) -> int:
-    """Fold a worker's drained span records into this process's buffer."""
-    if not foreign:
-        return 0
-    absorbed = list(foreign)
+def absorb(
+    span_records: Optional[Iterable[dict]],
+    track_records: Optional[Iterable[dict]] = None,
+) -> None:
+    """Fold a worker's drained records into this process's buffers."""
     with _lock:
-        _records.extend(absorbed)
-    return len(absorbed)
-
-
-def _clear_after_fork() -> None:
-    # Same rationale as the flight recorder's fork hook: a forked
-    # worker inherits the parent's buffered records and must not
-    # re-report them.
-    _records.clear()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_clear_after_fork)
-
-
-# -- grouping + export ----------------------------------------------------------
+        _records.extend(span_records or ())
+        _tracks.extend(track_records or ())
 
 
 def by_trace(
@@ -413,82 +485,6 @@ def by_trace(
     for record in span_records:
         grouped.setdefault(str(record.get("trace", "")), []).append(record)
     return grouped
-
-
-def chrome_events(
-    span_records: Optional[Sequence[dict]] = None,
-    epoch: Optional[float] = None,
-) -> List[dict]:
-    """Chrome complete events (``cat: "trace"``) for span records.
-
-    Within one process, each trace gets its own thread track (tid
-    assigned by first appearance, named after the trace id), so a
-    query's spans render as one swimlane per process it touched —
-    service pid and pool-worker pids side by side, all carrying
-    ``args.trace``/``args.span``/``args.parent`` for tree
-    reconstruction. ``epoch`` anchors wall timestamps (defaults to the
-    earliest record).
-    """
-    span_records = records() if span_records is None else list(span_records)
-    span_records = sorted(
-        span_records,
-        key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("span", "")),
-    )
-    if not span_records:
-        return []
-    if epoch is None:
-        epoch = min(float(r.get("ts", 0.0)) for r in span_records)
-    events: List[dict] = []
-    tids: Dict[tuple, int] = {}
-    pids_named = set()
-    for record in span_records:
-        pid = int(record.get("pid", 0))
-        trace_id = record.get("trace", "")
-        key = (pid, trace_id)
-        tid = tids.get(key)
-        if tid is None:
-            tid = tids[key] = (
-                sum(1 for (p, _t) in tids if p == pid) + 1_000_001
-            )
-            if pid not in pids_named:
-                pids_named.add(pid)
-                events.append(
-                    {
-                        "ph": "M",
-                        "name": "process_name",
-                        "pid": pid,
-                        "tid": 0,
-                        "args": {"name": f"traced pid {pid}"},
-                    }
-                )
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": f"trace {trace_id}"},
-                }
-            )
-        args = {
-            "trace": trace_id,
-            "span": record.get("span"),
-            "parent": record.get("parent"),
-        }
-        args.update(record.get("attrs") or {})
-        events.append(
-            {
-                "name": record.get("name", "span"),
-                "cat": "trace",
-                "ph": "X",
-                "ts": round(max(record.get("ts", 0.0) - epoch, 0.0) * 1e6, 3),
-                "dur": round(max(record.get("dur", 0.0), 0.0) * 1e6, 3),
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-    return events
 
 
 # -- validation -----------------------------------------------------------------
@@ -562,52 +558,6 @@ def validate_trace_tree(span_records: Sequence[dict]) -> List[str]:
             else:
                 for member in path:
                     resolved[member] = True
-    return problems
-
-
-def validate_chrome_trace_tree(document) -> List[str]:
-    """Run :func:`validate_trace_tree` over a Chrome trace document.
-
-    Reconstructs span records from the document's ``cat: "trace"``
-    complete events (the inverse of :func:`chrome_events`) and also
-    checks that every ``cat: "sim"`` track tagged with a trace id tags
-    one that actually appears in the span forest.
-    """
-    if not isinstance(document, dict):
-        return ["document is not a JSON object"]
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        return ["document has no traceEvents list"]
-    span_records = []
-    traces = set()
-    for event in events:
-        if not isinstance(event, dict) or event.get("cat") != "trace":
-            continue
-        if event.get("ph") != "X":
-            continue
-        args = event.get("args") or {}
-        span_records.append(
-            {
-                "trace": args.get("trace"),
-                "span": args.get("span"),
-                "parent": args.get("parent"),
-                "name": event.get("name"),
-                "pid": event.get("pid"),
-            }
-        )
-        traces.add(args.get("trace"))
-    if not span_records:
-        return ["document has no cat='trace' span events"]
-    problems = validate_trace_tree(span_records)
-    for event in events:
-        if not isinstance(event, dict) or event.get("cat") != "sim":
-            continue
-        trace_id = (event.get("args") or {}).get("trace")
-        if trace_id is not None and trace_id not in traces:
-            problems.append(
-                f"sim event {event.get('name')!r} tagged with trace "
-                f"{trace_id} that has no spans in the document"
-            )
     return problems
 
 

@@ -1,10 +1,10 @@
-"""Flight recorder: schema, drain/absorb, pool lifecycle events, CLI.
+"""Flight recorder: schema, capture/absorb, pool lifecycle events, CLI.
 
 Covers the full event path: in-process emission and validation, the
 JSONL sink round-trip, the morsel pool's dispatch/steal/death/respawn/
 recovery/stall events (with the deterministic ``die_on`` / ``sleep_on``
 hooks), and the bench CLI surface (``--events`` / ``--prom`` /
-``--live``) including the multi-process ``--jobs`` drain contract with
+``--live``) including the multi-process ``--jobs`` hand-off with
 reused pool workers.
 """
 
@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.bench.__main__ import main as bench_main
 from repro.exec.morsel import (
     execute_morsel,
@@ -137,9 +138,9 @@ class TestForkConsistentClock:
 class TestDrainAbsorb:
     def test_drain_empties_the_buffer(self):
         events.enable()
-        events.emit("experiment.start", experiment="a")
-        drained = events.drain()
-        assert len(drained) == 1
+        with telemetry.capture() as envelope:
+            events.emit("experiment.start", experiment="a")
+        assert len(envelope["events"]) == 1
         assert events.events() == []
 
     def test_absorb_keeps_foreign_identity(self):
@@ -154,16 +155,16 @@ class TestDrainAbsorb:
                 "worker": 1,
             }
         ]
-        assert events.absorb(foreign) == 1
-        assert events.absorb(None) == 0
-        assert events.events()[0]["pid"] == 99999
+        telemetry.absorb({"events": foreign})
+        telemetry.absorb(None)
+        assert events.events() == foreign
 
     def test_double_absorb_is_caught_by_validation(self):
         events.enable()
-        events.emit("experiment.start", experiment="a")
-        drained = events.drain()
-        events.absorb(drained)
-        events.absorb(drained)
+        with telemetry.capture() as envelope:
+            events.emit("experiment.start", experiment="a")
+        telemetry.absorb(envelope)
+        telemetry.absorb(envelope)
         problems = events.validate_events(events.events())
         assert any("absorbed twice" in p for p in problems)
 
@@ -206,9 +207,9 @@ class TestJsonlSink:
         events.emit("experiment.start", experiment="a")
         events.emit("experiment.end", experiment="a", seconds=0.5)
         # An absorbed foreign event with an earlier timestamp sorts first.
-        events.absorb(
-            [{"v": 1, "type": "worker.death", "ts": 0.5, "pid": 7,
-              "seq": 0, "worker": 2}]
+        telemetry.absorb(
+            {"events": [{"v": 1, "type": "worker.death", "ts": 0.5,
+                         "pid": 7, "seq": 0, "worker": 2}]}
         )
         path = tmp_path / "events.jsonl"
         written = events.write_jsonl(path)
@@ -415,10 +416,12 @@ class TestBenchCli:
         assert events.events() == []
 
     def test_jobs_round_trip_with_reused_workers(self, tmp_path, monkeypatch):
-        """4 experiments over 2 workers: every worker is reused, and the
-        merged log must still be schema-valid with no duplicate
-        (pid, seq) pairs — the drain-once contract across processes."""
+        """4 experiments over 2 workers: every worker is reused, and each
+        worker envelope must be absorbed exactly once — no duplicate
+        (pid, seq) event pairs, no span id twice within a trace, the
+        serial run's simulated tracks, and the serial run's counters."""
         import repro.bench.__main__ as bench_mod
+        from repro.telemetry.export import SIM_PID_BASE, validate_chrome_trace
 
         names = ["fig01", "fig04", "fig14", "fig15"]
         monkeypatch.setattr(
@@ -426,20 +429,60 @@ class TestBenchCli:
             "ALL_EXPERIMENTS",
             {name: bench_mod.ALL_EXPERIMENTS[name] for name in names},
         )
-        path = tmp_path / "events.jsonl"
-        assert (
-            bench_main(
-                ["all", "--jobs", "2", *SMALL_ARGS, "--events", str(path)]
+
+        def run(jobs):
+            telemetry.registry.reset()
+            out = {
+                kind: tmp_path / f"{kind}{jobs}.json"
+                for kind in ("events", "trace", "metrics")
+            }
+            assert (
+                bench_main(
+                    ["all", "--jobs", jobs, *SMALL_ARGS, "--no-cache"]
+                    + [arg for kind, path in out.items()
+                       for arg in (f"--{kind}", str(path))]
+                )
+                == 0
             )
-            == 0
-        )
-        records = events.read_jsonl(path)
+            return {
+                "events": events.read_jsonl(out["events"]),
+                "trace": json.loads(out["trace"].read_text()),
+                "counters": json.loads(out["metrics"].read_text())["counters"],
+            }
+
+        serial, parallel = run("1"), run("2")
+        records = parallel["events"]
         assert events.validate_events(records) == []
         counts = events.counts_by_type(records)
         assert counts["experiment.start"] == len(names)
         assert counts["experiment.end"] == len(names)
         pids = {r["pid"] for r in records}
         assert 1 < len(pids) <= 2
+
+        document = parallel["trace"]
+        assert validate_chrome_trace(document) == []
+        spans = [
+            e for e in document["traceEvents"]
+            if e.get("cat") == "trace" and e.get("ph") == "X"
+        ]
+        keys = [(e["args"]["trace"], e["args"]["span"]) for e in spans]
+        assert len(keys) == len(set(keys))
+        assert sorted(
+            e["name"] for e in spans if e["args"]["parent"] is None
+        ) == sorted(f"experiment:{name}" for name in names)
+        assert {e["pid"] for e in spans} == pids
+
+        def sim_tracks(document):
+            return sorted(
+                e["args"]["name"]
+                for e in document["traceEvents"]
+                if e.get("name") == "process_name"
+                and e["pid"] >= SIM_PID_BASE
+            )
+
+        assert sim_tracks(document)
+        assert sim_tracks(document) == sim_tracks(serial["trace"])
+        assert parallel["counters"] == serial["counters"]
 
     def test_prom_flag_writes_valid_exposition(self, tmp_path):
         from repro.telemetry import prometheus

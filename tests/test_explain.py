@@ -15,6 +15,7 @@ from repro.explain.critical_path import critical_path, slack_by_task
 from repro.explain.timeline import utilization_timeline
 from repro.join import NoPartitioningJoin, TritonJoin
 from repro.sim.trace import TaskRecord, TraceEntry
+from repro.telemetry import tracing
 
 
 @pytest.fixture(autouse=True)
@@ -305,7 +306,8 @@ class TestCollection:
     def test_labels_come_from_spans(self, system, workload):
         telemetry.enable()
         explain.enable_collection()
-        TritonJoin(system).run(workload)
+        with tracing.trace_query(tracing.derive_trace_id("t"), name="t"):
+            TritonJoin(system).run(workload)
         (run,) = explain.drain()
         assert "run:GPU Triton Join" in run.label
 
@@ -356,8 +358,8 @@ class TestBenchCli:
     def test_worker_returns_explanations(self):
         # The process-pool entry point, exercised in-process: the
         # parent's merge path consumes exactly this tuple shape.
-        name, _, _, _, _, explanations, _ = _worker(
-            "fig14", (128,), 1048576.0, False, False, None, True
+        name, _, _, _, explanations = _worker(
+            "fig14", (128,), 1048576.0, False, telemetry.settings(), None, True
         )
         assert name == "fig14"
         assert explanations

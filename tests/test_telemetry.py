@@ -17,7 +17,13 @@ from repro.telemetry.export import (
     format_span_tree,
     validate_chrome_trace,
 )
+from repro.telemetry import tracing
 from repro.telemetry.metrics import MetricsRegistry
+
+
+def _root(name: str = "test"):
+    """A trace root: spans only record under one."""
+    return tracing.trace_query(tracing.derive_trace_id(name), name=name)
 
 
 @pytest.fixture(autouse=True)
@@ -38,19 +44,11 @@ class TestDisabledMode:
     def test_noop_span_accepts_protocol(self):
         with telemetry.span("a", n=3) as sp:
             sp.set(path="dense")
-        assert telemetry.collector().spans == []
+        assert tracing.records() == []
 
     def test_annotate_is_noop(self):
         telemetry.annotate(path="dense")  # must not raise
-        assert telemetry.collector().spans == []
-
-    def test_traced_decorator_passthrough(self):
-        @telemetry.traced("work")
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert telemetry.collector().spans == []
+        assert tracing.records() == []
 
     def test_add_sim_result_is_noop(self):
         class Fake:
@@ -58,77 +56,75 @@ class TestDisabledMode:
             makespan_seconds = 0.0
 
         telemetry.add_sim_result(Fake())
-        assert telemetry.collector().virtual_tracks == []
+        assert tracing.tracks() == []
 
 
 class TestSpans:
     def test_nesting_records_depth_and_parent(self):
         telemetry.enable()
-        with telemetry.span("outer") as outer:
-            with telemetry.span("inner") as inner:
-                assert inner.depth == 1
-                assert inner.parent == outer.span_id
-        spans = {s.name: s for s in telemetry.collector().spans}
-        assert spans["outer"].depth == 0
-        assert spans["inner"].start >= spans["outer"].start
-        assert spans["inner"].end <= spans["outer"].end
+        with _root():
+            with telemetry.span("outer"):
+                with telemetry.span("inner"):
+                    assert telemetry.current_path() == "test / outer / inner"
+        spans = {r["name"]: r for r in tracing.records()}
+        assert spans["test"]["parent"] is None
+        assert spans["outer"]["parent"] == spans["test"]["span"]
+        assert spans["inner"]["parent"] == spans["outer"]["span"]
+        assert spans["inner"]["ts"] >= spans["outer"]["ts"]
+        assert (
+            spans["inner"]["ts"] + spans["inner"]["dur"]
+            <= spans["outer"]["ts"] + spans["outer"]["dur"]
+        )
 
     def test_attrs_via_kwargs_set_and_annotate(self):
         telemetry.enable()
-        with telemetry.span("k", n=5) as sp:
-            sp.set(path="dense")
-            telemetry.annotate(hits=2)
-        (span,) = telemetry.collector().spans
-        assert span.attrs == {"n": 5, "path": "dense", "hits": 2}
-
-    def test_traced_decorator_records(self):
-        telemetry.enable()
-
-        @telemetry.traced("mul", kind="test")
-        def mul(a, b):
-            return a * b
-
-        assert mul(3, 4) == 12
-        (span,) = telemetry.collector().spans
-        assert span.name == "mul"
-        assert span.attrs == {"kind": "test"}
+        with _root():
+            with telemetry.span("k", n=5) as sp:
+                sp.set(path="dense")
+                telemetry.annotate(hits=2)
+        spans = {r["name"]: r for r in tracing.records()}
+        assert spans["k"]["attrs"] == {"n": 5, "path": "dense", "hits": 2}
 
     def test_exception_unwinds_open_spans(self):
         telemetry.enable()
-        with pytest.raises(ValueError):
-            with telemetry.span("outer"):
-                with telemetry.span("inner"):
-                    raise ValueError("boom")
-        assert telemetry.collector().stack == []
-        assert {s.name for s in telemetry.collector().spans} == {
+        with _root():
+            with pytest.raises(ValueError):
+                with telemetry.span("outer"):
+                    with telemetry.span("inner"):
+                        raise ValueError("boom")
+            assert telemetry.current_path() == "test"
+        assert {r["name"] for r in tracing.records()} == {
+            "test",
             "outer",
             "inner",
         }
-        assert all(s.end is not None for s in telemetry.collector().spans)
 
     def test_span_tree_text(self):
         telemetry.enable()
-        with telemetry.span("outer", tuples=8):
-            with telemetry.span("inner"):
-                pass
+        with _root():
+            with telemetry.span("outer", tuples=8):
+                with telemetry.span("inner"):
+                    pass
         tree = format_span_tree()
         lines = tree.splitlines()
-        assert lines[0].startswith("outer")
-        assert lines[1].startswith("  inner")
-        assert "tuples=8" in lines[0]
+        assert lines[0].startswith("test")
+        assert lines[1].startswith("  outer")
+        assert lines[2].startswith("    inner")
+        assert "tuples=8" in lines[1]
 
     def test_chrome_export_contains_nested_events(self):
         telemetry.enable()
-        with telemetry.span("outer"):
-            with telemetry.span("inner"):
-                pass
+        with _root():
+            with telemetry.span("outer"):
+                with telemetry.span("inner"):
+                    pass
         doc = chrome_trace_document()
         assert validate_chrome_trace(doc) == []
         events = {
             e["name"]: e for e in doc["traceEvents"] if e.get("ph") == "X"
         }
         outer, inner = events["outer"], events["inner"]
-        assert outer["cat"] == inner["cat"] == "host"
+        assert outer["cat"] == inner["cat"] == "trace"
         assert inner["ts"] >= outer["ts"]
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 0.01
 
@@ -187,29 +183,35 @@ class TestMetrics:
 class TestMultiprocessMerge:
     def test_absorbed_snapshot_exports_as_own_process(self):
         telemetry.enable()
-        with telemetry.span("local"):
-            pass
+        trace_id = tracing.derive_trace_id("test")
+        root = tracing.root_span_id(trace_id, "test")
+        with _root():
+            with telemetry.span("local"):
+                pass
         worker = {
-            "pid": 4242,
             "spans": [
                 {
+                    "trace": trace_id,
+                    "span": tracing.derive_span_id(trace_id, root, "remote", 0),
+                    "parent": root,
                     "name": "remote",
-                    "start": 0.0,
-                    "end": 0.5,
-                    "depth": 0,
-                    "parent": None,
+                    "ts": tracing.wall_now(),
+                    "dur": 0.5,
+                    "pid": 4242,
                     "attrs": {"experiment": "fig13"},
                 }
             ],
-            "virtual": [
+            "tracks": [
                 {
                     "label": "worker sim",
                     "makespan_seconds": 1.0,
                     "entries": [("join[0]", "Join", 0.0, 1.0)],
+                    "trace": trace_id,
+                    "pid": 4242,
                 }
             ],
         }
-        telemetry.absorb_trace(worker, label="worker: fig13")
+        telemetry.absorb(worker)
         doc = chrome_trace_document()
         assert validate_chrome_trace(doc) == []
         complete = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
@@ -220,14 +222,15 @@ class TestMultiprocessMerge:
 
     def test_drain_prevents_double_reporting(self):
         telemetry.enable()
-        with telemetry.span("first"):
-            pass
-        first = telemetry.trace_snapshot(drain=True)
+        with telemetry.capture() as first:
+            with _root("first"):
+                pass
         assert [s["name"] for s in first["spans"]] == ["first"]
-        with telemetry.span("second"):
-            pass
-        second = telemetry.trace_snapshot(drain=True)
+        with telemetry.capture() as second:
+            with _root("second"):
+                pass
         assert [s["name"] for s in second["spans"]] == ["second"]
+        assert tracing.records() == []
 
     def test_registry_delta_merge_roundtrip(self):
         telemetry.registry.count("run_cache.hits", 3)
@@ -266,11 +269,11 @@ class TestValidator:
         doc = {
             "traceEvents": [
                 {
-                    "ph": "X", "name": "a", "cat": "host",
+                    "ph": "X", "name": "a", "cat": "trace",
                     "ts": 0, "dur": 100, "pid": 1, "tid": 1,
                 },
                 {
-                    "ph": "X", "name": "b", "cat": "host",
+                    "ph": "X", "name": "b", "cat": "trace",
                     "ts": 50, "dur": 100, "pid": 1, "tid": 1,
                 },
             ]
@@ -302,13 +305,15 @@ class TestOperatorInstrumentation:
     def test_run_wrapper_spans_and_sim_track(self, system):
         telemetry.enable()
         workload = generate_workload(128, 512, scale_divisor=65536)
-        TritonJoin(system).run(workload)
-        names = [s.name for s in telemetry.collector().spans]
+        with _root():
+            TritonJoin(system).run(workload)
+        names = [r["name"] for r in tracing.records()]
         assert any(n.startswith("run:") for n in names)
         assert "functional" in names
         assert "simulate" in names
         assert "batched_radix_join" in names
-        assert len(telemetry.collector().virtual_tracks) == 1
+        (track,) = tracing.tracks()
+        assert track["label"] == "test / run:GPU Triton Join / simulate"
         doc = chrome_trace_document()
         assert validate_chrome_trace(doc) == []
 
@@ -318,24 +323,26 @@ class TestOperatorInstrumentation:
         try:
             workload = generate_workload(128, 512, scale_divisor=65536)
             op = TritonJoin(system)
-            op.run(workload)
-            op.run(workload)
+            with _root():
+                op.run(workload)
+                op.run(workload)
         finally:
             run_cache.disable()
             run_cache.clear()
         run_spans = [
-            s for s in telemetry.collector().spans if s.name.startswith("run:")
+            r for r in tracing.records() if r["name"].startswith("run:")
         ]
-        assert [s.attrs.get("run_cache") for s in run_spans] == [
+        assert [r["attrs"].get("run_cache") for r in run_spans] == [
             "miss",
             "hit",
         ]
 
     def test_disabled_run_records_nothing(self, system):
         workload = generate_workload(128, 512, scale_divisor=65536)
-        TritonJoin(system).run(workload)
-        assert telemetry.collector().spans == []
-        assert telemetry.collector().virtual_tracks == []
+        with _root():
+            TritonJoin(system).run(workload)
+        assert tracing.records() == []
+        assert tracing.tracks() == []
 
 
 class TestBenchCliTrace:
@@ -355,7 +362,7 @@ class TestBenchCliTrace:
         doc = json.loads(trace_path.read_text())
         assert validate_chrome_trace(doc) == []
         complete = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
-        assert any(e.get("cat") == "host" for e in complete)
+        assert any(e.get("cat") == "trace" for e in complete)
         assert any(e["pid"] >= SIM_PID_BASE for e in complete)
         assert any(
             e["name"].startswith("experiment:fig13") for e in complete
@@ -373,7 +380,7 @@ class TestBenchCliTrace:
             ]
         )
         assert not telemetry.enabled()
-        assert telemetry.collector().spans == []
+        assert tracing.records() == []
 
 
 class TestVisualizeCli:
@@ -446,7 +453,8 @@ class TestCounterTracks:
     def test_sim_track_emits_counter_events(self, system):
         telemetry.enable()
         workload = generate_workload(128, 512, scale_divisor=65536)
-        TritonJoin(system).run(workload)
+        with _root():
+            TritonJoin(system).run(workload)
         doc = chrome_trace_document()
         assert validate_chrome_trace(doc) == []
         counters = [e for e in doc["traceEvents"] if e.get("ph") == "C"]
@@ -458,20 +466,23 @@ class TestCounterTracks:
     def test_counter_samples_are_valid_utilization(self, system):
         telemetry.enable()
         workload = generate_workload(128, 512, scale_divisor=65536)
-        TritonJoin(system).run(workload)
+        with _root():
+            TritonJoin(system).run(workload)
         doc = chrome_trace_document()
-        for event in doc["traceEvents"]:
-            if event.get("ph") != "C":
-                continue
+        counters = [e for e in doc["traceEvents"] if e.get("ph") == "C"]
+        assert counters
+        for event in counters:
             for value in event["args"].values():
                 assert 0.0 <= value <= 1.0 + 1e-9
 
     def test_counters_survive_snapshot_roundtrip(self, system):
         telemetry.enable()
         workload = generate_workload(128, 512, scale_divisor=65536)
-        TritonJoin(system).run(workload)
-        snapshot = telemetry.trace_snapshot(drain=True)
-        telemetry.absorb_trace(snapshot, label="worker: fig")
+        with telemetry.capture() as envelope:
+            with _root():
+                TritonJoin(system).run(workload)
+        assert tracing.tracks() == []
+        telemetry.absorb(envelope)
         doc = chrome_trace_document()
         assert validate_chrome_trace(doc) == []
         assert any(e.get("ph") == "C" for e in doc["traceEvents"])
@@ -483,8 +494,9 @@ class TestCounterTracks:
             trace = []
             makespan_seconds = 1.0
 
-        telemetry.add_sim_result(Fake(), label="fake")
-        (track,) = telemetry.collector().virtual_tracks
+        with _root():
+            telemetry.add_sim_result(Fake(), label="fake")
+        (track,) = tracing.tracks()
         assert "counters" not in track
 
 
@@ -634,12 +646,11 @@ class TestInstantValidation:
         telemetry.enable()
         events.enable()
         try:
-            with telemetry.span("experiment:x"):
+            with _root("experiment:x"):
                 events.emit("fault.injected", kind="k", target="t")
                 events.emit("run.start", operator="op")  # not an instant
-            instants = recorder_instant_events(
-                telemetry.spans.collector().wall_epoch
-            )
+            (root,) = tracing.records()
+            instants = recorder_instant_events(root["ts"])
         finally:
             events.disable()
             events.reset()

@@ -5,17 +5,20 @@ The properties the end-to-end tracing story rests on:
 1. ids are pure functions of (seed, sequence) and span position, so a
    seeded run reproduces its whole id forest;
 2. ambient propagation is per-thread (concurrent service workers never
-   cross-parent) and survives the drain/absorb hop into pool workers;
+   cross-parent) and survives the capture/absorb hop into pool workers;
 3. ``validate_trace_tree`` rejects every malformation the CI gate is
    meant to catch (bad ids, orphans, cycles, duplicates);
 4. the Chrome export round-trips the forest
-   (``validate_chrome_trace_tree`` re-validates from the document).
+   (``validate_chrome_trace`` re-validates it from the document);
+5. a traced service query's tree reaches down to the operator, kernel,
+   and pool-worker spans that ran it.
 """
 
 import threading
 
 import pytest
 
+from repro import telemetry
 from repro.telemetry import events, export, tracing
 from repro.telemetry.export import chrome_trace_document, validate_chrome_trace
 
@@ -58,14 +61,17 @@ class TestDeterministicIds:
     def test_same_run_reproduces_span_forest(self, traced):
         def run():
             trace_id = tracing.derive_trace_id(42, 5)
-            with tracing.trace_query(trace_id):
-                with tracing.span("execute"):
-                    with tracing.span("morsel"):
-                        pass
-                    with tracing.span("morsel"):
-                        pass
-            drained = tracing.drain()
-            return [(r["trace"], r["span"], r["parent"]) for r in drained]
+            with telemetry.capture() as envelope:
+                with tracing.trace_query(trace_id):
+                    with tracing.span("execute"):
+                        with tracing.span("morsel"):
+                            pass
+                        with tracing.span("morsel"):
+                            pass
+            return [
+                (r["trace"], r["span"], r["parent"])
+                for r in envelope["spans"]
+            ]
 
         assert run() == run()
 
@@ -91,11 +97,11 @@ class TestAmbientPropagation:
 
     def test_span_is_noop_when_disabled_or_off_trace(self):
         tracing.disable()
-        assert tracing.span("x") is tracing.NULL_TRACE_SPAN
+        assert tracing.span("x") is tracing.NULL_SPAN
         tracing.enable()
         try:
             # Enabled but no ambient trace on this thread: still a no-op.
-            assert tracing.span("x") is tracing.NULL_TRACE_SPAN
+            assert tracing.span("x") is tracing.NULL_SPAN
             assert tracing.current() is None
             assert tracing.payload() is None
         finally:
@@ -172,33 +178,33 @@ class TestAmbientPropagation:
 
 
 class TestCrossProcessContract:
-    """payload/activate + drain/absorb — the pool-worker hop, simulated."""
+    """settings/capture/absorb — the pool-worker hop, simulated."""
 
     def test_payload_round_trip_reparents_worker_spans(self, traced):
         trace_id = tracing.derive_trace_id(0, 0)
-        with tracing.trace_query(trace_id):
-            with tracing.span("execute"):
-                shipped = tracing.payload()
+        with telemetry.capture() as parent_side:
+            with tracing.trace_query(trace_id):
+                with tracing.span("execute"):
+                    job = telemetry.settings()
+        shipped = job["parent"]
         assert shipped == {
             "trace": trace_id,
             "span": tracing.derive_span_id(
                 trace_id, tracing.root_span_id(trace_id), "execute", 0
             ),
         }
-        parent_records = tracing.drain()
 
         # "Worker process": fresh buffer, adopts the shipped context.
-        with tracing.activate(shipped["trace"], shipped["span"]):
+        with telemetry.capture(job) as worker:
             with tracing.span("morsel[0]", worker=0):
                 pass
             with tracing.span("morsel[1]", worker=1):
                 pass
-        worker_records = tracing.drain()
-        assert {r["parent"] for r in worker_records} == {shipped["span"]}
+        assert {r["parent"] for r in worker["spans"]} == {shipped["span"]}
 
         # Parent absorbs the worker's records: one well-formed tree.
-        tracing.absorb(parent_records)
-        assert tracing.absorb(worker_records) == 2
+        telemetry.absorb(parent_side)
+        telemetry.absorb(worker)
         merged = tracing.records()
         assert tracing.validate_trace_tree(merged) == []
         assert len(tracing.by_trace(merged)[trace_id]) == 4
@@ -210,8 +216,13 @@ class TestCrossProcessContract:
         assert tracing.records() == []
 
     def test_absorb_tolerates_empty(self, traced):
-        assert tracing.absorb(None) == 0
-        assert tracing.absorb([]) == 0
+        telemetry.absorb(None)
+        telemetry.absorb({})
+        telemetry.absorb(
+            {"metrics": None, "spans": [], "tracks": None, "events": None}
+        )
+        assert tracing.records() == []
+        assert tracing.tracks() == []
 
 
 class TestForestValidation:
@@ -272,11 +283,8 @@ class TestChromeExport:
             with tracing.trace_query(trace_id, query=f"q{sequence}"):
                 with tracing.span("execute"):
                     pass
-        document = chrome_trace_document(
-            events=tracing.chrome_events(tracing.records())
-        )
+        document = chrome_trace_document()
         assert validate_chrome_trace(document) == []
-        assert tracing.validate_chrome_trace_tree(document) == []
         spans = [
             event
             for event in document["traceEvents"]
@@ -307,14 +315,11 @@ class TestChromeExport:
                 }
             ]
         )
-        assert any(
-            "orphan" in p
-            for p in tracing.validate_chrome_trace_tree(document)
-        )
+        assert any("orphan" in p for p in validate_chrome_trace(document))
 
     def test_empty_document_is_flagged(self):
-        assert tracing.validate_chrome_trace_tree({"traceEvents": []}) == [
-            "document has no cat='trace' span events"
+        assert validate_chrome_trace({"traceEvents": []}) == [
+            "no complete (ph == 'X') events"
         ]
 
     def test_jsonl_sink_sorts_by_time(self, traced, tmp_path):
@@ -353,7 +358,24 @@ class TestServiceIntegration:
             },
         }
 
+    @staticmethod
+    def _under(spans, name):
+        """The records beneath the one span called ``name``."""
+        (top,) = [r for r in spans if r["name"] == name]
+        children = {}
+        for record in spans:
+            children.setdefault(record["parent"], []).append(record)
+        found, stack = [], [top["span"]]
+        while stack:
+            for child in children.get(stack.pop(), ()):
+                found.append(child)
+                stack.append(child["span"])
+        return found
+
     def test_traced_service_run_builds_one_tree_per_query(self, traced):
+        import os
+
+        from repro.exec import ExecutionConfig, shutdown_pool
         from repro.service.server import JoinService
 
         events.enable()
@@ -363,11 +385,19 @@ class TestServiceIntegration:
             handles = [
                 service.submit(self._spec(seed)) for seed in (1, 2, 3)
             ]
+            pooled = service.submit(
+                self._spec(4),
+                exec_config=ExecutionConfig(
+                    workers=2, force=True, morsel_rows=1024
+                ),
+            )
+            handles.append(pooled)
             for handle in handles:
                 handle.result()
             recorded = events.events()
         finally:
             service.shutdown(wait=True)
+            shutdown_pool()
             events.disable()
             events.reset()
 
@@ -375,7 +405,7 @@ class TestServiceIntegration:
         assert tracing.validate_trace_tree(records) == []
         grouped = tracing.by_trace(records)
         trace_ids = {handle.trace_id for handle in handles}
-        assert len(trace_ids) == 3
+        assert len(trace_ids) == 4
         assert set(grouped) == trace_ids
         for handle in handles:
             names = {r["name"] for r in grouped[handle.trace_id]}
@@ -385,12 +415,27 @@ class TestServiceIntegration:
             ]
             assert len(roots) == 1 and roots[0]["name"] == "query"
             assert roots[0]["attrs"]["status"] == "done"
+            # The tree reaches the operator, its phases, and a kernel.
+            under = {
+                r["name"] for r in self._under(grouped[handle.trace_id], "execute")
+            }
+            assert "Join(triton)" in under
+            assert "run:GPU Triton Join" in under
+            assert {"functional", "simulate"} <= under
+            assert "grouped_bucket_chaining_join" in under
+
+        # The pooled query's morsels ran in worker processes and parent
+        # under its execute span like any local span.
+        pooled_under = self._under(grouped[pooled.trace_id], "execute")
+        morsels = [r for r in pooled_under if r["name"].startswith("morsel[")]
+        assert morsels
+        assert all(r["pid"] != os.getpid() for r in morsels)
 
         # Every lifecycle event carries its query's (valid) trace id.
         lifecycle = [
             e for e in recorded if e["type"].startswith("query.")
         ]
-        assert len(lifecycle) == 12  # submitted/admitted/started/finished x3
+        assert len(lifecycle) == 16  # submitted/admitted/started/finished x4
         assert all(tracing.is_valid_id(e.get("trace")) for e in lifecycle)
         assert {e["trace"] for e in lifecycle} == trace_ids
 

@@ -556,16 +556,14 @@ def check_slo(
 def check_trace(document: dict, min_traces: int = 1) -> List[str]:
     """Audit a Chrome trace document's span forest ([] = clean).
 
-    Runs the exporter's structural validator (events well-formed, host
-    spans nested) plus the trace-context validator (ids valid, span
-    forest acyclic, no orphan parents, sim tracks tagged with known
-    traces), and requires at least ``min_traces`` distinct trace trees.
+    Runs the exporter's validator (events well-formed, spans nested,
+    ids valid, span forest acyclic, no orphan parents, sim tracks tagged
+    with known traces) and requires at least ``min_traces`` distinct
+    trace trees.
     """
-    from repro.telemetry import tracing
     from repro.telemetry.export import validate_chrome_trace
 
-    problems = list(validate_chrome_trace(document))
-    problems += tracing.validate_chrome_trace_tree(document)
+    problems = validate_chrome_trace(document)
     trace_ids = {
         event.get("args", {}).get("trace")
         for event in document.get("traceEvents", [])
