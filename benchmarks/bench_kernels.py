@@ -3,7 +3,9 @@
 Times the grouped bucket-chaining kernel and the full batched radix
 join against the per-partition table loop they replaced, at the CPU
 radix join's fanout regime (2^13 partitions, section 6.1's 12-14 bits)
-where the loop's per-partition dispatch overhead dominates.
+where the loop's per-partition dispatch overhead dominates, and the
+pass-1 column scatter against the counting order plus gathers it
+replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from repro.data.relation import Relation
 from repro.hashing.batch import grouped_bucket_chaining_join
 from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.join.batched import batched_radix_join
-from repro.kernels.scatter import counting_order
+from repro.hashing.functions import hash_u64, radix_window
+from repro.kernels.scatter import counting_order, counting_order_and_offsets
 
 BUILD_ROWS = 1 << 19
 PROBE_ROWS = 1 << 20
@@ -120,3 +123,39 @@ def test_counting_order_argsort_reference(benchmark, grouped_arrays):
     slots = _join_shaped_slots(bk, bg)
     order = benchmark(counting_order, slots, SLOT_DOMAIN, reference=True)
     assert len(order) == BUILD_ROWS
+
+
+#: The pass-1 radix window of the 0.5 M-row big-join shape.
+PASS1_BITS = 10
+
+
+@pytest.fixture(scope="module")
+def pass1_selector(grouped_arrays):
+    return radix_window(hash_u64(grouped_arrays[0]), PASS1_BITS)
+
+
+def test_column_scatter(benchmark, grouped_arrays, pass1_selector):
+    """Build keys and values moved partition-major by one scatter."""
+    bk, bv = grouped_arrays[:2]
+
+    def scatter():
+        return counting_order_and_offsets(
+            pass1_selector, 1 << PASS1_BITS, columns=(bk, bv)
+        )[0]
+
+    keys, values = benchmark(scatter)
+    assert len(keys) == len(values) == BUILD_ROWS
+
+
+def test_column_order_then_take(benchmark, grouped_arrays, pass1_selector):
+    """The replaced pair: a counting order, then one gather per column."""
+    bk, bv = grouped_arrays[:2]
+
+    def order_then_take():
+        order, _ = counting_order_and_offsets(
+            pass1_selector, 1 << PASS1_BITS
+        )
+        return bk[order], bv[order]
+
+    keys, values = benchmark(order_then_take)
+    assert len(keys) == len(values) == BUILD_ROWS

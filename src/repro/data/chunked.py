@@ -89,9 +89,10 @@ class ChunkedRelation:
         """Write ``relation`` as radix-partitioned shards under ``directory``.
 
         Rows are cut into chunks of at most ``shard_rows``; each chunk is
-        hashed, ordered partition-major by the low ``bits`` hash window
-        (``bits=0``: original order, a single all-rows partition), and
-        saved one ``.npy`` per column plus the partition offsets table.
+        hashed, counting-scattered partition-major by the low ``bits``
+        hash window (``bits=0``: original order, a single all-rows
+        partition), and saved one ``.npy`` per column plus the partition
+        offsets table.
         Peak memory is proportional to one shard, not the relation.
         """
         if shard_rows < MIN_SHARD_ROWS:
@@ -109,17 +110,17 @@ class ChunkedRelation:
         for index, start in enumerate(range(0, rows, shard_rows)):
             stop = min(start + shard_rows, rows)
             stem = _shard_stem(index)
+            parts = [relation.column(c)[start:stop] for c in columns]
             if bits:
-                hashed = hash_u64(relation.keys[start:stop])
-                selector = radix_window(hashed, bits, 0)
-                order, offsets = counting_order_and_offsets(selector, fanout)
+                selector = radix_window(
+                    hash_u64(relation.keys[start:stop]), bits
+                )
+                parts, offsets = counting_order_and_offsets(
+                    selector, fanout, columns=parts
+                )
             else:
-                order = None
                 offsets = np.array([0, stop - start], dtype=np.int64)
-            for c, column in enumerate(columns):
-                values = relation.column(column)[start:stop]
-                if order is not None:
-                    values = values[order]
+            for c, values in enumerate(parts):
                 np.save(directory / f"{stem}.c{c}.npy", values)
             np.save(directory / f"{stem}.offsets.npy", offsets)
             counts.append(stop - start)

@@ -126,13 +126,14 @@ class ArraySource:
     """Partition-major arrays in memory (heap or shared memory).
 
     Only the three columns a join reads are held: build keys, build
-    values and probe keys. ``build_offsets`` / ``probe_offsets`` are the
+    values and probe keys, as :func:`partition_state`'s counting scatter
+    wrote them. ``build_offsets`` / ``probe_offsets`` are the
     ``fanout + 1`` partition offset tables; a morsel's rows are the
     contiguous slices ``[offsets[lo], offsets[hi])`` — views, never
     copies. Group ids and hashes are recomputed per morsel, as
     :class:`ChunkedSource` does: rehashing a morsel's keys while they
-    are cache-resident is cheaper than gathering (and, for the pool,
-    shipping) four more full columns.
+    are cache-resident is cheaper than scattering (and, for the pool,
+    shipping) more full columns — one scatter call moves at most two.
     """
 
     build_keys: np.ndarray
@@ -214,38 +215,37 @@ def partition_state(
 ) -> ArraySource:
     """One partitioning pass producing a morsel-ready :class:`ArraySource`.
 
-    Hash once, counting-order by the ``bits1`` window once, gather the
-    build key, build value and probe key columns into partition-major
-    order. ``allocate(name, rows, dtype)`` supplies the destination
-    arrays — the pool path hands in shared-memory-backed arrays so the
-    gather writes straight into the segment workers attach to, with no
-    extra copy or pickling.
+    Hash once and counting-scatter by the ``bits1`` window once per
+    relation: the scatter writes the build key and value columns (one
+    call) and the probe keys (another) straight into partition-major
+    order, with no order array or gather. ``allocate(name, rows,
+    dtype)`` supplies the destination arrays — the pool path hands in
+    shared-memory-backed arrays so the scatter writes straight into the
+    segments workers attach to, with no extra copy or pickling.
     """
     fanout = 1 << bits1
     if allocate is None:
         def allocate(name, rows, dtype):
             return np.empty(rows, dtype=dtype)
 
-    build_selector = radix_window(hash_u64(build.keys), bits1, 0)
-    probe_selector = radix_window(hash_u64(probe.keys), bits1, 0)
-    build_order, build_offsets = counting_order_and_offsets(
-        build_selector, fanout
-    )
-    probe_order, probe_offsets = counting_order_and_offsets(
-        probe_selector, fanout
-    )
+    def scatter(relation, names, columns):
+        selector = radix_window(hash_u64(relation.keys), bits1)
+        out = [
+            allocate(name, len(relation), column.dtype)
+            for name, column in zip(names, columns)
+        ]
+        return counting_order_and_offsets(
+            selector, fanout, columns=columns, out=out
+        )
 
-    def gather(name, source, order):
-        out = allocate(name, len(order), source.dtype)
-        np.take(source, order, out=out)
-        return out
-
+    (build_keys, build_values), build_offsets = scatter(
+        build, ("bk", "bv"), (build.keys, base.build_payload_column(build))
+    )
+    (probe_keys,), probe_offsets = scatter(probe, ("pk",), (probe.keys,))
     return ArraySource(
-        build_keys=gather("bk", build.keys, build_order),
-        build_values=gather(
-            "bv", base.build_payload_column(build), build_order
-        ),
-        probe_keys=gather("pk", probe.keys, probe_order),
+        build_keys=build_keys,
+        build_values=build_values,
+        probe_keys=probe_keys,
         build_offsets=build_offsets,
         probe_offsets=probe_offsets,
     )
@@ -290,20 +290,35 @@ def merge_partials(partials: Iterable[Partial]) -> JoinMatch:
     )
 
 
+def fill_histogram(
+    histogram: Optional[np.ndarray],
+    build_sizes: np.ndarray,
+    probe_sizes: np.ndarray,
+) -> None:
+    """Write the pass-1 histogram (build + probe sizes) if one is asked for."""
+    if histogram is not None:
+        np.add(build_sizes, probe_sizes, out=histogram)
+
+
 def serial_join(
     build: Relation,
     probe: Relation,
     bits1: int,
     morsel_rows: int,
     buckets: int = DEFAULT_BUCKETS,
+    histogram: Optional[np.ndarray] = None,
 ) -> JoinMatch:
     """The in-memory join: one partitioning pass, then serial morsels.
 
-    Uninstrumented on purpose — the ``exec.*`` counters describe the
-    out-of-core executor, and this is every plain in-memory join.
+    ``histogram`` receives the pass-1 partition sizes (see
+    :func:`fill_histogram`). Uninstrumented on purpose — the ``exec.*``
+    counters describe the out-of-core executor, and this is every plain
+    in-memory join.
     """
     source = partition_state(build, probe, bits1)
     build_sizes = np.diff(source.build_offsets)
+    probe_sizes = np.diff(source.probe_offsets)
+    fill_histogram(histogram, build_sizes, probe_sizes)
     # At most ``dense_span`` partitions' tables fit under the kernels'
     # dense-offsets floor, so a morsel that narrow probes by O(1)
     # lookups instead of binary searches. Sparse partitions keep the row
@@ -313,7 +328,7 @@ def serial_join(
     rows_per_partition = (len(build) + len(probe)) / len(build_sizes)
     morsels = plan_morsels(
         build_sizes,
-        np.diff(source.probe_offsets),
+        probe_sizes,
         morsel_rows,
         max_partitions=(
             dense_span

@@ -39,6 +39,7 @@ from repro.exec.morsel import (
     ChunkedSource,
     Morsel,
     execute_morsel,
+    fill_histogram,
     merge_partials,
     partition_state,
     plan_morsels,
@@ -118,6 +119,7 @@ def out_of_core_join(
     bits2: int = 0,
     buckets: int = DEFAULT_BUCKETS,
     config: Optional[context.ExecutionConfig] = None,
+    histogram: Optional[np.ndarray] = None,
 ) -> JoinMatch:
     """Morsel-driven join, byte-identical to the in-memory batched path.
 
@@ -127,7 +129,9 @@ def out_of_core_join(
     scratchpad tables, while here each morsel's grouped kernel already
     works on one ``bits1`` partition's bucket space — and the match
     summary is order-independent, so skipping the composite reorder
-    changes no output byte (tests cross-check this).
+    changes no output byte (tests cross-check this). ``histogram``
+    receives the pass-1 partition sizes, as in
+    :func:`~repro.exec.morsel.serial_join`.
     """
     cfg = config if config is not None else context.active()
     if cfg is None:
@@ -150,9 +154,13 @@ def out_of_core_join(
         bits1=bits1,
     ):
         if spill:
-            match, detail = _spilled_join(build, probe, bits1, buckets, cfg)
+            match, detail = _spilled_join(
+                build, probe, bits1, buckets, cfg, histogram
+            )
         else:
-            match, detail = _memory_join(build, probe, bits1, buckets, cfg)
+            match, detail = _memory_join(
+                build, probe, bits1, buckets, cfg, histogram
+            )
 
     note = {
         "mode": mode,
@@ -187,6 +195,7 @@ def _memory_join(
     bits1: int,
     buckets: int,
     cfg: context.ExecutionConfig,
+    histogram: Optional[np.ndarray],
 ) -> tuple:
     """In-memory morsel execution (serial or pooled)."""
     use_pool = cfg.workers > 0 and len(build) and len(probe)
@@ -202,11 +211,10 @@ def _memory_join(
     try:
         with telemetry.span("oc:partition", bits1=bits1):
             source = partition_state(build, probe, bits1, allocate=allocate)
-        morsels = plan_morsels(
-            np.diff(source.build_offsets),
-            np.diff(source.probe_offsets),
-            cfg.morsel_rows,
-        )
+        build_sizes = np.diff(source.build_offsets)
+        probe_sizes = np.diff(source.probe_offsets)
+        fill_histogram(histogram, build_sizes, probe_sizes)
+        morsels = plan_morsels(build_sizes, probe_sizes, cfg.morsel_rows)
         if use_pool and len(morsels) > 1:
             job = {
                 "mode": "shm",
@@ -231,6 +239,7 @@ def _spilled_join(
     bits1: int,
     buckets: int,
     cfg: context.ExecutionConfig,
+    histogram: Optional[np.ndarray],
 ) -> tuple:
     """Spill both relations to radix shards, stream morsels off disk."""
     with SpillManager(cfg.budget_bytes, cfg.spill_dir) as manager:
@@ -239,7 +248,7 @@ def _spilled_join(
         spilled_bytes = manager.tempdir_bytes()
         # The in-memory relations stay referenced by the caller; what
         # out-of-core buys here is that the *join's working set* — the
-        # partition-major copies the in-memory path would gather — never
+        # partition-major copies the in-memory path would scatter — never
         # materializes. Production ingestion would build the shards
         # directly and skip the Relation entirely.
         source = ChunkedSource(
@@ -249,11 +258,10 @@ def _spilled_join(
                 (c for c in chunked_build.columns if c != "key"), "key"
             ),
         )
-        morsels = plan_morsels(
-            chunked_build.partition_sizes(),
-            chunked_probe.partition_sizes(),
-            cfg.morsel_rows,
-        )
+        build_sizes = chunked_build.partition_sizes()
+        probe_sizes = chunked_probe.partition_sizes()
+        fill_histogram(histogram, build_sizes, probe_sizes)
+        morsels = plan_morsels(build_sizes, probe_sizes, cfg.morsel_rows)
         if cfg.workers > 0 and len(morsels) > 1:
             job = {
                 "mode": "chunked",

@@ -3,7 +3,7 @@
 The pool keeps ``N`` worker processes alive across joins (fork start
 method where available, so workers inherit the loaded modules) and
 feeds them **jobs**: a join's partition-major columns plus a morsel
-list. Columns travel zero-copy — the parent gathers them straight into
+list. Columns travel zero-copy — the parent scatters them straight into
 ``multiprocessing.shared_memory`` segments and ships only the segment
 *names*; each worker maps the segments and slices its morsels as views.
 Spilled joins ship even less: just the two shard-directory paths, and

@@ -3,9 +3,9 @@
 The :class:`SpillManager` turns in-memory relations into
 :class:`~repro.data.chunked.ChunkedRelation` shard directories when a
 join's state exceeds the configured host-memory budget, sizes the shards
-so the *writer's* working set (one chunk's columns plus its hash /
-order / reordered copies) stays inside the budget, and accounts for
-every byte it puts on disk:
+so the *writer's* working set (one chunk's columns plus its hash, radix
+selector and scattered copies) stays inside the budget, and accounts
+for every byte it puts on disk:
 
 - counter ``exec.spill.bytes_written`` — cumulative shard bytes;
 - counter ``exec.spill.shards`` — shard files groups written;
@@ -30,8 +30,9 @@ from repro.data.chunked import MIN_SHARD_ROWS, ChunkedRelation
 from repro.data.relation import Relation
 
 #: Writer working-set multiple of a chunk's column bytes: the chunk's
-#: columns plus the hash array, the counting-order permutation, and one
-#: reordered column copy are live while a shard is written.
+#: columns, the hash array, the radix selector and the partition-major
+#: column copies the counting scatter writes are live while a shard is
+#: written.
 SPILL_WORKING_FACTOR = 4
 
 #: Shard rows when no budget constrains them (pure chunking).

@@ -185,15 +185,16 @@ def grouped_bucket_chaining_join(
             dense_table_fits(len(build_keys), domain)
             or counting_offsets_free(len(build_keys), domain)
         ):
-            # Build: one counting scatter materializes every group's chains
-            # contiguously, exactly like each per-partition table does, and
-            # its offsets double as the dense per-(group, bucket) table.
+            # Build: one counting scatter writes every group's chains
+            # (keys and values) contiguously, exactly like each
+            # per-partition table does, and its offsets double as the
+            # dense per-(group, bucket) table.
             # Probe: two O(1) lookups per probe replace the binary search.
             telemetry.registry.count("batch.probe.dense")
             sp.set(probe_path="dense")
-            order, offsets = counting_order_and_offsets(build_slots, domain)
-            sorted_keys = build_keys[order]
-            sorted_values = build_values[order]
+            (sorted_keys, sorted_values), offsets = counting_order_and_offsets(
+                build_slots, domain, columns=(build_keys, build_values)
+            )
             starts = offsets[probe_slots]
             ends = offsets[probe_slots + 1]
         else:

@@ -57,11 +57,12 @@ class BucketChainingTable(HashTable):
         self._buckets = buckets
         self._bits = buckets.bit_length() - 1
         bucket_idx = self._bucket_of(keys, hashes)
-        # One counting scatter lays the chains out contiguously and
-        # yields the per-bucket offsets table in the same pass.
-        order, self._offsets = counting_order_and_offsets(bucket_idx, buckets)
-        self._keys = keys[order]
-        self._values = values[order]
+        # One counting scatter lays the chains' keys and values out
+        # contiguously and yields the per-bucket offsets table in the
+        # same pass.
+        (self._keys, self._values), self._offsets = counting_order_and_offsets(
+            bucket_idx, buckets, columns=(keys, values)
+        )
         self.profile: TableProfile = bucket_chaining_profile(
             max(len(keys), 1), buckets
         )

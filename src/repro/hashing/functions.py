@@ -79,8 +79,11 @@ def radix_window(hashed: np.ndarray, bits: int, offset: int = 0) -> np.ndarray:
         raise ConfigurationError(
             f"radix window [{offset}, {offset + bits}) out of range"
         )
-    window = (hashed >> np.uint64(offset)) & np.uint64((1 << bits) - 1)
-    return window.view(np.int64)
+    mask = np.uint64((1 << bits) - 1)
+    if offset == 0:
+        # Pass 1 and the spill writer: one pass over the hashes.
+        return (hashed & mask).view(np.int64)
+    return ((hashed >> np.uint64(offset)) & mask).view(np.int64)
 
 
 def multiply_shift(keys: np.ndarray, bits: int | None = None) -> np.ndarray:

@@ -9,9 +9,11 @@ co-processing pitfall the paper's bulk GPU kernels avoid by design.
 :func:`batched_radix_join` runs the same join the way the paper's
 Triton join does: partition once, then join cache-sized pieces.
 
-1. one counting partition pass over the ``bits1`` window lays both
-   relations out partition-major (:func:`~repro.exec.morsel.
-   partition_state`);
+1. one counting partition pass over the ``bits1`` window scatters the
+   build keys and values, and the probe keys, partition-major
+   (:func:`~repro.exec.morsel.partition_state`; the scatter moves the
+   columns itself, with no order array or gather), and its offsets are
+   the pass-1 histogram the caller may take back (``histogram=``);
 2. contiguous partition ranges are packed into morsels of
    :data:`~repro.exec.context.DEFAULT_MORSEL_ROWS` rows — fewer
    partitions when that keeps a morsel's slot space within the dense
@@ -32,7 +34,7 @@ reference loops; tests cross-check both functions against it.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from repro.hashing.batch import DEFAULT_BUCKETS, grouped_bucket_chaining_join
 from repro.hashing.functions import hash_u64, radix_window
 from repro.join import base
 from repro.kernels.scatter import counting_order
+from repro.partition.radix import radix_histogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -118,13 +121,18 @@ def batched_radix_join(
     bits1: int,
     bits2: int = 0,
     buckets: int = DEFAULT_BUCKETS,
+    histogram: Optional[np.ndarray] = None,
 ) -> base.JoinMatch:
     """One- or two-pass partitioned join, executed as serial morsels.
 
     Drop-in replacement for the operators' per-partition functional
     loops: ``bits1`` is the first (or only) pass's radix window, ``bits2``
     the second pass's window at offset ``bits1`` (validated, but it
-    cannot change the summary, so it is not executed).
+    cannot change the summary, so it is not executed). ``histogram``, a
+    ``1 << bits1`` int64 array, receives the pass-1 partition sizes of
+    both relations summed — the counts the partitioning pass already
+    has, so a cost model need not histogram the relations again
+    (:meth:`repro.join.triton.TritonJoin.build_graph`).
 
     This is the functional layer's single choke point, so the ambient
     out-of-core config (:mod:`repro.exec.context`) is consulted here:
@@ -143,9 +151,17 @@ def batched_radix_join(
     if exec_context.should_go_out_of_core(build, probe):
         from repro.exec.outofcore import out_of_core_join
 
-        return out_of_core_join(build, probe, bits1, bits2, buckets)
+        return out_of_core_join(
+            build, probe, bits1, bits2, buckets, histogram=histogram
+        )
     _validate_bits(bits1, bits2)
     if len(build) == 0 or len(probe) == 0:
+        if histogram is not None:
+            np.add(
+                radix_histogram(build.keys, bits1),
+                radix_histogram(probe.keys, bits1),
+                out=histogram,
+            )
         return base.JoinMatch(matches=0, key_checksum=0, payload_checksum=0)
     from repro.exec.morsel import serial_join
 
@@ -157,5 +173,10 @@ def batched_radix_join(
         bits2=bits2,
     ):
         return serial_join(
-            build, probe, bits1, exec_context.DEFAULT_MORSEL_ROWS, buckets
+            build,
+            probe,
+            bits1,
+            exec_context.DEFAULT_MORSEL_ROWS,
+            buckets,
+            histogram,
         )

@@ -128,13 +128,15 @@ class MultiGpuTritonJoin(JoinOperator):
         # result, so the single-GPU functional join verifies correctness.
         plan = self._triton.plan(workload)
         with telemetry.span("functional"):
-            match = self._triton._functional_join(workload, plan)
+            match, _ = self._triton._functional_join(workload, plan)
 
         with telemetry.span("simulate", gpus=self.gpu_count):
             slice_workload = self._slice_workload(workload)
             graph = TaskGraph()
             exchange_fraction = (self.gpu_count - 1) / self.gpu_count
             for gpu in range(self.gpu_count):
+                # The slice's own plan may pick fewer radix bits than
+                # the functional join's, so it histograms itself.
                 sub_graph = self._triton.build_graph(slice_workload)
                 for task in sub_graph.tasks:
                     _retarget(task, gpu)

@@ -21,7 +21,7 @@ Implements the paper's section 5 end to end:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -153,24 +153,31 @@ class TritonJoin(JoinOperator):
 
     # -- functional ---------------------------------------------------------------
 
-    def _functional_join(self, workload: Workload, plan: RadixPlan) -> base.JoinMatch:
+    def _functional_join(
+        self, workload: Workload, plan: RadixPlan
+    ) -> Tuple[base.JoinMatch, np.ndarray]:
         """Execute the multi-pass partitioned join on the scaled arrays.
 
         The default path batches both passes and every per-partition
         scratchpad join into single vectorized passes; ``reference=True``
         runs the original per-partition loop, which tests cross-check
-        for byte-identical results.
+        for byte-identical results. Returns the match and the pass-1
+        histogram (build + probe partition sizes) the first pass
+        counted, which :meth:`build_graph` weights the pipeline with.
         """
         bits1 = min(plan.bits1, 10)
         if self.reference:
             return self._functional_join_reference(workload, bits1, plan.bits2)
-        return batched_radix_join(
-            workload.build, workload.probe, bits1, plan.bits2
+        histogram = np.empty(1 << bits1, dtype=np.int64)
+        match = batched_radix_join(
+            workload.build, workload.probe, bits1, plan.bits2,
+            histogram=histogram,
         )
+        return match, histogram
 
     def _functional_join_reference(
         self, workload: Workload, bits1: int, bits2: int
-    ) -> base.JoinMatch:
+    ) -> Tuple[base.JoinMatch, np.ndarray]:
         """Per-partition loop: one second pass + table per partition.
 
         The per-final-partition scratchpad joins are equivalent to
@@ -180,6 +187,7 @@ class TritonJoin(JoinOperator):
         """
         build_parts = self.first_pass.partition(workload.build, bits1)
         probe_parts = self.first_pass.partition(workload.probe, bits1)
+        histogram = build_parts.sizes() + probe_parts.sizes()
         probe_keys: List[np.ndarray] = []
         payloads: List[np.ndarray] = []
         for index in range(build_parts.fanout):
@@ -216,10 +224,11 @@ class TritonJoin(JoinOperator):
             payloads.append(values)
         if not probe_keys:
             empty = np.empty(0, dtype=np.int64)
-            return base.JoinMatch.from_arrays(empty, empty)
-        return base.JoinMatch.from_arrays(
+            return base.JoinMatch.from_arrays(empty, empty), histogram
+        match = base.JoinMatch.from_arrays(
             np.concatenate(probe_keys), np.concatenate(payloads)
         )
+        return match, histogram
 
     # -- cost ---------------------------------------------------------------------
 
@@ -493,23 +502,37 @@ class TritonJoin(JoinOperator):
             sm_fraction=sm_fraction,
         )
 
-    def chunk_weights(self, workload: Workload, plan: RadixPlan) -> List[float]:
+    def chunk_weights(
+        self,
+        workload: Workload,
+        plan: RadixPlan,
+        histogram: Optional[np.ndarray] = None,
+    ) -> List[float]:
         """Pipeline chunk weights from the *actual* partition sizes.
 
         The paper's workloads are uniform, so chunks carry equal shares;
         under skew (Zipf foreign keys) the first-pass partitions are
         unbalanced and the pipeline's chunks inherit that imbalance —
         the straggling heavy chunk lengthens the join tail. Weights are
-        measured on the materialized data (the identical code path the
-        functional join executes) and normalized to sum to 1.
+        measured on the materialized data and normalized to sum to 1.
+        ``histogram`` is the functional join's pass-1 histogram (build +
+        probe partition sizes, see :meth:`_functional_join`); without
+        it, the relations are histogrammed here.
         """
-        from repro.partition.radix import radix_histogram
-
         bits = min(plan.bits1, 10)
-        sizes = (
-            radix_histogram(workload.build.keys, bits)
-            + radix_histogram(workload.probe.keys, bits)
-        ).astype(float)
+        if histogram is None:
+            from repro.partition.radix import radix_histogram
+
+            histogram = sum(
+                radix_histogram(relation.keys, bits)
+                for relation in (workload.build, workload.probe)
+            )
+        elif len(histogram) != 1 << bits:
+            raise ConfigurationError(
+                f"histogram has {len(histogram)} partitions, "
+                f"the plan {1 << bits}"
+            )
+        sizes = np.asarray(histogram).astype(float)
         total = sizes.sum()
         if total == 0:
             return [1.0 / self.pipeline_chunks] * self.pipeline_chunks
@@ -526,8 +549,15 @@ class TritonJoin(JoinOperator):
         floor = 1e-9
         return [max(w, floor) for w in weights]
 
-    def build_graph(self, workload: Workload) -> TaskGraph:
-        """The complete simulated execution DAG for one workload."""
+    def build_graph(
+        self, workload: Workload, histogram: Optional[np.ndarray] = None
+    ) -> TaskGraph:
+        """The complete simulated execution DAG for one workload.
+
+        ``histogram`` is the functional join's pass-1 histogram
+        (:meth:`run` passes it); standalone callers leave it out and
+        :meth:`chunk_weights` computes it.
+        """
         plan = self.plan(workload)
         cache = self.cache_plan(workload)
         tuples = float(workload.total_nominal_tuples)
@@ -538,7 +568,7 @@ class TritonJoin(JoinOperator):
 
         graph = TaskGraph([ps1, part1])
         chunks = self.pipeline_chunks
-        weights = self.chunk_weights(workload, plan)
+        weights = self.chunk_weights(workload, plan, histogram)
         sm_fraction = 0.5 if self.overlap else 1.0
         # The spill-copying prefix sums are memory-bound; they run as a
         # third, thin kernel stream (the paper schedules the four
@@ -586,9 +616,9 @@ class TritonJoin(JoinOperator):
         plan = self.plan(workload)
         cache = self.cache_plan(workload)
         with telemetry.span("functional", reference=self.reference):
-            match = self._functional_join(workload, plan)
+            match, histogram = self._functional_join(workload, plan)
         with telemetry.span("simulate", chunks=self.pipeline_chunks):
-            graph = self.build_graph(workload)
+            graph = self.build_graph(workload, histogram)
             engine = SimEngine(ResourcePool.for_system(self.system))
             sim = engine.run(graph)
         seconds = sim.makespan_seconds

@@ -18,8 +18,6 @@ from repro.kernels.scatter import (
     counting_offsets_free,
     counting_order,
     counting_order_and_offsets,
-    counting_scatter_available,
-    dense_offsets,
     dense_table_fits,
     exclusive_scan,
     force_reference,
@@ -33,8 +31,6 @@ __all__ = [
     "counting_offsets_free",
     "counting_order",
     "counting_order_and_offsets",
-    "counting_scatter_available",
-    "dense_offsets",
     "dense_table_fits",
     "exclusive_scan",
     "force_reference",

@@ -13,8 +13,13 @@ Implementation notes:
 - The stable scatter itself runs at C speed through scipy's
   ``coo_tocsr`` routine (the COO→CSR conversion *is* a stable counting
   sort: histogram, exclusive scan, ordered scatter — and its row
-  pointer *is* the offsets array). When scipy is absent the kernels
-  fall back to numpy's stable argsort — same output, one less
+  pointer *is* the offsets array). It writes its two inputs ``Aj`` and
+  ``Ax`` to their sorted positions ``Bj`` / ``Bx``, so up to two int64
+  columns move in the same pass that counts them
+  (:func:`counting_order_and_offsets` with ``columns=``), the way the
+  paper's partitioner writes whole tuples; only an order-only call
+  scatters the row index. When scipy is absent the kernels fall back
+  to numpy's stable argsort plus ``take`` — same output, one less
   dependency.
 - Counting pays O(domain) for the histogram and the offsets array, so
   it only wins while the domain stays within a small factor of the
@@ -34,7 +39,7 @@ Implementation notes:
 from __future__ import annotations
 
 import contextlib
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,11 +81,6 @@ def force_reference():
         yield
     finally:
         _reference_mode = previous
-
-
-def counting_scatter_available() -> bool:
-    """Whether the C-speed counting scatter (scipy) is importable."""
-    return _coo_tocsr is not None
 
 
 def reference_mode_active() -> bool:
@@ -128,20 +128,39 @@ def _use_reference(reference: bool, n: int, domain: int) -> bool:
     )
 
 
+#: Columns one ``coo_tocsr`` call moves (its ``Aj`` and ``Ax`` inputs).
+_SCATTER_SLOTS = 2
+
+
 def _counting_scatter(
-    keys: np.ndarray, domain: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One coo_tocsr call: stable order plus the offsets row pointer."""
+    keys: np.ndarray,
+    domain: int,
+    first: np.ndarray,
+    second: np.ndarray,
+    out_first: np.ndarray,
+    out_second: np.ndarray,
+) -> np.ndarray:
+    """One coo_tocsr call: scatter two int64 columns, return the offsets.
+
+    The CSR row pointer is the exclusive scan of the key histogram, and
+    the ``Aj``/``Ax`` scatter is stable in input order — exactly the
+    counting sort. ``out_first`` and ``out_second`` may share storage
+    when ``first`` and ``second`` are the same column.
+    """
     n = len(keys)
-    order = np.empty(n, dtype=np.int64)
     offsets = np.empty(domain + 1, dtype=np.int64)
+    _coo_tocsr(
+        domain, n, n, keys, first, second, offsets, out_first, out_second
+    )
+    return offsets
+
+
+def _counting_order(keys: np.ndarray, domain: int):
+    """Stable order plus offsets: the row index rides the scatter."""
+    n = len(keys)
     index = np.arange(n, dtype=np.int64)
-    # The CSR row pointer is the exclusive scan of the key histogram,
-    # and the column scatter is stable in input order — exactly the
-    # counting sort. Bj and Bx may share storage: both receive the
-    # original row index.
-    _coo_tocsr(domain, n, n, keys, index, index, offsets, order, order)
-    return order, offsets
+    order = np.empty(n, dtype=np.int64)
+    return order, _counting_scatter(keys, domain, index, index, order, order)
 
 
 def counting_order(
@@ -158,36 +177,83 @@ def counting_order(
         _metrics.registry.count("kernels.scatter.order.argsort")
         return np.argsort(keys, kind="stable")
     _metrics.registry.count("kernels.scatter.order.counting")
-    return _counting_scatter(keys, domain)[0]
+    return _counting_order(keys, domain)[0]
+
+
+def _destinations(
+    columns: Sequence[np.ndarray],
+    out: Optional[Sequence[np.ndarray]],
+    n: int,
+) -> List[np.ndarray]:
+    """One destination per column: ``out``'s, checked, or fresh arrays."""
+    if out is None:
+        return [np.empty(n, dtype=column.dtype) for column in columns]
+    if len(out) != len(columns):
+        raise ConfigurationError("out must hold one array per column")
+    for column, dest in zip(columns, out):
+        if (
+            dest.shape != (n,)
+            or dest.dtype != column.dtype
+            or not dest.flags.c_contiguous
+            or not dest.flags.writeable
+        ):
+            raise ConfigurationError(
+                "each out array must be writeable, contiguous, and match "
+                "its column's length and dtype"
+            )
+    return list(out)
 
 
 def counting_order_and_offsets(
     keys: np.ndarray,
     domain: int,
     reference: bool = False,
-    counts: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable order plus the ``domain + 1`` partition offsets table.
+    columns: Optional[Sequence[np.ndarray]] = None,
+    out: Optional[Sequence[np.ndarray]] = None,
+) -> Tuple[object, np.ndarray]:
+    """Stable order (or scattered columns) plus the offsets table.
 
     ``offsets[k]:offsets[k + 1]`` is key ``k``'s span of the reordered
-    array — the dense probe table and the partitioner's offsets in one.
-    ``counts`` takes a precomputed histogram to skip re-counting on the
-    argsort path.
+    array — the dense probe table and the partitioner's offsets in one
+    (``domain + 1`` entries).
+
+    With ``columns`` (1-D arrays aligned with ``keys``), the first
+    return value is instead the list of those columns in sorted order.
+    While there are at most two and both are int64, the scatter moves
+    them itself — no order array, no gathers; otherwise every column is
+    gathered with an order array. ``out`` supplies one destination per
+    column: a writeable contiguous array of the column's length and
+    dtype (shared-memory segments on the pool path). Either form is
+    byte-identical to ``np.argsort(keys, kind="stable")`` plus ``take``.
     """
     keys = _checked(keys, domain)
-    if _use_reference(reference, len(keys), domain):
+    n = len(keys)
+    dests = None
+    if columns is not None:
+        columns = [np.asarray(column) for column in columns]
+        if any(column.shape != (n,) for column in columns):
+            raise ConfigurationError("columns must align with keys")
+        dests = _destinations(columns, out, n)
+    elif out is not None:
+        raise ConfigurationError("out requires columns")
+    if _use_reference(reference, n, domain):
         _metrics.registry.count("kernels.scatter.order.argsort")
-        if counts is None:
-            counts = np.bincount(keys, minlength=domain)
-        return np.argsort(keys, kind="stable"), exclusive_scan(counts)
-    _metrics.registry.count("kernels.scatter.order.counting")
-    return _counting_scatter(keys, domain)
-
-
-def dense_offsets(keys: np.ndarray, domain: int) -> np.ndarray:
-    """Offsets table alone (histogram + exclusive scan, no reorder)."""
-    keys = _checked(keys, domain)
-    return exclusive_scan(np.bincount(keys, minlength=domain))
+        order = np.argsort(keys, kind="stable")
+        offsets = exclusive_scan(np.bincount(keys, minlength=domain))
+    else:
+        _metrics.registry.count("kernels.scatter.order.counting")
+        if dests is not None and 0 < len(columns) <= _SCATTER_SLOTS and all(
+            column.dtype == np.int64 for column in columns
+        ):
+            return dests, _counting_scatter(
+                keys, domain, columns[0], columns[-1], dests[0], dests[-1]
+            )
+        order, offsets = _counting_order(keys, domain)
+    if dests is None:
+        return order, offsets
+    for column, dest in zip(columns, dests):
+        np.take(column, order, out=dest)
+    return dests, offsets
 
 
 def counting_offsets_free(n: int, domain: int) -> bool:

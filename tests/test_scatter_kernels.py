@@ -5,8 +5,10 @@ in the functional layer; its contract is *byte-identity* with
 ``np.argsort(kind="stable")`` (and the offsets with histogram + scan).
 These tests sweep random distributions — empty input, a single
 partition, all-equal keys, keys at the domain edge, skew — through both
-the scatter and the reference paths, and cross-check the grouped joins
-and an end-to-end experiment table under :func:`force_reference`.
+the scatter and the reference paths — the order form and the column
+form (``columns=``), which must equal ``take`` with that order — and
+cross-check the grouped joins and an end-to-end experiment table under
+:func:`force_reference`.
 """
 
 import numpy as np
@@ -24,7 +26,6 @@ from repro.kernels.scatter import (
     claim_first,
     counting_order,
     counting_order_and_offsets,
-    dense_offsets,
     dense_table_fits,
     exclusive_scan,
     force_reference,
@@ -82,7 +83,6 @@ class TestCountingOrder:
                 order, np.argsort(keys, kind="stable")
             )
             np.testing.assert_array_equal(offsets, expected_off)
-        np.testing.assert_array_equal(dense_offsets(keys, domain), expected_off)
 
     def test_empty_input(self):
         empty = np.empty(0, dtype=np.int64)
@@ -121,6 +121,113 @@ class TestCountingOrder:
                 counting_order(keys, 4), np.argsort(keys, kind="stable")
             )
         assert not reference_mode_active()
+
+
+@st.composite
+def keys_with_columns(draw):
+    """Dense keys plus one or two random int64 columns aligned with them."""
+    keys, domain = draw(keys_in_domain())
+    count = draw(st.integers(min_value=1, max_value=2))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    info = np.iinfo(np.int64)
+    columns = [
+        rng.integers(info.min, info.max, size=len(keys), dtype=np.int64)
+        for _ in range(count)
+    ]
+    return keys, domain, columns
+
+
+def assert_scattered(keys, domain, columns, scattered, offsets):
+    """Scattered columns equal argsort + take; offsets equal the scan."""
+    order = np.argsort(keys, kind="stable")
+    assert len(scattered) == len(columns)
+    for column, got in zip(columns, scattered):
+        assert got.dtype == column.dtype
+        np.testing.assert_array_equal(got, column[order])
+    np.testing.assert_array_equal(
+        offsets, exclusive_scan(np.bincount(keys, minlength=domain))
+    )
+
+
+class TestColumnScatter:
+    """The ``columns=`` form: the scatter moves the columns themselves."""
+
+    @given(keys_with_columns())
+    @settings(max_examples=100, deadline=None)
+    def test_counting_path(self, case):
+        keys, domain, columns = case
+        scattered, offsets = counting_order_and_offsets(
+            keys, domain, columns=columns
+        )
+        assert_scattered(keys, domain, columns, scattered, offsets)
+
+    @given(keys_with_columns())
+    @settings(max_examples=60, deadline=None)
+    def test_force_reference(self, case):
+        keys, domain, columns = case
+        with force_reference():
+            scattered, offsets = counting_order_and_offsets(
+                keys, domain, columns=columns
+            )
+        assert_scattered(keys, domain, columns, scattered, offsets)
+
+    @given(keys_with_columns(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_into_out_buffers(self, case, reference):
+        keys, domain, columns = case
+        out = [np.full_like(column, -1) for column in columns]
+        scattered, offsets = counting_order_and_offsets(
+            keys, domain, reference=reference, columns=columns, out=out
+        )
+        assert all(got is dest for got, dest in zip(scattered, out))
+        assert_scattered(keys, domain, columns, scattered, offsets)
+
+    @given(keys_with_columns(), st.sampled_from(["int32", "float64", "third"]))
+    @settings(max_examples=60, deadline=None)
+    def test_gathered_columns(self, case, extra):
+        # A non-int64 column, or a third one, cannot ride the scatter:
+        # every column is then gathered with an order array.
+        keys, domain, columns = case
+        dtype = np.int64 if extra == "third" else np.dtype(extra)
+        added = 3 - len(columns) if extra == "third" else 1
+        columns = columns + [
+            (np.arange(len(keys)) * (7 + i) - 3).astype(dtype)
+            for i in range(added)
+        ]
+        for reference in (False, True):
+            scattered, offsets = counting_order_and_offsets(
+                keys, domain, reference=reference, columns=columns
+            )
+            assert_scattered(keys, domain, columns, scattered, offsets)
+
+    def test_no_columns(self):
+        keys = np.array([2, 0, 2, 1], dtype=np.int64)
+        scattered, offsets = counting_order_and_offsets(keys, 3, columns=[])
+        assert scattered == []
+        np.testing.assert_array_equal(offsets, [0, 1, 2, 4])
+
+    def test_rejects_misaligned_columns_and_buffers(self):
+        keys = np.array([1, 0, 1], dtype=np.int64)
+        column = np.arange(3, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="align"):
+            counting_order_and_offsets(keys, 2, columns=[column[:2]])
+        with pytest.raises(ConfigurationError, match="one array per column"):
+            counting_order_and_offsets(keys, 2, columns=[column], out=[])
+        read_only = np.empty(3, np.int64)
+        read_only.flags.writeable = False
+        for bad in (
+            np.empty(3, np.int32),
+            np.empty(4, np.int64),
+            np.empty(6, np.int64)[::2],
+            read_only,
+        ):
+            with pytest.raises(ConfigurationError, match="length and dtype"):
+                counting_order_and_offsets(
+                    keys, 2, columns=[column], out=[bad]
+                )
+        with pytest.raises(ConfigurationError, match="requires columns"):
+            counting_order_and_offsets(keys, 2, out=[column])
 
 
 class TestClaimFirst:

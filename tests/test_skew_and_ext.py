@@ -1,15 +1,25 @@
 """Tests for skew-aware chunking, large-value aggregation, and the
 extension experiments."""
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.aggregate import AggregateFunction, reference_aggregate
 from repro.aggregate.group_by import _accumulate
 from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.data.chunked import ChunkedRelation
 from repro.data.generator import generate_workload
 from repro.data.relation import Relation
-from repro.join import TritonJoin, reference_join
+from repro.errors import ConfigurationError
+from repro.exec import context as exec_context
+from repro.exec.context import ExecutionConfig
+from repro.exec.pool import shutdown_pool
+from repro.hashing.functions import radix_bits_of
+from repro.join import TritonJoin, reference_join, run_cache
+from repro.sim.engine import SimEngine
+from repro.sim.resources import ResourcePool
 
 
 class TestChunkWeights:
@@ -50,6 +60,123 @@ class TestChunkWeights:
         )
         expected = reference_join(workload.build, workload.probe)
         assert TritonJoin(system).run(workload).match == expected
+
+
+class TestChunkWeightsFromFunctionalHistogram:
+    """A run weights its pipeline with the functional join's pass-1
+    histogram instead of histogramming the relations again; the weights
+    and the makespan must equal a standalone ``build_graph``'s."""
+
+    @pytest.fixture(scope="class", params=["uniform", "zipf"])
+    def workload(self, request):
+        theta = 1.5 if request.param == "zipf" else 0.0
+        return generate_workload(
+            512, 512, zipf_theta=theta, scale_divisor=8192, seed=3
+        )
+
+    @staticmethod
+    def standalone(system, workload):
+        op = TritonJoin(system)
+        weights = op.chunk_weights(workload, op.plan(workload))
+        engine = SimEngine(ResourcePool.for_system(system))
+        return weights, engine.run(op.build_graph(workload)).makespan_seconds
+
+    @staticmethod
+    def recorded_runs(op, workload, monkeypatch, repeats=1):
+        """Run ``op``; returns (runs, each built graph's chunk weights)."""
+        seen = []
+        original = TritonJoin.chunk_weights
+
+        def recording(self, workload, plan, histogram=None):
+            assert histogram is not None, "the run re-histogrammed"
+            seen.append(original(self, workload, plan, histogram))
+            return seen[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TritonJoin, "chunk_weights", recording)
+            runs = [op.run(workload) for _ in range(repeats)]
+        return runs, seen
+
+    @pytest.mark.parametrize(
+        "config", ["reference", "spilled", "shm", "cache-on", "cache-off"]
+    )
+    def test_run_matches_standalone_graph(
+        self, system, workload, monkeypatch, config
+    ):
+        weights, makespan = self.standalone(system, workload)
+        op = TritonJoin(system, reference=config == "reference")
+        state = (
+            workload.build.materialized_bytes
+            + workload.probe.materialized_bytes
+        )
+        exec_config = {
+            "spilled": ExecutionConfig(
+                budget_bytes=state // 2, workers=0, morsel_rows=4096
+            ),
+            "shm": ExecutionConfig(force=True, workers=2, morsel_rows=4096),
+        }.get(config)
+        repeats = 2 if config == "cache-on" else 1
+        if config == "cache-on":
+            run_cache.clear()
+            run_cache.enable()
+        try:
+            with exec_context.configured(exec_config):
+                runs, seen = self.recorded_runs(
+                    op, workload, monkeypatch, repeats
+                )
+        finally:
+            run_cache.disable()
+            run_cache.clear()
+            shutdown_pool()
+        # A cache hit returns the stored run without building a graph.
+        assert seen == [weights]
+        assert [run.sim.makespan_seconds for run in runs] == [
+            makespan
+        ] * repeats
+        note = runs[0].notes.get("out_of_core")
+        if config == "spilled":
+            assert note["mode"] == "spill"
+        elif config == "shm":
+            assert (note["mode"], note["workers"]) == ("memory", 2)
+            assert note["morsels"] > 1
+        else:
+            assert note is None
+
+    def test_histogram_must_match_the_plan(self, system, workload):
+        op = TritonJoin(system)
+        with pytest.raises(ConfigurationError, match="partitions"):
+            op.chunk_weights(
+                workload, op.plan(workload), np.ones(3, dtype=np.int64)
+            )
+
+
+@pytest.mark.parametrize("payloads", [1, 3])
+def test_spill_shards_equal_order_plus_gather(tmp_path, payloads):
+    """Shard files are byte-identical to a stable argsort of the radix
+    window plus one gather per column (the column scatter's contract)."""
+    rng = np.random.default_rng(5)
+    rows, shard_rows, bits = 5000, 2048, 5
+    relation = Relation(
+        keys=rng.integers(1, 10**9, size=rows),
+        payloads={
+            f"p{i}": rng.integers(0, 2**62, size=rows)
+            for i in range(payloads)
+        },
+    )
+    directory = tmp_path / "shards"
+    ChunkedRelation.from_relation(
+        relation, directory, shard_rows=shard_rows, bits=bits
+    )
+    for shard, start in enumerate(range(0, rows, shard_rows)):
+        stop = min(start + shard_rows, rows)
+        order = np.argsort(
+            radix_bits_of(relation.keys[start:stop], bits), kind="stable"
+        )
+        for c, name in enumerate(relation.column_names()):
+            expected = io.BytesIO()
+            np.save(expected, relation.column(name)[start:stop][order])
+            path = directory / f"shard{shard:05d}.c{c}.npy"
+            assert path.read_bytes() == expected.getvalue()
 
 
 class TestLargeValueAggregation:
