@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ac922, explain, generate_workload, reference_join
+from repro import ac922, context, explain, generate_workload, reference_join
 from repro.advisor import JoinAdvisor
 from repro.aggregate import (
     AggregateFunction,
@@ -113,17 +113,14 @@ def main() -> None:
         f"best single backend "
         f"({plan.speedup_vs_best_single:.2f}x)"
     )
-    explain.enable_collection()
-    try:
+    # Every simulated run inside the scope is explained into the sink.
+    sink = []
+    with context.scoped(explain=sink):
         co_run = CoProcessingJoin(
             system, cpu_fraction=plan.cpu_fraction
         ).run(workload)
-    finally:
-        explain.disable_collection()
     assert co_run.match == reference_join(workload.build, workload.probe)
-    explained = [
-        run for run in explain.drain() if "[split search]" not in run.label
-    ]
+    explained = [run for run in sink if "[split search]" not in run.label]
     print(
         f"co-processing:  {co_run.seconds * 1e3:8.1f} ms "
         f"(vs {join_run.seconds * 1e3:.1f} ms filtered single-GPU join; "

@@ -71,12 +71,11 @@ import json
 import sys
 import time
 
+from repro import context, faults, telemetry
 from repro import explain as explain_mod
-from repro import faults, telemetry
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import ExperimentTable
-from repro.exec import ExecutionConfig, shutdown_pool
-from repro.exec import context as exec_context
+from repro.exec import DEFAULT_MORSEL_ROWS, ExecutionConfig, shutdown_pool
 from repro.join import run_cache
 from repro.telemetry import tracing
 from repro.units import parse_bytes
@@ -148,7 +147,7 @@ def _render_one(name: str, sizes, divisor) -> "tuple[str, list]":
     for table in tables:
         chunks.append(table.format())
         chunks.append("")
-    explanations = explain_mod.drain() if explain_mod.collecting() else []
+    explanations = explain_mod.drain()
     if explanations:
         chunks.append(_explain_summary(explanations))
     chunks.append(f"[{name}: {elapsed:.1f}s]\n")
@@ -180,35 +179,20 @@ def _profile_one(name: str, sizes, divisor) -> None:
 
 
 def _worker(
-    name: str,
-    sizes,
-    divisor,
-    use_cache: bool,
-    telemetry_settings: dict,
-    fault_plan=None,
-    collect_explanations: bool = False,
-    exec_config=None,
+    name: str, sizes, divisor, use_cache: bool, telemetry_settings: dict
 ):
     """Process-pool entry point.
 
     Returns ``(name, output, seconds, telemetry envelope, explanation
     dicts)``. The experiment runs inside :func:`telemetry.capture` under
-    the parent's ``telemetry_settings``, and explanations are drained
-    after it — a pool process reused for several experiments never
-    reports the same work twice (summing cumulative per-worker stats
-    would). ``fault_plan`` is the parent's ``--faults`` plan as a dict,
-    and ``exec_config`` the parent's out-of-core
-    :class:`ExecutionConfig` as a dict (both are ambient per-process
-    state, so each worker re-activates them).
+    the parent's ``telemetry_settings`` — which carry the parent's
+    fault plan, out-of-core config and explain switch — and
+    explanations are drained after it, so a pool process reused for
+    several experiments never reports the same work twice (summing
+    cumulative per-worker stats would).
     """
     if use_cache:
         run_cache.enable()
-    if collect_explanations:
-        explain_mod.enable_collection()
-    if fault_plan is not None:
-        faults.activate(faults.FaultPlan.from_dict(fault_plan))
-    if exec_config is not None:
-        exec_context.activate(ExecutionConfig(**exec_config))
     started = time.time()
     with telemetry.capture(telemetry_settings) as envelope:
         try:
@@ -276,15 +260,9 @@ def _run_all(
         print(_timing_table(timings).format())
         return
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from dataclasses import asdict
 
     use_cache = run_cache.enabled()
     settings = telemetry.settings()
-    collect = explain_mod.collecting()
-    plan = faults.active()
-    plan_dict = plan.to_dict() if plan is not None else None
-    config = exec_context.active()
-    config_dict = asdict(config) if config is not None else None
 
     names = list(ALL_EXPERIMENTS)
     budgets = {name: experiment_budget_bytes(name) for name in names}
@@ -317,15 +295,7 @@ def _run_all(
                     index += 1
                     continue
                 future = pool.submit(
-                    _worker,
-                    name,
-                    sizes,
-                    divisor,
-                    use_cache,
-                    settings,
-                    plan_dict,
-                    collect,
-                    config_dict,
+                    _worker, name, sizes, divisor, use_cache, settings
                 )
                 running[future] = name
                 in_flight += need
@@ -374,6 +344,38 @@ def _run_all(
             f"{memory_budget} declared bytes"
         )
     print(table.format())
+
+
+def _dispatch(args, sizes, explained, memory_budget, dashboard) -> int:
+    """Run what ``main``'s arguments name; returns the exit code."""
+    if args.experiment == "all":
+        _run_all(
+            sizes,
+            args.divisor,
+            args.jobs,
+            explained=explained,
+            memory_budget=memory_budget,
+            dashboard=dashboard,
+        )
+        return 0
+    if args.experiment not in ALL_EXPERIMENTS:
+        print(
+            f"unknown experiment {args.experiment!r}; try "
+            f"'python -m repro.bench list'",
+            file=sys.stderr,
+        )
+        return 2
+    if args.profile:
+        _profile_one(args.experiment, sizes, args.divisor)
+        return 0
+    if dashboard is not None:
+        dashboard.mark_running(args.experiment)
+    seconds = _run_one(
+        args.experiment, sizes, args.divisor, explained=explained
+    )
+    if dashboard is not None:
+        dashboard.mark_done(args.experiment, seconds)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -466,7 +468,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="ROWS",
         help="combined build+probe rows per morsel (default "
-        f"{exec_context.DEFAULT_MORSEL_ROWS})",
+        f"{DEFAULT_MORSEL_ROWS})",
     )
     parser.add_argument(
         "--spill-dir",
@@ -545,7 +547,7 @@ def main(argv=None) -> int:
             morsel_rows=(
                 args.morsel_rows
                 if args.morsel_rows is not None
-                else exec_context.DEFAULT_MORSEL_ROWS
+                else DEFAULT_MORSEL_ROWS
             ),
             workers=args.oc_workers,
             spill_dir=args.spill_dir,
@@ -571,7 +573,6 @@ def main(argv=None) -> int:
         # simulate), so attribution needs spans recorded even without
         # --trace.
         telemetry.enable()
-        explain_mod.enable_collection()
     if args.events or args.live:
         telemetry.events.enable()
     dashboard = None
@@ -584,38 +585,19 @@ def main(argv=None) -> int:
             else [args.experiment]
         )
         dashboard = LiveDashboard(dash_names, jobs=args.jobs)
-    faults.activate(fault_plan)
-    exec_context.activate(exec_config)
     try:
-        if args.experiment == "all":
-            _run_all(
-                sizes,
-                args.divisor,
-                args.jobs,
-                explained=explained,
-                memory_budget=memory_budget,
-                dashboard=dashboard,
+        # Everything the run simulates sees the --faults plan, the
+        # out-of-core config and the explain sink; --jobs workers adopt
+        # them through telemetry.settings().
+        with context.scoped(
+            fault_plan=fault_plan,
+            exec_config=exec_config,
+            explain=[] if args.explain else None,
+            notes=[],
+        ):
+            return _dispatch(
+                args, sizes, explained, memory_budget, dashboard
             )
-            return 0
-
-        if args.experiment not in ALL_EXPERIMENTS:
-            print(
-                f"unknown experiment {args.experiment!r}; try "
-                f"'python -m repro.bench list'",
-                file=sys.stderr,
-            )
-            return 2
-        if args.profile:
-            _profile_one(args.experiment, sizes, args.divisor)
-        else:
-            if dashboard is not None:
-                dashboard.mark_running(args.experiment)
-            seconds = _run_one(
-                args.experiment, sizes, args.divisor, explained=explained
-            )
-            if dashboard is not None:
-                dashboard.mark_done(args.experiment, seconds)
-        return 0
     finally:
         if dashboard is not None:
             dashboard.close()
@@ -652,8 +634,6 @@ def main(argv=None) -> int:
                     sort_keys=True,
                 )
                 handle.write("\n")
-        faults.deactivate()
-        exec_context.deactivate()
         shutdown_pool()
         run_cache.disable()
         run_cache.clear()
@@ -661,8 +641,6 @@ def main(argv=None) -> int:
         tracing.reset()
         telemetry.events.disable()
         telemetry.events.reset()
-        explain_mod.disable_collection()
-        explain_mod.drain()
 
 
 if __name__ == "__main__":

@@ -16,8 +16,12 @@ Four layers, bottom up:
   :func:`~repro.exec.outofcore.out_of_core_join` that the batched join
   dispatches to when the ambient :class:`ExecutionConfig` says so.
 
-Activate with ``exec_context.configured(ExecutionConfig(...))`` (or
-``python -m repro.bench ... --memory-budget 512M --oc-workers 4``); see
+Activate with ``exec_context.configured(ExecutionConfig(...))``, or
+per service query with ``JoinService.submit(spec, exec_config=...)``, or
+with ``python -m repro.bench ... --memory-budget 512M --oc-workers 4``.
+The config is a field of the query context (:mod:`repro.context`), so
+concurrent queries each run their own and pool workers adopt the
+dispatching query's through :func:`repro.telemetry.settings`; see
 the "Out-of-core execution" sections of docs/architecture.md and
 docs/performance.md.
 """
@@ -25,11 +29,9 @@ docs/performance.md.
 from repro.exec.context import (
     DEFAULT_MORSEL_ROWS,
     ExecutionConfig,
-    activate,
     active,
     configured,
     consume_notes,
-    deactivate,
     record_note,
     should_go_out_of_core,
 )
@@ -42,11 +44,9 @@ __all__ = [
     "ExecutionConfig",
     "MorselPool",
     "SpillManager",
-    "activate",
     "active",
     "configured",
     "consume_notes",
-    "deactivate",
     "get_pool",
     "out_of_core_join",
     "record_note",

@@ -1,29 +1,30 @@
 """Ambient out-of-core execution configuration.
 
-Mirrors the fault layer's ambient-plan pattern (:mod:`repro.faults`):
-``with exec_context.configured(cfg): ...`` activates an
-:class:`ExecutionConfig` for everything on the current thread without
-changing operator signatures. :func:`repro.join.batched.
+The config is a field of the query context (:mod:`repro.context`),
+like the fault plan: ``with exec_context.configured(cfg): ...`` puts an
+:class:`ExecutionConfig` on it for everything the block runs, without
+changing operator signatures; a join-service query carries its own
+config, invisible to every other query. :func:`repro.join.batched.
 batched_radix_join` consults :func:`active` and transparently routes the
 functional join through :func:`repro.exec.outofcore.out_of_core_join`
 when the configured host-memory budget is exceeded (or ``force`` is
 set), and the run cache folds :func:`active` into its keys so an
 out-of-core run never aliases an in-memory run of the same triple.
 
-The context also carries a small mailbox of per-join execution notes
-(:func:`record_note` / :func:`consume_notes`): the out-of-core executor
-deposits a summary (mode, morsels, steals, bytes spilled) for each join
-it ran, and the operator that triggered it picks the summaries up right
-after its functional phase to annotate ``run.notes["out_of_core"]``.
+The query context also carries a small mailbox of per-join execution
+notes (:func:`record_note` / :func:`consume_notes`), opened fresh by
+every scope that sets a config: the out-of-core executor deposits a
+summary (mode, morsels, steals, bytes spilled) for each join it ran,
+and the operator that triggered it picks the summaries up right after
+its functional phase to annotate ``run.notes["out_of_core"]``.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro import context as _context
 from repro.errors import ConfigurationError
 
 #: Default morsel granularity: combined build+probe rows per morsel.
@@ -75,80 +76,16 @@ class ExecutionConfig:
 
 # -- ambient config -------------------------------------------------------------
 
-_active: Optional[ExecutionConfig] = None
-
-#: Per-thread state: the config override (see :func:`thread_scoped`)
-#: and the notes mailbox. Notes are *always* thread-local — a deposit
-#: and its pickup happen on the thread that ran the operator, and
-#: keeping mailboxes separate stops two concurrent service queries from
-#: consuming each other's out-of-core summaries.
-_MISSING = object()
-_local = threading.local()
-
-
-def _notes_list() -> List[dict]:
-    notes = getattr(_local, "notes", None)
-    if notes is None:
-        notes = _local.notes = []
-    return notes
-
-
-def activate(config: Optional[ExecutionConfig]) -> None:
-    """Make ``config`` the ambient execution config (``None`` clears it)."""
-    global _active
-    _active = config
-    _notes_list().clear()
-
-
-def deactivate() -> None:
-    activate(None)
-
 
 def active() -> Optional[ExecutionConfig]:
-    """The ambient execution config, or ``None``.
-
-    A :func:`thread_scoped` override on the current thread wins over
-    the process-global config (the join service's per-request
-    isolation); everything else sees the process-global one.
-    """
-    override = getattr(_local, "override", _MISSING)
-    if override is not _MISSING:
-        return override
-    return _active
+    """The ambient execution config (the query context's), or ``None``."""
+    return _context.current().exec_config
 
 
-@contextmanager
 def configured(config: Optional[ExecutionConfig]):
-    """Activate ``config`` for the duration of the ``with`` block."""
-    previous = _active
-    activate(config)
-    try:
-        yield config
-    finally:
-        activate(previous)
-
-
-@contextmanager
-def thread_scoped(config: Optional[ExecutionConfig]):
-    """Activate ``config`` for the *current thread only*.
-
-    The thread-local sibling of :func:`configured`: concurrent service
-    queries each run their own out-of-core config (or explicitly
-    ``None`` to shield against a process-global one) without touching
-    what other threads see. Blocks nest; the previous override is
-    restored on exit. The thread's notes mailbox is cleared on entry,
-    like :func:`activate` does.
-    """
-    previous = getattr(_local, "override", _MISSING)
-    _local.override = config
-    _notes_list().clear()
-    try:
-        yield config
-    finally:
-        if previous is _MISSING:
-            del _local.override
-        else:
-            _local.override = previous
+    """Run the ``with`` block under ``config``, with a fresh notes
+    mailbox (``None`` shields the block from an ambient config)."""
+    return _context.scoped(exec_config=config, notes=[])
 
 
 def should_go_out_of_core(build, probe, config=None) -> bool:
@@ -172,8 +109,11 @@ def should_go_out_of_core(build, probe, config=None) -> bool:
 
 
 def record_note(note: dict) -> None:
-    """Deposit one out-of-core run summary for the triggering operator."""
-    _notes_list().append(note)
+    """Deposit one out-of-core run summary for the triggering operator
+    (dropped when no scope opened a mailbox)."""
+    notes = _context.current().notes
+    if notes is not None:
+        notes.append(note)
 
 
 def consume_notes() -> List[dict]:
@@ -182,10 +122,13 @@ def consume_notes() -> List[dict]:
     Operators call this right after their functional phase; a join that
     fanned out into several out-of-core executions (the co-processing
     operator joins each side separately) receives one note per
-    execution, in execution order. The mailbox is per-thread, so
-    concurrent service queries never see each other's notes.
+    execution, in execution order. The mailbox belongs to the scope
+    that opened it, so concurrent service queries never see each
+    other's notes.
     """
-    notes = _notes_list()
+    notes = _context.current().notes
+    if not notes:
+        return []
     drained = list(notes)
     notes.clear()
     return drained

@@ -97,12 +97,8 @@ def _run_pool(
     buckets: int,
 ) -> PoolResult:
     """Ship one job to the shared pool; recovery re-runs inline."""
-    from repro import faults
-
-    plan = faults.active()
     job = dict(job)
     job["buckets"] = buckets
-    job["fault_plan"] = plan.to_dict() if plan is not None else None
     pool = get_pool(workers)
     result = pool.run(
         job, morsels, recover=lambda m: execute_morsel(source, m, buckets)

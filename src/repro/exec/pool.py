@@ -26,9 +26,10 @@ The done flags are the crash story: a worker that dies mid-morsel never
 set its flag, so after collecting results the parent re-executes every
 morsel with an unset flag inline and respawns the dead worker. Partials
 are order-independent mergeable sums, so recovery is exact — see
-``docs/robustness.md``. Fault plans are threaded through job payloads
-and re-activated ambiently inside each worker, and each worker returns
-a :func:`repro.telemetry.capture` envelope (metrics delta, spans,
+``docs/robustness.md``. Each job carries the dispatching thread's
+:func:`repro.telemetry.settings` (span parent, flags, the portable
+query context), and each worker returns a
+:func:`repro.telemetry.capture` envelope (metrics delta, spans,
 events) for the parent to absorb — the same hand-off as the parallel
 bench runner.
 """
@@ -164,7 +165,7 @@ def _claim(ctrl: np.ndarray, workers: int, worker_id: int, lock):
 
 
 def _run_job(worker_id: int, job: dict, lock) -> dict:
-    from repro import faults, telemetry
+    from repro import telemetry
 
     out: dict = {
         "job_id": job["job_id"],
@@ -174,84 +175,79 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
         "busy": 0.0,
     }
     segments: list = []
-    plan = job.get("fault_plan")
     # The dispatching thread's telemetry settings ride the job: morsel
-    # spans parent under the dispatching query's span in the merged tree.
+    # spans parent under the dispatching query's span in the merged
+    # tree, and morsel events carry the dispatching query's tags.
     with telemetry.capture(job["telemetry"]) as envelope:
         try:
-            if plan is not None:
-                faults.activate(faults.FaultPlan.from_dict(plan))
-            try:
-                source = _open_source(job, segments)
-                control = _attach(job["control"])
-                segments.append(control)
-                workers = job["workers"]
-                morsels = job["morsels"]
-                ctrl = _view(
-                    control,
-                    2 * workers + 1 + len(morsels),
-                    np.dtype(np.int64).str,
+            source = _open_source(job, segments)
+            control = _attach(job["control"])
+            segments.append(control)
+            workers = job["workers"]
+            morsels = job["morsels"]
+            ctrl = _view(
+                control,
+                2 * workers + 1 + len(morsels),
+                np.dtype(np.int64).str,
+            )
+            die_on = job.get("die_on") or {}
+            sleep_on = job.get("sleep_on") or {}
+            epoch = time.perf_counter()
+            while True:
+                claim = _claim(ctrl, workers, worker_id, lock)
+                if claim is None:
+                    break
+                index, stolen, victim = claim
+                if die_on.get(worker_id) == index:
+                    # Crash-test hook: die after claiming, before the
+                    # done flag — exactly the mid-morsel failure the
+                    # parent's recovery scan must cover.
+                    os._exit(CRASH_EXIT_CODE)
+                telemetry.emit_event(
+                    "morsel.dispatched",
+                    worker=worker_id,
+                    morsel=index,
+                    stolen=stolen,
                 )
-                die_on = job.get("die_on") or {}
-                sleep_on = job.get("sleep_on") or {}
-                epoch = time.perf_counter()
-                while True:
-                    claim = _claim(ctrl, workers, worker_id, lock)
-                    if claim is None:
-                        break
-                    index, stolen, victim = claim
-                    if die_on.get(worker_id) == index:
-                        # Crash-test hook: die after claiming, before the
-                        # done flag — exactly the mid-morsel failure the
-                        # parent's recovery scan must cover.
-                        os._exit(CRASH_EXIT_CODE)
+                if stolen:
                     telemetry.emit_event(
-                        "morsel.dispatched",
+                        "morsel.stolen",
                         worker=worker_id,
                         morsel=index,
-                        stolen=stolen,
+                        victim=victim,
                     )
-                    if stolen:
-                        telemetry.emit_event(
-                            "morsel.stolen",
-                            worker=worker_id,
-                            morsel=index,
-                            victim=victim,
-                        )
-                    pause = sleep_on.get(worker_id)
-                    if pause is not None and pause[0] == index:
-                        # Stall-test hook: hold the morsel (claimed, not
-                        # done) long enough for the parent's watchdog to
-                        # flag this worker as silent.
-                        time.sleep(pause[1])
-                    started = time.perf_counter() - epoch
-                    with telemetry.span(
-                        f"morsel[{index}]",
-                        worker=worker_id,
-                        stolen=stolen,
-                        rows=morsels[index][3],
-                    ):
-                        partial = execute_morsel(
-                            source, Morsel(*morsels[index]), job["buckets"]
-                        )
-                    ended = time.perf_counter() - epoch
-                    ctrl[2 * workers + 1 + index] = 1
-                    out["partials"].append((index, partial))
-                    out["intervals"].append((index, started, ended, stolen))
-                    out["busy"] += ended - started
-                    telemetry.registry.observe(
-                        "exec.morsel_seconds", ended - started
+                pause = sleep_on.get(worker_id)
+                if pause is not None and pause[0] == index:
+                    # Stall-test hook: hold the morsel (claimed, not
+                    # done) long enough for the parent's watchdog to
+                    # flag this worker as silent.
+                    time.sleep(pause[1])
+                started = time.perf_counter() - epoch
+                with telemetry.span(
+                    f"morsel[{index}]",
+                    worker=worker_id,
+                    stolen=stolen,
+                    rows=morsels[index][3],
+                ):
+                    partial = execute_morsel(
+                        source, Morsel(*morsels[index]), job["buckets"]
                     )
-            finally:
-                if plan is not None:
-                    faults.deactivate()
-                for segment in segments:
-                    try:
-                        segment.close()
-                    except Exception:  # pragma: no cover - teardown best effort
-                        pass
+                ended = time.perf_counter() - epoch
+                ctrl[2 * workers + 1 + index] = 1
+                out["partials"].append((index, partial))
+                out["intervals"].append((index, started, ended, stolen))
+                out["busy"] += ended - started
+                telemetry.registry.observe(
+                    "exec.morsel_seconds", ended - started
+                )
         except BaseException as error:  # noqa: BLE001 - report, don't kill worker
             out["error"] = repr(error)
+        finally:
+            for segment in segments:
+                try:
+                    segment.close()
+                except Exception:  # pragma: no cover - teardown best effort
+                    pass
     if "error" in out:
         # The parent re-runs a failed job's morsels inline, so this
         # job's counters must not merge on top of the re-run's.
@@ -437,8 +433,8 @@ class MorselPool:
 
         ``job`` carries the source description (shared-memory block
         descriptors or shard directories), ``buckets``, and optional
-        ``fault_plan`` / ``die_on`` / ``sleep_on``; this method adds the
-        control block and per-worker ranges. ``recover`` re-executes a
+        ``die_on`` / ``sleep_on``; this method adds the control block,
+        the per-worker ranges and the telemetry settings. ``recover`` re-executes a
         morsel inline in the parent when its done flag never appeared
         (worker death). ``stall_after`` is the silent-seconds threshold
         past which a still-pending worker is flagged ``worker.stalled``.

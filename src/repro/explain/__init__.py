@@ -19,8 +19,10 @@ from the artifacts the engine already records:
   (:mod:`repro.explain.diff`).
 
 Entry points: :func:`explain` turns a :class:`~repro.sim.engine.
-SimResult` into an :class:`ExplainedRun`; ``python -m repro.bench ...
---explain out.json`` collects one per simulated run;
+SimResult` into an :class:`ExplainedRun`; inside
+``repro.context.scoped(explain=sink)`` the engine explains every
+simulated run into ``sink`` (``python -m repro.bench ... --explain
+out.json`` and ``JoinService.submit(spec, explain=True)`` open one);
 ``python -m repro.sim.visualize OP --format explain`` renders one for
 a single operator; ``tools/bench_diff.py`` diffs two collections.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import context as _query_context
 from repro.explain import bounds as _bounds
 from repro.explain import critical_path as _critical_path
 from repro.explain import timeline as _timeline
@@ -311,44 +314,31 @@ def _records_from_trace(trace):
     return records
 
 
-# -- collection (the bench CLI's --explain hook) -------------------------------
-
-_collecting = False
-_collected: List[ExplainedRun] = []
-
-
-def enable_collection() -> None:
-    """Start explaining every simulated run the engine finalizes."""
-    global _collecting
-    _collecting = True
-
-
-def disable_collection() -> None:
-    global _collecting
-    _collecting = False
-
-
-def collecting() -> bool:
-    return _collecting
+# -- collection (the query context's explain sink) ------------------------------
 
 
 def maybe_collect(result) -> None:
-    """Called by the engine after every run; no-op unless collecting."""
-    if not _collecting:
+    """Called by the engine after every run: explains ``result`` into
+    the query context's explain sink (no-op while explain is off)."""
+    sink = _query_context.current().explain
+    if sink is None:
         return
     from repro.telemetry import tracing
 
-    label = tracing.current_path() or f"sim #{len(_collected)}"
+    label = tracing.current_path() or f"sim #{len(sink)}"
     explained = explain(result, label=label)
     explained.trace_id = tracing.current_trace_id() or ""
-    _collected.append(explained)
+    sink.append(explained)
 
 
 def drain() -> List[ExplainedRun]:
-    """Return and clear the collected explanations (multiprocess-safe:
-    bench workers drain after each experiment)."""
-    global _collected
-    collected, _collected = _collected, []
+    """Return and clear the ambient sink's explanations ([] while
+    explain is off) — bench workers drain after each experiment."""
+    sink = _query_context.current().explain
+    if not sink:
+        return []
+    collected = list(sink)
+    sink.clear()
     return collected
 
 
@@ -367,12 +357,9 @@ __all__ = [
     "attributed_seconds",
     "average_utilization",
     "classify_all",
-    "collecting",
     "critical_path",
     "diff_runs",
-    "disable_collection",
     "drain",
-    "enable_collection",
     "explain",
     "format_diff",
     "format_explanation",

@@ -18,12 +18,15 @@ Three pieces:
   simulated time*, plus per-task-class (phase) retry budgets. The
   engine consumes it; exhausting a budget escalates a transient fault
   to a permanent :class:`~repro.errors.TaskFailedError`.
-- An **ambient plan**: ``with faults.injected(plan): ...`` activates a
-  plan for everything on the current thread — the simulation engine,
+- An **ambient plan**: ``with faults.injected(plan): ...`` puts a plan
+  on the query context (:mod:`repro.context`) — the simulation engine,
   the operators' capacity planning, and the run cache's keys all
   consult :func:`active`, so fault injection threads through the whole
   stack without changing operator signatures, and injected runs never
-  poison clean cache entries.
+  poison clean cache entries. The plan is per context: a join-service
+  query's plan is invisible to every other query, and pool and bench
+  workers adopt the dispatching query's plan through
+  :func:`repro.telemetry.settings`.
 
 Every injected event is recorded on the telemetry metrics registry
 (``faults.*`` counters) and on the :class:`~repro.sim.engine.SimResult`
@@ -37,11 +40,10 @@ import hashlib
 import json
 import math
 import re
-import threading as _threading
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import context as _context
 from repro.errors import ConfigurationError
 
 #: A draw strictly below the fault's probability fires the fault.
@@ -354,70 +356,15 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 # -- ambient plan ---------------------------------------------------------------
 
-_active: Optional[FaultPlan] = None
-
-#: Per-thread overrides (see :func:`thread_scoped`). A sentinel marks
-#: "no override" so a thread can explicitly override to ``None`` (run
-#: clean while the process-global plan is set).
-_MISSING = object()
-_local = _threading.local()
-
-
-def activate(plan: Optional[FaultPlan]) -> None:
-    """Make ``plan`` the ambient fault plan (``None`` clears it)."""
-    global _active
-    _active = plan
-
-
-def deactivate() -> None:
-    activate(None)
-
 
 def active() -> Optional[FaultPlan]:
-    """The ambient fault plan, or ``None``.
-
-    A :func:`thread_scoped` override on the current thread wins over
-    the process-global plan — the isolation the concurrent join service
-    relies on to run per-request fault plans side by side.
-    """
-    override = getattr(_local, "override", _MISSING)
-    if override is not _MISSING:
-        return override
-    return _active
+    """The ambient fault plan (the query context's), or ``None``."""
+    return _context.current().fault_plan
 
 
-@contextmanager
-def thread_scoped(plan: Optional[FaultPlan]):
-    """Activate ``plan`` for the *current thread only*.
-
-    :func:`activate` mutates process-global state, which two concurrent
-    service queries with different fault plans would trample. Inside
-    this block, :func:`active` (and everything that consults it — the
-    engine, capacity planning, run-cache keys) sees ``plan`` on this
-    thread while other threads keep seeing the process-global plan.
-    ``None`` explicitly shields the thread from a global plan. Blocks
-    nest; the previous override is restored on exit.
-    """
-    previous = getattr(_local, "override", _MISSING)
-    _local.override = plan
-    try:
-        yield plan
-    finally:
-        if previous is _MISSING:
-            del _local.override
-        else:
-            _local.override = previous
-
-
-@contextmanager
 def injected(plan: Optional[FaultPlan]):
-    """Activate ``plan`` for the duration of the ``with`` block."""
-    previous = _active
-    activate(plan)
-    try:
-        yield plan
-    finally:
-        activate(previous)
+    """Run the ``with`` block under ``plan`` (``None`` runs it clean)."""
+    return _context.scoped(fault_plan=plan)
 
 
 def effective_gpu_memory(

@@ -88,13 +88,14 @@ def main(argv=None) -> int:
         metavar="PATH",
         default=None,
         help="inject faults from a FaultPlan JSON file into every "
-        "query (threaded per query, not process-global)",
+        "query (carried per query, not process-global)",
     )
     parser.add_argument(
         "--explain",
         action="store_true",
         help="collect and print each query's bottleneck explanation "
-        "(explain queries run exclusively)",
+        "(each query explains into its own sink, so explain queries "
+        "run concurrently)",
     )
     parser.add_argument(
         "--events",

@@ -86,7 +86,7 @@ def _tuple_bytes(payload_columns: int) -> int:
 
 
 @dataclass
-class QueryContext:
+class PlanState:
     """Everything a node needs while the plan runs."""
 
     system: SystemSpec
@@ -117,7 +117,7 @@ class PlanNode:
     #: Child nodes in pull order (set by subclasses).
     children: Sequence["PlanNode"] = ()
 
-    def open(self, ctx: QueryContext) -> None:
+    def open(self, ctx: PlanState) -> None:
         self._ctx = ctx
         for child in self.children:
             child.open(ctx)
@@ -190,7 +190,7 @@ class ScanNode(PlanNode):
     def lineage(self) -> str:
         return f"scan:{self.relation}"
 
-    def open(self, ctx: QueryContext) -> None:
+    def open(self, ctx: PlanState) -> None:
         super().open(ctx)
         self._emitted = 0
         self._source = (
@@ -378,7 +378,7 @@ class JoinNode(PlanNode):
             return CoProcessingJoin(system, cpu_fraction=self.cpu_fraction)
         return DegradationLadder(system, rungs=coprocess_rungs())
 
-    def open(self, ctx: QueryContext) -> None:
+    def open(self, ctx: PlanState) -> None:
         super().open(ctx)
         self._done = False
 
@@ -459,7 +459,7 @@ class GroupByNode(PlanNode):
     def lineage(self) -> str:
         return f"groupby:{self.function.value}({self.children[0].lineage})"
 
-    def open(self, ctx: QueryContext) -> None:
+    def open(self, ctx: PlanState) -> None:
         super().open(ctx)
         self._done = False
 
@@ -812,7 +812,7 @@ class QueryPlan:
         if workload is None:
             build, probe = generate_pk_fk(self.config)
             workload = Workload(config=self.config, build=build, probe=probe)
-        ctx = QueryContext(
+        ctx = PlanState(
             system=system,
             workload=workload,
             checkpoint=checkpoint or _no_checkpoint,

@@ -20,18 +20,15 @@ a pool of worker threads with the semantics a shared join server needs:
   checkpoint between operator pulls; :meth:`QueryHandle.cancel` and
   per-query deadlines take effect at the next checkpoint (a
   ``timeout=0`` query deterministically times out at its first stage).
-- **Per-query isolation.** Each query executes under its own
-  :func:`repro.faults.thread_scoped` fault plan, :func:`repro.exec.
-  context.thread_scoped` out-of-core config, :func:`repro.telemetry.
-  events.context` tag (``query=<id>`` on every event it emits, however
-  deep), and a :meth:`repro.telemetry.metrics.MetricsRegistry.scoped`
-  registry whose snapshot lands on the handle — concurrent queries
-  never read each other's counters, notes, faults, or events.
-
-One caveat is enforced rather than documented: the explain collector is
-*module-global* (it gathers every simulated run in the process), so
-explain-enabled queries take an exclusive lock (normal queries share
-it) and each explanation belongs to exactly one query.
+- **Per-query isolation.** Each query executes inside one scope of the
+  query context (:mod:`repro.context`) holding its fault plan, its
+  out-of-core config and notes mailbox, its event tag (``query=<id>``
+  on every event it emits, however deep — in pool workers too), its
+  metrics scope (a child registry whose snapshot lands on the handle)
+  and, for ``explain=True``, its own explain sink. Worker threads start
+  from the context's empty root, so concurrent queries never read each
+  other's counters, notes, faults, events, or explanations, and
+  explain queries run alongside everything else.
 """
 
 from __future__ import annotations
@@ -43,16 +40,15 @@ import time
 from contextlib import nullcontext
 from typing import Callable, List, Optional
 
-from repro import faults
+from repro import context
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
     QueryCancelled,
     QueryTimeout,
 )
-from repro.exec import context as exec_context
 from repro.service import plan as plan_module
-from repro.telemetry import events, registry, tracing
+from repro.telemetry import MetricsRegistry, events, tracing
 
 #: Handle states, in lifecycle order.
 PENDING = "pending"
@@ -207,10 +203,6 @@ class JoinService:
         self._rejected = 0
         self._finished = 0
         self._shutdown = False
-        # Explain queries need the module-global explain collector to
-        # themselves: normal queries hold this as readers, explain
-        # queries as the single writer.
-        self._explain_lock = _ReadWriteLock()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -437,24 +429,23 @@ class JoinService:
                 )
 
         status = DONE
-        scope = None
-        explain_ctx = (
-            self._explain_lock.write if handle._explain
-            else self._explain_lock.read
+        scope = MetricsRegistry()
+        query = context.scoped(
+            fault_plan=handle._fault_plan,
+            exec_config=handle._exec_config,
+            scopes=(scope,),
+            explain=[] if handle._explain else None,
+            tags={"query": handle.id},
+            notes=[],
         )
         try:
-            with explain_ctx(), events.context(query=handle.id), \
-                    registry.scoped() as scope, \
-                    faults.thread_scoped(handle._fault_plan), \
-                    exec_context.thread_scoped(handle._exec_config), \
-                    self._ambient_trace(handle), \
+            with query, self._ambient_trace(handle), \
                     tracing.span("execute", query=handle.id, worker=worker):
+                result = handle._plan.execute(
+                    system=self.system, checkpoint=checkpoint
+                )
                 if handle._explain:
-                    result = self._execute_explained(handle, checkpoint)
-                else:
-                    result = handle._plan.execute(
-                        system=self.system, checkpoint=checkpoint
-                    )
+                    self._attach_explanation(result)
             handle.result_value = result
         except QueryCancelled as exc:
             status, handle.error = CANCELLED, exc
@@ -463,7 +454,7 @@ class JoinService:
         except BaseException as exc:  # noqa: BLE001 - reported via handle
             status, handle.error = ERROR, exc
         handle.wall_seconds = time.perf_counter() - started
-        handle.metrics = scope.snapshot() if scope is not None else None
+        handle.metrics = scope.snapshot()
         handle.status = status
         with self._ambient_trace(handle):
             events.emit(
@@ -478,34 +469,21 @@ class JoinService:
         self._finish_trace(handle, status)
         handle._done.set()
 
-    def _execute_explained(self, handle: QueryHandle, checkpoint):
-        """Run one query with explain collection on.
-
-        Only ever called under the exclusive half of the explain lock —
-        the explain collector is a module global, unusable from two
-        queries at once.
-        """
+    @staticmethod
+    def _attach_explanation(result) -> None:
+        """Append the query's last explained simulated run (from its
+        own explain sink) to the result as an ``explain`` stage."""
         from repro import explain as explain_module
 
-        explain_module.enable_collection()
-        try:
-            result = handle._plan.execute(
-                system=self.system, checkpoint=checkpoint
+        explained = explain_module.drain()
+        if explained:
+            result.stages.append(
+                {
+                    "stage": "explain",
+                    "operator": "explain",
+                    "text": explain_module.format_explanation(explained[-1]),
+                }
             )
-            explained = explain_module.drain()
-            if explained:
-                result.stages.append(
-                    {
-                        "stage": "explain",
-                        "operator": "explain",
-                        "text": explain_module.format_explanation(
-                            explained[-1]
-                        ),
-                    }
-                )
-            return result
-        finally:
-            explain_module.disable_collection()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -541,64 +519,3 @@ class JoinService:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown(wait=True)
-
-
-class _ReadWriteLock:
-    """Writer-preferring RW lock (tiny, threading-only).
-
-    Normal queries run concurrently as readers; an explain query takes
-    the write side and runs alone. Writers are preferred so an explain
-    query is not starved by a steady reader stream.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def read(self):
-        return _LockContext(self._acquire_read, self._release_read)
-
-    def write(self):
-        return _LockContext(self._acquire_write, self._release_write)
-
-    def _acquire_read(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def _release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def _acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-
-    def _release_write(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
-class _LockContext:
-    def __init__(self, acquire, release) -> None:
-        self._acquire = acquire
-        self._release = release
-
-    def __enter__(self):
-        self._acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._release()

@@ -26,9 +26,11 @@ Four pieces:
   structural validator tests and CI run over emitted files.
 
 Work done in another process comes home through one hand-off:
-:func:`settings` rides the job to the worker, the worker runs it inside
-:func:`capture`, and the parent :func:`absorb`\\ s the envelope —
-metrics delta, span records, simulated tracks, and events together.
+:func:`settings` rides the job to the worker (with the portable part of
+the query context: fault plan, exec config, event tags, explain
+on/off), the worker runs it inside :func:`capture`, and the parent
+:func:`absorb`\\ s the envelope — metrics delta, span records,
+simulated tracks, and events together.
 
 Capture a trace::
 
@@ -42,6 +44,7 @@ import os
 from contextlib import contextmanager, nullcontext
 from typing import Optional
 
+from repro import context as _query_context
 from repro.telemetry import (
     events,
     export,
@@ -106,15 +109,25 @@ def reset() -> None:
 
 
 def settings() -> dict:
-    """This thread's telemetry state, as a job payload for a worker.
+    """This thread's ambient state, as a job payload for a worker.
 
     ``trace``/``events`` are the two enable flags; ``parent`` is the
-    ambient span (``None`` off-trace) the worker's spans parent under.
+    ambient span (``None`` off-trace) the worker's spans parent under;
+    ``query`` is the portable part of the query context — fault plan,
+    exec config, event tags, explain on/off — but not its
+    process-local metrics scopes, explain sink or notes mailbox.
     """
+    record = _query_context.current()
     return {
         "trace": tracing.enabled(),
         "parent": tracing.payload(),
         "events": events.enabled(),
+        "query": {
+            "fault_plan": record.fault_plan,
+            "exec_config": record.exec_config,
+            "tags": record.tags,
+            "explain": record.explain is not None,
+        },
     }
 
 
@@ -123,12 +136,15 @@ def capture(job_settings: Optional[dict] = None):
     """Record one unit of work and yield the envelope that ships it home.
 
     The worker half of the hand-off: the block runs under
-    ``job_settings`` (default: this thread's :func:`settings`), and on
-    exit the yielded dict is filled with everything the block recorded
-    — ``metrics`` (a registry delta), ``spans`` and ``tracks`` (drained
-    from the span buffers) and ``events`` (drained from the recorder).
-    Draining is what keeps a reused worker from reporting the same work
-    twice. The flags are restored afterwards.
+    ``job_settings`` (default: this thread's :func:`settings`) — the
+    flags, the span parent, and the shipped query context with fresh
+    process-local parts (no metrics scopes: the parent tees the
+    absorbed delta into its own) — and on exit the yielded dict is
+    filled with everything the block recorded — ``metrics`` (a registry
+    delta), ``spans`` and ``tracks`` (drained from the span buffers)
+    and ``events`` (drained from the recorder). Draining is what keeps
+    a reused worker from reporting the same work twice. The flags are
+    restored afterwards.
     """
     job_settings = settings() if job_settings is None else job_settings
     flags = tracing.enabled(), events.enabled()
@@ -140,10 +156,19 @@ def capture(job_settings: Optional[dict] = None):
         if parent is not None
         else nullcontext()
     )
+    shipped = job_settings.get("query", {})
+    query = _query_context.scoped(
+        fault_plan=shipped.get("fault_plan"),
+        exec_config=shipped.get("exec_config"),
+        tags=shipped.get("tags", {}),
+        explain=[] if shipped.get("explain") else None,
+        scopes=(),
+        notes=[],
+    )
     envelope: dict = {}
     before = registry.snapshot()
     try:
-        with ambient:
+        with query, ambient:
             yield envelope
     finally:
         envelope["metrics"] = registry.delta_since(before)

@@ -41,9 +41,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro import context as _query_context
 from repro.telemetry import tracing as _tracing
 
 #: Bumped whenever an event type's payload fields change shape.
@@ -105,38 +105,6 @@ _seq = 0
 #: pair — exactly what :func:`validate_events` rejects).
 _lock = threading.Lock()
 
-#: Thread-local ambient fields merged into every event a thread emits
-#: while a :func:`context` block is open. The join service tags each
-#: query's execution with ``query=<id>`` so operator-level events
-#: (``run.start``/``run.end``, spills, morsels) emitted deep inside the
-#: plan carry their query id — concurrent queries stay separable in one
-#: merged event log.
-_context = threading.local()
-
-
-@contextmanager
-def context(**fields):
-    """Merge ``fields`` into every event this thread emits inside the block.
-
-    Nested contexts stack (inner fields win on collision); explicit
-    :func:`emit` fields always win over ambient ones. Context fields
-    count toward a type's required payload fields, so a service can open
-    ``context(query=...)`` once instead of threading the id to every
-    emission site.
-    """
-    previous = getattr(_context, "fields", None)
-    _context.fields = {**(previous or {}), **fields}
-    try:
-        yield
-    finally:
-        _context.fields = previous
-
-
-def context_fields() -> dict:
-    """This thread's ambient event fields ({} outside any context)."""
-    return dict(getattr(_context, "fields", None) or {})
-
-
 def enable() -> None:
     """Turn the recorder on (events buffer in-process until drained)."""
     global _enabled
@@ -166,15 +134,17 @@ def emit(event_type: str, **fields) -> Optional[dict]:
     Unknown types and missing required fields raise immediately — an
     emission site that drifts from :data:`EVENT_TYPES` is a bug the
     tests should see, not a malformed line in a log someone tails at
-    3am. Ambient :func:`context` fields merge in underneath the
-    explicit ones.
+    3am. The query context's tags (:mod:`repro.context`) merge in
+    underneath the explicit fields and count toward a type's required
+    fields, so the join service tags a query once (``query=<id>``)
+    instead of threading the id to every emission site.
     """
     if not _enabled:
         return None
     required = EVENT_TYPES.get(event_type)
     if required is None:
         raise ValueError(f"unknown event type {event_type!r}")
-    ambient = getattr(_context, "fields", None)
+    ambient = _query_context.current().tags
     if ambient:
         fields = {**ambient, **fields}
     missing = [name for name in required if name not in fields]
@@ -334,7 +304,7 @@ def by_query(records: Sequence[dict]) -> Dict[str, List[dict]]:
     """Group events by their ``query`` tag (untagged events under "").
 
     The join service tags every event emitted inside a query's
-    execution (see :func:`context`), so a merged log from overlapping
+    execution — in its pool workers too — so a merged log from overlapping
     queries splits back into clean per-query slices — the contract
     ``tools/bench_diff.py`` event diffs rely on to avoid conflating
     interleaved runs.

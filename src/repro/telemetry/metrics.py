@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import bisect
 import sys as _sys
-import threading
-from contextlib import contextmanager
 from typing import Dict, Optional
+
+from repro.context import current as _current
 
 #: Timing-histogram bucket upper bounds in seconds — the shared
 #: geometric bounds from :mod:`repro.telemetry.histogram` (4 buckets
@@ -30,6 +30,19 @@ from typing import Dict, Optional
 #: percentile reports merge bucket-for-bucket.
 from repro.telemetry.histogram import BOUNDS as BUCKET_BOUNDS
 from repro.telemetry.histogram import Histogram
+
+
+def _observe(timings: Dict[str, dict], name: str, seconds: float) -> None:
+    timing = timings.get(name)
+    if timing is None:
+        timing = timings[name] = _new_timing()
+    timing["count"] += 1
+    timing["total_seconds"] += seconds
+    if timing["min_seconds"] is None or seconds < timing["min_seconds"]:
+        timing["min_seconds"] = seconds
+    if timing["max_seconds"] is None or seconds > timing["max_seconds"]:
+        timing["max_seconds"] = seconds
+    timing["buckets"][bisect.bisect_left(BUCKET_BOUNDS, seconds)] += 1
 
 
 def _new_timing() -> dict:
@@ -49,74 +62,34 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._timings: Dict[str, dict] = {}
-        # Per-thread scope stack (see scoped()). The integer flag keeps
-        # the no-scope fast path at one attribute check — the registry
-        # sits in hot kernels, and scopes only exist while the join
-        # service (or a test) has one open.
-        self._scope_count = 0
-        self._local = threading.local()
-
-    # -- per-thread scopes -----------------------------------------------------
-
-    @contextmanager
-    def scoped(self):
-        """Tee this thread's writes into a fresh child registry.
-
-        The join service wraps each query's execution in a scope: every
-        counter/gauge/timing the query's operators record lands in the
-        process-wide registry *and* in the scope, so per-query snapshots
-        stay clean even when queries from other threads interleave —
-        the concurrency-safe replacement for the serial
-        ``snapshot()``/``delta_since()`` pattern, which conflates
-        whatever ran in between. Scopes nest (each write tees into every
-        open scope of the thread) and yield the child registry.
-        """
-        scope = MetricsRegistry()
-        stack = getattr(self._local, "scopes", None)
-        if stack is None:
-            stack = self._local.scopes = []
-        stack.append(scope)
-        self._scope_count += 1
-        try:
-            yield scope
-        finally:
-            self._scope_count -= 1
-            stack.pop()
-
-    def _scopes(self):
-        return getattr(self._local, "scopes", ()) or ()
 
     # -- writes ---------------------------------------------------------------
+    #
+    # Every write also lands in each metrics scope of the query context
+    # (:mod:`repro.context`): the join service gives each query a fresh
+    # child registry there, so per-query snapshots stay clean even when
+    # queries on other threads interleave — the concurrency-safe
+    # replacement for the serial ``snapshot()``/``delta_since()``
+    # pattern, which conflates whatever ran in between. Scope registries
+    # are only ever written through this tee.
 
     def count(self, name: str, n: float = 1) -> None:
         """Add ``n`` to counter ``name`` (created at 0)."""
         self._counters[name] = self._counters.get(name, 0) + n
-        if self._scope_count:
-            for scope in self._scopes():
-                scope.count(name, n)
+        for scope in _current().scopes:
+            scope._counters[name] = scope._counters.get(name, 0) + n
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         self._gauges[name] = float(value)
-        if self._scope_count:
-            for scope in self._scopes():
-                scope.gauge(name, value)
+        for scope in _current().scopes:
+            scope._gauges[name] = float(value)
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one duration into timing histogram ``name``."""
-        timing = self._timings.get(name)
-        if timing is None:
-            timing = self._timings[name] = _new_timing()
-        timing["count"] += 1
-        timing["total_seconds"] += seconds
-        if timing["min_seconds"] is None or seconds < timing["min_seconds"]:
-            timing["min_seconds"] = seconds
-        if timing["max_seconds"] is None or seconds > timing["max_seconds"]:
-            timing["max_seconds"] = seconds
-        timing["buckets"][bisect.bisect_left(BUCKET_BOUNDS, seconds)] += 1
-        if self._scope_count:
-            for scope in self._scopes():
-                scope.observe(name, seconds)
+        _observe(self._timings, name, seconds)
+        for scope in _current().scopes:
+            _observe(scope._timings, name, seconds)
 
     # -- reads ----------------------------------------------------------------
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
-import json
 import os
 import threading
 import time
@@ -559,20 +558,3 @@ def validate_trace_tree(span_records: Sequence[dict]) -> List[str]:
                 for member in path:
                     resolved[member] = True
     return problems
-
-
-# -- JSONL sink (parallel to the flight recorder's) -----------------------------
-
-
-def write_jsonl(path, span_records: Optional[Sequence[dict]] = None) -> int:
-    """Write span records (default: the buffer) to ``path`` sorted by
-    ``(ts, pid, span)``; returns the line count."""
-    ordered = sorted(
-        records() if span_records is None else span_records,
-        key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("span", "")),
-    )
-    with open(path, "w") as handle:
-        for record in ordered:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-    return len(ordered)

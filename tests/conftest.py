@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro import faults
+from repro import context
 from repro.data.generator import generate_workload
 from repro.hw.cpu import CpuModel
 from repro.hw.gpu import GpuModel
@@ -115,39 +115,30 @@ def fault_workload():
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    """Fail loudly if a test leaks an ambient fault plan to its neighbours."""
-    assert faults.active() is None, "a previous test leaked a fault plan"
-    yield
-    if faults.active() is not None:
-        faults.deactivate()
-        raise AssertionError("test left an ambient fault plan active")
+def _no_leaked_query_context():
+    """Every test starts and ends at the query context's root record.
 
-
-@pytest.fixture(autouse=True)
-def _no_leaked_exec_config():
-    """Same guard for the ambient out-of-core execution config."""
-    from repro.exec import context as exec_context
-
-    assert exec_context.active() is None, (
-        "a previous test leaked an execution config"
+    One guard for all of a query's ambient state — fault plan, exec
+    config, metrics scopes, explain sink, event tags, notes mailbox: a
+    scope a test forgot to exit would silently leak into every later
+    test, exactly the kind of leak only a shuffled run surfaces.
+    """
+    assert context.current() is context.ROOT, (
+        "a previous test leaked a query-context scope"
     )
     yield
-    if exec_context.active() is not None:
-        exec_context.deactivate()
-        raise AssertionError("test left an ambient execution config active")
+    assert context.current() is context.ROOT, (
+        "test left a query-context scope open"
+    )
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_service_state():
-    """No live join-service workers or ambient event context between tests.
+def _no_leaked_service_threads():
+    """No live join-service workers between tests.
 
     A service whose test forgot ``shutdown()`` would keep daemon worker
-    threads alive into every later test; an unexited ``events.context``
-    would silently tag other tests' events. Both are exactly the kind of
-    leak only a shuffled run surfaces — so guard them on every run.
+    threads alive into every later test.
     """
-    from repro.telemetry import events
 
     def service_threads():
         return [
@@ -159,12 +150,6 @@ def _no_leaked_service_state():
     assert service_threads() == [], (
         "a previous test leaked join-service worker threads"
     )
-    assert events.context_fields() == {}, (
-        "a previous test leaked an events.context"
-    )
     yield
     leaked = service_threads()
     assert leaked == [], f"test left join-service threads alive: {leaked}"
-    assert events.context_fields() == {}, (
-        "test left an events.context open"
-    )

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.data.generator import Workload, WorkloadConfig, generate_workload
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
-from repro.exec import context as exec_context
 from repro.exec.context import DEFAULT_MORSEL_ROWS, ExecutionConfig
 from repro.exec.morsel import partition_state, plan_morsels
 from repro.exec.outofcore import out_of_core_join
@@ -287,7 +286,6 @@ class TestBatchedRadixJoin:
         forced = out_of_core_join(
             build, probe, bits1, bits2, config=ExecutionConfig(force=True)
         )
-        exec_context.consume_notes()
         assert forced == want
 
     def test_large_join_spans_several_morsels(self):

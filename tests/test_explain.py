@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import explain, faults, telemetry
+from repro import context, explain, faults, telemetry
 from repro.bench.__main__ import _worker, main as cli_main
 from repro.data.generator import generate_workload
 from repro.explain.bounds import classify, resource_class
@@ -22,14 +22,9 @@ from repro.telemetry import tracing
 def clean_state():
     telemetry.disable()
     telemetry.reset()
-    explain.disable_collection()
-    explain.drain()
     yield
     telemetry.disable()
     telemetry.reset()
-    explain.disable_collection()
-    explain.drain()
-    faults.deactivate()
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +188,8 @@ class TestBoundClassification:
 
 class TestFaultedRuns:
     def test_retries_appear_as_dependency_wait(self, system, workload):
-        faults.activate(RETRY_PLAN)
-        try:
+        with faults.injected(RETRY_PLAN):
             run = TritonJoin(system).run(workload)
-        finally:
-            faults.deactivate()
         ex = explain.explain(run.sim, label="faulted")
         assert ex.verify() == []
         assert ex.retries > 0
@@ -210,11 +202,8 @@ class TestFaultedRuns:
         assert "dependency-wait" in report
 
     def test_faulted_invariants_still_hold(self, system, workload):
-        faults.activate(RETRY_PLAN)
-        try:
+        with faults.injected(RETRY_PLAN):
             run = TritonJoin(system).run(workload)
-        finally:
-            faults.deactivate()
         ex = explain.explain(run.sim)
         assert ex.critical_path_seconds == ex.makespan_seconds
         assert sum(ex.seconds_by_bound.values()) == pytest.approx(
@@ -233,11 +222,8 @@ class TestRunDiff:
                 faults.BandwidthFault(resource="nvlink_to_gpu", factor=0.5),
             ),
         )
-        faults.activate(plan)
-        try:
+        with faults.injected(plan):
             slowed = NoPartitioningJoin(system).run(workload)
-        finally:
-            faults.deactivate()
         diff = explain.diff_runs(
             explain.explain(clean.sim, label="clean"),
             explain.explain(slowed.sim, label="slowed"),
@@ -293,9 +279,9 @@ class TestSerialization:
 
 class TestCollection:
     def test_engine_collects_when_enabled(self, system, workload):
-        explain.enable_collection()
-        TritonJoin(system).run(workload)
-        collected = explain.drain()
+        with context.scoped(explain=[]):
+            TritonJoin(system).run(workload)
+            collected = explain.drain()
         assert len(collected) == 1
         assert collected[0].verify() == []
 
@@ -305,10 +291,11 @@ class TestCollection:
 
     def test_labels_come_from_spans(self, system, workload):
         telemetry.enable()
-        explain.enable_collection()
-        with tracing.trace_query(tracing.derive_trace_id("t"), name="t"):
-            TritonJoin(system).run(workload)
-        (run,) = explain.drain()
+        sink = []
+        with context.scoped(explain=sink):
+            with tracing.trace_query(tracing.derive_trace_id("t"), name="t"):
+                TritonJoin(system).run(workload)
+        (run,) = sink
         assert "run:GPU Triton Join" in run.label
 
 
@@ -352,14 +339,16 @@ class TestBenchCli:
                 "--explain", str(tmp_path / "e.json"),
             ]
         )
-        assert not explain.collecting()
+        assert context.current().explain is None
         assert explain.drain() == []
 
     def test_worker_returns_explanations(self):
         # The process-pool entry point, exercised in-process: the
         # parent's merge path consumes exactly this tuple shape.
+        with context.scoped(explain=[]):
+            job = telemetry.settings()
         name, _, _, _, explanations = _worker(
-            "fig14", (128,), 1048576.0, False, telemetry.settings(), None, True
+            "fig14", (128,), 1048576.0, False, job
         )
         assert name == "fig14"
         assert explanations

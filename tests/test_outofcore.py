@@ -43,9 +43,9 @@ def summary(match):
 
 def join_with_note(build, probe, config):
     """Run one out-of-core join and return (match, its summary note)."""
-    exec_context.consume_notes()  # drain anything a prior call left
-    match = out_of_core_join(build, probe, BITS1, config=config)
-    notes = exec_context.consume_notes()
+    with exec_context.configured(config):
+        match = out_of_core_join(build, probe, BITS1)
+        notes = exec_context.consume_notes()
     assert len(notes) == 1
     return match, notes[0]
 
@@ -85,10 +85,14 @@ class TestExecutionConfig:
         )
 
     def test_notes_mailbox_drains(self):
+        with exec_context.configured(None):
+            exec_context.record_note({"mode": "memory"})
+            exec_context.record_note({"mode": "spill"})
+            notes = exec_context.consume_notes()
+            assert [note["mode"] for note in notes] == ["memory", "spill"]
+            assert exec_context.consume_notes() == []
+        # Outside every scope there is no mailbox: notes are dropped.
         exec_context.record_note({"mode": "memory"})
-        exec_context.record_note({"mode": "spill"})
-        notes = exec_context.consume_notes()
-        assert [note["mode"] for note in notes] == ["memory", "spill"]
         assert exec_context.consume_notes() == []
 
 

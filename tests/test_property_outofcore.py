@@ -68,8 +68,9 @@ def test_out_of_core_matches_batched(
         spill_dir=str(tmp_path_factory.mktemp("oc")),
         force=True,
     )
-    match = out_of_core_join(build, probe, bits1, config=config)
-    notes = exec_context.consume_notes()
+    with exec_context.configured(config):
+        match = out_of_core_join(build, probe, bits1)
+        notes = exec_context.consume_notes()
     assert summary(match) == summary(reference)
     # The budget decided the mode; either way the result was identical.
     expected_mode = "spill" if state > budget else "memory"
@@ -88,5 +89,4 @@ def test_forced_memory_morsels_match_batched(inputs, bits1):
         bits1,
         config=ExecutionConfig(force=True, workers=0, morsel_rows=512),
     )
-    exec_context.consume_notes()
     assert summary(match) == summary(reference)

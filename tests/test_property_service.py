@@ -25,9 +25,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults, reference_join
+from repro import context, reference_join
 from repro.data.generator import generate_pk_fk
-from repro.exec import context as exec_context
 from repro.join import run_cache
 from repro.service import (
     JoinService,
@@ -35,7 +34,6 @@ from repro.service import (
     execute_plan,
     validate_spec,
 )
-from repro.telemetry import events
 
 SCALE = 65536
 
@@ -216,9 +214,7 @@ def test_interleavings_admit_deterministically_and_never_leak(
 
     # Nothing leaked: threads joined, ambient state clean, cache empty.
     assert _service_threads() == []
-    assert faults.active() is None
-    assert exec_context.active() is None
-    assert events.context_fields() == {}
+    assert context.current() is context.ROOT
     assert run_cache.size() == 0
     stats = service.stats()
     assert stats["submitted"] == len(actions)

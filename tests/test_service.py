@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -325,6 +325,54 @@ class TestOverlapRegression:
     barrier at their first checkpoints), run different plans, and each
     handle's metrics and events must describe only its own plan.
     """
+
+    def test_overlapping_explain_queries_each_get_their_own(self, system):
+        # Each explain query explains into its own sink, so two of them
+        # run at once (the barrier releases only when both are in
+        # flight) and neither sees the other's simulated runs.
+        barrier = threading.Barrier(2, timeout=30)
+        met = set()
+
+        def rendezvous(handle, stage):
+            if handle.id not in met:
+                met.add(handle.id)
+                barrier.wait()
+
+        telemetry.enable()
+        try:
+            with JoinService(
+                system=system, workers=2, stage_hook=rendezvous
+            ) as service:
+                plain = service.submit(
+                    spec(name="plain", seed=5), explain=True
+                )
+                bloom = service.submit(
+                    spec(name="bloom", algorithm="bloom-triton", seed=9),
+                    explain=True,
+                )
+                results = {
+                    handle.id: handle.result(timeout=30)
+                    for handle in (plain, bloom)
+                }
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+
+        assert met == {plain.id, bloom.id}
+        labels = {}
+        for query_id, result in results.items():
+            explains = [
+                stage for stage in result.stages
+                if stage.get("stage") == "explain"
+            ]
+            assert len(explains) == 1
+            labels[query_id] = explains[0]["text"].splitlines()[0]
+        # Each explanation's label is its own query's span path.
+        assert labels[plain.id] == (
+            "explain: query / execute / Join(triton) / "
+            "run:GPU Triton Join / simulate"
+        )
+        assert "/ Join(bloom-triton) /" in labels[bloom.id]
 
     def test_overlapping_queries_keep_metrics_and_events_apart(self, system):
         barrier = threading.Barrier(2, timeout=30)

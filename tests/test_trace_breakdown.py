@@ -82,11 +82,8 @@ class TestOverlapSplitting:
             retry=faults.RetryPolicy(),
         )
         workload = generate_workload(128, 128, scale_divisor=65536)
-        faults.activate(plan)
-        try:
+        with faults.injected(plan):
             run = TritonJoin(system).run(workload)
-        finally:
-            faults.deactivate()
         assert any("failed" in e.name for e in run.sim.trace)
         breakdown = PhaseBreakdown.from_trace(
             list(run.sim.trace), run.sim.makespan_seconds

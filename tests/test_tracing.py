@@ -322,19 +322,6 @@ class TestChromeExport:
             "no complete (ph == 'X') events"
         ]
 
-    def test_jsonl_sink_sorts_by_time(self, traced, tmp_path):
-        trace_id = tracing.derive_trace_id(0, 0)
-        now = tracing.wall_now()
-        tracing.record_span("late", now + 1.0, now + 2.0, trace_id=trace_id)
-        tracing.record_span("early", now, now + 0.5, trace_id=trace_id)
-        path = tmp_path / "trace.jsonl"
-        assert tracing.write_jsonl(path) == 2
-        names = [
-            line.split('"name": "')[1].split('"')[0]
-            for line in path.read_text().splitlines()
-        ]
-        assert names == ["early", "late"]
-
 
 class TestServiceIntegration:
     """The tentpole contract, at test scale: queries through the real
