@@ -14,18 +14,22 @@ proportion to their demand, and a compute-bound kernel coexists with a
 transfer without slowing it — which is exactly the concurrent-kernel
 overlap the Triton join exploits (section 5.2, Figure 11).
 
-When a fault plan is ambient (:func:`repro.faults.active`), the engine
-additionally consults it at every scheduling point: bandwidth faults
-scale resource capacities over simulated-time windows (the allocation
-step advances at most to the next window boundary, so degraded and
-nominal intervals never blend), and task faults fail finishing tasks —
-transiently (retried after exponential backoff in simulated time, under
-the plan's :class:`~repro.faults.RetryPolicy`) or permanently (raising
+One scheduling loop serves clean and faulted runs. A task starts once
+all of its dependencies have finished: per-task indegree counters drop
+as predecessors complete, and newly ready tasks wait in a min-heap keyed
+by task id, so tasks that become ready together start in creation order.
+
+When a fault plan is ambient (:func:`repro.faults.active`), the loop
+also consults it at every scheduling point: bandwidth faults scale
+resource capacities over simulated-time windows (a step advances at most
+to the next window boundary, so degraded and nominal intervals never
+blend), and task faults fail finishing tasks — transiently (retried
+after exponential backoff in simulated time, under the plan's
+:class:`~repro.faults.RetryPolicy`) or permanently (raising
 :class:`~repro.errors.TaskFailedError`). Every injected event lands in
-``SimResult.fault_events`` and on the telemetry counters. With no plan
-(or an empty one) the scheduling loop is bit-for-bit the original: a
-clean run's :class:`SimResult` is byte-identical with faults imported
-or not.
+``SimResult.fault_events`` and on the telemetry counters. A clean run is
+the empty-plan case of the same loop: nominal capacities throughout, no
+boundary clip, no retries.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import explain, faults, telemetry
-from repro.errors import SimulationError, TaskFailedError
+from repro.errors import ConfigurationError, SimulationError, TaskFailedError
 from repro.faults import FaultEvent
 from repro.hw.counters import PerfCounters
 from repro.sim.resources import ResourcePool
@@ -107,32 +111,6 @@ class SimResult:
         }
 
 
-def _task_record(
-    task: Task,
-    start: float,
-    end: float,
-    retries: int = 0,
-    backoff_seconds: float = 0.0,
-    active_seconds: Optional[float] = None,
-) -> TaskRecord:
-    """Snapshot a completed task occurrence for post-hoc attribution."""
-    return TaskRecord(
-        task_id=task.task_id,
-        name=task.name,
-        phase=task.phase or task.name,
-        start=start,
-        end=end,
-        demands=dict(task.demands),
-        dep_ids=tuple(dep.task_id for dep in task.after),
-        min_seconds=task.min_seconds,
-        retries=retries,
-        backoff_seconds=backoff_seconds,
-        active_seconds=(
-            end - start if active_seconds is None else active_seconds
-        ),
-    )
-
-
 def _step_usage(
     running: List[Task], rates: Dict[int, float]
 ) -> Dict[str, float]:
@@ -177,60 +155,56 @@ class SimEngine:
     # -- rate allocation ------------------------------------------------------
 
     def _allocate_rates(
-        self,
-        running: List[Task],
-        capacities: Optional[Dict[str, float]] = None,
+        self, running: List[Task], capacities: Dict[str, float]
     ) -> Dict[int, float]:
         """Progress rates (fraction/s) for the running tasks.
 
         Starts every task at its own cap and iteratively scales down the
         users of the most over-committed resource until feasible.
-        ``capacities`` overrides the pool's nominal capacities (used for
-        fault windows where bandwidth is degraded); when ``None`` the
-        pool is read directly.
+        ``capacities`` are the pool's capacities at this step (degraded
+        inside fault windows).
         """
         rates: Dict[int, float] = {}
+        # Per resource, the (task_id, amount) draws of tasks at a finite
+        # rate, in running order. A task at an infinite rate completes
+        # instantly and scaling leaves it infinite, so it never counts.
+        users: Dict[str, List[Tuple[int, float]]] = {
+            name: [] for name in capacities
+        }
         for task in running:
             cap = math.inf
             if task.min_seconds > 0:
                 cap = 1.0 / task.min_seconds
+            draws = []
             for resource, amount in task.demands.items():
                 if amount <= 0:
                     continue
-                if capacities is None:
-                    capacity = self.pool.capacity(resource)
-                else:
-                    capacity = capacities[resource]
-                resource_cap = task.rate_caps.get(resource, capacity)
+                resource_cap = task.rate_caps.get(
+                    resource, capacities[resource]
+                )
                 cap = min(cap, resource_cap / amount)
-            if math.isinf(cap):
-                # No demands and no minimum duration: completes instantly.
-                cap = math.inf
+                draws.append((resource, amount))
             rates[task.task_id] = cap
+            if not math.isinf(cap):
+                for resource, amount in draws:
+                    users[resource].append((task.task_id, amount))
 
         for _ in range(_MAX_SCALING_ROUNDS):
             worst_name = None
             worst_ratio = 1.0 + _CONVERGENCE
-            for name in self.pool.names():
-                usage = sum(
-                    task.demands.get(name, 0.0) * rates[task.task_id]
-                    for task in running
-                    if not math.isinf(rates[task.task_id])
-                )
-                if capacities is None:
-                    capacity = self.pool.capacity(name)
-                else:
-                    capacity = capacities[name]
-                ratio = usage / capacity
+            for name, members in users.items():
+                if not members:
+                    continue
+                usage = sum(amount * rates[tid] for tid, amount in members)
+                ratio = usage / capacities[name]
                 if ratio > worst_ratio:
                     worst_ratio = ratio
                     worst_name = name
             if worst_name is None:
                 return rates
             scale = 1.0 / worst_ratio
-            for task in running:
-                if task.demands.get(worst_name, 0.0) > 0:
-                    rates[task.task_id] *= scale
+            for tid, _ in users[worst_name]:
+                rates[tid] *= scale
         raise SimulationError("rate allocation did not converge")
 
     def _effective_capacities(
@@ -250,125 +224,31 @@ class SimEngine:
         """Simulate the graph to completion and return the result.
 
         Consults the ambient fault plan (:func:`repro.faults.active`) if
-        one is set; otherwise (or when the plan injects nothing into the
-        engine) runs the exact clean scheduling loop.
+        one is set and it injects anything into the engine; otherwise the
+        run is clean. Raises :class:`ConfigurationError` when a task
+        demands a resource the pool lacks.
         """
         plan = faults.active()
         if plan is not None and not plan.affects_engine():
             plan = None
-        if plan is None:
-            return self._run_clean(graph)
-        return self._run_faulted(graph, plan)
-
-    def _run_clean(self, graph: TaskGraph) -> SimResult:
-        graph.validate()
-        graph.reset()
-
-        pending = set(graph.tasks)
-        done_ids = set()
-        running: List[Task] = []
-        now = 0.0
-        trace: List[TraceEntry] = []
-        busy: Dict[str, float] = {name: 0.0 for name in self.pool.names()}
-        occupancy: List[OccupancyInterval] = []
-        records: List[TaskRecord] = []
-
-        def ready_tasks() -> List[Task]:
-            ready = [
-                t
-                for t in pending
-                if all(dep.task_id in done_ids for dep in t.after)
-            ]
-            # Deterministic order: creation order.
-            return sorted(ready, key=lambda t: t.task_id)
-
-        while pending or running:
-            for task in ready_tasks():
-                pending.remove(task)
-                task.start_time = now
-                running.append(task)
-
-            if not running:
-                raise SimulationError(
-                    "deadlock: pending tasks but none are ready"
-                )
-
-            rates = self._allocate_rates(running)
-
-            # Instantly complete zero-work tasks (pure barriers).
-            instant = [t for t in running if math.isinf(rates[t.task_id])]
-            if instant:
-                for task in instant:
-                    task.end_time = now
-                    task.remaining_fraction = 0.0
-                    running.remove(task)
-                    done_ids.add(task.task_id)
-                    trace.append(TraceEntry.from_task(task))
-                    records.append(_task_record(task, now, now))
-                continue
-
-            # Time until the earliest completion at current rates.
-            dt = math.inf
-            for task in running:
-                rate = rates[task.task_id]
-                if rate <= _EPSILON:
-                    raise SimulationError(
-                        f"task {task.name!r} cannot make progress"
+        successors = graph.validate()
+        for task in graph.tasks:
+            for resource in task.demands:
+                if resource not in self.pool:
+                    raise ConfigurationError(
+                        f"task {task.name!r} demands unknown resource "
+                        f"{resource!r}"
                     )
-                dt = min(dt, task.remaining_fraction / rate)
-            if not math.isfinite(dt):
-                raise SimulationError("no finite completion time")
-
-            # Advance and account resource usage.
-            if dt > 0:
-                occupancy.append(
-                    OccupancyInterval(now, now + dt, _step_usage(running, rates))
-                )
-            now += dt
-            finished: List[Task] = []
-            for task in running:
-                rate = rates[task.task_id]
-                progressed = rate * dt
-                for resource, amount in task.demands.items():
-                    busy[resource] += amount * progressed
-                task.remaining_fraction -= progressed
-                if task.remaining_fraction <= _EPSILON:
-                    task.remaining_fraction = 0.0
-                    task.end_time = now
-                    finished.append(task)
-            if not finished:
-                raise SimulationError("time advanced without completions")
-            for task in finished:
-                running.remove(task)
-                done_ids.add(task.task_id)
-                trace.append(TraceEntry.from_task(task))
-                records.append(
-                    _task_record(task, task.start_time, task.end_time)
-                )
-
-        return self._finalize(graph, now, trace, busy, (), occupancy, records)
-
-    def _run_faulted(
-        self, graph: TaskGraph, plan: "faults.FaultPlan"
-    ) -> SimResult:
-        """The scheduling loop with fault injection and retry/backoff.
-
-        Differences from the clean loop: capacities are re-evaluated per
-        scheduling round against the plan's bandwidth windows, ``dt`` is
-        clipped to the next window boundary (or retry-resume time) so
-        time can advance without a completion, and finishing tasks pass
-        through :meth:`_resolve_completion`, which may requeue them with
-        backoff or raise :class:`TaskFailedError`.
-        """
-        graph.validate()
         graph.reset()
 
-        policy = plan.retry if plan.retry is not None else faults.DEFAULT_RETRY_POLICY
-        pending = set(graph.tasks)
-        done_ids = set()
+        indegree = {task.task_id: len(task.after) for task in graph.tasks}
+        #: min-heap of (task_id, task) whose dependencies have all finished.
+        ready = [(task.task_id, task) for task in graph.tasks if not task.after]
+        heapq.heapify(ready)
         running: List[Task] = []
         #: min-heap of (resume_time, task_id, task) backing-off retries.
         blocked: List[Tuple[float, int, Task]] = []
+        capacities = self.pool.capacities()
         attempts: Dict[int, int] = {}  # failed attempts so far, per task
         class_retries: Dict[str, int] = {}  # retries spent per task class
         events: List[FaultEvent] = []
@@ -381,29 +261,8 @@ class SimEngine:
         failed_active: Dict[int, float] = {}  # seconds lost to doomed attempts
         backoff_total: Dict[int, float] = {}  # seconds waited out in backoff
 
-        def finish_record(task: Task) -> TaskRecord:
-            tid = task.task_id
-            return _task_record(
-                task,
-                first_start.get(tid, task.start_time),
-                now,
-                retries=attempts.get(tid, 0),
-                backoff_seconds=backoff_total.get(tid, 0.0),
-                active_seconds=(
-                    failed_active.get(tid, 0.0) + (now - task.start_time)
-                ),
-            )
-
-        def ready_tasks() -> List[Task]:
-            ready = [
-                t
-                for t in pending
-                if all(dep.task_id in done_ids for dep in t.after)
-            ]
-            return sorted(ready, key=lambda t: t.task_id)
-
         def resolve_completion(task: Task) -> bool:
-            """Handle a task reaching 100% progress at ``now``.
+            """Handle a task reaching 100% progress at ``now`` under a plan.
 
             Returns True when the task is genuinely done; False when an
             injected transient fault requeued it for retry. Raises
@@ -443,6 +302,7 @@ class SimEngine:
                     attempts=attempt + 1,
                 )
 
+            policy = plan.retry or faults.DEFAULT_RETRY_POLICY
             if not fault.transient:
                 raise fail("task_permanent", "failed permanently")
             if attempt + 1 >= policy.max_attempts:
@@ -489,43 +349,68 @@ class SimEngine:
             heapq.heappush(blocked, (now + backoff, task.task_id, task))
             return False
 
-        while pending or running or blocked:
-            # Release retries whose backoff has elapsed.
+        def complete(task: Task) -> None:
+            """Retire a task that reached 100% progress at ``now``."""
+            running.remove(task)
+            if plan is not None and not resolve_completion(task):
+                return
+            tid = task.task_id
+            records.append(
+                TaskRecord(
+                    task_id=tid,
+                    name=task.name,
+                    phase=task.task_class,
+                    start=first_start[tid],
+                    end=now,
+                    demands=dict(task.demands),
+                    dep_ids=tuple(dep.task_id for dep in task.after),
+                    min_seconds=task.min_seconds,
+                    retries=attempts.get(tid, 0),
+                    backoff_seconds=backoff_total.get(tid, 0.0),
+                    active_seconds=(
+                        failed_active.get(tid, 0.0) + (now - task.start_time)
+                    ),
+                )
+            )
+            trace.append(TraceEntry.from_task(task))
+            for succ in successors[tid]:
+                indegree[succ.task_id] -= 1
+                if not indegree[succ.task_id]:
+                    heapq.heappush(ready, (succ.task_id, succ))
+
+        while ready or running or blocked:
+            # Release retries whose backoff has elapsed, then start every
+            # task whose dependencies have all finished.
             while blocked and blocked[0][0] <= now + _EPSILON:
                 _, _, task = heapq.heappop(blocked)
                 task.start_time = now
                 running.append(task)
-            for task in ready_tasks():
-                pending.remove(task)
+            while ready:
+                _, task = heapq.heappop(ready)
                 task.start_time = now
                 first_start[task.task_id] = now
                 running.append(task)
 
             if not running:
-                if blocked:
-                    # Everything live is backing off: jump to the
-                    # earliest resume time.
-                    now = max(now, blocked[0][0])
-                    continue
-                raise SimulationError(
-                    "deadlock: pending tasks but none are ready"
-                )
+                # Everything live is backing off (an acyclic graph always
+                # has a ready task otherwise): jump to the earliest resume.
+                now = max(now, blocked[0][0])
+                continue
 
-            capacities = self._effective_capacities(plan, now)
+            if plan is not None:
+                capacities = self._effective_capacities(plan, now)
             rates = self._allocate_rates(running, capacities)
 
+            # Instantly complete zero-work tasks (pure barriers).
             instant = [t for t in running if math.isinf(rates[t.task_id])]
             if instant:
                 for task in instant:
                     task.end_time = now
                     task.remaining_fraction = 0.0
-                    running.remove(task)
-                    if resolve_completion(task):
-                        done_ids.add(task.task_id)
-                        records.append(finish_record(task))
-                        trace.append(TraceEntry.from_task(task))
+                    complete(task)
                 continue
 
+            # Time until the earliest completion at current rates.
             dt = math.inf
             for task in running:
                 rate = rates[task.task_id]
@@ -540,7 +425,7 @@ class SimEngine:
             # Clip the step to the next capacity-change boundary and to
             # the next retry resume, so neither is skipped over.
             clipped = False
-            boundary = plan.next_boundary(now)
+            boundary = plan.next_boundary(now) if plan is not None else None
             if boundary is not None and now + dt > boundary:
                 dt = boundary - now
                 clipped = True
@@ -548,6 +433,7 @@ class SimEngine:
                 dt = max(blocked[0][0] - now, 0.0)
                 clipped = True
 
+            # Advance and account resource usage.
             if dt > 0:
                 occupancy.append(
                     OccupancyInterval(now, now + dt, _step_usage(running, rates))
@@ -567,15 +453,11 @@ class SimEngine:
             if not finished and not clipped:
                 raise SimulationError("time advanced without completions")
             for task in finished:
-                running.remove(task)
-                if resolve_completion(task):
-                    done_ids.add(task.task_id)
-                    records.append(finish_record(task))
-                    trace.append(TraceEntry.from_task(task))
+                complete(task)
 
         # Bandwidth windows that actually overlapped the run, rendered
         # as drop/restore instants on the simulated timeline.
-        for fault in plan.bandwidth:
+        for fault in plan.bandwidth if plan is not None else ():
             if fault.start_s > now:
                 continue
             events.append(
@@ -602,20 +484,6 @@ class SimEngine:
                     )
                 )
         events.sort(key=lambda e: (e.time_s, e.kind, e.target))
-        return self._finalize(
-            graph, now, trace, busy, tuple(events), occupancy, records
-        )
-
-    def _finalize(
-        self,
-        graph: TaskGraph,
-        now: float,
-        trace: List[TraceEntry],
-        busy: Dict[str, float],
-        events: Tuple[FaultEvent, ...],
-        occupancy: List[OccupancyInterval],
-        records: List[TaskRecord],
-    ) -> SimResult:
         trace.sort(key=lambda entry: (entry.start, entry.end))
         records.sort(key=lambda r: (r.start, r.end, r.task_id))
         result = SimResult(
@@ -623,7 +491,7 @@ class SimEngine:
             trace=trace,
             counters=graph.total_counters(),
             resource_busy_units=busy,
-            fault_events=events,
+            fault_events=tuple(events),
             occupancy=_merged_occupancy(occupancy),
             task_records=tuple(records),
             resource_capacities=self.pool.capacities(),

@@ -140,8 +140,12 @@ class TaskGraph:
         for task in tasks:
             self.add(task)
 
-    def validate(self) -> None:
-        """Check that the graph is closed and acyclic."""
+    def validate(self) -> Dict[int, List[Task]]:
+        """Check that the graph is closed and acyclic.
+
+        Returns each task's successors by task id, one entry per
+        ``after`` edge (a repeated dependency appears repeatedly).
+        """
         for task in self.tasks:
             for dep in task.after:
                 if dep.task_id not in self._ids:
@@ -166,6 +170,7 @@ class TaskGraph:
                     ready.append(succ)
         if seen != len(self.tasks):
             raise SimulationError("task graph contains a cycle")
+        return successors
 
     def reset(self) -> None:
         """Clear scheduling state so the graph can be re-simulated."""

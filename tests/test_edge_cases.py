@@ -4,9 +4,11 @@ failure paths that the mainline tests do not reach."""
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.data.generator import generate_workload
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError, SimulationError
+from repro.faults import BandwidthFault, FaultPlan
 from repro.hashing import BucketChainingTable, LinearProbingTable
 from repro.hw.gpu import MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
@@ -147,10 +149,15 @@ class TestSimulatorEdges:
         with pytest.raises(ConfigurationError):
             Task(name="bad", demands={"r": -1.0})
 
-    def test_unknown_resource_fails_at_run(self):
+    @pytest.mark.parametrize(
+        "plan",
+        [None, FaultPlan(bandwidth=(BandwidthFault("nvlink_*", 0.5),))],
+        ids=["clean", "faulted"],
+    )
+    def test_unknown_resource_fails_at_run(self, plan):
         pool = ResourcePool({"r": Resource("r", 1.0)})
         task = Task(name="t", demands={"ghost": 1.0})
-        with pytest.raises(ConfigurationError):
+        with faults.injected(plan), pytest.raises(ConfigurationError):
             SimEngine(pool).run(TaskGraph([task]))
 
     def test_trace_entry_requires_completion(self):

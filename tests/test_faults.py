@@ -255,14 +255,28 @@ class TestEngineFaults:
 
     def test_empty_plan_is_byte_identical_to_no_plan(self):
         engine = SimEngine(pool_())
-        clean = engine.run(self._graph())
-        with faults.injected(FaultPlan(seed=5)):
-            injected = engine.run(self._graph())
-        assert injected.makespan_seconds == clean.makespan_seconds
-        assert [
-            (e.name, e.start, e.end) for e in injected.trace
-        ] == [(e.name, e.start, e.end) for e in clean.trace]
-        assert injected.fault_events == ()
+        graph = self._graph()
+        clean = engine.run(graph)
+        plans = (
+            FaultPlan(seed=5),
+            # Affects the engine, so it runs the plan path, but never
+            # fires: the window opens after the makespan and the task
+            # fault names no task.
+            FaultPlan(
+                seed=5,
+                bandwidth=(BandwidthFault("link", 0.5, start_s=100.0),),
+                tasks=(TaskFault("no-such-task"),),
+            ),
+        )
+        for plan in plans:
+            with faults.injected(plan):
+                injected = engine.run(graph)
+            assert injected.makespan_seconds == clean.makespan_seconds
+            assert injected.trace == clean.trace
+            assert injected.task_records == clean.task_records
+            assert injected.occupancy == clean.occupancy
+            assert injected.resource_busy_units == clean.resource_busy_units
+            assert injected.fault_events == clean.fault_events == ()
 
     def test_transient_fault_retries_and_records(self):
         plan = FaultPlan(
