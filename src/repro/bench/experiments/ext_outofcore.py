@@ -5,9 +5,10 @@ paper's largest workload (2048 M nominal tuples per relation):
 
 - **Identity under a budget.** With the host-memory budget set to a
   fraction of the relations' combined tuple bytes (default 0.5), the
-  join radix-spills both relations to disk shards and streams morsels
-  off the memory maps — and the match summary (matches, key checksum,
-  payload checksum) is byte-identical to the in-memory reference.
+  join radix-spills both relations to disk shards and reads each
+  morsel's partition range back off them — and the match summary
+  (matches, key checksum, payload checksum) is byte-identical to the
+  in-memory reference.
 - **Pool speedup.** The same morsel stream scheduled across the
   persistent worker pool (shared-memory transport, work stealing) is
   at least as fast as the single-process batched join — the morsel

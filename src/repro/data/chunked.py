@@ -1,25 +1,31 @@
-"""Disk-sharded columnar relations over ``numpy`` memory maps.
+"""Disk-sharded columnar relations: one ``.npy`` per column.
 
 A :class:`ChunkedRelation` is the on-disk twin of
 :class:`~repro.data.relation.Relation`: the same key + payload columns,
-split row-wise into fixed-size **shards**, one ``.npy`` file per
-(shard, column). Shards are written radix-partitioned — within each
-shard, rows are stored partition-major by the low ``bits`` of the key
-hash, with a ``fanout + 1`` offsets table alongside — so a reader can
-pull *one partition range of every shard* without touching the rest of
+split row-wise into fixed-size **shards**. Shards are written
+radix-partitioned — within each shard, rows are stored partition-major
+by the low ``bits`` of the key hash — and appended shard by shard to
+one file per column, with every shard's ``fanout + 1`` offsets in one
+table alongside. A reader pulls *one partition range of every shard*
+as one contiguous byte range per shard, without touching the rest of
 the file (the Hadoop GPU-join blueprint: map-side radix partitioning,
-reduce-side streamed joins). Columns are read back with
-``np.load(mmap_mode="r")``: slicing a memory map materializes only the
-sliced rows, which is what keeps a morsel's working set at morsel size
-rather than relation size.
+reduce-side streamed joins).
 
-Layout of a chunked relation directory::
+Layout of a chunked relation directory (format 2)::
 
-    meta.json                  format/columns/bits/shard row counts
-    shard00000.c0.npy          column 0 ("key") of shard 0, partition-major
-    shard00000.c1.npy          column 1 (first payload) of shard 0
-    shard00000.offsets.npy     fanout+1 partition offsets into shard 0
-    shard00001.c0.npy          ...
+    meta.json      format/columns/bits/shard row counts
+    c0.npy         column 0 ("key"): every shard back to back, each
+                   partition-major
+    c1.npy         column 1 (first payload), same row order
+    offsets.npy    (shards, fanout + 1) partition offsets into each
+                   shard's rows
+
+The reader opens each file once: the first read loads the offsets
+table and resolves each column file's data offset, later reads copy a
+partition range's per-shard slices straight into one preallocated
+array with positional reads (``os.preadv``) — no per-read ``np.load``,
+memory map or concatenation. :meth:`ChunkedRelation.close` (or
+:meth:`~ChunkedRelation.delete`) releases the open files.
 
 The format round-trips exactly: ``ChunkedRelation.from_relation`` then
 :meth:`to_relation` reproduces every column byte-identically up to the
@@ -31,9 +37,10 @@ assert both.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shutil
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -42,18 +49,33 @@ from repro.errors import ConfigurationError
 from repro.hashing.functions import hash_u64, radix_window
 from repro.kernels.scatter import counting_order_and_offsets
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: Shards below this many rows make per-shard file overhead dominate.
+#: Shards below this many rows make per-shard read overhead dominate.
 MIN_SHARD_ROWS = 512
 
+OFFSETS_FILE = "offsets.npy"
 
-def _shard_stem(index: int) -> str:
-    return f"shard{index:05d}"
+
+def _column_file(index: int) -> str:
+    return f"c{index}.npy"
+
+
+def _read_at(file, view: memoryview, offset: int) -> None:
+    """Fill ``view`` with the file's bytes starting at ``offset``."""
+    while len(view):
+        if hasattr(os, "preadv"):
+            read = os.preadv(file.fileno(), [view], offset)
+        else:  # pragma: no cover - platforms without preadv
+            file.seek(offset)
+            read = file.readinto(view)
+        if not read:
+            raise ConfigurationError(f"{file.name}: truncated column file")
+        view, offset = view[read:], offset + read
 
 
 class ChunkedRelation:
-    """A relation stored as radix-partitioned, memory-mappable shards."""
+    """A relation stored as radix-partitioned shards, one file per column."""
 
     def __init__(self, directory) -> None:
         self.directory = pathlib.Path(directory)
@@ -75,6 +97,11 @@ class ChunkedRelation:
         self.shard_rows: List[int] = [int(n) for n in meta["shard_rows"]]
         self.total_rows: int = int(meta["total_rows"])
         self.nominal_rows: int = int(meta["nominal_rows"])
+        # Each shard's first row in the column files.
+        self._shard_base = np.cumsum([0] + self.shard_rows, dtype=np.int64)
+        self._table = None
+        #: column index -> (open file, data byte offset, dtype)
+        self._files: Dict[int, Tuple[object, int, np.dtype]] = {}
 
     # -- writing ---------------------------------------------------------------
 
@@ -91,8 +118,8 @@ class ChunkedRelation:
         Rows are cut into chunks of at most ``shard_rows``; each chunk is
         hashed, counting-scattered partition-major by the low ``bits``
         hash window (``bits=0``: original order, a single all-rows
-        partition), and saved one ``.npy`` per column plus the partition
-        offsets table.
+        partition), and appended to one ``.npy`` per column; the chunk's
+        partition offsets become one row of ``offsets.npy``.
         Peak memory is proportional to one shard, not the relation.
         """
         if shard_rows < MIN_SHARD_ROWS:
@@ -107,23 +134,40 @@ class ChunkedRelation:
         columns = relation.column_names()
         rows = len(relation)
         counts: List[int] = []
-        for index, start in enumerate(range(0, rows, shard_rows)):
-            stop = min(start + shard_rows, rows)
-            stem = _shard_stem(index)
-            parts = [relation.column(c)[start:stop] for c in columns]
-            if bits:
-                selector = radix_window(
-                    hash_u64(relation.keys[start:stop]), bits
+        table: List[np.ndarray] = []
+        files = []
+        try:
+            for c, column in enumerate(columns):
+                file = open(directory / _column_file(c), "wb")
+                files.append(file)
+                header = np.lib.format.header_data_from_array_1_0(
+                    relation.column(column)[:0]
                 )
-                parts, offsets = counting_order_and_offsets(
-                    selector, fanout, columns=parts
-                )
-            else:
-                offsets = np.array([0, stop - start], dtype=np.int64)
-            for c, values in enumerate(parts):
-                np.save(directory / f"{stem}.c{c}.npy", values)
-            np.save(directory / f"{stem}.offsets.npy", offsets)
-            counts.append(stop - start)
+                header["shape"] = (rows,)
+                np.lib.format.write_array_header_1_0(file, header)
+            for start in range(0, rows, shard_rows):
+                stop = min(start + shard_rows, rows)
+                parts = [relation.column(c)[start:stop] for c in columns]
+                if bits:
+                    selector = radix_window(
+                        hash_u64(relation.keys[start:stop]), bits
+                    )
+                    parts, offsets = counting_order_and_offsets(
+                        selector, fanout, columns=parts
+                    )
+                else:
+                    offsets = np.array([0, stop - start], dtype=np.int64)
+                for file, values in zip(files, parts):
+                    file.write(np.ascontiguousarray(values).data)
+                table.append(offsets)
+                counts.append(stop - start)
+        finally:
+            for file in files:
+                file.close()
+        np.save(
+            directory / OFFSETS_FILE,
+            np.array(table, dtype=np.int64).reshape(len(counts), fanout + 1),
+        )
         meta = {
             "format": FORMAT_VERSION,
             "name": relation.name,
@@ -151,7 +195,7 @@ class ChunkedRelation:
         return 8 * len(self.columns)
 
     def bytes_on_disk(self) -> int:
-        """Total size of the shard + meta files currently on disk."""
+        """Total size of the column, offsets and meta files on disk."""
         return sum(
             path.stat().st_size
             for path in self.directory.iterdir()
@@ -160,93 +204,121 @@ class ChunkedRelation:
 
     # -- reading ---------------------------------------------------------------
 
-    def _column_path(self, shard: int, column: str) -> pathlib.Path:
+    def _offset_table(self) -> np.ndarray:
+        """The ``(shards, fanout + 1)`` offsets table, loaded once."""
+        if self._table is None:
+            table = np.load(self.directory / OFFSETS_FILE)
+            table.setflags(write=False)
+            self._table = table
+        return self._table
+
+    def _column_index(self, column: str) -> int:
         try:
-            index = self.columns.index(column)
+            return self.columns.index(column)
         except ValueError:
             raise ConfigurationError(
                 f"{self.name}: no column {column!r}; have {self.columns}"
             )
-        return self.directory / f"{_shard_stem(shard)}.c{index}.npy"
+
+    def _open_column(self, column: str) -> Tuple[object, int, np.dtype]:
+        """``(file, data offset, dtype)`` of one column, opened once."""
+        index = self._column_index(column)
+        entry = self._files.get(index)
+        if entry is None:
+            file = open(self.directory / _column_file(index), "rb")
+            try:
+                # The writer always writes version 1.0 headers.
+                np.lib.format.read_magic(file)
+                _shape, _fortran, dtype = (
+                    np.lib.format.read_array_header_1_0(file)
+                )
+            except BaseException:
+                file.close()
+                raise
+            entry = (file, file.tell(), dtype)
+            self._files[index] = entry
+        return entry
+
+    def _read_rows(
+        self, column: str, starts: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Rows ``[start, start + count)`` of ``column`` for each pair,
+        back to back, into one fresh array."""
+        file, data_offset, dtype = self._open_column(column)
+        out = np.empty(int(counts.sum()), dtype=dtype)
+        view = memoryview(out).cast("B")
+        size = dtype.itemsize
+        position = 0
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            if count:
+                _read_at(
+                    file,
+                    view[position : position + count * size],
+                    data_offset + start * size,
+                )
+                position += count * size
+        return out
 
     def shard_column(
         self, shard: int, column: str, mmap: bool = True
     ) -> np.ndarray:
         """One shard's column, memory-mapped read-only by default."""
-        return np.load(
-            self._column_path(shard, column),
-            mmap_mode="r" if mmap else None,
+        start, stop = (int(r) for r in self._shard_base[shard : shard + 2])
+        if mmap:
+            path = self.directory / _column_file(self._column_index(column))
+            return np.load(path, mmap_mode="r")[start:stop]
+        return self._read_rows(
+            column, np.array([start]), np.array([stop - start])
         )
 
     def shard_offsets(self, shard: int) -> np.ndarray:
         """The ``fanout + 1`` partition offsets into one shard's rows."""
-        return np.load(self.directory / f"{_shard_stem(shard)}.offsets.npy")
+        return self._offset_table()[shard]
 
     def partition_sizes(self) -> np.ndarray:
         """Per-partition row counts summed across all shards."""
-        sizes = np.zeros(self.fanout, dtype=np.int64)
-        for shard in range(self.shards):
-            sizes += np.diff(self.shard_offsets(shard))
-        return sizes
+        return np.diff(self._offset_table(), axis=1).sum(
+            axis=0, dtype=np.int64
+        )
 
     def partition_range_column(
         self, column: str, lo: int, hi: int
     ) -> np.ndarray:
         """Partitions ``[lo, hi)`` of ``column``, partition-major.
 
-        Concatenates each shard's contiguous ``[offsets[lo], offsets[hi])``
-        slice — only those rows are read off the memory maps. Rows come
-        out grouped by shard within each morsel-range read, which is
-        fine for the grouped join kernels: they require partition ids to
-        be *labelled*, not sorted.
+        Reads each shard's contiguous ``[offsets[lo], offsets[hi])``
+        slice, in shard order, into one array — only those rows leave
+        the disk. Rows come out grouped by shard within each
+        morsel-range read, which is fine for the grouped join kernels:
+        they require partition ids to be *labelled*, not sorted.
         """
-        parts = []
-        for shard in range(self.shards):
-            offsets = self.shard_offsets(shard)
-            start, stop = int(offsets[lo]), int(offsets[hi])
-            if stop > start:
-                parts.append(
-                    np.asarray(self.shard_column(shard, column)[start:stop])
-                )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        table = self._offset_table()
+        return self._read_rows(
+            column,
+            self._shard_base[:-1] + table[:, lo],
+            table[:, hi] - table[:, lo],
+        )
 
     def partition_range_groups(self, lo: int, hi: int) -> np.ndarray:
         """Each row's partition id for the :meth:`partition_range_column`
         layout of partitions ``[lo, hi)`` (same order, same length)."""
-        parts = []
-        for shard in range(self.shards):
-            offsets = self.shard_offsets(shard)
-            sizes = np.diff(offsets[lo : hi + 1])
-            if sizes.sum() > 0:
-                parts.append(
-                    np.repeat(np.arange(lo, hi, dtype=np.int64), sizes)
-                )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        sizes = np.diff(self._offset_table()[:, lo : hi + 1], axis=1)
+        return np.repeat(
+            np.tile(np.arange(lo, hi, dtype=np.int64), self.shards),
+            sizes.ravel(),
+        )
 
     # -- interop ---------------------------------------------------------------
 
     def to_relation(self) -> Relation:
         """Reassemble the full in-memory :class:`Relation`.
 
-        Shards concatenate in order; within each shard rows are in the
+        Shards come back in order; within each shard rows are in the
         stored (partition-major) order. With ``bits=0`` this is exactly
         the original row order.
         """
-        data: Dict[str, np.ndarray] = {}
-        for column in self.columns:
-            if self.shards:
-                data[column] = np.concatenate(
-                    [
-                        np.asarray(self.shard_column(shard, column))
-                        for shard in range(self.shards)
-                    ]
-                )
-            else:
-                data[column] = np.empty(0, dtype=np.int64)
+        whole = (np.array([0]), np.array([self.total_rows]))
+        data = {column: self._read_rows(column, *whole) for column in self.columns}
         payloads = {c: data[c] for c in self.columns if c != "key"}
         return Relation(
             keys=data["key"],
@@ -255,8 +327,15 @@ class ChunkedRelation:
             name=self.name,
         )
 
+    def close(self) -> None:
+        """Close the column files the reader opened (reopened on use)."""
+        files, self._files = self._files, {}
+        for file, _offset, _dtype in files.values():
+            file.close()
+
     def delete(self) -> None:
-        """Remove the shard files and the directory."""
+        """Close the open files and remove the directory."""
+        self.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

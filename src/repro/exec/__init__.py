@@ -3,7 +3,7 @@
 Four layers, bottom up:
 
 - :mod:`repro.exec.spill` — budget-driven spilling of relations into
-  :class:`~repro.data.chunked.ChunkedRelation` memory-map shards, with
+  :class:`~repro.data.chunked.ChunkedRelation` column files, with
   tempdir byte accounting;
 - :mod:`repro.exec.morsel` — morsel planning over contiguous radix
   partition ranges and the per-morsel grouped-kernel execution whose

@@ -4,10 +4,10 @@ A **morsel** is a contiguous range of radix partitions whose combined
 build + probe rows approximate the configured ``morsel_rows``. Because
 both relations are laid out partition-major (in memory by
 :func:`partition_state`, on disk by the spill shards), a morsel's rows
-are contiguous slices — zero-copy views in shared memory, single
-memory-map reads per shard on disk — and hash partitions are disjoint,
-so per-morsel :class:`~repro.join.base.JoinMatch` summaries merge
-exactly: the checksums are order-independent modular sums (the same
+are contiguous slices — zero-copy views in shared memory, one
+positional read per shard and column on disk — and hash partitions are
+disjoint, so per-morsel :class:`~repro.join.base.JoinMatch` summaries
+merge exactly: the checksums are order-independent modular sums (the same
 property :func:`repro.join.coprocess.merge_matches` relies on), so the
 merged summary equals the summary of the whole join's ordered pairs
 (:func:`repro.join.batched.batched_radix_join_arrays`).
@@ -161,10 +161,13 @@ class ArraySource:
 
 @dataclass
 class ChunkedSource:
-    """Spilled relations: morsels stream off the memory-mapped shards.
+    """Spilled relations: each morsel reads its partition range of
+    every shard straight off the column files.
 
     Hashes are recomputed per morsel — rehashing a morsel's keys is
-    cheaper than shipping a second 8-byte column through disk.
+    cheaper than shipping a second 8-byte column through disk. The
+    relations keep their files open across morsels; :meth:`close`
+    releases them.
     """
 
     build: ChunkedRelation
@@ -188,19 +191,26 @@ class ChunkedSource:
             hash_u64(probe_keys),
         )
 
+    def close(self) -> None:
+        self.build.close()
+        self.probe.close()
 
-def open_chunked_source(
-    build_dir: str, probe_dir: str
+
+def chunked_source(
+    build: ChunkedRelation, probe: ChunkedRelation
 ) -> ChunkedSource:
-    """Attach to two spilled relation directories as one join source."""
-    build = ChunkedRelation(build_dir)
-    value_column = next(
-        (c for c in build.columns if c != "key"), "key"
-    )
+    """Two spilled relations as one join source (the build side's
+    first payload column, or its keys when it has none, is the value)."""
+    value_column = next((c for c in build.columns if c != "key"), "key")
     return ChunkedSource(
-        build=build,
-        probe=ChunkedRelation(probe_dir),
-        build_value_column=value_column,
+        build=build, probe=probe, build_value_column=value_column
+    )
+
+
+def open_chunked_source(build_dir: str, probe_dir: str) -> ChunkedSource:
+    """Attach to two spilled relation directories as one join source."""
+    return chunked_source(
+        ChunkedRelation(build_dir), ChunkedRelation(probe_dir)
     )
 
 

@@ -10,9 +10,9 @@ leave the in-memory path. It picks one of three executions:
   straight into shared-memory segments when a pool is configured —
   and morsels stream through the grouped kernels;
 - **spill morsels** (state exceeds the budget): both relations are
-  radix-spilled to disk shards first, the in-memory copies are
-  released, and morsels stream off the memory maps — peak host memory
-  is the shards' working set, not the relations;
+  radix-spilled to disk shards first (one file per column), and each
+  morsel reads only its partition range of every shard back off disk —
+  the join's working set is one morsel's rows, not the relations;
 - each of the above either **serially** or across the **morsel pool**
   (``workers > 0``), with work stealing and crash recovery.
 
@@ -36,8 +36,8 @@ from repro import telemetry
 from repro.data.relation import Relation
 from repro.exec import context
 from repro.exec.morsel import (
-    ChunkedSource,
     Morsel,
+    chunked_source,
     execute_morsel,
     fill_histogram,
     merge_partials,
@@ -247,13 +247,8 @@ def _spilled_join(
         # partition-major copies the in-memory path would scatter — never
         # materializes. Production ingestion would build the shards
         # directly and skip the Relation entirely.
-        source = ChunkedSource(
-            build=chunked_build,
-            probe=chunked_probe,
-            build_value_column=next(
-                (c for c in chunked_build.columns if c != "key"), "key"
-            ),
-        )
+        # The manager's cleanup closes the files this source opens.
+        source = chunked_source(chunked_build, chunked_probe)
         build_sizes = chunked_build.partition_sizes()
         probe_sizes = chunked_probe.partition_sizes()
         fill_histogram(histogram, build_sizes, probe_sizes)

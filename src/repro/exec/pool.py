@@ -6,8 +6,9 @@ feeds them **jobs**: a join's partition-major columns plus a morsel
 list. Columns travel zero-copy — the parent scatters them straight into
 ``multiprocessing.shared_memory`` segments and ships only the segment
 *names*; each worker maps the segments and slices its morsels as views.
-Spilled joins ship even less: just the two shard-directory paths, and
-every worker memory-maps its own morsels off disk.
+Spilled joins ship even less: just the two shard-directory paths; every
+worker opens the column files once per job and reads its morsels off
+disk.
 
 Scheduling is morsel-driven work stealing. A control block (one more
 shared-memory segment of ``int64``) holds, under a single shared lock::
@@ -118,18 +119,24 @@ def _view(segment: shared_memory.SharedMemory, rows: int, dtype: str):
 # -- worker side ----------------------------------------------------------------
 
 
-def _open_source(job: dict, segments: list):
-    """Reconstruct the job's morsel source inside a worker."""
+def _open_source(job: dict, handles: list):
+    """Reconstruct the job's morsel source inside a worker.
+
+    Whatever the source holds open (shared-memory segments, column
+    files) is appended to ``handles`` for the job's teardown to close.
+    """
     if job["mode"] == "chunked":
         from repro.exec.morsel import open_chunked_source
 
-        return open_chunked_source(job["build_dir"], job["probe_dir"])
+        source = open_chunked_source(job["build_dir"], job["probe_dir"])
+        handles.append(source)
+        return source
     from repro.exec.morsel import ArraySource
 
     arrays = {}
     for name, descriptor in job["blocks"].items():
         segment = _attach(descriptor[0])
-        segments.append(segment)
+        handles.append(segment)
         arrays[name] = _view(segment, descriptor[1], descriptor[2])
     return ArraySource(
         build_keys=arrays["bk"],
@@ -174,15 +181,15 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
         "intervals": [],
         "busy": 0.0,
     }
-    segments: list = []
+    handles: list = []
     # The dispatching thread's telemetry settings ride the job: morsel
     # spans parent under the dispatching query's span in the merged
     # tree, and morsel events carry the dispatching query's tags.
     with telemetry.capture(job["telemetry"]) as envelope:
         try:
-            source = _open_source(job, segments)
+            source = _open_source(job, handles)
             control = _attach(job["control"])
-            segments.append(control)
+            handles.append(control)
             workers = job["workers"]
             morsels = job["morsels"]
             ctrl = _view(
@@ -243,9 +250,9 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
         except BaseException as error:  # noqa: BLE001 - report, don't kill worker
             out["error"] = repr(error)
         finally:
-            for segment in segments:
+            for handle in handles:
                 try:
-                    segment.close()
+                    handle.close()
                 except Exception:  # pragma: no cover - teardown best effort
                     pass
     if "error" in out:

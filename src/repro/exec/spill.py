@@ -8,7 +8,7 @@ selector and scattered copies) stays inside the budget, and accounts
 for every byte it puts on disk:
 
 - counter ``exec.spill.bytes_written`` — cumulative shard bytes;
-- counter ``exec.spill.shards`` — shard files groups written;
+- counter ``exec.spill.shards`` — shards written;
 - gauge ``exec.spill.tempdir_bytes`` — bytes currently on disk, set
   back to ``0`` by :meth:`SpillManager.cleanup` (the CI leak guard
   additionally checks the directory itself is gone).

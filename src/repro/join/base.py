@@ -37,7 +37,7 @@ class JoinMatch:
 
     Checksums make results comparable without materializing gigabytes:
     ``payload_checksum`` sums the matched build-side payloads and
-    ``key_checksum`` sums the matched probe keys (both mod 2**63).
+    ``key_checksum`` sums the matched probe keys (both mod 2**62).
     """
 
     matches: int
@@ -48,11 +48,13 @@ class JoinMatch:
     def from_arrays(
         cls, probe_keys: np.ndarray, build_payloads: np.ndarray
     ) -> "JoinMatch":
+        # One wrapping int64 sum, then one reduction: 2**62 divides
+        # 2**64, so the wrapped sum is exact modulo 2**62.
         mod = np.int64(2**62)
         return cls(
             matches=int(len(probe_keys)),
-            key_checksum=int((probe_keys % mod).sum() % mod),
-            payload_checksum=int((build_payloads % mod).sum() % mod),
+            key_checksum=int(probe_keys.sum(dtype=np.int64) % mod),
+            payload_checksum=int(build_payloads.sum(dtype=np.int64) % mod),
         )
 
 

@@ -128,6 +128,10 @@ class PlanNode:
     def close(self) -> None:
         for child in self.children:
             child.close()
+        # The plan outlives its run (a service handle keeps it); the
+        # state's checkpoint closure refers back to that handle, so
+        # keeping the state would pin the run's relations in a cycle.
+        self._ctx = None
 
     @property
     def lineage(self) -> str:  # pragma: no cover - abstract
@@ -196,6 +200,10 @@ class ScanNode(PlanNode):
         self._source = (
             ctx.workload.build if self.relation == "build" else ctx.workload.probe
         )
+
+    def close(self) -> None:
+        self._source = None
+        super().close()
 
     def next(self) -> Optional[Relation]:
         if self._emitted >= self.batches:

@@ -146,6 +146,25 @@ class TestPartitionReads:
 
 
 class TestLifecycleAndErrors:
+    def test_close_releases_files_and_reads_reopen(self, tmp_path):
+        relation = make_relation(2000, seed=8, payload_columns=2)
+        chunked = ChunkedRelation.from_relation(
+            relation, tmp_path / "r", shard_rows=512, bits=2
+        )
+        first = [
+            chunked.partition_range_column(c, 1, 3) for c in chunked.columns
+        ]
+        files = list(chunked._files.values())
+        assert len(files) == len(chunked.columns)
+        chunked.close()
+        assert all(file.closed for file, _offset, _dtype in files)
+        for column, before in zip(chunked.columns, first):
+            np.testing.assert_array_equal(
+                chunked.partition_range_column(column, 1, 3), before
+            )
+        chunked.delete()
+        assert chunked._files == {}
+
     def test_delete_removes_the_directory(self, tmp_path):
         relation = make_relation(600, seed=7)
         chunked = ChunkedRelation.from_relation(
@@ -174,6 +193,18 @@ class TestLifecycleAndErrors:
         )
         with pytest.raises(ConfigurationError):
             chunked.shard_column(0, "nope")
+
+    def test_format_1_directory_rejected(self, tmp_path):
+        """The one-file-per-shard layout is not read back as format 2."""
+        chunked = ChunkedRelation.from_relation(
+            make_relation(600), tmp_path / "r", shard_rows=512
+        )
+        meta_path = tmp_path / "r" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="format: 1"):
+            ChunkedRelation(chunked.directory)
 
     def test_missing_or_foreign_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

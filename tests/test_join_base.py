@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.generator import generate_workload
 from repro.data.relation import Relation
@@ -27,6 +29,30 @@ class TestJoinMatch:
         assert match.matches == 3
         assert match.key_checksum == 6
         assert match.payload_checksum == 60
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 2**63 - 1]),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            ),
+            max_size=64,
+        ),
+        st.lists(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            max_size=64,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_checksums_equal_exact_sums_mod_2_62(self, keys, payloads):
+        """The wrapping int64 sum reduces to the exact (Python int) sum
+        modulo 2**62, negatives and int64 extremes included."""
+        match = JoinMatch.from_arrays(
+            np.array(keys, dtype=np.int64), np.array(payloads, dtype=np.int64)
+        )
+        assert match.matches == len(keys)
+        assert match.key_checksum == sum(keys) % 2**62
+        assert match.payload_checksum == sum(payloads) % 2**62
 
     def test_equality(self):
         a = JoinMatch(1, 2, 3)

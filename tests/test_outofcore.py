@@ -1,5 +1,9 @@
 """Out-of-core execution: morsels, spill, worker pool, operator wiring."""
 
+import builtins
+import io
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +205,49 @@ class TestOutOfCoreIdentity:
         assert note["shards"] >= 2
         # The spill manager cleaned up after itself.
         assert list(tmp_path.glob("repro-spill-*")) == []
+
+    def test_spilled_join_opens_files_per_column_not_per_shard(
+        self, small_workload, reference, tmp_path, monkeypatch
+    ):
+        """A serial spilled join's file opens (writer and reader) are
+        bounded by a constant per column, however many shards and
+        morsels it runs."""
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (builtins, "open"),
+            (io, "open"),
+            (os, "open"),
+            (np, "load"),
+        ):
+            monkeypatch.setattr(
+                module, name, counting(name, getattr(module, name))
+            )
+        build, probe = small_workload.build, small_workload.probe
+        state = build.materialized_bytes + probe.materialized_bytes
+        match, note = join_with_note(
+            build,
+            probe,
+            ExecutionConfig(
+                budget_bytes=state // 16,
+                workers=0,
+                morsel_rows=4096,
+                spill_dir=str(tmp_path),
+            ),
+        )
+        monkeypatch.undo()
+        assert summary(match) == summary(reference)
+        assert note["mode"] == "spill"
+        assert note["shards"] >= 16 and note["morsels"] >= 8
+        columns = len(build.column_names()) + len(probe.column_names())
+        assert len(calls) <= 6 * columns, calls
 
     def test_morsel_pool(self, small_workload, reference):
         try:

@@ -1,8 +1,6 @@
 """Tests for skew-aware chunking, large-value aggregation, and the
 extension experiments."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -152,7 +150,7 @@ class TestChunkWeightsFromFunctionalHistogram:
 
 @pytest.mark.parametrize("payloads", [1, 3])
 def test_spill_shards_equal_order_plus_gather(tmp_path, payloads):
-    """Shard files are byte-identical to a stable argsort of the radix
+    """Every shard's column bytes equal a stable argsort of the radix
     window plus one gather per column (the column scatter's contract)."""
     rng = np.random.default_rng(5)
     rows, shard_rows, bits = 5000, 2048, 5
@@ -164,7 +162,7 @@ def test_spill_shards_equal_order_plus_gather(tmp_path, payloads):
         },
     )
     directory = tmp_path / "shards"
-    ChunkedRelation.from_relation(
+    chunked = ChunkedRelation.from_relation(
         relation, directory, shard_rows=shard_rows, bits=bits
     )
     for shard, start in enumerate(range(0, rows, shard_rows)):
@@ -172,11 +170,11 @@ def test_spill_shards_equal_order_plus_gather(tmp_path, payloads):
         order = np.argsort(
             radix_bits_of(relation.keys[start:stop], bits), kind="stable"
         )
-        for c, name in enumerate(relation.column_names()):
-            expected = io.BytesIO()
-            np.save(expected, relation.column(name)[start:stop][order])
-            path = directory / f"shard{shard:05d}.c{c}.npy"
-            assert path.read_bytes() == expected.getvalue()
+        for name in relation.column_names():
+            expected = relation.column(name)[start:stop][order]
+            stored = chunked.shard_column(shard, name, mmap=False)
+            assert stored.tobytes() == expected.tobytes()
+    chunked.close()
 
 
 class TestLargeValueAggregation:

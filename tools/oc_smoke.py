@@ -14,7 +14,14 @@ asserts:
    survives under the spill parent (the spill manager must remove its
    own tempdir even though the join streamed morsels off it);
 3. **no worker residue**: after :func:`repro.exec.shutdown_pool`, no
-   morsel-worker child processes remain alive.
+   morsel-worker child processes remain alive;
+4. **no file-descriptor residue**: where ``/proc`` exists, this
+   process and every morsel worker hold as many descriptors after the
+   out-of-core run as before it (the spill reader opens its column
+   files itself, in whichever process runs a morsel, and must close
+   them). The pool and the multiprocessing resource tracker are
+   started before the first count, so their one-time pipes do not
+   count as a leak.
 
 CI runs this as the out-of-core leg next to the perf-smoke gate::
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
+import os
 import pathlib
 import sys
 import tempfile
@@ -35,6 +43,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.data.generator import generate_workload  # noqa: E402
 from repro.exec import ExecutionConfig, configured, shutdown_pool  # noqa: E402
+from repro.exec.pool import get_pool  # noqa: E402
 from repro.hw.specs import ac922  # noqa: E402
 from repro.join.triton import TritonJoin  # noqa: E402
 
@@ -44,13 +53,31 @@ def spill_residue(parent: pathlib.Path) -> list:
     return sorted(str(path) for path in parent.glob("repro-spill-*"))
 
 
-def live_morsel_workers() -> list:
-    """Names of morsel-pool worker processes still alive."""
+def morsel_workers() -> list:
+    """Morsel-pool worker processes still alive, by name."""
     return sorted(
-        child.name
-        for child in multiprocessing.active_children()
-        if child.name.startswith("morsel-worker-")
+        (
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("morsel-worker-")
+        ),
+        key=lambda child: child.name,
     )
+
+
+def open_fds():
+    """Descriptors held by this process and each morsel worker, by
+    name, or ``None`` without ``/proc``."""
+    processes = [("parent", "self")] + [
+        (child.name, child.pid) for child in morsel_workers()
+    ]
+    try:
+        return {
+            name: len(os.listdir(f"/proc/{pid}/fd"))
+            for name, pid in processes
+        }
+    except OSError:
+        return None
 
 
 def main(argv=None) -> int:
@@ -96,6 +123,10 @@ def main(argv=None) -> int:
     if "out_of_core" in clean.notes:
         failures.append("clean run unexpectedly went out-of-core")
 
+    if args.workers > 0:
+        get_pool(args.workers).ensure_started()
+    multiprocessing.resource_tracker.ensure_running()
+    fds_before = open_fds()
     with tempfile.TemporaryDirectory(prefix="oc-smoke-") as spill_parent:
         parent = pathlib.Path(spill_parent)
         config = ExecutionConfig(
@@ -136,9 +167,15 @@ def main(argv=None) -> int:
         residue = spill_residue(parent)
         if residue:
             failures.append(f"spill directories leaked: {residue}")
+    fds_after = open_fds()
+    if fds_after != fds_before:
+        failures.append(
+            f"file descriptors leaked: {fds_before} open before the "
+            f"out-of-core run, {fds_after} after"
+        )
 
     shutdown_pool()
-    workers = live_morsel_workers()
+    workers = [child.name for child in morsel_workers()]
     if workers:
         failures.append(f"morsel workers survived shutdown: {workers}")
 
@@ -150,8 +187,9 @@ def main(argv=None) -> int:
     print(
         f"oc smoke OK: spill join under {budget} B budget "
         f"({state_bytes} B state, {args.workers} workers) matched the "
-        f"clean run (matches={clean.match.matches}); no spill or "
-        "worker residue"
+        f"clean run (matches={clean.match.matches}); no spill, worker "
+        "or file-descriptor residue"
+        + ("" if fds_before is not None else " (fd count unavailable)")
     )
     return 0
 
