@@ -3,10 +3,10 @@
 Two halves, mirroring a miniature database server built on the
 reproduction's operators:
 
-- :mod:`repro.service.plan` — pull-based Volcano iterators (Scan →
-  Filter → Partition → Join → GroupBy) compiled from a dict/JSON plan
-  spec. A plan composes the existing operators (:class:`~repro.join.
-  triton.TritonJoin`, :class:`~repro.join.filters.
+- :mod:`repro.service.plan` — pull-based Volcano plan trees (Scan →
+  Filter → Partition → Join → GroupBy) of immutable nodes, compiled
+  from a dict/JSON plan spec. A plan composes the existing operators
+  (:class:`~repro.join.triton.TritonJoin`, :class:`~repro.join.filters.
   BloomFilteredTritonJoin`, :class:`~repro.join.coprocess.
   CoProcessingJoin`, :class:`~repro.join.ladder.DegradationLadder`,
   :class:`~repro.aggregate.group_by.TritonAggregation`) without new
@@ -15,8 +15,7 @@ reproduction's operators:
 - :mod:`repro.service.server` — :class:`JoinService`, a thread-pool
   scheduler with deterministic budget-based admission control, priority
   queues, cooperative per-query timeouts and cancellation, and
-  per-query fault-plan / out-of-core-config / run-cache / telemetry
-  threading.
+  per-query fault-plan / out-of-core-config / telemetry threading.
 
 ``python -m repro.service`` is the CLI; ``tools/load_gen.py`` drives
 thousands of concurrent queries through it and checks every result

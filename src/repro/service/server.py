@@ -4,8 +4,8 @@
 a pool of worker threads with the semantics a shared join server needs:
 
 - **Deterministic admission control.** A query's memory footprint is
-  estimated from its spec alone (:func:`repro.service.plan.
-  estimate_query_bytes`); a query whose estimate exceeds the service
+  estimated from its compiled spec alone (:attr:`repro.service.plan.
+  QueryPlan.estimate_bytes`); a query whose estimate exceeds the service
   budget is rejected at submission — a pure function of (spec, budget),
   never of timing, so the same submission stream always produces the
   same admitted/rejected split and the same event counts.
@@ -195,7 +195,6 @@ class JoinService:
         workers: int = 2,
         memory_budget_bytes: Optional[int] = None,
         queue_limit: Optional[int] = None,
-        use_run_cache: bool = False,
         stage_hook: Optional[Callable[[QueryHandle, str], None]] = None,
         slo=None,
     ) -> None:
@@ -223,10 +222,6 @@ class JoinService:
                 if isinstance(slo, slo_module.SLOMonitor)
                 else slo_module.SLOMonitor(slo)
             )
-        if use_run_cache:
-            from repro.join import run_cache
-
-            run_cache.enable()
         _keep_freed_memory()
         self._queue = _RequestQueue()
         self._requests: dict = {}
@@ -272,8 +267,8 @@ class JoinService:
         if self._shutdown:
             raise ConfigurationError("service is shut down")
         submitted_ts = tracing.wall_now()
-        estimate = plan_module.estimate_query_bytes(spec)
         compiled = plan_module.compile_plan(spec)
+        estimate = compiled.estimate_bytes
         compiled_ts = tracing.wall_now()
         with self._lock:
             self._submitted += 1
