@@ -12,8 +12,9 @@ a processor, the cost-based co-processing join
 partition ranges across both processors concurrently, with the split
 fraction searched by :meth:`repro.advisor.JoinAdvisor.recommend_split`.
 The row to beat is the max of panel (a)'s single-backend rows at every
-size — the CI gate (``tools/bench_diff.py --check-coprocess``) holds
-the co-processing run to that plus both resource pools staying busy.
+size — the CI gate (``tools/bench_diff.py --check-coprocess
+fig16-explain.json``) checks the attribution invariants, then holds the
+co-processing run to that plus both resource pools staying busy.
 """
 
 from __future__ import annotations

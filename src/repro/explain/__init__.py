@@ -113,15 +113,6 @@ class ExplainedRun:
             key=lambda name: (self.seconds_by_bound[name], name),
         )
 
-    def busiest_resource(self) -> Optional[str]:
-        """The resource with the highest average utilization."""
-        if not self.average_utilization:
-            return None
-        return max(
-            self.average_utilization,
-            key=lambda name: (self.average_utilization[name], name),
-        )
-
     # -- invariants ----------------------------------------------------------
 
     def verify(self, tolerance: float = 1e-6) -> List[str]:

@@ -237,15 +237,3 @@ class GpuModel:
         bandwidth *= request.efficiency
         seconds = request.total_bytes / bandwidth
         return AccessCost(seconds, bandwidth, counters, walks=walks)
-
-    def transfer_and_compute_time(
-        self, costs: list, compute_seconds: float
-    ) -> float:
-        """Kernel time: memory phases serialize, compute overlaps.
-
-        GPUs hide memory latency behind computation within a kernel, so a
-        kernel's duration is the maximum of its total memory time and its
-        compute time.
-        """
-        memory_seconds = sum(c.seconds for c in costs)
-        return max(memory_seconds, compute_seconds)

@@ -94,6 +94,26 @@ def _keep_freed_memory() -> None:
         mallopt(_M_ARENA_MAX, 1)
 
 
+def _drop_tracebacks(error: BaseException) -> None:
+    """Detach an error and its cause/context chain from their frames.
+
+    A failed query's traceback frames hold its relations and, through
+    the ``checkpoint`` closure and the frames' ``f_back`` links, the
+    handle that stores the error: a cycle only a full collection frees.
+    Clearing the frames' locals is not enough, so the handle keeps the
+    error without its traceback. ``result()`` re-raises it with a fresh
+    one; ``execute_plan`` raises with the full one.
+    """
+    stack, seen = [error], set()
+    while stack:
+        error = stack.pop()
+        if error is None or id(error) in seen:
+            continue
+        seen.add(id(error))
+        error.__traceback__ = None
+        stack += [error.__cause__, error.__context__]
+
+
 class QueryHandle:
     """One submitted query: status, result, cancellation."""
 
@@ -483,6 +503,8 @@ class JoinService:
             status, handle.error = TIMEOUT, exc
         except BaseException as exc:  # noqa: BLE001 - reported via handle
             status, handle.error = ERROR, exc
+        if handle.error is not None:
+            _drop_tracebacks(handle.error)
         handle.wall_seconds = time.perf_counter() - started
         handle.metrics = scope.snapshot()
         handle.status = status

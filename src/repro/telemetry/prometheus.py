@@ -22,7 +22,7 @@ Surfaces: ``python -m repro.bench ... --prom out.prom`` writes a
 scrape-shaped file; ``--prom-port N`` additionally serves **one** scrape
 over HTTP after the run (:func:`serve_once` — a one-shot handler, not a
 daemon: the bench is a batch process, the scrape is for piping into
-``promtool`` or a pushgateway). ``python -m repro.telemetry.prometheus
+``promtool`` or a pushgateway). ``tools/bench_diff.py --check-prometheus
 out.prom`` validates a written file — the CI gate.
 """
 
@@ -315,33 +315,3 @@ def serve_once(
             pass
 
     return HTTPServer((host, port), _Handler)
-
-
-def main(argv=None) -> int:
-    """Validate exposition files: ``python -m repro.telemetry.prometheus f.prom``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.prometheus",
-        description="Validate Prometheus exposition files.",
-    )
-    parser.add_argument("paths", nargs="+", help="exposition files to check")
-    args = parser.parse_args(argv)
-    failed = False
-    for path in args.paths:
-        with open(path) as handle:
-            text = handle.read()
-        problems = validate_prometheus(text)
-        if problems:
-            failed = True
-            print(f"{path}: {len(problems)} problem(s)")
-            for problem in problems:
-                print(f"  ! {problem}")
-        else:
-            samples = parse_prometheus(text)
-            print(f"{path}: valid ({len(samples)} samples)")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI shim
-    raise SystemExit(main())

@@ -16,9 +16,7 @@ from repro.telemetry.prometheus import (
     serve_once,
     split_labels,
     validate_prometheus,
-    write_prometheus,
 )
-from repro.telemetry.prometheus import main as prom_main
 
 
 @pytest.fixture
@@ -173,22 +171,6 @@ class TestLabels:
         problems = validate_prometheus(document)
         assert any('queue="b"' in p or "queue=b" in p for p in problems)
         assert not any('queue="a"' in p and "count" in p for p in problems)
-
-
-class TestFileAndCli:
-    def test_write_then_cli_validate(self, registry, tmp_path, capsys):
-        registry.count("exec.pool.jobs", 2)
-        registry.observe("join.run_seconds", 0.2)
-        path = tmp_path / "out.prom"
-        write_prometheus(path, registry)
-        assert prom_main([str(path)]) == 0
-        assert "valid" in capsys.readouterr().out
-
-    def test_cli_flags_invalid_file(self, tmp_path, capsys):
-        path = tmp_path / "bad.prom"
-        path.write_text('repro_x_bucket{le="1"} 3\n')
-        assert prom_main([str(path)]) == 1
-        assert "problem" in capsys.readouterr().out
 
 
 class TestServeOnce:

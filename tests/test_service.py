@@ -116,6 +116,46 @@ class TestSerialPath:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize(
+        "outcome, expected",
+        [("cancelled", QueryCancelled), ("raises", RuntimeError)],
+    )
+    def test_failed_handle_frees_its_relations_without_gc(
+        self, system, monkeypatch, outcome, expected
+    ):
+        """A query that stops at a checkpoint stores its error on the
+        handle. The error's traceback must not keep the query's
+        relations (or the handle itself) alive until a full collection."""
+        from repro.data import generator
+
+        generated = []
+        real = generator.generate_pk_fk
+
+        def spy(config):
+            build, probe = real(config)
+            generated.append(weakref.ref(build))
+            return build, probe
+
+        def stop(handle, stage):
+            if outcome == "cancelled":
+                handle.cancel()
+            else:
+                raise RuntimeError(f"hook failed at {stage}")
+
+        monkeypatch.setattr(generator, "generate_pk_fk", spy)
+        gc.disable()
+        try:
+            with JoinService(system=system, workers=1, stage_hook=stop) as service:
+                handle = service.submit(spec())
+                assert handle.wait(30)
+            assert isinstance(handle.error, expected)
+            held = weakref.ref(handle)
+            assert generated and generated[0]() is None
+            del handle
+            assert held() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="glibc allocator"
     )
