@@ -271,10 +271,6 @@ class ChunkedRelation:
             column, np.array([start]), np.array([stop - start])
         )
 
-    def shard_offsets(self, shard: int) -> np.ndarray:
-        """The ``fanout + 1`` partition offsets into one shard's rows."""
-        return self._offset_table()[shard]
-
     def partition_sizes(self) -> np.ndarray:
         """Per-partition row counts summed across all shards."""
         return np.diff(self._offset_table(), axis=1).sum(

@@ -9,8 +9,8 @@ positional read per shard and column on disk — and hash partitions are
 disjoint, so per-morsel :class:`~repro.join.base.JoinMatch` summaries
 merge exactly: the checksums are order-independent modular sums (the same
 property :func:`repro.join.coprocess.merge_matches` relies on), so the
-merged summary equals the summary of the whole join's ordered pairs
-(:func:`repro.join.batched.batched_radix_join_arrays`).
+merged summary equals that of the per-partition reference loop
+(:func:`repro.join.batched.reference_radix_join`).
 
 Each morsel runs :func:`~repro.hashing.batch.grouped_bucket_chaining_
 join` with the partition ids **rebased** to the morsel's range. The

@@ -18,7 +18,7 @@ time and retry backoff) or a wait edge in front of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.trace import TaskRecord
@@ -167,7 +167,3 @@ def slack_by_task(
                 for s in succs
             )
     return slack
-
-
-def path_task_ids(steps: Sequence[PathStep]) -> Tuple[int, ...]:
-    return tuple(step.record.task_id for step in steps)

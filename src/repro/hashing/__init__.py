@@ -9,10 +9,7 @@ functionally on numpy arrays and also exposes an access-cost profile
 the join cost models consume.
 """
 
-from repro.hashing.batch import (
-    grouped_bucket_chaining_join,
-    grouped_perfect_join,
-)
+from repro.hashing.batch import grouped_bucket_chaining_join
 from repro.hashing.functions import (
     fibonacci_hash,
     hash_u64,
@@ -34,7 +31,6 @@ __all__ = [
     "TableProfile",
     "fibonacci_hash",
     "grouped_bucket_chaining_join",
-    "grouped_perfect_join",
     "hash_u64",
     "multiply_shift",
     "murmur_mix",

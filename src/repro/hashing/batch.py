@@ -5,18 +5,13 @@ partition and probe it — which the functional layer used to execute as a
 Python loop over thousands of tiny tables. This module runs the *same*
 logical computation for every partition at once, as a constant number of
 vectorized numpy passes, mirroring how the GPU executes all partitions
-as one bulk kernel launch:
-
-- :func:`grouped_bucket_chaining_join` concatenates every partition's
-  2048-bucket chaining table into a single bucket space keyed by
-  ``(group, bucket)``, builds it with one linear counting scatter
-  (:mod:`repro.kernels.scatter`), and probes every partition with one
-  range expansion — identical pairs, in identical order, to a
-  per-partition :class:`~repro.hashing.bucket_chaining.
-  BucketChainingTable` loop.
-- :func:`grouped_perfect_join` is the same trick for the per-partition
-  perfect-hash ("array join") path, on the composite ``(group, key)``
-  space.
+as one bulk kernel launch. :func:`grouped_bucket_chaining_join`
+concatenates every partition's 2048-bucket chaining table into a single
+bucket space keyed by ``(group, bucket)``, builds it with one linear
+counting scatter (:mod:`repro.kernels.scatter`), and probes every
+partition with one range expansion — identical pairs, in identical
+order, to a per-partition :class:`~repro.hashing.bucket_chaining.
+BucketChainingTable` loop.
 
 Probes index a dense per-``(group, bucket)`` offsets table directly
 (O(1) per probe) while that table is no larger than the build side
@@ -217,94 +212,3 @@ def grouped_bucket_chaining_join(
             return _EMPTY, _EMPTY
         hit = sorted_keys[candidates] == probe_keys[probe_idx]
         return probe_idx[hit], sorted_values[candidates[hit]]
-
-
-def grouped_perfect_join(
-    build_keys: np.ndarray,
-    build_values: np.ndarray,
-    build_groups: np.ndarray,
-    probe_keys: np.ndarray,
-    probe_groups: np.ndarray,
-    reference: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-partition perfect-hash (array join) lookups in one pass.
-
-    Equivalent to building a ``PerfectTable`` per group and probing it:
-    build keys must be positive and unique within their group; every
-    probe finds at most one match, emitted in probe-row order. While
-    the composite ``(group, key)`` space is no larger than the build
-    side, probes index its histogram and offsets tables directly (one
-    O(1) lookup, like the array join itself); otherwise one ordering of
-    the composite space plus one binary search keep the footprint
-    O(build). ``reference=True`` forces the argsort + ``searchsorted``
-    path; all paths are byte-identical.
-    """
-    build_keys = np.asarray(build_keys, dtype=np.int64)
-    build_values = np.asarray(build_values, dtype=np.int64)
-    probe_keys = np.asarray(probe_keys, dtype=np.int64)
-    _aligned(build_keys, build_values, "build")
-    _aligned(build_keys, np.asarray(build_groups), "build")
-    _aligned(probe_keys, np.asarray(probe_groups), "probe")
-    if len(build_keys) == 0 or len(probe_keys) == 0:
-        return _EMPTY, _EMPTY
-    if build_keys.min() < 1:
-        raise ConfigurationError(
-            "perfect hashing requires dense keys in [1, key_range]"
-        )
-    build_groups = np.asarray(build_groups, dtype=np.int64)
-    probe_groups = np.asarray(probe_groups, dtype=np.int64)
-
-    key_range = int(build_keys.max())
-    span = np.int64(key_range + 1)
-    max_group = int(max(build_groups.max(), probe_groups.max(), 0))
-    if (max_group + 1) * (key_range + 1) >= 2**62:
-        raise ConfigurationError(
-            "grouped perfect join: group * key_range space exceeds int64"
-        )
-
-    composite = build_groups * span + build_keys
-    in_range = (probe_keys >= 1) & (probe_keys <= key_range)
-    probe_composite = probe_groups * span + np.where(in_range, probe_keys, 0)
-
-    sp = telemetry.span(
-        "grouped_perfect_join",
-        build=len(build_keys),
-        probe=len(probe_keys),
-        key_range=key_range,
-    )
-    with sp:
-        reference = reference or reference_mode_active()
-        domain = None if reference else _slot_domain(
-            build_groups, probe_groups, key_range + 1
-        )
-        if domain is not None and (
-            dense_table_fits(len(build_keys), domain)
-            or counting_offsets_free(len(build_keys), domain)
-        ):
-            telemetry.registry.count("batch.probe.dense")
-            sp.set(probe_path="dense")
-            order, offsets = counting_order_and_offsets(composite, domain)
-            counts = np.diff(offsets)
-            if int(counts.max()) > 1:
-                raise ConfigurationError("perfect hashing requires unique keys")
-            # Unique keys make every span 0 or 1 wide: the offsets entry is
-            # the match's position, the histogram entry is the hit test.
-            hit = (counts[probe_composite] > 0) & in_range
-            idx = np.nonzero(hit)[0]
-            return idx, build_values[order][offsets[probe_composite][hit]]
-
-        telemetry.registry.count("batch.probe.searchsorted")
-        sp.set(probe_path="searchsorted")
-        if domain is None:
-            order = np.argsort(composite, kind="stable")
-        else:
-            order = counting_order(composite, domain)
-        sorted_composite = composite[order]
-        if np.any(sorted_composite[1:] == sorted_composite[:-1]):
-            raise ConfigurationError("perfect hashing requires unique keys")
-
-        pos = np.searchsorted(sorted_composite, probe_composite)
-        pos_clamped = np.minimum(pos, len(sorted_composite) - 1)
-        hit = (sorted_composite[pos_clamped] == probe_composite) & in_range
-        idx = np.nonzero(hit)[0]
-        return idx, build_values[order][pos_clamped[hit]]

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.batch import expand_ranges
-from repro.hashing.functions import bucket_of, hash_u64, multiply_shift
+from repro.hashing.functions import bucket_of, multiply_shift
 from repro.hashing.hash_table import (
     HashScheme,
     HashTable,
@@ -106,8 +106,3 @@ class BucketChainingTable(HashTable):
     def chain_lengths(self) -> np.ndarray:
         """Per-bucket chain lengths (for balance diagnostics)."""
         return np.diff(self._offsets)
-
-    @staticmethod
-    def hash_keys(keys: np.ndarray) -> np.ndarray:
-        """Precompute hashes once for build-then-probe flows."""
-        return hash_u64(np.asarray(keys, dtype=np.int64))

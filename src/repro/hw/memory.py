@@ -150,13 +150,6 @@ class InterleavedMapping:
     def page_count(self) -> int:
         return -(-self.total_bytes // self.page_bytes)
 
-    @property
-    def gpu_page_count(self) -> int:
-        """GPU pages, chosen so the byte split matches ``gpu_bytes``."""
-        if self.total_bytes == 0:
-            return 0
-        return round(self.page_count * self.gpu_fraction)
-
     def page_space(self, page_index: int) -> MemSpace:
         """Physical location of virtual page ``page_index``.
 

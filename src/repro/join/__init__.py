@@ -24,7 +24,7 @@ from repro.join.ladder import (
     coprocess_rungs,
     default_rungs,
 )
-from repro.join.batched import batched_radix_join, batched_radix_join_arrays
+from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.caching import CachePolicy, CachePlan, plan_cache
 from repro.join.no_partitioning import NoPartitioningJoin
 from repro.join.cpu_radix import CpuRadixJoin
@@ -52,8 +52,8 @@ __all__ = [
     "batched_radix_join",
     "coprocess_rungs",
     "default_rungs",
-    "batched_radix_join_arrays",
     "plan_cache",
     "reference_join",
+    "reference_radix_join",
     "run_cache",
 ]

@@ -201,15 +201,6 @@ def reference_join(build: Relation, probe: Relation) -> JoinMatch:
     return JoinMatch.from_arrays(probe.keys[hit], payload[pos_clamped[hit]])
 
 
-def scale_seconds(seconds: float, workload: Workload) -> float:
-    """No-op hook kept for clarity: simulated times are already nominal.
-
-    Cost models always work on nominal cardinalities; functional arrays
-    are scaled. This helper documents that contract at call sites.
-    """
-    return seconds
-
-
 def result_bytes(matches_nominal: float) -> float:
     """Bytes written for materializing a join result."""
     return matches_nominal * RESULT_TUPLE_BYTES

@@ -1,10 +1,12 @@
-"""Batched functional execution of partitioned joins.
+"""Functional partitioned joins: the batched path and its reference.
 
-The join operators' reference paths loop over radix partitions in
-Python: partition, then per partition (optionally) re-partition and
-build/probe a scratchpad hash table. At 2**12-2**14 partitions this
-dispatch overhead dominates the functional layer's wall-clock — the
-co-processing pitfall the paper's bulk GPU kernels avoid by design.
+:func:`reference_radix_join` is the join as the paper states it, and
+the one reference every other functional path is checked against:
+partition, then per partition (optionally) re-partition and
+build/probe a scratchpad hash table, in a Python loop. At 2**12-2**14
+partitions this dispatch overhead dominates the functional layer's
+wall-clock — the co-processing pitfall the paper's bulk GPU kernels
+avoid by design.
 
 :func:`batched_radix_join` runs the same join the way the paper's
 Triton join does: partition once, then join cache-sized pieces.
@@ -25,27 +27,23 @@ Triton join does: partition once, then join cache-sized pieces.
 
 The summary is order-independent, so the second pass's ``bits2``
 subdivision (which only reorders rows inside a partition) changes
-nothing and is skipped. :func:`batched_radix_join_arrays` keeps the
-ordered-pairs form — one stable sort by the composite ``(pass-1,
-pass-2)`` window and one grouped join over the whole relation — whose
-pairs are byte-identical, in identical order, to the per-partition
-reference loops; tests cross-check both functions against it.
+nothing and is skipped. Tests check the summary and the pass-1
+histogram against :func:`reference_radix_join`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
-from repro.hashing.batch import DEFAULT_BUCKETS, grouped_bucket_chaining_join
-from repro.hashing.functions import hash_u64, radix_window
+from repro.hashing.batch import DEFAULT_BUCKETS
+from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.join import base
-from repro.kernels.scatter import counting_order
-from repro.partition.radix import radix_histogram
+from repro.partition.radix import partition_relation, radix_histogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -57,62 +55,54 @@ def _validate_bits(bits1: int, bits2: int) -> None:
         raise ConfigurationError("bits2 cannot be negative")
 
 
-def _composite_order(
-    hashed: np.ndarray, bits1: int, bits2: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Partitioned order and pass-1 group ids for one relation.
-
-    Returns ``(order, groups)``: the stable permutation equivalent to
-    partitioning by ``bits1`` low hash bits then, within each partition,
-    by the next ``bits2`` bits — and each reordered row's pass-1
-    partition id (non-decreasing).
-    """
-    selector1 = radix_window(hashed, bits1, 0)
-    if bits2 > 0:
-        selector2 = radix_window(hashed, bits2, bits1)
-        composite = (selector1 << np.int64(bits2)) | selector2
-    else:
-        composite = selector1
-    # Composite selectors are dense in [0, 2**(bits1 + bits2)): the
-    # counting kernel orders them in linear time (argsort at oversized
-    # radix windows — identical output either way).
-    order = counting_order(composite, 1 << (bits1 + bits2))
-    return order, selector1[order]
-
-
-def batched_radix_join_arrays(
+def reference_radix_join(
     build: Relation,
     probe: Relation,
     bits1: int,
     bits2: int = 0,
     buckets: int = DEFAULT_BUCKETS,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The join's matched ``(probe_keys, build_values)`` arrays, in order.
+    histogram: Optional[np.ndarray] = None,
+) -> base.JoinMatch:
+    """The partitioned join, one radix partition at a time.
 
-    Byte-identical to concatenating the reference loop's per-partition
-    outputs (tests assert this element-wise). This is the ordered-pairs
-    reference the summary path is checked against; no operator runs it.
+    Partitions both relations by ``bits1`` hash bits; then, for every
+    partition both sides populate, a second pass by ``bits2`` bits at
+    offset ``bits1`` (reusing the carried hashes) and one
+    :class:`~repro.hashing.bucket_chaining.BucketChainingTable` built and
+    probed. Arguments and result are those of
+    :func:`batched_radix_join`, which must match it; the operators'
+    ``reference=True`` mode runs it, and it never diverts out of core.
     """
     _validate_bits(bits1, bits2)
-    if len(build) == 0 or len(probe) == 0:
-        return _EMPTY, _EMPTY
-    build_hashes = hash_u64(build.keys)
-    probe_hashes = hash_u64(probe.keys)
-    build_order, build_groups = _composite_order(build_hashes, bits1, bits2)
-    probe_order, probe_groups = _composite_order(probe_hashes, bits1, bits2)
-
-    probe_keys = probe.keys[probe_order]
-    idx, values = grouped_bucket_chaining_join(
-        build.keys[build_order],
-        base.build_payload_column(build)[build_order],
-        build_groups,
-        probe_keys,
-        probe_groups,
-        buckets=buckets,
-        build_hashes=build_hashes[build_order],
-        probe_hashes=probe_hashes[probe_order],
+    build_parts = partition_relation(build, bits1)
+    probe_parts = partition_relation(probe, bits1)
+    build_sizes, probe_sizes = build_parts.sizes(), probe_parts.sizes()
+    if histogram is not None:
+        np.add(build_sizes, probe_sizes, out=histogram)
+    probe_keys, payloads = [_EMPTY], [_EMPTY]
+    both = (build_sizes > 0) & (probe_sizes > 0)
+    for index in np.flatnonzero(both).tolist():
+        build_i = build_parts.partition(index)
+        probe_i = probe_parts.partition(index)
+        build_hashes = build_parts.partition_hashes(index)
+        probe_hashes = probe_parts.partition_hashes(index)
+        if bits2 > 0:
+            build_2 = partition_relation(build_i, bits2, bits1, build_hashes)
+            probe_2 = partition_relation(probe_i, bits2, bits1, probe_hashes)
+            build_i, build_hashes = build_2.relation, build_2.hashed
+            probe_i, probe_hashes = probe_2.relation, probe_2.hashed
+        table = BucketChainingTable(
+            build_i.keys,
+            base.build_payload_column(build_i),
+            buckets=buckets,
+            hashes=build_hashes,
+        )
+        idx, values = table.probe(probe_i.keys, hashes=probe_hashes)
+        probe_keys.append(probe_i.keys[idx])
+        payloads.append(values)
+    return base.JoinMatch.from_arrays(
+        np.concatenate(probe_keys), np.concatenate(payloads)
     )
-    return probe_keys[idx], values
 
 
 def batched_radix_join(
@@ -139,9 +129,9 @@ def batched_radix_join(
     when a host-memory budget is exceeded (or ``force`` is set), the
     join runs through :func:`repro.exec.outofcore.out_of_core_join` —
     spilled radix shards and/or the morsel worker pool — and returns the
-    identical match summary. The reference per-partition loops and
-    :func:`batched_radix_join_arrays` never divert, so cross-checks
-    always compare against a plain in-memory execution.
+    identical match summary. :func:`reference_radix_join` never
+    diverts, so cross-checks always compare against a plain in-memory
+    execution.
     """
     # Deferred imports: repro.exec sits above the join layer (it reuses
     # JoinMatch and the grouped kernels); importing it lazily keeps the

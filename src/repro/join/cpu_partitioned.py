@@ -19,14 +19,11 @@ with the GPU's link reads.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro import telemetry
 from repro.data.generator import Workload
 from repro.errors import ConfigurationError
-from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.hashing.hash_table import HashScheme
 from repro.hw.cpu import CpuModel
 from repro.hw.gpu import GpuModel, MemoryRequest
@@ -34,7 +31,7 @@ from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.tlb import MemSpace
 from repro.join import base
 from repro.join.base import JoinOperator, JoinRun
-from repro.join.batched import batched_radix_join
+from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.partition.planner import RadixPlan, plan_radix_join
 from repro.partition.shared import SharedPartitioner
 from repro.partition.swwc import CpuSwwcPartitioner
@@ -85,56 +82,9 @@ class CpuPartitionedJoin(JoinOperator):
     # -- functional -----------------------------------------------------------
 
     def _functional_join(self, workload: Workload, plan: RadixPlan) -> base.JoinMatch:
-        bits1 = min(plan.bits1, 10)
-        if self.reference:
-            return self._functional_join_reference(workload, bits1, plan.bits2)
-        return batched_radix_join(
-            workload.build, workload.probe, bits1, plan.bits2
-        )
-
-    def _functional_join_reference(
-        self, workload: Workload, bits1: int, bits2: int
-    ) -> base.JoinMatch:
-        """Per-partition loop the batched path must match byte-for-byte."""
-        build_parts = self.partitioner.partition(workload.build, bits1)
-        probe_parts = self.partitioner.partition(workload.probe, bits1)
-        probe_keys: List[np.ndarray] = []
-        payloads: List[np.ndarray] = []
-        for index in range(build_parts.fanout):
-            b_rows = build_parts.partition_rows(index)
-            p_rows = probe_parts.partition_rows(index)
-            if b_rows.stop == b_rows.start or p_rows.stop == p_rows.start:
-                continue
-            build_i = build_parts.relation.take(
-                np.arange(b_rows.start, b_rows.stop)
-            )
-            probe_i = probe_parts.relation.take(
-                np.arange(p_rows.start, p_rows.stop)
-            )
-            build_hashes = build_parts.partition_hashes(index)
-            probe_hashes = probe_parts.partition_hashes(index)
-            if bits2 > 0:
-                build_2 = self.second_pass.partition(
-                    build_i, bits2, offset=bits1, hashed=build_hashes
-                )
-                probe_2 = self.second_pass.partition(
-                    probe_i, bits2, offset=bits1, hashed=probe_hashes
-                )
-                build_i, build_hashes = build_2.relation, build_2.hashed
-                probe_i, probe_hashes = probe_2.relation, probe_2.hashed
-            table = BucketChainingTable(
-                build_i.keys,
-                base.build_payload_column(build_i),
-                hashes=build_hashes,
-            )
-            idx, values = table.probe(probe_i.keys, hashes=probe_hashes)
-            probe_keys.append(probe_i.keys[idx])
-            payloads.append(values)
-        if not probe_keys:
-            empty = np.empty(0, dtype=np.int64)
-            return base.JoinMatch.from_arrays(empty, empty)
-        return base.JoinMatch.from_arrays(
-            np.concatenate(probe_keys), np.concatenate(payloads)
+        join = reference_radix_join if self.reference else batched_radix_join
+        return join(
+            workload.build, workload.probe, min(plan.bits1, 10), plan.bits2
         )
 
     # -- cost -----------------------------------------------------------------

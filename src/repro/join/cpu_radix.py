@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro import telemetry
 from repro.data.generator import Workload
-from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.hashing.hash_table import HashScheme
 from repro.hw.cpu import CpuModel
 from repro.join import base
 from repro.join.base import JoinOperator, JoinRun
-from repro.join.batched import batched_radix_join
+from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.partition.swwc import CpuSwwcPartitioner
 from repro.sim.engine import SimEngine
 from repro.sim.kernels import CpuTaskBuilder
@@ -51,10 +48,11 @@ def radix_bits_for(build_rows: int) -> int:
 class CpuRadixJoin(JoinOperator):
     """Radix-partitioned hash join on one CPU socket.
 
-    ``reference=True`` switches the functional layer back to the
-    per-partition Python loop (one scratchpad table per partition);
-    the default batched path computes identical results in single
-    vectorized passes. Tests cross-check both.
+    ``reference=True`` switches the functional layer to
+    :func:`~repro.join.batched.reference_radix_join`, the per-partition
+    Python loop (one scratchpad table per partition); the default
+    batched path computes identical results in single vectorized
+    passes. Tests cross-check both.
     """
 
     uses_gpu = False
@@ -78,41 +76,8 @@ class CpuRadixJoin(JoinOperator):
     # -- functional -----------------------------------------------------------
 
     def _functional_join(self, workload: Workload, bits: int) -> base.JoinMatch:
-        if self.reference:
-            return self._functional_join_reference(workload, bits)
-        return batched_radix_join(workload.build, workload.probe, bits)
-
-    def _functional_join_reference(
-        self, workload: Workload, bits: int
-    ) -> base.JoinMatch:
-        """The per-partition loop the batched path must match exactly."""
-        build_parts = self.partitioner.partition(workload.build, bits)
-        probe_parts = self.partitioner.partition(workload.probe, bits)
-        probe_keys = []
-        payloads = []
-        build_values = base.build_payload_column(build_parts.relation)
-        for index in range(build_parts.fanout):
-            b_rows = build_parts.partition_rows(index)
-            p_rows = probe_parts.partition_rows(index)
-            if b_rows.stop == b_rows.start or p_rows.stop == p_rows.start:
-                continue
-            table = BucketChainingTable(
-                build_parts.relation.keys[b_rows],
-                build_values[b_rows],
-                hashes=build_parts.partition_hashes(index),
-            )
-            part_probe_keys = probe_parts.relation.keys[p_rows]
-            idx, values = table.probe(
-                part_probe_keys, hashes=probe_parts.partition_hashes(index)
-            )
-            probe_keys.append(part_probe_keys[idx])
-            payloads.append(values)
-        if not probe_keys:
-            empty = np.empty(0, dtype=np.int64)
-            return base.JoinMatch.from_arrays(empty, empty)
-        return base.JoinMatch.from_arrays(
-            np.concatenate(probe_keys), np.concatenate(payloads)
-        )
+        join = reference_radix_join if self.reference else batched_radix_join
+        return join(workload.build, workload.probe, bits)
 
     # -- cost -----------------------------------------------------------------
 

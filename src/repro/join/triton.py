@@ -28,14 +28,13 @@ import numpy as np
 from repro import faults, telemetry
 from repro.data.generator import Workload
 from repro.errors import CapacityError, ConfigurationError
-from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.hashing.hash_table import HashScheme
 from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.tlb import MemSpace
 from repro.join import base
 from repro.join.base import JoinOperator, JoinRun
-from repro.join.batched import batched_radix_join
+from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.caching import (
     PIPELINE_RESERVED_BYTES,
     CachePlan,
@@ -158,75 +157,18 @@ class TritonJoin(JoinOperator):
     ) -> Tuple[base.JoinMatch, np.ndarray]:
         """Execute the multi-pass partitioned join on the scaled arrays.
 
-        The default path batches both passes and every per-partition
-        scratchpad join into single vectorized passes; ``reference=True``
-        runs the original per-partition loop, which tests cross-check
-        for byte-identical results. Returns the match and the pass-1
-        histogram (build + probe partition sizes) the first pass
-        counted, which :meth:`build_graph` weights the pipeline with.
+        ``reference=True`` runs :func:`reference_radix_join`, the
+        per-partition loop tests cross-check the batched path against.
+        Returns the match and the pass-1 histogram (build + probe
+        partition sizes) the first pass counted, which
+        :meth:`build_graph` weights the pipeline with.
         """
         bits1 = min(plan.bits1, 10)
-        if self.reference:
-            return self._functional_join_reference(workload, bits1, plan.bits2)
         histogram = np.empty(1 << bits1, dtype=np.int64)
-        match = batched_radix_join(
+        join = reference_radix_join if self.reference else batched_radix_join
+        match = join(
             workload.build, workload.probe, bits1, plan.bits2,
             histogram=histogram,
-        )
-        return match, histogram
-
-    def _functional_join_reference(
-        self, workload: Workload, bits1: int, bits2: int
-    ) -> Tuple[base.JoinMatch, np.ndarray]:
-        """Per-partition loop: one second pass + table per partition.
-
-        The per-final-partition scratchpad joins are equivalent to
-        joining each first-level partition at once (hash partitions are
-        disjoint), which keeps even the reference layer vectorized
-        within a partition.
-        """
-        build_parts = self.first_pass.partition(workload.build, bits1)
-        probe_parts = self.first_pass.partition(workload.probe, bits1)
-        histogram = build_parts.sizes() + probe_parts.sizes()
-        probe_keys: List[np.ndarray] = []
-        payloads: List[np.ndarray] = []
-        for index in range(build_parts.fanout):
-            b_rows = build_parts.partition_rows(index)
-            p_rows = probe_parts.partition_rows(index)
-            if b_rows.stop == b_rows.start or p_rows.stop == p_rows.start:
-                continue
-            build_i = build_parts.relation.take(
-                np.arange(b_rows.start, b_rows.stop)
-            )
-            probe_i = probe_parts.relation.take(
-                np.arange(p_rows.start, p_rows.stop)
-            )
-            build_hashes = build_parts.partition_hashes(index)
-            probe_hashes = probe_parts.partition_hashes(index)
-            if bits2 > 0:
-                # Second pass: reorder by the next-higher radix bits.
-                # Payload columns travel with their tuples, so the hash
-                # table values are re-read from the reordered relation.
-                build_2 = self.second_pass.partition(
-                    build_i, bits2, offset=bits1, hashed=build_hashes
-                )
-                probe_2 = self.second_pass.partition(
-                    probe_i, bits2, offset=bits1, hashed=probe_hashes
-                )
-                build_i, build_hashes = build_2.relation, build_2.hashed
-                probe_i, probe_hashes = probe_2.relation, probe_2.hashed
-            values_i = base.build_payload_column(build_i)
-            table = BucketChainingTable(
-                build_i.keys, values_i, hashes=build_hashes
-            )
-            idx, values = table.probe(probe_i.keys, hashes=probe_hashes)
-            probe_keys.append(probe_i.keys[idx])
-            payloads.append(values)
-        if not probe_keys:
-            empty = np.empty(0, dtype=np.int64)
-            return base.JoinMatch.from_arrays(empty, empty), histogram
-        match = base.JoinMatch.from_arrays(
-            np.concatenate(probe_keys), np.concatenate(payloads)
         )
         return match, histogram
 

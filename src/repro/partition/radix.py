@@ -77,10 +77,6 @@ class PartitionedRelation:
             name=f"{self.relation.name}[{index}]",
         )
 
-    def partition_size(self, index: int) -> int:
-        rows = self.partition_rows(index)
-        return rows.stop - rows.start
-
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 

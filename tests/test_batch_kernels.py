@@ -1,11 +1,12 @@
 """Property tests: batched partition-wise kernels vs. reference loops.
 
-The batched functional path (``repro.hashing.batch`` and
-``repro.join.batched``) must be *byte-identical* to the per-partition
-reference loops it replaces — same matched pairs, in the same order,
-and identical simulated cost (counters and phase profiles), across
-random fanouts, skew, duplicate keys, and empty partitions. The
-morsel-driven summary path must equal the summary of those pairs.
+The grouped kernel (``repro.hashing.batch``) must be *byte-identical*
+to a per-group table loop — same matched pairs, in the same order. The
+morsel-driven join (``batched_radix_join``) must give the same summary
+and pass-1 histogram as the per-partition loop
+(``reference_radix_join``), and operators in either mode the same
+simulated cost (counters and phase profiles), across random fanouts,
+skew, duplicate keys, and empty partitions.
 """
 
 import numpy as np
@@ -19,22 +20,15 @@ from repro.errors import ConfigurationError
 from repro.exec.context import DEFAULT_MORSEL_ROWS, ExecutionConfig
 from repro.exec.morsel import partition_state, plan_morsels
 from repro.exec.outofcore import out_of_core_join
-from repro.hashing.batch import (
-    expand_ranges,
-    grouped_bucket_chaining_join,
-    grouped_perfect_join,
-)
+from repro.hashing.batch import expand_ranges, grouped_bucket_chaining_join
 from repro.hashing.bucket_chaining import BucketChainingTable
-from repro.hashing.perfect import PerfectTable
 from repro.hw.specs import ac922
 from repro.join import run_cache
-from repro.join.base import JoinMatch
-from repro.join.batched import batched_radix_join, batched_radix_join_arrays
+from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.cpu_partitioned import CpuPartitionedJoin
 from repro.join.cpu_radix import CpuRadixJoin
 from repro.join.multi_gpu import MultiGpuTritonJoin
 from repro.join.triton import TritonJoin
-from repro.partition.radix import partition_relation
 
 SYSTEM = ac922()
 
@@ -68,8 +62,8 @@ def grouped_inputs(draw):
     return build_keys, build_values, build_groups, probe_keys, probe_groups
 
 
-def _loop_reference(table_cls, build_keys, build_values, build_groups,
-                    probe_keys, probe_groups, **table_kwargs):
+def _loop_reference(build_keys, build_values, build_groups,
+                    probe_keys, probe_groups, buckets):
     """Per-group table build/probe — the semantics batching must match."""
     out_idx, out_values = [], []
     groups = int(
@@ -84,7 +78,9 @@ def _loop_reference(table_cls, build_keys, build_values, build_groups,
         p = np.nonzero(probe_groups == g)[0]
         if not b.any() or len(p) == 0:
             continue
-        table = table_cls(build_keys[b], build_values[b], **table_kwargs)
+        table = BucketChainingTable(
+            build_keys[b], build_values[b], buckets=buckets
+        )
         idx, values = table.probe(probe_keys[p])
         out_idx.append(p[idx])
         out_values.append(values)
@@ -102,9 +98,7 @@ class TestGroupedBucketChaining:
         got_idx, got_values = grouped_bucket_chaining_join(
             bk, bv, bg, pk, pg, buckets=buckets
         )
-        want_idx, want_values = _loop_reference(
-            BucketChainingTable, bk, bv, bg, pk, pg, buckets=buckets
-        )
+        want_idx, want_values = _loop_reference(bk, bv, bg, pk, pg, buckets)
         np.testing.assert_array_equal(got_idx, want_idx)
         np.testing.assert_array_equal(got_values, want_values)
 
@@ -123,44 +117,6 @@ class TestGroupedBucketChaining:
         with pytest.raises(ConfigurationError):
             grouped_bucket_chaining_join(ones, ones, ones, ones, ones,
                                          buckets=3)
-
-
-class TestGroupedPerfect:
-    @given(grouped_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_per_group_table_loop(self, inputs):
-        bk, bv, bg, pk, pg = inputs
-        # Perfect hashing needs unique keys per group: dedupe within
-        # groups, keeping first occurrences (stable, like the loop).
-        seen = set()
-        keep = np.zeros(len(bk), dtype=bool)
-        for i, (g, k) in enumerate(zip(bg, bk)):
-            if (g, k) not in seen:
-                seen.add((g, k))
-                keep[i] = True
-        bk, bv, bg = bk[keep], bv[keep], bg[keep]
-        got_idx, got_values = grouped_perfect_join(bk, bv, bg, pk, pg)
-        want_idx, want_values = _loop_reference(
-            PerfectTable, bk, bv, bg, pk, pg
-        )
-        np.testing.assert_array_equal(got_idx, want_idx)
-        np.testing.assert_array_equal(got_values, want_values)
-
-    def test_rejects_duplicate_keys_within_group(self):
-        keys = np.array([5, 5], dtype=np.int64)
-        groups = np.zeros(2, dtype=np.int64)
-        with pytest.raises(ConfigurationError):
-            grouped_perfect_join(keys, keys, groups, keys, groups)
-
-    def test_duplicate_keys_in_distinct_groups_are_fine(self):
-        keys = np.array([5, 5], dtype=np.int64)
-        values = np.array([10, 20], dtype=np.int64)
-        groups = np.array([0, 1], dtype=np.int64)
-        idx, got = grouped_perfect_join(
-            keys, values, groups, keys, groups
-        )
-        np.testing.assert_array_equal(idx, [0, 1])
-        np.testing.assert_array_equal(got, [10, 20])
 
 
 class TestExpandRanges:
@@ -223,49 +179,21 @@ def pk_fk_relations(
 
 
 class TestBatchedRadixJoin:
-    @given(pk_fk_relations(), st.integers(1, 8), st.integers(0, 4))
+    @given(
+        pk_fk_relations(min_build_rows=0),
+        st.integers(1, 14),
+        st.integers(0, 4),
+    )
     @settings(max_examples=60, deadline=None)
     def test_matches_partitioned_loop(self, relations, bits1, bits2):
-        """Byte-identical pairs vs. the two-pass per-partition loop."""
+        """Same summary and pass-1 histogram as the per-partition loop."""
         build, probe = relations
-        got_keys, got_values = batched_radix_join_arrays(
-            build, probe, bits1, bits2
-        )
-        build_parts = partition_relation(build, bits1)
-        probe_parts = partition_relation(probe, bits1)
-        want_keys, want_values = [], []
-        for index in range(build_parts.fanout):
-            b_rows = build_parts.partition_rows(index)
-            p_rows = probe_parts.partition_rows(index)
-            if b_rows.stop == b_rows.start or p_rows.stop == p_rows.start:
-                continue
-            build_i = build_parts.relation.take(
-                np.arange(b_rows.start, b_rows.stop)
-            )
-            probe_i = probe_parts.relation.take(
-                np.arange(p_rows.start, p_rows.stop)
-            )
-            if bits2 > 0:
-                build_i = partition_relation(
-                    build_i, bits2, offset=bits1
-                ).relation
-                probe_i = partition_relation(
-                    probe_i, bits2, offset=bits1
-                ).relation
-            table = BucketChainingTable(
-                build_i.keys, build_i.payloads["attr0"]
-            )
-            idx, values = table.probe(probe_i.keys)
-            want_keys.append(probe_i.keys[idx])
-            want_values.append(values)
-        if want_keys:
-            want_keys = np.concatenate(want_keys)
-            want_values = np.concatenate(want_values)
-        else:
-            want_keys = np.empty(0, dtype=np.int64)
-            want_values = np.empty(0, dtype=np.int64)
-        np.testing.assert_array_equal(got_keys, want_keys)
-        np.testing.assert_array_equal(got_values, want_values)
+        h1 = np.empty(1 << bits1, dtype=np.int64)
+        h2 = np.empty(1 << bits1, dtype=np.int64)
+        want = reference_radix_join(build, probe, bits1, bits2, histogram=h1)
+        got = batched_radix_join(build, probe, bits1, bits2, histogram=h2)
+        assert got == want
+        assert np.array_equal(h1, h2)
 
     @given(
         pk_fk_relations(min_build_rows=0, duplicate_build_keys=True),
@@ -276,12 +204,10 @@ class TestBatchedRadixJoin:
     def test_summary_matches_ordered_pairs_and_out_of_core(
         self, relations, bits1, bits2
     ):
-        """The morsel summary path equals the ordered-pairs reference
-        and the forced out-of-core executor."""
+        """The morsel summary path and the forced out-of-core executor
+        equal the summary of the per-partition loop's ordered pairs."""
         build, probe = relations
-        want = JoinMatch.from_arrays(
-            *batched_radix_join_arrays(build, probe, bits1, bits2)
-        )
+        want = reference_radix_join(build, probe, bits1, bits2)
         assert batched_radix_join(build, probe, bits1, bits2) == want
         forced = out_of_core_join(
             build, probe, bits1, bits2, config=ExecutionConfig(force=True)
@@ -309,9 +235,7 @@ class TestBatchedRadixJoin:
             DEFAULT_MORSEL_ROWS,
         )
         assert len(morsels) > 1
-        want = JoinMatch.from_arrays(
-            *batched_radix_join_arrays(build, probe, bits1, bits2)
-        )
+        want = reference_radix_join(build, probe, bits1, bits2)
         assert want.matches > 0
         assert batched_radix_join(build, probe, bits1, bits2) == want
 

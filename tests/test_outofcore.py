@@ -25,7 +25,7 @@ from repro.exec.pool import ShmBlock, get_pool, shutdown_pool
 from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.join import run_cache
 from repro.join.base import JoinMatch
-from repro.join.batched import batched_radix_join, batched_radix_join_arrays
+from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.triton import TritonJoin
 
 BITS1 = 6
@@ -33,11 +33,9 @@ BITS1 = 6
 
 @pytest.fixture(scope="module")
 def reference(small_workload):
-    """The summary of the ordered-pairs join every path must reproduce."""
-    return JoinMatch.from_arrays(
-        *batched_radix_join_arrays(
-            small_workload.build, small_workload.probe, BITS1, 4
-        )
+    """The per-partition loop's summary every path must reproduce."""
+    return reference_radix_join(
+        small_workload.build, small_workload.probe, BITS1, 4
     )
 
 

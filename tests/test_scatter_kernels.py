@@ -17,10 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hashing.batch import (
-    grouped_bucket_chaining_join,
-    grouped_perfect_join,
-)
+from repro.hashing.batch import grouped_bucket_chaining_join
 from repro.kernels.scatter import (
     DENSE_FLOOR_ENTRIES,
     claim_first,
@@ -307,38 +304,6 @@ class TestGroupedJoinsByteIdentical:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(got, forced):
             np.testing.assert_array_equal(a, b)
-
-    @given(grouped_case())
-    @settings(max_examples=60, deadline=None)
-    def test_perfect_vs_reference_path(self, case):
-        bk, bv, bg, pk, pg = case
-        # Perfect hashing needs per-group-unique build keys: dedup.
-        composite_seen = set()
-        keep = []
-        for i, (g, k) in enumerate(zip(bg, bk)):
-            if (int(g), int(k)) not in composite_seen:
-                composite_seen.add((int(g), int(k)))
-                keep.append(i)
-        keep = np.array(keep, dtype=np.int64)
-        bk, bv, bg = bk[keep], bv[keep], bg[keep]
-        got = grouped_perfect_join(bk, bv, bg, pk, pg)
-        ref = grouped_perfect_join(bk, bv, bg, pk, pg, reference=True)
-        with force_reference():
-            forced = grouped_perfect_join(bk, bv, bg, pk, pg)
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(got, forced):
-            np.testing.assert_array_equal(a, b)
-
-    def test_perfect_duplicate_keys_raise_on_both_paths(self):
-        bk = np.array([1, 1], dtype=np.int64)
-        bv = np.array([10, 20], dtype=np.int64)
-        bg = np.zeros(2, dtype=np.int64)
-        pk = np.array([1], dtype=np.int64)
-        pg = np.zeros(1, dtype=np.int64)
-        for reference in (False, True):
-            with pytest.raises(ConfigurationError, match="unique keys"):
-                grouped_perfect_join(bk, bv, bg, pk, pg, reference=reference)
 
 
 class TestExperimentByteIdentity:
