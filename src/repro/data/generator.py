@@ -10,12 +10,13 @@ tuples (section 6.2.10's payload-width experiment).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.data.relation import Relation
+from repro.data.relation import DeferredColumns, Relation
 from repro.errors import ConfigurationError
 from repro.units import M_TUPLES
 
@@ -99,17 +100,36 @@ def _zipf_keys(
     return perm[keys - 1].astype(np.int64)
 
 
+def _record_id_columns(
+    state: dict, rows: int, names: Tuple[str, ...]
+) -> Dict[str, np.ndarray]:
+    """Record-id columns drawn from a saved bit-generator state.
+
+    Each call starts from ``state``, so every call returns the arrays
+    the generator would have drawn eagerly, and concurrent calls share
+    nothing.
+    """
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    rng = np.random.Generator(bit_generator)
+    return {name: _record_ids(rng, rows) for name in names}
+
+
 def generate_pk_fk(config: WorkloadConfig) -> Tuple[Relation, Relation]:
     """Generate the paper's primary-key / foreign-key relation pair.
 
     Returns ``(R, S)`` where R's keys are a shuffled permutation of
     ``1..|R|`` and S's keys reference them (uniformly by default).
+    S's payload columns are the generator's last draws and no join
+    kernel reads them, so S keeps the bit-generator state and draws
+    them, byte-identical, on first access.
     """
     rng = np.random.default_rng(config.seed)
     build_rows = config.materialized_rows(config.build_rows_nominal)
     probe_rows = config.materialized_rows(config.probe_rows_nominal)
 
-    build_keys = rng.permutation(build_rows).astype(np.int64) + 1
+    build_keys = rng.permutation(build_rows).astype(np.int64, copy=False)
+    build_keys += 1
     if config.zipf_theta > 0:
         probe_keys = _zipf_keys(rng, probe_rows, build_rows, config.zipf_theta)
     else:
@@ -123,21 +143,21 @@ def generate_pk_fk(config: WorkloadConfig) -> Tuple[Relation, Relation]:
             dtype=np.int64,
         )
 
-    def payloads(rows: int) -> dict:
-        return {
-            f"attr{i}": _record_ids(rng, rows)
-            for i in range(config.payload_columns)
-        }
-
+    names = tuple(f"attr{i}" for i in range(config.payload_columns))
     build = Relation(
         keys=build_keys,
-        payloads=payloads(build_rows),
+        payloads={name: _record_ids(rng, build_rows) for name in names},
         nominal_rows=config.build_rows_nominal,
         name="R",
     )
     probe = Relation(
         keys=probe_keys,
-        payloads=payloads(probe_rows),
+        payloads=DeferredColumns(
+            names,
+            functools.partial(
+                _record_id_columns, rng.bit_generator.state, probe_rows, names
+            ),
+        ),
         nominal_rows=config.probe_rows_nominal,
         name="S",
     )

@@ -17,7 +17,7 @@ same either way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -27,13 +27,45 @@ KEY_BYTES = 8
 ATTRIBUTE_BYTES = 8
 
 
+class DeferredColumns:
+    """Payload columns that ``draw()`` returns on first use, then kept.
+
+    Their names are known up front, so a relation's width and byte
+    counts never need the values. Relations that share one instance
+    (see :meth:`Relation.with_nominal_rows`) share its one draw.
+    """
+
+    def __init__(
+        self, names: Iterable[str], draw: Callable[[], Dict[str, np.ndarray]]
+    ) -> None:
+        self.names = tuple(names)
+        self._draw = draw
+        self._values: Optional[Dict[str, np.ndarray]] = None
+
+    def values(self) -> Dict[str, np.ndarray]:
+        values = self._values
+        if values is None:
+            # Compute first, publish second: threads racing on the first
+            # access may each draw (the same values), but none ever sees
+            # a partial set of columns.
+            values = self._draw()
+            self._values = values
+        return values
+
+
 class Relation:
-    """An immutable columnar relation of <key, payload...> tuples."""
+    """An immutable columnar relation of <key, payload...> tuples.
+
+    ``payloads`` maps column names to arrays, or is a
+    :class:`DeferredColumns` whose arrays are drawn on the first read of
+    :attr:`payloads` (late materialization: a join that never reads the
+    probe side's payloads never builds them).
+    """
 
     def __init__(
         self,
         keys: np.ndarray,
-        payloads: Optional[Dict[str, np.ndarray]] = None,
+        payloads: Union[Dict[str, np.ndarray], DeferredColumns, None] = None,
         nominal_rows: Optional[int] = None,
         name: str = "relation",
     ) -> None:
@@ -44,15 +76,12 @@ class Relation:
             keys = keys.astype(np.int64)
         self.name = name
         self.keys = keys
-        self.payloads: Dict[str, np.ndarray] = {}
-        for column, values in (payloads or {}).items():
-            values = np.asarray(values)
-            if values.shape != keys.shape:
-                raise ConfigurationError(
-                    f"payload column {column!r} has {values.shape[0]} rows, "
-                    f"expected {keys.shape[0]}"
-                )
-            self.payloads[column] = values.astype(np.int64, copy=False)
+        if isinstance(payloads, DeferredColumns):
+            self._payloads = payloads
+            self._names = payloads.names
+        else:
+            self._payloads = self._checked(payloads or {})
+            self._names = tuple(self._payloads)
         if nominal_rows is None:
             nominal_rows = len(keys)
         if nominal_rows < len(keys):
@@ -61,6 +90,27 @@ class Relation:
             )
         self.nominal_rows = int(nominal_rows)
 
+    def _checked(self, payloads: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        checked = {}
+        for column, values in payloads.items():
+            values = np.asarray(values)
+            if values.shape != self.keys.shape:
+                raise ConfigurationError(
+                    f"payload column {column!r} has {values.shape[0]} rows, "
+                    f"expected {self.keys.shape[0]}"
+                )
+            checked[column] = values.astype(np.int64, copy=False)
+        return checked
+
+    @property
+    def payloads(self) -> Dict[str, np.ndarray]:
+        """The payload columns by name, drawn here if still deferred."""
+        payloads = self._payloads
+        if isinstance(payloads, DeferredColumns):
+            payloads = self._checked(payloads.values())
+            self._payloads = payloads
+        return payloads
+
     # -- sizes ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -68,7 +118,7 @@ class Relation:
 
     @property
     def payload_columns(self) -> int:
-        return len(self.payloads)
+        return len(self._names)
 
     @property
     def tuple_bytes(self) -> int:
@@ -94,7 +144,7 @@ class Relation:
     # -- access ---------------------------------------------------------------
 
     def column_names(self) -> List[str]:
-        return ["key"] + list(self.payloads)
+        return ["key", *self._names]
 
     def column(self, name: str) -> np.ndarray:
         if name == "key":
@@ -130,10 +180,14 @@ class Relation:
         return self.take(np.arange(rows))
 
     def with_nominal_rows(self, nominal_rows: int) -> "Relation":
-        """Same data, different nominal cardinality."""
+        """Same data, different nominal cardinality (still deferred if
+        this relation's payloads are)."""
+        payloads = self._payloads
+        if not isinstance(payloads, DeferredColumns):
+            payloads = dict(payloads)
         return Relation(
             keys=self.keys,
-            payloads=dict(self.payloads),
+            payloads=payloads,
             nominal_rows=nominal_rows,
             name=self.name,
         )

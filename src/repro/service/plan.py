@@ -1,10 +1,12 @@
 """Volcano-style pull-based query plans over the reproduction's operators.
 
 A plan is a tree of immutable nodes (Scan → Filter → Partition → Join →
-GroupBy). Each node is a frozen dataclass of its spec fields and has
-one method, ``rows(state)``: a generator that pulls relation batches
-from its inputs' ``rows(state)``. Pipeline breakers (join, group-by)
-drain their inputs before producing. A run's state lives only in its
+GroupBy). Each node is a frozen dataclass of its spec fields. Its
+``rows(state)`` is a generator that pulls relation batches from its
+inputs' ``rows(state)``; pipeline breakers (join, group-by) drain their
+inputs before producing. The plan root is only counted
+(``count(state)``), so a root join that can count its output from the
+match summary never builds it. A run's state lives only in its
 :class:`PlanState` and in the generator frames, never on the nodes, so
 one compiled plan may run on several threads at once. Plans are
 compiled from a plain dict (or JSON) spec, so queries travel over
@@ -165,6 +167,15 @@ class PlanNode:
 
     def rows(self, state: PlanState) -> Iterator[Relation]:  # pragma: no cover
         raise NotImplementedError
+
+    def count(self, state: PlanState) -> int:
+        """How many rows :meth:`rows` emits; :meth:`QueryPlan.execute`
+        counts the plan root with it. A node that can count without
+        building its rows overrides this."""
+        lengths = [len(batch) for batch in self.rows(state)]
+        if not lengths:
+            raise PlanError("plan node produced no rows for plan root")
+        return sum(lengths)
 
     @property
     def inputs(self) -> Tuple["PlanNode", ...]:
@@ -360,11 +371,12 @@ class PartitionNode(PlanNode):
 class JoinNode(PlanNode):
     """Pipeline breaker: drains both inputs, runs a join operator.
 
-    Emits the *surviving probe relation* (probe rows whose key exists in
-    the build input, nominal cardinality scaled by the join
+    Its rows are the *surviving probe relation* (probe rows whose key
+    exists in the build input, nominal cardinality scaled by the join
     selectivity) — exactly the rows an aggregation over the join result
     consumes, and exactly the arithmetic of ``examples/
-    analytics_query.py``.
+    analytics_query.py``. They are built only when a parent pulls them;
+    a root join only counts them (:meth:`count`).
     """
 
     LABEL = "Join({algorithm})"
@@ -406,7 +418,8 @@ class JoinNode(PlanNode):
             return CoProcessingJoin(system, cpu_fraction=self.cpu_fraction)
         return DegradationLadder(system, rungs=coprocess_rungs())
 
-    def rows(self, state: PlanState) -> Iterator[Relation]:
+    def _run(self, state: PlanState) -> Tuple[Relation, Relation, JoinRun]:
+        """Drain both inputs, run the operator and record its stage."""
         build = _drain(self.build.rows(state), "join build input")
         probe = _drain(self.probe.rows(state), "join probe input")
         state.checkpoint(self.label)
@@ -444,7 +457,10 @@ class JoinNode(PlanNode):
             ):
                 run = operator.run(workload)
         state.record(self.label, run, matches=run.match.matches)
+        return build, probe, run
 
+    def rows(self, state: PlanState) -> Iterator[Relation]:
+        build, probe, _ = self._run(state)
         surviving = probe.take(
             np.nonzero(np.isin(probe.keys, build.keys))[0]
         )
@@ -454,6 +470,15 @@ class JoinNode(PlanNode):
         yield surviving.with_nominal_rows(
             int(probe.nominal_rows * selectivity)
         )
+
+    def count(self, state: PlanState) -> int:
+        if not (
+            isinstance(self.build, ScanNode) and self.build.relation == "build"
+        ):
+            return super().count(state)
+        # A primary key matches each probe row at most once, so the
+        # probe rows that survive are exactly the matches.
+        return self._run(state)[2].match.matches
 
 
 @dataclass(frozen=True)
@@ -678,14 +703,14 @@ class QueryPlan:
         system: Optional[SystemSpec] = None,
         checkpoint: Optional[Callable[[str], None]] = None,
     ) -> QueryResult:
-        """Generate the workload, pull the root to exhaustion, summarize."""
+        """Generate the workload, count the root's rows, summarize."""
         build, probe = generator.generate_pk_fk(self.config)
         state = PlanState(
             system=system if system is not None else ac922(),
             workload=Workload(config=self.config, build=build, probe=probe),
             checkpoint=checkpoint or (lambda stage: None),
         )
-        output = _drain(self.root.rows(state), "plan root")
+        output_rows = self.root.count(state)
 
         match = None
         aggregate = None
@@ -700,7 +725,7 @@ class QueryPlan:
             stages=state.stages,
             match=match,
             aggregate=aggregate,
-            output_rows=len(output),
+            output_rows=output_rows,
             seconds=seconds,
             runs=state.runs,
         )

@@ -27,6 +27,7 @@ from repro.join import run_cache
 from repro.join.base import JoinMatch
 from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.triton import TritonJoin
+from repro.service.plan import compile_plan
 
 BITS1 = 6
 
@@ -394,3 +395,40 @@ class TestOperatorWiring:
             other = run_cache.run_key(operator, small_workload)
         assert plain != budgeted
         assert budgeted != other
+
+
+def test_spilled_query_byte_accounting_is_pinned(tmp_path):
+    """Admission estimates and spill byte counts are pinned figures: a
+    spilled query still writes the probe side's payload columns, which
+    an in-memory root join never draws."""
+    plan = compile_plan(
+        {
+            "name": "spilled",
+            "workload": {
+                "build_m_tuples": 256,
+                "probe_m_tuples": 512,
+                "payload_columns": 2,
+                "scale_divisor": 65536,
+                "seed": 5,
+            },
+            "root": {
+                "op": "join",
+                "build": {"op": "scan", "relation": "build"},
+                "probe": {"op": "scan", "relation": "probe"},
+            },
+        }
+    )
+    assert plan.estimate_bytes == 285792
+    before = telemetry.registry.snapshot()
+    config = ExecutionConfig(
+        budget_bytes=plan.estimate_bytes // 4,
+        workers=0,
+        morsel_rows=4096,
+        spill_dir=str(tmp_path),
+    )
+    with exec_context.configured(config):
+        result = plan.execute()
+    delta = telemetry.registry.delta_since(before)
+    assert result.runs[0].notes["out_of_core"]["mode"] == "spill"
+    assert delta["counters"]["exec.spill.bytes_written"] == 336757
+    assert result.checksum == "225eda5a30853347"

@@ -4,8 +4,10 @@ Three invariant families, Hypothesis-driven:
 
 - **Spec round-trip + functional reference.** Any generated plan spec
   survives a JSON round trip with an identical result checksum, and the
-  plan's join match equals a numpy reference computed directly from the
-  generated arrays (the plan layer adds structure, never rows).
+  plan's join match and output row count equal numpy references
+  computed directly from the generated arrays (the plan layer adds
+  structure, never rows), whether the build side's keys are unique or
+  repeat.
 - **Deterministic admission.** A query is rejected iff its spec-derived
   estimate exceeds the budget — a pure function of (spec, budget),
   regardless of worker count, submission order, or cancellation.
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from repro import context, reference_join
 from repro.data.generator import generate_pk_fk
 from repro.join import run_cache
+from repro.join.base import JoinMatch, build_payload_column
 from repro.service import (
     JoinService,
     estimate_query_bytes,
@@ -38,9 +41,27 @@ from repro.service import (
 SCALE = 65536
 
 
+def _key_filter(draw, source, predicates):
+    """A filter over ``source`` with a drawn predicate and parameters."""
+    predicate = draw(st.sampled_from(predicates))
+    node = {"op": "filter", "predicate": predicate, "input": source}
+    if predicate == "modulo":
+        node["divisor"] = draw(st.integers(min_value=2, max_value=8))
+        node["remainder"] = draw(
+            st.integers(min_value=0, max_value=node["divisor"] - 1)
+        )
+    elif predicate == "key_range":
+        node["lo"] = draw(st.integers(min_value=0, max_value=100))
+        node["hi"] = node["lo"] + draw(
+            st.integers(min_value=1, max_value=20000)
+        )
+    return node
+
+
 @st.composite
 def plan_specs(draw):
-    """A valid plan spec plus the probe-row mask it implies."""
+    """A valid plan spec plus the base relation and the filter (or
+    None) behind each join input."""
     workload = {
         "build_m_tuples": draw(st.sampled_from([16, 32, 64])),
         "probe_m_tuples": draw(st.sampled_from([16, 64, 128])),
@@ -51,24 +72,11 @@ def plan_specs(draw):
     shape = draw(
         st.sampled_from(["plain", "filter", "partition", "batches"])
     )
-    mask_fields = None
+    probe_filter = None
     if shape == "filter":
-        predicate = draw(
-            st.sampled_from(["semijoin", "modulo", "key_range"])
+        probe = probe_filter = _key_filter(
+            draw, probe, ["semijoin", "modulo", "key_range"]
         )
-        node = {"op": "filter", "predicate": predicate, "input": probe}
-        if predicate == "modulo":
-            node["divisor"] = draw(st.integers(min_value=2, max_value=8))
-            node["remainder"] = draw(
-                st.integers(min_value=0, max_value=node["divisor"] - 1)
-            )
-        elif predicate == "key_range":
-            node["lo"] = draw(st.integers(min_value=0, max_value=100))
-            node["hi"] = node["lo"] + draw(
-                st.integers(min_value=1, max_value=20000)
-            )
-        mask_fields = node
-        probe = node
     elif shape == "partition":
         probe = {
             "op": "partition",
@@ -81,12 +89,26 @@ def plan_specs(draw):
             "relation": "probe",
             "batches": draw(st.integers(min_value=2, max_value=6)),
         }
+    # The build side is the primary-key relation, a filter over it (keys
+    # still unique), or the probe relation (foreign keys repeat): a root
+    # join over the plain scan counts from its matches, the others count
+    # the rows they build.
+    build_relation = draw(st.sampled_from(["build", "filtered", "probe"]))
+    build = build_filter = None
+    if build_relation == "filtered":
+        build_relation = "build"
+        build = build_filter = _key_filter(
+            draw,
+            {"op": "scan", "relation": "build"},
+            ["key_range", "modulo"],
+        )
+    build = build or {"op": "scan", "relation": build_relation}
     root = {
         "op": "join",
         "algorithm": draw(
             st.sampled_from(["triton", "cpu-radix", "bloom-triton"])
         ),
-        "build": {"op": "scan", "relation": "build"},
+        "build": build,
         "probe": probe,
     }
     if draw(st.booleans()):
@@ -95,26 +117,48 @@ def plan_specs(draw):
             "function": draw(st.sampled_from(["sum", "count"])),
             "input": root,
         }
-    return {"name": "prop", "workload": workload, "root": root}, mask_fields
+    spec = {"name": "prop", "workload": workload, "root": root}
+    return spec, (build_relation, build_filter), probe_filter
 
 
-def probe_mask(build, probe, mask_fields):
+def row_mask(build, relation, mask_fields):
+    """Which rows of ``relation`` a filter of ``mask_fields`` keeps."""
     if mask_fields is None:
-        return np.ones(len(probe), dtype=bool)
+        return np.ones(len(relation), dtype=bool)
     predicate = mask_fields["predicate"]
     if predicate == "semijoin":
-        return np.isin(probe.keys, build.keys)
+        return np.isin(relation.keys, build.keys)
     if predicate == "key_range":
-        return (probe.keys >= mask_fields["lo"]) & (
-            probe.keys < mask_fields["hi"]
+        return (relation.keys >= mask_fields["lo"]) & (
+            relation.keys < mask_fields["hi"]
         )
-    return probe.keys % mask_fields["divisor"] == mask_fields["remainder"]
+    return relation.keys % mask_fields["divisor"] == mask_fields["remainder"]
+
+
+def pairs_reference(build, probe):
+    """The join summary over every matching pair, for build keys that
+    may repeat (``reference_join`` assumes a primary key)."""
+    order = np.argsort(build.keys, kind="stable")
+    keys = build.keys[order]
+    prefix = np.concatenate(
+        [[0], np.cumsum(build_payload_column(build)[order], dtype=np.int64)]
+    )
+    lo = np.searchsorted(keys, probe.keys, side="left")
+    hi = np.searchsorted(keys, probe.keys, side="right")
+    mod = np.int64(2**62)
+    return JoinMatch(
+        matches=int((hi - lo).sum()),
+        key_checksum=int((probe.keys * (hi - lo)).sum(dtype=np.int64) % mod),
+        payload_checksum=int(
+            (prefix[hi] - prefix[lo]).sum(dtype=np.int64) % mod
+        ),
+    )
 
 
 @given(plan_specs())
 @settings(max_examples=12, deadline=None)
 def test_round_trip_and_functional_reference(system, drawn):
-    spec, mask_fields = drawn
+    spec, (build_relation, build_filter), probe_filter = drawn
     result = execute_plan(spec, system=system)
     round_tripped = execute_plan(
         json.loads(json.dumps(spec)), system=system
@@ -124,9 +168,15 @@ def test_round_trip_and_functional_reference(system, drawn):
 
     config = validate_spec(spec)
     build, probe = generate_pk_fk(config)
-    mask = probe_mask(build, probe, mask_fields)
-    expected = reference_join(build, probe.take(np.nonzero(mask)[0]))
-    assert result.match == expected
+    left = build if build_relation == "build" else probe
+    left = left.take(np.nonzero(row_mask(build, left, build_filter))[0])
+    right = probe.take(np.nonzero(row_mask(build, probe, probe_filter))[0])
+    if build_relation == "build":
+        assert result.match == reference_join(left, right)
+    assert result.match == pairs_reference(left, right)
+    assert result.output_rows == np.count_nonzero(
+        np.isin(right.keys, left.keys)
+    )
 
 
 def _small(seed):

@@ -22,6 +22,7 @@ from repro.aggregate import (
     reference_aggregate,
 )
 from repro.data.generator import generate_pk_fk
+from repro.data.relation import DeferredColumns
 from repro.errors import PlanError
 from repro.join.filters import BloomFilteredTritonJoin
 from repro.join.triton import TritonJoin
@@ -480,6 +481,36 @@ class TestSemantics:
         assert result.output_rows == 0
         assert result.seconds == 0.0
 
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["triton", "bloom-triton", "cpu-radix", "coprocess", "ladder"],
+    )
+    def test_output_rows_count_the_surviving_probe_rows(
+        self, system, algorithm
+    ):
+        """A root join counts its probe rows whose key the build input
+        holds: from the match count over ``Scan(build)``, by building
+        them over a filtered build side or repeating keys."""
+        build, probe = generate_pk_fk(compile_plan(spec(join())).config)
+        build_sides = {
+            "build": (scan("build"), build),
+            "filtered build": (
+                filtered(input=scan("build"), divisor=3),
+                build.take(np.nonzero(build.keys % 3 == 0)[0]),
+            ),
+            "probe": (scan("probe"), probe),
+        }
+        for name, (node, rows) in build_sides.items():
+            result = execute_plan(
+                spec(join(build=node, algorithm=algorithm)), system=system
+            )
+            assert result.output_rows == np.count_nonzero(
+                np.isin(probe.keys, rows.keys)
+            ), name
+        # Over the probe relation's repeating keys the match count is
+        # not the row count.
+        assert result.match.matches > result.output_rows
+
     def test_checkpoint_sees_every_stage(self, system):
         stages = []
         execute_plan(
@@ -621,6 +652,55 @@ class TestPinnedPlan:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert checksums == [serial] * 12
+
+
+class TestLateMaterialization:
+    """A root join over a primary key counts its output from the match
+    summary: it runs no second semi-join and never draws the probe
+    side's payload columns, which no join kernel reads."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("late materialization broken")
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        """Record each first draw of deferred payload columns."""
+        draws, values = [], DeferredColumns.values
+
+        def counting(columns):
+            draws.append(columns)
+            return values(columns)
+
+        monkeypatch.setattr(DeferredColumns, "values", counting)
+        return draws
+
+    def test_root_join_builds_no_rows(self, system, monkeypatch):
+        plan_spec = spec(join())
+        monkeypatch.setattr(np, "isin", self.refuse)
+        monkeypatch.setattr(DeferredColumns, "values", self.refuse)
+        result = execute_plan(plan_spec, system=system)
+        monkeypatch.undo()
+        assert result.checksum == "2ba722564edf108d"
+        # The probe relation still holds its payloads undrawn: the first
+        # read draws them, equal to a fresh generation's.
+        probe = result.runs[0].workload.probe
+        draws = self.count_draws(monkeypatch)
+        drawn = probe.payloads["attr0"]
+        assert len(draws) == 1
+        _, fresh = generate_pk_fk(compile_plan(plan_spec).config)
+        np.testing.assert_array_equal(drawn, fresh.payloads["attr0"])
+
+    def test_group_by_over_a_join_draws_the_payloads(
+        self, system, monkeypatch
+    ):
+        draws = self.count_draws(monkeypatch)
+        result = execute_plan(
+            spec({"op": "groupby", "function": "sum", "input": join()}),
+            system=system,
+        )
+        assert len(draws) == 1
+        assert result.checksum == "109ea8236d2fd8b3"
 
 
 class TestResultSurface:
