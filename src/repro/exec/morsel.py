@@ -14,14 +14,16 @@ merged summary equals that of the per-partition reference loop
 
 Each morsel runs :func:`~repro.hashing.batch.grouped_bucket_chaining_
 join` with the partition ids **rebased** to the morsel's range. The
-grouped kernel's slot domain is ``(max_group + 1) * buckets``; absolute
-partition ids would bill every morsel for the whole fanout's slot
-space, rebasing keeps it proportional to the morsel — a cache-sized
-table per call, the way the paper sizes each partition's table to fast
-memory. :func:`serial_join` runs this loop in-process; it is the plain
-in-memory join behind :func:`repro.join.batched.batched_radix_join`,
-and the out-of-core executor runs the same morsels serially, off disk,
-or across the worker pool.
+grouped kernel's slot domain is ``groups × b``, with ``groups =
+max_group + 1`` and ``b`` buckets per group sized from the morsel's
+build rows; absolute partition ids would bill every morsel for the
+whole fanout's slot space, rebasing keeps it proportional to the
+morsel — a cache-sized table per call, the way the paper sizes each
+partition's table to fast memory. :func:`serial_join` runs this loop
+in-process; it is the plain in-memory join behind
+:func:`repro.join.batched.batched_radix_join`, and the out-of-core
+executor runs the same morsels serially, off disk, or across the
+worker pool.
 """
 
 from __future__ import annotations
@@ -264,9 +266,7 @@ def partition_state(
 # -- execution ------------------------------------------------------------------
 
 
-def execute_morsel(
-    source, morsel: Morsel, buckets: int = DEFAULT_BUCKETS
-) -> Partial:
+def execute_morsel(source, morsel: Morsel) -> Partial:
     """Join one morsel; returns its mergeable partial summary."""
     bk, bv, bg, bh, pk, pg, ph = source.load(morsel)
     rows = len(bk) + len(pk)
@@ -278,7 +278,6 @@ def execute_morsel(
         bg,
         pk,
         pg,
-        buckets=buckets,
         build_hashes=bh,
         probe_hashes=ph,
     )
@@ -315,7 +314,6 @@ def serial_join(
     probe: Relation,
     bits1: int,
     morsel_rows: int,
-    buckets: int = DEFAULT_BUCKETS,
     histogram: Optional[np.ndarray] = None,
 ) -> JoinMatch:
     """The in-memory join: one partitioning pass, then serial morsels.
@@ -329,12 +327,12 @@ def serial_join(
     build_sizes = np.diff(source.build_offsets)
     probe_sizes = np.diff(source.probe_offsets)
     fill_histogram(histogram, build_sizes, probe_sizes)
-    # At most ``dense_span`` partitions' tables fit under the kernels'
-    # dense-offsets floor, so a morsel that narrow probes by O(1)
-    # lookups instead of binary searches. Sparse partitions keep the row
-    # target alone: capped morsels would be too small to amortize their
-    # dispatch.
-    dense_span = max(1, (DENSE_FLOOR_ENTRIES - 1) // buckets)
+    # At most ``dense_span`` partitions' full-size (paper geometry)
+    # tables fit under the kernels' dense-offsets floor, so a morsel
+    # that narrow probes by O(1) lookups whatever its rows. Sparse
+    # partitions keep the row target alone: capped morsels would be too
+    # small to amortize their dispatch.
+    dense_span = max(1, (DENSE_FLOOR_ENTRIES - 1) // DEFAULT_BUCKETS)
     rows_per_partition = (len(build) + len(probe)) / len(build_sizes)
     morsels = plan_morsels(
         build_sizes,
@@ -346,19 +344,15 @@ def serial_join(
             else None
         ),
     )
-    return merge_partials(
-        execute_morsel(source, morsel, buckets) for morsel in morsels
-    )
+    return merge_partials(execute_morsel(source, morsel) for morsel in morsels)
 
 
-def run_serial(
-    source, morsels: List[Morsel], buckets: int = DEFAULT_BUCKETS
-) -> List[Partial]:
+def run_serial(source, morsels: List[Morsel]) -> List[Partial]:
     """Execute every morsel in-process, in order."""
     partials = []
     for morsel in morsels:
         started = time.perf_counter()
-        partials.append(execute_morsel(source, morsel, buckets))
+        partials.append(execute_morsel(source, morsel))
         telemetry.registry.observe(
             "exec.morsel_seconds", time.perf_counter() - started
         )

@@ -47,7 +47,6 @@ from repro.exec.morsel import (
 )
 from repro.exec.pool import PoolResult, ShmBlock, get_pool
 from repro.exec.spill import SpillManager
-from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.join.base import JoinMatch
 
 _TrackEntry = namedtuple("_TrackEntry", "name phase start end")
@@ -94,14 +93,11 @@ def _run_pool(
     source,
     morsels: List[Morsel],
     workers: int,
-    buckets: int,
 ) -> PoolResult:
     """Ship one job to the shared pool; recovery re-runs inline."""
-    job = dict(job)
-    job["buckets"] = buckets
     pool = get_pool(workers)
     result = pool.run(
-        job, morsels, recover=lambda m: execute_morsel(source, m, buckets)
+        job, morsels, recover=lambda m: execute_morsel(source, m)
     )
     if telemetry.enabled() and result.intervals:
         _add_pool_track(result)
@@ -113,7 +109,6 @@ def out_of_core_join(
     probe: Relation,
     bits1: int,
     bits2: int = 0,
-    buckets: int = DEFAULT_BUCKETS,
     config: Optional[context.ExecutionConfig] = None,
     histogram: Optional[np.ndarray] = None,
 ) -> JoinMatch:
@@ -150,13 +145,9 @@ def out_of_core_join(
         bits1=bits1,
     ):
         if spill:
-            match, detail = _spilled_join(
-                build, probe, bits1, buckets, cfg, histogram
-            )
+            match, detail = _spilled_join(build, probe, bits1, cfg, histogram)
         else:
-            match, detail = _memory_join(
-                build, probe, bits1, buckets, cfg, histogram
-            )
+            match, detail = _memory_join(build, probe, bits1, cfg, histogram)
 
     note = {
         "mode": mode,
@@ -189,7 +180,6 @@ def _memory_join(
     build: Relation,
     probe: Relation,
     bits1: int,
-    buckets: int,
     cfg: context.ExecutionConfig,
     histogram: Optional[np.ndarray],
 ) -> tuple:
@@ -220,9 +210,9 @@ def _memory_join(
                 "build_offsets": source.build_offsets,
                 "probe_offsets": source.probe_offsets,
             }
-            result = _run_pool(job, source, morsels, cfg.workers, buckets)
+            result = _run_pool(job, source, morsels, cfg.workers)
         else:
-            result = run_serial(source, morsels, buckets)
+            result = run_serial(source, morsels)
         return _finish(result, morsels)
     finally:
         for _name, block in blocks:
@@ -233,7 +223,6 @@ def _spilled_join(
     build: Relation,
     probe: Relation,
     bits1: int,
-    buckets: int,
     cfg: context.ExecutionConfig,
     histogram: Optional[np.ndarray],
 ) -> tuple:
@@ -259,9 +248,9 @@ def _spilled_join(
                 "build_dir": str(chunked_build.directory),
                 "probe_dir": str(chunked_probe.directory),
             }
-            result = _run_pool(job, source, morsels, cfg.workers, buckets)
+            result = _run_pool(job, source, morsels, cfg.workers)
         else:
-            result = run_serial(source, morsels, buckets)
+            result = run_serial(source, morsels)
         match, detail = _finish(result, morsels)
         detail["spilled_bytes"] = spilled_bytes
         detail["shards"] = chunked_build.shards + chunked_probe.shards

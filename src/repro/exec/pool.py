@@ -236,9 +236,7 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
                     stolen=stolen,
                     rows=morsels[index][3],
                 ):
-                    partial = execute_morsel(
-                        source, Morsel(*morsels[index]), job["buckets"]
-                    )
+                    partial = execute_morsel(source, Morsel(*morsels[index]))
                 ended = time.perf_counter() - epoch
                 ctrl[2 * workers + 1 + index] = 1
                 out["partials"].append((index, partial))
@@ -439,7 +437,7 @@ class MorselPool:
         """Execute ``morsels`` under ``job``'s payload across the pool.
 
         ``job`` carries the source description (shared-memory block
-        descriptors or shard directories), ``buckets``, and optional
+        descriptors or shard directories) and optional
         ``die_on`` / ``sleep_on``; this method adds the control block,
         the per-worker ranges and the telemetry settings. ``recover`` re-executes a
         morsel inline in the parent when its done flag never appeared

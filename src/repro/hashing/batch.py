@@ -6,12 +6,17 @@ Python loop over thousands of tiny tables. This module runs the *same*
 logical computation for every partition at once, as a constant number of
 vectorized numpy passes, mirroring how the GPU executes all partitions
 as one bulk kernel launch. :func:`grouped_bucket_chaining_join`
-concatenates every partition's 2048-bucket chaining table into a single
-bucket space keyed by ``(group, bucket)``, builds it with one linear
-counting scatter (:mod:`repro.kernels.scatter`), and probes every
-partition with one range expansion — identical pairs, in identical
-order, to a per-partition :class:`~repro.hashing.bucket_chaining.
-BucketChainingTable` loop.
+concatenates every partition's chaining table into a single slot space
+of ``groups × b`` slots keyed by ``(group, bucket)``, builds it with one
+linear counting scatter (:mod:`repro.kernels.scatter`), and probes
+every partition with one range expansion — identical pairs, in
+identical order, to a per-partition :class:`~repro.hashing.
+bucket_chaining.BucketChainingTable` loop. The paper's scratchpad
+holds 2048 buckets per partition; at the functional layer's scaled-down
+row counts ``b`` is sized from the build rows instead (the largest power
+of two up to the requested count that keeps ``groups × b`` within the
+counting scatter's crossover), since equal keys share a bucket at any
+bucket count and the output cannot change.
 
 Probes index a dense per-``(group, bucket)`` offsets table directly
 (O(1) per probe) while that table is no larger than the build side
@@ -39,6 +44,7 @@ from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.hashing.functions import bucket_of, hash_u64
 from repro.kernels.scatter import (
+    COUNTING_DOMAIN_FACTOR,
     counting_offsets_free,
     counting_order,
     counting_order_and_offsets,
@@ -86,10 +92,9 @@ def expand_ranges(
     return owners, flat
 
 
-def _validate_buckets(buckets: int) -> int:
+def _validate_buckets(buckets: int) -> None:
     if buckets <= 0 or buckets & (buckets - 1):
         raise ConfigurationError("buckets must be a positive power of two")
-    return buckets.bit_length() - 1
 
 
 def _aligned(keys: np.ndarray, values: np.ndarray, what: str) -> None:
@@ -98,18 +103,27 @@ def _aligned(keys: np.ndarray, values: np.ndarray, what: str) -> None:
 
 
 def _slot_domain(
-    build_groups: np.ndarray, probe_groups: np.ndarray, width: int
-) -> Optional[int]:
-    """Size of the concatenated slot space, ``None`` if unusable.
+    build_groups: np.ndarray, probe_groups: np.ndarray, buckets: int
+) -> Tuple[int, Optional[int]]:
+    """Buckets per group to use, and the slot space they give.
 
-    ``None`` (negative group ids, or a space near int64) sends both the
-    build ordering and the probe to the comparison-sort paths.
+    ``buckets`` is a ceiling: the kernel takes the largest power of two
+    ``b <= buckets`` whose ``groups * b`` slots stay within
+    :data:`~repro.kernels.scatter.COUNTING_DOMAIN_FACTOR` of the build
+    rows (at least one bucket per group), so the build orders by the
+    linear counting scatter and its offsets are the dense probe table.
+    Matches do not depend on ``b``: equal keys share a bucket at every
+    bucket count. A ``None`` domain (negative group ids, or a space
+    near int64) keeps ``buckets`` and sends both the build ordering and
+    the probe to the comparison-sort paths.
     """
     if int(build_groups.min()) < 0 or int(probe_groups.min()) < 0:
-        return None
+        return buckets, None
     groups = max(int(build_groups.max()), int(probe_groups.max())) + 1
-    domain = groups * width
-    return domain if domain < _MAX_SLOT_DOMAIN else None
+    fit = max(COUNTING_DOMAIN_FACTOR * len(build_groups) // groups, 1)
+    buckets = min(buckets, 1 << (fit.bit_length() - 1))
+    domain = groups * buckets
+    return buckets, domain if domain < _MAX_SLOT_DOMAIN else None
 
 
 def grouped_bucket_chaining_join(
@@ -132,16 +146,18 @@ def grouped_bucket_chaining_join(
     space) and one probe (each probe's candidate range read from the
     scatter's dense offsets table, or found by binary search when that
     table would outgrow the build side), then candidate expansion.
-    Precomputed :func:`~repro.hashing.functions.hash_u64` arrays can be
-    passed to skip re-hashing; ``reference=True`` forces the original
-    argsort + ``searchsorted`` path.
+    ``buckets`` is a ceiling: the kernel sizes its ``(group, bucket)``
+    space from the build rows (:func:`_slot_domain`), which changes no
+    output. Precomputed :func:`~repro.hashing.functions.hash_u64`
+    arrays can be passed to skip re-hashing; ``reference=True`` forces
+    the original argsort + ``searchsorted`` path at ``buckets``.
 
     Returns ``(probe_idx, values)``: positions into ``probe_keys`` that
     matched (repeated per match) and the matched build-side values,
     ordered by probe row then chain position — byte-identical to the
     concatenated per-group loop when groups are non-decreasing.
     """
-    bits = _validate_buckets(buckets)
+    _validate_buckets(buckets)
     build_keys = np.asarray(build_keys, dtype=np.int64)
     build_values = np.asarray(build_values, dtype=np.int64)
     probe_keys = np.asarray(probe_keys, dtype=np.int64)
@@ -155,12 +171,15 @@ def grouped_bucket_chaining_join(
         "grouped_bucket_chaining_join",
         build=len(build_keys),
         probe=len(probe_keys),
-        buckets=buckets,
     )
     with sp:
         build_groups = np.asarray(build_groups, dtype=np.int64)
         probe_groups = np.asarray(probe_groups, dtype=np.int64)
-        n_buckets = np.int64(buckets)
+        domain = None
+        if not (reference or reference_mode_active()):
+            buckets, domain = _slot_domain(build_groups, probe_groups, buckets)
+        sp.set(buckets=buckets)
+        bits = buckets.bit_length() - 1
         if bits == 0:
             build_slots = build_groups
             probe_slots = probe_groups
@@ -169,13 +188,10 @@ def grouped_bucket_chaining_join(
                 build_hashes = hash_u64(build_keys)
             if probe_hashes is None:
                 probe_hashes = hash_u64(probe_keys)
+            n_buckets = np.int64(buckets)
             build_slots = build_groups * n_buckets + bucket_of(build_hashes, bits)
             probe_slots = probe_groups * n_buckets + bucket_of(probe_hashes, bits)
 
-        reference = reference or reference_mode_active()
-        domain = None if reference else _slot_domain(
-            build_groups, probe_groups, buckets
-        )
         if domain is not None and (
             dense_table_fits(len(build_keys), domain)
             or counting_offsets_free(len(build_keys), domain)

@@ -110,7 +110,6 @@ def batched_radix_join(
     probe: Relation,
     bits1: int,
     bits2: int = 0,
-    buckets: int = DEFAULT_BUCKETS,
     histogram: Optional[np.ndarray] = None,
 ) -> base.JoinMatch:
     """One- or two-pass partitioned join, executed as serial morsels.
@@ -142,7 +141,7 @@ def batched_radix_join(
         from repro.exec.outofcore import out_of_core_join
 
         return out_of_core_join(
-            build, probe, bits1, bits2, buckets, histogram=histogram
+            build, probe, bits1, bits2, histogram=histogram
         )
     _validate_bits(bits1, bits2)
     if len(build) == 0 or len(probe) == 0:
@@ -167,6 +166,5 @@ def batched_radix_join(
             probe,
             bits1,
             exec_context.DEFAULT_MORSEL_ROWS,
-            buckets,
             histogram,
         )

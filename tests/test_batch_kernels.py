@@ -11,7 +11,7 @@ skew, duplicate keys, and empty partitions.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.generator import Workload, WorkloadConfig, generate_workload
@@ -20,8 +20,13 @@ from repro.errors import ConfigurationError
 from repro.exec.context import DEFAULT_MORSEL_ROWS, ExecutionConfig
 from repro.exec.morsel import partition_state, plan_morsels
 from repro.exec.outofcore import out_of_core_join
-from repro.hashing.batch import expand_ranges, grouped_bucket_chaining_join
+from repro.hashing.batch import (
+    DEFAULT_BUCKETS,
+    expand_ranges,
+    grouped_bucket_chaining_join,
+)
 from repro.hashing.bucket_chaining import BucketChainingTable
+from repro.hashing.functions import hash_u64, radix_window
 from repro.hw.specs import ac922
 from repro.join import run_cache
 from repro.join.batched import batched_radix_join, reference_radix_join
@@ -29,6 +34,8 @@ from repro.join.cpu_partitioned import CpuPartitionedJoin
 from repro.join.cpu_radix import CpuRadixJoin
 from repro.join.multi_gpu import MultiGpuTritonJoin
 from repro.join.triton import TritonJoin
+from repro.kernels.scatter import COUNTING_DOMAIN_FACTOR, counting_offsets_free
+from repro.telemetry import registry, tracing
 
 SYSTEM = ac922()
 
@@ -90,6 +97,36 @@ def _loop_reference(build_keys, build_values, build_groups,
     return np.concatenate(out_idx), np.concatenate(out_values)
 
 
+def _partitioned(bits, build_rows, probe_rows, key_space, seed):
+    """Build/probe arrays grouped by a ``bits``-wide radix partition of
+    their keys' hashes, laid out partition-major."""
+    rng = np.random.default_rng(seed)
+
+    def side(rows):
+        keys = rng.integers(1, key_space + 1, size=rows).astype(np.int64)
+        groups = radix_window(hash_u64(keys), bits).astype(np.int64)
+        order = np.argsort(groups, kind="stable")
+        return keys[order], groups[order]
+
+    build_keys, build_groups = side(build_rows)
+    probe_keys, probe_groups = side(probe_rows)
+    build_values = rng.integers(0, 2**40, size=build_rows).astype(np.int64)
+    return build_keys, build_values, build_groups, probe_keys, probe_groups
+
+
+@st.composite
+def sparse_partitioned_inputs(draw):
+    """Few build rows over many radix partitions (duplicate keys too)."""
+    build_rows = draw(st.integers(1, 200))
+    return _partitioned(
+        draw(st.integers(1, 13)),
+        build_rows,
+        draw(st.integers(1, 400)),
+        draw(st.integers(1, 4 * build_rows)),
+        draw(st.integers(0, 2**31)),
+    )
+
+
 class TestGroupedBucketChaining:
     @given(grouped_inputs(), st.sampled_from([1, 2, 64, 2048]))
     @settings(max_examples=60, deadline=None)
@@ -101,6 +138,30 @@ class TestGroupedBucketChaining:
         want_idx, want_values = _loop_reference(bk, bv, bg, pk, pg, buckets)
         np.testing.assert_array_equal(got_idx, want_idx)
         np.testing.assert_array_equal(got_values, want_values)
+
+    # Pinned extremes: 8 rows < groups <= 16 rows (one bucket per group,
+    # counting scatter) and groups > 16 rows (one bucket per group,
+    # past the crossover).
+    @example(_partitioned(8, 20, 200, 40, 1), DEFAULT_BUCKETS)
+    @example(_partitioned(13, 4, 300, 8, 0), DEFAULT_BUCKETS)
+    @given(sparse_partitioned_inputs(), st.sampled_from([2, 64, 2048]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_sized_geometry_matches_requested_buckets(
+        self, inputs, buckets
+    ):
+        """A slot space sized from the rows gives the pairs, in order,
+        of per-group tables at the requested bucket count."""
+        bk, bv, bg, pk, pg = inputs
+        groups = max(int(bg.max()), int(pg.max())) + 1
+        assume(groups * buckets > COUNTING_DOMAIN_FACTOR * len(bk))
+        got = grouped_bucket_chaining_join(bk, bv, bg, pk, pg, buckets=buckets)
+        loop = _loop_reference(bk, bv, bg, pk, pg, buckets)
+        ref = grouped_bucket_chaining_join(
+            bk, bv, bg, pk, pg, buckets=buckets, reference=True
+        )
+        for want in (loop, ref):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
     def test_empty_sides(self):
         empty = np.empty(0, dtype=np.int64)
@@ -238,6 +299,69 @@ class TestBatchedRadixJoin:
         want = reference_radix_join(build, probe, bits1, bits2)
         assert want.matches > 0
         assert batched_radix_join(build, probe, bits1, bits2) == want
+
+
+def _pk_fk(rows, seed):
+    rng = np.random.default_rng(seed)
+
+    def relation(keys, name):
+        payload = rng.integers(0, 2**40, rows).astype(np.int64)
+        return Relation(keys.astype(np.int64), {"attr0": payload}, name=name)
+
+    return (
+        relation(rng.permutation(rows) + 1, "R"),
+        relation(rng.integers(1, rows + 1, rows), "S"),
+    )
+
+
+def _kernel_buckets(join):
+    """Run ``join()`` inside a trace; the bucket count of every grouped
+    kernel call it made."""
+    tracing.enable()
+    tracing.reset()
+    try:
+        with tracing.trace_query(tracing.derive_trace_id(0, 0)):
+            join()
+        return [
+            record["attrs"]["buckets"]
+            for record in tracing.records()
+            if record["name"] == "grouped_bucket_chaining_join"
+        ]
+    finally:
+        tracing.disable()
+        tracing.reset()
+
+
+class TestRowSizedGeometry:
+    def test_small_morsels_take_the_counting_scatter(self):
+        """31 partitions of ~110 rows a side per morsel: the kernels
+        order every build by counting and probe by dense lookups."""
+        bits1 = 8
+        build, probe = _pk_fk(110 << bits1, seed=17)
+        before = registry.snapshot()
+        buckets = _kernel_buckets(
+            lambda: batched_radix_join(build, probe, bits1)
+        )
+        delta = registry.delta_since(before)["counters"]
+        if counting_offsets_free(1, 1):  # scipy's scatter is installed
+            assert delta.get("kernels.scatter.order.argsort", 0) == 0
+        assert delta.get("batch.probe.searchsorted", 0) == 0
+        assert delta["batch.probe.dense"] == len(buckets) > 1
+        assert set(buckets) == {DEFAULT_BUCKETS // 2}
+        assert batched_radix_join(
+            build, probe, bits1
+        ) == reference_radix_join(build, probe, bits1)
+
+    def test_big_join_keeps_the_paper_geometry(self):
+        """0.5 M rows a side at TritonJoin's bits1: each morsel's build
+        rows fill 2048 buckets per partition within the crossover."""
+        workload = generate_workload(1024, 1024, scale_divisor=2048, seed=1)
+        bits1 = min(TritonJoin(SYSTEM).plan(workload).bits1, 10)
+        buckets = _kernel_buckets(
+            lambda: batched_radix_join(workload.build, workload.probe, bits1)
+        )
+        assert len(buckets) > 1
+        assert set(buckets) == {DEFAULT_BUCKETS}
 
 
 def _workload(build, probe):

@@ -27,7 +27,6 @@ from repro.exec.pool import (
     get_pool,
     shutdown_pool,
 )
-from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.telemetry import events
 from tests.test_outofcore import shm_partition_state, summary
 
@@ -264,7 +263,6 @@ def _pool_job(source, blocks, **extra):
         "blocks": {name: block.descriptor() for name, block in blocks},
         "build_offsets": source.build_offsets,
         "probe_offsets": source.probe_offsets,
-        "buckets": DEFAULT_BUCKETS,
     }
     job.update(extra)
     return job
@@ -298,7 +296,7 @@ class TestPoolEvents:
         assert len(morsels) >= 4
 
         def recover(morsel):
-            return execute_morsel(source, morsel, DEFAULT_BUCKETS)
+            return execute_morsel(source, morsel)
 
         events.enable()
         try:
@@ -364,7 +362,7 @@ class TestPoolEvents:
         )
 
         def recover(morsel):
-            return execute_morsel(source, morsel, DEFAULT_BUCKETS)
+            return execute_morsel(source, morsel)
 
         events.enable()
         try:

@@ -22,7 +22,6 @@ from repro.exec.morsel import (
 )
 from repro.exec.outofcore import out_of_core_join
 from repro.exec.pool import ShmBlock, get_pool, shutdown_pool
-from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.join import run_cache
 from repro.join.base import JoinMatch
 from repro.join.batched import batched_radix_join, reference_radix_join
@@ -331,12 +330,11 @@ class TestCrashRecovery:
                 },
                 "build_offsets": source.build_offsets,
                 "probe_offsets": source.probe_offsets,
-                "buckets": DEFAULT_BUCKETS,
                 "die_on": die_on,
             }
 
         def recover(morsel):
-            return execute_morsel(source, morsel, DEFAULT_BUCKETS)
+            return execute_morsel(source, morsel)
 
         try:
             pool = get_pool(2)

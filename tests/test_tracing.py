@@ -16,6 +16,7 @@ The properties the end-to-end tracing story rests on:
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -94,6 +95,39 @@ class TestAmbientPropagation:
         assert {record["trace"] for record in records} == {trace_id}
         assert by_name["execute"]["attrs"] == {"worker": 1}
         assert tracing.validate_trace_tree(records) == []
+
+    def test_grouped_join_span_records_the_buckets_it_used(self, traced):
+        """The kernel's span shows the geometry it ran: the requested
+        ceiling, shrunk to the build rows, or one bucket per group."""
+        from repro.hashing.batch import grouped_bucket_chaining_join
+
+        def groups_of(rows, groups):
+            return np.arange(rows, dtype=np.int64) * groups // rows
+
+        keys = np.arange(1, 101, dtype=np.int64)
+        # 100 build rows afford 16 x 100 = 1600 slots: (groups,
+        # reference) -> buckets used of the 2048 requested.
+        cases = [
+            ((1, False), 1024),
+            ((3, False), 512),
+            ((1600, False), 1),
+            ((3000, False), 1),
+            ((3, True), 2048),
+        ]
+        with tracing.trace_query(tracing.derive_trace_id(0, 0)):
+            for (groups, reference), _ in cases:
+                grouped = groups_of(len(keys), groups)
+                grouped[-1] = groups - 1
+                grouped_bucket_chaining_join(
+                    keys, keys, grouped, keys, grouped,
+                    buckets=2048, reference=reference,
+                )
+        used = [
+            record["attrs"]["buckets"]
+            for record in tracing.records()
+            if record["name"] == "grouped_bucket_chaining_join"
+        ]
+        assert used == [want for _, want in cases]
 
     def test_span_is_noop_when_disabled_or_off_trace(self):
         tracing.disable()
