@@ -13,7 +13,9 @@ merged summary equals that of the per-partition reference loop
 (:func:`repro.join.batched.reference_radix_join`).
 
 Each morsel runs :func:`~repro.hashing.batch.grouped_bucket_chaining_
-join` with the partition ids **rebased** to the morsel's range. The
+join` with the partition ids **rebased** to the morsel's range, and
+the source's pass-1 radix bits, above which the kernel reads each row's
+bucket (the window pass 2 would read, section 5.1). The
 grouped kernel's slot domain is ``groups × b``, with ``groups =
 max_group + 1`` and ``b`` buckets per group sized from the morsel's
 build rows; absolute partition ids would bill every morsel for the
@@ -144,6 +146,11 @@ class ArraySource:
     build_offsets: np.ndarray
     probe_offsets: np.ndarray
 
+    @property
+    def bits1(self) -> int:
+        """The pass-1 radix bits the partitions were scattered by."""
+        return (len(self.build_offsets) - 1).bit_length() - 1
+
     def load(self, morsel: Morsel):
         lo, hi = morsel.lo, morsel.hi
         bs, be = int(self.build_offsets[lo]), int(self.build_offsets[hi])
@@ -175,6 +182,11 @@ class ChunkedSource:
     build: ChunkedRelation
     probe: ChunkedRelation
     build_value_column: str
+
+    @property
+    def bits1(self) -> int:
+        """The spill's radix bits (0 for a single all-rows partition)."""
+        return self.build.bits
 
     def load(self, morsel: Morsel):
         lo, hi = morsel.lo, morsel.hi
@@ -280,6 +292,7 @@ def execute_morsel(source, morsel: Morsel) -> Partial:
         pg,
         build_hashes=bh,
         probe_hashes=ph,
+        bits1=source.bits1,
     )
     part = JoinMatch.from_arrays(pk[idx], values)
     return (part.matches, part.key_checksum, part.payload_checksum, rows)

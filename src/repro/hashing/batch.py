@@ -15,8 +15,22 @@ bucket_chaining.BucketChainingTable` loop. The paper's scratchpad
 holds 2048 buckets per partition; at the functional layer's scaled-down
 row counts ``b`` is sized from the build rows instead (the largest power
 of two up to the requested count that keeps ``groups × b`` within the
-counting scatter's crossover), since equal keys share a bucket at any
-bucket count and the output cannot change.
+counting scatter's crossover).
+
+The bucket is the hash window pass 2 of the radix join would read
+(section 5.1): the ``log2(b)`` bits just above the ``bits1`` bits pass 1
+partitioned on. Multiply-shift by an odd constant is a bijection modulo
+``2**(bits1 + log2(b))``, so within one pass-1 partition that window is
+a bijection of the key's next ``log2(b)`` bits — dense keys never share
+a bucket, and random keys spread as before. (The top bits of the
+product, which a lone :class:`~repro.hashing.bucket_chaining.
+BucketChainingTable` uses, pair dense keys up within a partition.)
+Neither the bucket count nor the window can change the output: equal
+keys share a bucket under every selector, and a probe's matches are the
+build rows of its group with an equal key, in stable build order.
+``reference=True``, :func:`~repro.kernels.scatter.force_reference`, a
+window past bit 63, the comparison-sort path, and callers that do not
+pass ``bits1`` keep the top bits.
 
 Probes index a dense per-``(group, bucket)`` offsets table directly
 (O(1) per probe) while that table is no larger than the build side
@@ -42,7 +56,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.hashing.functions import bucket_of, hash_u64
+from repro.hashing.functions import bucket_of, hash_u64, radix_window
 from repro.kernels.scatter import (
     COUNTING_DOMAIN_FACTOR,
     counting_offsets_free,
@@ -102,6 +116,14 @@ def _aligned(keys: np.ndarray, values: np.ndarray, what: str) -> None:
         raise ConfigurationError(f"{what} keys and groups/values must align")
 
 
+def _bucket_window(hashed: np.ndarray, bits: int, offset: int) -> np.ndarray:
+    """Hash bits ``[offset, offset + bits)`` as bucket indices; a window
+    ending at bit 64 is :func:`~repro.hashing.functions.bucket_of`."""
+    if offset + bits == 64:
+        return bucket_of(hashed, bits)
+    return radix_window(hashed, bits, offset)
+
+
 def _slot_domain(
     build_groups: np.ndarray, probe_groups: np.ndarray, buckets: int
 ) -> Tuple[int, Optional[int]]:
@@ -136,6 +158,7 @@ def grouped_bucket_chaining_join(
     build_hashes: Optional[np.ndarray] = None,
     probe_hashes: Optional[np.ndarray] = None,
     reference: bool = False,
+    bits1: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build and probe every partition's chaining table in one pass.
 
@@ -148,9 +171,16 @@ def grouped_bucket_chaining_join(
     table would outgrow the build side), then candidate expansion.
     ``buckets`` is a ceiling: the kernel sizes its ``(group, bucket)``
     space from the build rows (:func:`_slot_domain`), which changes no
-    output. Precomputed :func:`~repro.hashing.functions.hash_u64`
-    arrays can be passed to skip re-hashing; ``reference=True`` forces
-    the original argsort + ``searchsorted`` path at ``buckets``.
+    output. ``bits1`` is the width of the low hash window the groups
+    were partitioned by (0 for one all-rows partition): each row's
+    bucket is then the hash window just above it, the one pass 2 would
+    read (see the module docstring). Without it the groups are not
+    known to be hash partitions, and buckets come from the top hash
+    bits — the window at offset 0 would put a pass-1 partition's rows
+    all in one bucket. Precomputed
+    :func:`~repro.hashing.functions.hash_u64` arrays can be passed to
+    skip re-hashing; ``reference=True`` forces the original argsort +
+    ``searchsorted`` path at ``buckets``, bucketed by the top hash bits.
 
     Returns ``(probe_idx, values)``: positions into ``probe_keys`` that
     matched (repeated per match) and the matched build-side values,
@@ -188,9 +218,20 @@ def grouped_bucket_chaining_join(
                 build_hashes = hash_u64(build_keys)
             if probe_hashes is None:
                 probe_hashes = hash_u64(probe_keys)
+            # The pass-2 window where it fits below the sign bit, else
+            # (and on the reference and comparison-sort paths) the top bits.
+            if bits1 is not None and domain is not None and bits1 + bits <= 63:
+                offset = bits1
+            else:
+                offset = 64 - bits
+            sp.set(bucket_offset=offset)
             n_buckets = np.int64(buckets)
-            build_slots = build_groups * n_buckets + bucket_of(build_hashes, bits)
-            probe_slots = probe_groups * n_buckets + bucket_of(probe_hashes, bits)
+            build_slots = build_groups * n_buckets + _bucket_window(
+                build_hashes, bits, offset
+            )
+            probe_slots = probe_groups * n_buckets + _bucket_window(
+                probe_hashes, bits, offset
+            )
 
         if domain is not None and (
             dense_table_fits(len(build_keys), domain)
@@ -223,6 +264,8 @@ def grouped_bucket_chaining_join(
             sorted_values = build_values[order]
             starts = np.searchsorted(sorted_slots, probe_slots, side="left")
             ends = np.searchsorted(sorted_slots, probe_slots, side="right")
+        if sp is not telemetry.NULL_SPAN:
+            sp.set(long_chains=int(np.count_nonzero(ends - starts > 1)))
         probe_idx, candidates = expand_ranges(starts, ends)
         if len(candidates) == 0:
             return _EMPTY, _EMPTY

@@ -6,6 +6,18 @@ constant variant are provided for tests and extensions. All functions
 take int64 numpy arrays and return non-negative int64 hashes (or bucket
 indices when ``bits`` is given).
 
+Selectors are bit windows of one multiply-shift product. The radix
+passes read low windows (:func:`radix_window`): pass 1 the lowest
+``bits1`` bits, pass 2 the bits just above them. A lone
+:class:`~repro.hashing.bucket_chaining.BucketChainingTable` buckets by
+the top bits (:func:`bucket_of`). The grouped join kernel
+(:mod:`repro.hashing.batch`) buckets each pass-1 partition by the pass-2
+window instead. Multiply-shift's low ``n`` bits depend only on the
+key's low ``n`` bits, as a bijection, so that window spreads a
+partition's dense keys over distinct buckets. Which window picks the
+bucket never changes a join's output, because equal keys agree on
+every window.
+
 Hot-path note: int64 and uint64 share an itemsize, so all conversions
 here are zero-copy ``view``s rather than ``astype`` copies, and callers
 that need several selectors from the same keys (a radix window per pass
@@ -50,18 +62,23 @@ def _finish(hashed: np.ndarray, bits: int | None) -> np.ndarray:
 def hash_u64(keys: np.ndarray) -> np.ndarray:
     """The raw 64-bit multiply-shift product as ``uint64``.
 
-    The single hash every selector derives from: the top ``bits`` are a
-    bucket index (:func:`bucket_of`), the low bits (below the sign bit)
-    are the radix windows (:func:`radix_window`). Hash once, slice many.
+    The single hash every selector derives from: the low bits (below
+    the sign bit) are the radix windows (:func:`radix_window`), which
+    also give the grouped kernel its buckets, and the top ``bits`` are a
+    standalone table's bucket index (:func:`bucket_of`). Hash once,
+    slice many.
     """
     with np.errstate(over="ignore"):
         return _as_uint64(keys) * MULTIPLY_SHIFT_A
 
 
 def bucket_of(hashed: np.ndarray, bits: int) -> np.ndarray:
-    """Bucket index from a precomputed :func:`hash_u64` array.
+    """Top-bits bucket index from a precomputed :func:`hash_u64` array.
 
     Identical to ``multiply_shift(keys, bits=bits)`` without re-hashing.
+    :class:`~repro.hashing.bucket_chaining.BucketChainingTable` buckets
+    by it; the grouped join kernel does only on its reference and
+    fallback paths (see :mod:`repro.hashing.batch`).
     """
     return _finish(hashed, bits)
 
@@ -71,7 +88,9 @@ def radix_window(hashed: np.ndarray, bits: int, offset: int = 0) -> np.ndarray:
 
     Identical to ``radix_bits_of(keys, bits, offset)`` without
     re-hashing. Windows live below the sign bit (``offset + bits <= 63``),
-    so the raw and sign-cleared hashes agree on every window.
+    so the raw and sign-cleared hashes agree on every window. Offset 0
+    is pass 1's partition selector; offset ``bits1`` is pass 2's, and
+    the grouped join kernel's bucket index.
     """
     if bits <= 0:
         raise ConfigurationError("bits must be positive")
@@ -89,8 +108,8 @@ def radix_window(hashed: np.ndarray, bits: int, offset: int = 0) -> np.ndarray:
 def multiply_shift(keys: np.ndarray, bits: int | None = None) -> np.ndarray:
     """Multiply-shift hashing: ``(a * k) >> (64 - bits)``.
 
-    With ``bits`` set, returns values in ``[0, 2**bits)`` — the paper's
-    radix/bucket selector. Without ``bits``, returns full-width hashes.
+    With ``bits`` set, returns the top ``bits`` bits, values in
+    ``[0, 2**bits)``. Without ``bits``, returns full-width hashes.
     """
     return _finish(hash_u64(keys), bits)
 

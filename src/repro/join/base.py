@@ -58,6 +58,10 @@ class JoinMatch:
         )
 
 
+#: The summary of a join that matched nothing.
+NO_MATCH = JoinMatch(matches=0, key_checksum=0, payload_checksum=0)
+
+
 @dataclass
 class JoinRun:
     """One measured join execution: functional result + simulated cost."""
@@ -103,11 +107,26 @@ def _traced_run(run_method):
     kernel) is what the percentile reports are built from. With both
     spans and the recorder disabled the wrapper costs two flag checks
     and a clock read per run call.
+
+    A workload with an empty side never reaches the operator: the join
+    matches nothing, and every operator's planner needs rows on both
+    sides (a filter, an operator's own bloom filter among them, may
+    leave a side empty). No operator runs, so that run costs zero
+    seconds and records no telemetry.
     """
     from repro.telemetry import events as _events
 
     @functools.wraps(run_method)
     def wrapper(self, workload):
+        if len(workload.build) == 0 or len(workload.probe) == 0:
+            return JoinRun(
+                name=getattr(self, "name", type(self).__name__),
+                workload=workload,
+                match=NO_MATCH,
+                seconds=0.0,
+                counters=PerfCounters(),
+                uses_gpu=False,
+            )
         events_on = _events.enabled()
         if not telemetry.enabled() and not events_on:
             started = time.perf_counter()
@@ -189,6 +208,8 @@ def reference_join(build: Relation, probe: Relation) -> JoinMatch:
     the operators, so any operator's result can be asserted equal.
     Assumes unique build keys (the paper's PK/FK workloads).
     """
+    if len(build) == 0:
+        return NO_MATCH
     order = np.argsort(build.keys, kind="stable")
     sorted_keys = build.keys[order]
     if build.payload_columns:

@@ -151,7 +151,7 @@ def batched_radix_join(
                 radix_histogram(probe.keys, bits1),
                 out=histogram,
             )
-        return base.JoinMatch(matches=0, key_checksum=0, payload_checksum=0)
+        return base.NO_MATCH
     from repro.exec.morsel import serial_join
 
     with telemetry.span(

@@ -57,7 +57,6 @@ from repro.join import (
     TritonJoin,
     coprocess_rungs,
 )
-from repro.hw.counters import PerfCounters
 from repro.join.base import JoinMatch, JoinRun
 from repro.partition.radix import partition_relation
 from repro.telemetry import tracing
@@ -439,23 +438,12 @@ class JoinNode(PlanNode):
             # of the data. Folding the input lineage into the operator's
             # attributes (freeze() walks vars()) keeps the keys distinct.
             operator._plan_lineage = self.lineage
-        if len(build) == 0 or len(probe) == 0:
-            # A filter may leave a side empty. Such a join matches
-            # nothing, and the operators' planners need rows on both
-            # sides, so none is run: the stage costs zero seconds.
-            run = JoinRun(
-                name=getattr(operator, "name", type(operator).__name__),
-                workload=workload,
-                match=JoinMatch(matches=0, key_checksum=0, payload_checksum=0),
-                seconds=0.0,
-                counters=PerfCounters(),
-                uses_gpu=False,
-            )
-        else:
-            with tracing.span(
-                self.label, build_rows=len(build), probe_rows=len(probe)
-            ):
-                run = operator.run(workload)
+        # A side a filter left empty gives the operator's empty run
+        # (see repro.join.base): zero matches, zero seconds.
+        with tracing.span(
+            self.label, build_rows=len(build), probe_rows=len(probe)
+        ):
+            run = operator.run(workload)
         state.record(self.label, run, matches=run.match.matches)
         return build, probe, run
 

@@ -73,18 +73,10 @@ def _loop_reference(build_keys, build_values, build_groups,
                     probe_keys, probe_groups, buckets):
     """Per-group table build/probe — the semantics batching must match."""
     out_idx, out_values = [], []
-    groups = int(
-        max(
-            build_groups.max() if len(build_groups) else -1,
-            probe_groups.max() if len(probe_groups) else -1,
-        )
-        + 1
-    )
-    for g in range(groups):
+    # Groups with no rows on a side add nothing, so only shared ones run.
+    for g in np.intersect1d(build_groups, probe_groups):
         b = build_groups == g
         p = np.nonzero(probe_groups == g)[0]
-        if not b.any() or len(p) == 0:
-            continue
         table = BucketChainingTable(
             build_keys[b], build_values[b], buckets=buckets
         )
@@ -97,21 +89,56 @@ def _loop_reference(build_keys, build_values, build_groups,
     return np.concatenate(out_idx), np.concatenate(out_values)
 
 
-def _partitioned(bits, build_rows, probe_rows, key_space, seed):
-    """Build/probe arrays grouped by a ``bits``-wide radix partition of
-    their keys' hashes, laid out partition-major."""
-    rng = np.random.default_rng(seed)
+def _radix_grouped(bits, build_keys, probe_keys, rng):
+    """Both sides grouped by a ``bits``-wide radix partition of their
+    keys' hashes (pass 1's window), laid out partition-major, plus
+    random build values."""
 
-    def side(rows):
-        keys = rng.integers(1, key_space + 1, size=rows).astype(np.int64)
+    def side(keys):
+        keys = np.asarray(keys, dtype=np.int64)
         groups = radix_window(hash_u64(keys), bits).astype(np.int64)
         order = np.argsort(groups, kind="stable")
         return keys[order], groups[order]
 
-    build_keys, build_groups = side(build_rows)
-    probe_keys, probe_groups = side(probe_rows)
-    build_values = rng.integers(0, 2**40, size=build_rows).astype(np.int64)
+    build_keys, build_groups = side(build_keys)
+    probe_keys, probe_groups = side(probe_keys)
+    build_values = rng.integers(0, 2**40, size=len(build_keys)).astype(
+        np.int64
+    )
     return build_keys, build_values, build_groups, probe_keys, probe_groups
+
+
+def _partitioned(bits, build_rows, probe_rows, key_space, seed):
+    """Uniform keys from ``[1, key_space]``, radix-grouped by ``bits``."""
+    rng = np.random.default_rng(seed)
+    return _radix_grouped(
+        bits,
+        rng.integers(1, key_space + 1, size=build_rows),
+        rng.integers(1, key_space + 1, size=probe_rows),
+        rng,
+    )
+
+
+@st.composite
+def pass1_partitioned_inputs(draw):
+    """Dense (a permutation of 1..rows, as the paper's PK side), uniform
+    or Zipf keys, radix-grouped by a drawn ``bits1``; returns ``(bits1,
+    kernel inputs)``."""
+    bits1 = draw(st.integers(1, 14))
+    build_rows = draw(st.integers(1, 1000))
+    probe_rows = draw(st.integers(1, 1000))
+    keys = draw(st.sampled_from(["dense", "uniform", "zipf"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if keys == "dense":
+        build = rng.permutation(build_rows) + 1
+        probe = rng.integers(1, build_rows + 1, size=probe_rows)
+    elif keys == "uniform":
+        build = rng.integers(1, 4 * build_rows + 1, size=build_rows)
+        probe = rng.integers(1, 4 * build_rows + 1, size=probe_rows)
+    else:
+        build = rng.zipf(1.5, size=build_rows)
+        probe = rng.zipf(1.5, size=probe_rows)
+    return bits1, _radix_grouped(bits1, build, probe, rng)
 
 
 @st.composite
@@ -162,6 +189,50 @@ class TestGroupedBucketChaining:
         for want in (loop, ref):
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+    @given(pass1_partitioned_inputs(), st.sampled_from([2, 64, 1024, 2048]))
+    @settings(max_examples=60, deadline=None)
+    def test_pass2_window_matches_top_bit_tables(self, drawn, buckets):
+        """Bucketing each pass-1 partition by the hash window above
+        ``bits1`` gives the pairs, in order, of per-group tables that
+        bucket by the top hash bits at the requested count."""
+        bits1, (bk, bv, bg, pk, pg) = drawn
+        got = grouped_bucket_chaining_join(
+            bk, bv, bg, pk, pg, buckets=buckets, bits1=bits1
+        )
+        want = _loop_reference(bk, bv, bg, pk, pg, buckets)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize(
+        "bits1, reference, want_buckets, want_offset",
+        [
+            # 100 build rows, one group: 1,024 of 2,048 buckets (10 bits).
+            (3, False, 1024, 3),
+            (53, False, 1024, 53),  # window [53, 63): still below bit 63
+            (60, False, 1024, 54),  # [60, 70) is past it: the top bits
+            (None, False, 1024, 54),  # groups not known to be partitions
+            (3, True, 2048, 53),  # reference keeps count and top bits
+        ],
+    )
+    def test_bucket_window(self, bits1, reference, want_buckets, want_offset):
+        keys = np.arange(1, 101, dtype=np.int64)
+        groups = np.zeros(len(keys), dtype=np.int64)
+        spans = _kernel_spans(
+            lambda: grouped_bucket_chaining_join(
+                keys, keys, groups, keys, groups,
+                bits1=bits1, reference=reference,
+            )
+        )
+        assert [(a["buckets"], a["bucket_offset"]) for a in spans] == [
+            (want_buckets, want_offset)
+        ]
+        got = grouped_bucket_chaining_join(
+            keys, keys, groups, keys, groups,
+            bits1=bits1, reference=reference,
+        )
+        np.testing.assert_array_equal(got[0], np.arange(len(keys)))
+        np.testing.assert_array_equal(got[1], keys)
 
     def test_empty_sides(self):
         empty = np.empty(0, dtype=np.int64)
@@ -314,22 +385,27 @@ def _pk_fk(rows, seed):
     )
 
 
-def _kernel_buckets(join):
-    """Run ``join()`` inside a trace; the bucket count of every grouped
-    kernel call it made."""
+def _kernel_spans(join):
+    """Run ``join()`` inside a trace; the span attributes of every
+    grouped kernel call it made."""
     tracing.enable()
     tracing.reset()
     try:
         with tracing.trace_query(tracing.derive_trace_id(0, 0)):
             join()
         return [
-            record["attrs"]["buckets"]
+            record["attrs"]
             for record in tracing.records()
             if record["name"] == "grouped_bucket_chaining_join"
         ]
     finally:
         tracing.disable()
         tracing.reset()
+
+
+def _kernel_buckets(join):
+    """The bucket count of every grouped kernel call ``join()`` made."""
+    return [attrs["buckets"] for attrs in _kernel_spans(join)]
 
 
 class TestRowSizedGeometry:
@@ -351,6 +427,26 @@ class TestRowSizedGeometry:
         assert batched_radix_join(
             build, probe, bits1
         ) == reference_radix_join(build, probe, bits1)
+
+    @pytest.mark.parametrize("budget", [None, 4096], ids=["memory", "spill"])
+    def test_every_source_buckets_by_its_pass1_bits(self, budget, tmp_path):
+        """In memory and off disk, the morsel source hands the kernel
+        its ``bits1``; on dense keys no lookup then reads a chain."""
+        bits1 = 8
+        build, probe = _pk_fk(110 << bits1, seed=17)
+        config = ExecutionConfig(
+            budget_bytes=budget,
+            morsel_rows=8192,
+            spill_dir=str(tmp_path),
+            force=True,
+        )
+        spans = _kernel_spans(
+            lambda: out_of_core_join(build, probe, bits1, config=config)
+        )
+        assert len(spans) > 1
+        assert {(a["bucket_offset"], a["long_chains"]) for a in spans} == {
+            (bits1, 0)
+        }
 
     def test_big_join_keeps_the_paper_geometry(self):
         """0.5 M rows a side at TritonJoin's bits1: each morsel's build

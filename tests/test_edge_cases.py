@@ -14,12 +14,19 @@ from repro.hw.gpu import MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.tlb import MemSpace
 from repro.join import (
+    BloomFilteredTritonJoin,
+    CoProcessingJoin,
     CpuPartitionedJoin,
     CpuRadixJoin,
+    DegradationLadder,
+    JoinOperator,
+    MultiGpuTritonJoin,
     NoPartitioningJoin,
     TritonJoin,
+    coprocess_rungs,
     reference_join,
 )
+from repro.join.base import NO_MATCH
 from repro.partition import SharedPartitioner, partition_relation
 from repro.sim.engine import SimEngine
 from repro.sim.resources import Resource, ResourcePool
@@ -77,6 +84,82 @@ class TestDegenerateJoins:
         )
         run = TritonJoin(system).run(workload)
         assert run.match.matches == 5000
+
+
+def _relation(keys):
+    """A relation of ``keys`` standing for 1,024x as many rows (so a
+    multi-GPU slice still holds its materialized rows)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return Relation(
+        keys,
+        {"attr0": np.arange(len(keys), dtype=np.int64)},
+        nominal_rows=1024 * len(keys),
+    )
+
+
+def _every_operator(system):
+    """One instance of every concrete operator class, every ladder rung's
+    operator, and both ladders."""
+    operators = [
+        cls(system)
+        for cls in (
+            BloomFilteredTritonJoin,
+            CoProcessingJoin,
+            CpuPartitionedJoin,
+            CpuRadixJoin,
+            MultiGpuTritonJoin,
+            NoPartitioningJoin,
+            TritonJoin,
+        )
+    ]
+    operators += [rung.factory(system) for rung in coprocess_rungs()]
+    operators += [
+        DegradationLadder(system),
+        DegradationLadder(system, rungs=coprocess_rungs()),
+    ]
+    return operators
+
+
+def _shipped_operator_classes(cls=JoinOperator):
+    """Every operator class the package defines (not test doubles)."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from _shipped_operator_classes(sub)
+
+
+class TestEmptySides:
+    """A join with a side that has no rows matches nothing, whichever
+    operator runs it — including one whose own bloom filter empties the
+    probe side."""
+
+    CASES = {
+        "empty build": ([], [2, 2]),
+        "empty probe": ([1], []),
+        # No probe key is in the build: the bloom filter drops every row.
+        "probe the filter empties": ([1], [2, 2]),
+    }
+
+    def test_every_operator_class_is_covered(self, system):
+        covered = {type(op) for op in _every_operator(system)}
+        assert set(_shipped_operator_classes()) <= covered
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_zero_matches(self, system, case):
+        from repro.data.generator import Workload, WorkloadConfig
+
+        build, probe = (_relation(keys) for keys in self.CASES[case])
+        workload = Workload(
+            config=WorkloadConfig(1e-3, 2e-3), build=build, probe=probe
+        )
+        assert reference_join(build, probe) == NO_MATCH
+        for operator in _every_operator(system):
+            run = operator.run(workload)
+            assert run.match == NO_MATCH, type(operator).__name__
+            if len(build) == 0 or len(probe) == 0:
+                assert run.seconds == 0.0
+            elif isinstance(operator, BloomFilteredTritonJoin):
+                assert run.notes["pass_rate"] == 0.0
 
 
 class TestHashTableEdges:

@@ -24,7 +24,7 @@ import json
 import threading
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import context, reference_join
@@ -155,7 +155,43 @@ def pairs_reference(build, probe):
     )
 
 
+def _bloom_empties_probe():
+    """A drawn plan the bloom filter empties: the build keeps key 1, the
+    probe keeps only rows of key 2 (seed 1 has no probe key 1)."""
+    build_filter = {
+        "op": "filter",
+        "predicate": "key_range",
+        "lo": 0,
+        "hi": 2,
+        "input": {"op": "scan", "relation": "build"},
+    }
+    probe_filter = {
+        "op": "filter",
+        "predicate": "key_range",
+        "lo": 0,
+        "hi": 3,
+        "input": {"op": "scan", "relation": "probe"},
+    }
+    spec = {
+        "name": "prop",
+        "workload": {
+            "build_m_tuples": 16,
+            "probe_m_tuples": 16,
+            "scale_divisor": SCALE,
+            "seed": 1,
+        },
+        "root": {
+            "op": "join",
+            "algorithm": "bloom-triton",
+            "build": build_filter,
+            "probe": probe_filter,
+        },
+    }
+    return spec, ("build", build_filter), probe_filter
+
+
 @given(plan_specs())
+@example(_bloom_empties_probe())
 @settings(max_examples=12, deadline=None)
 def test_round_trip_and_functional_reference(system, drawn):
     spec, (build_relation, build_filter), probe_filter = drawn

@@ -122,12 +122,47 @@ class TestAmbientPropagation:
                     keys, keys, grouped, keys, grouped,
                     buckets=2048, reference=reference,
                 )
-        used = [
-            record["attrs"]["buckets"]
+        spans = [
+            record["attrs"]
             for record in tracing.records()
             if record["name"] == "grouped_bucket_chaining_join"
         ]
-        assert used == [want for _, want in cases]
+        assert [attrs["buckets"] for attrs in spans] == [
+            want for _, want in cases
+        ]
+        # No call passes bits1, so buckets come from the top hash bits;
+        # keys 1..100 spread over them with no chain longer than one.
+        assert [attrs["long_chains"] for attrs in spans] == [0] * len(cases)
+
+    def test_dense_morsel_reads_no_chain_longer_than_one(self, traced):
+        """A fig17-shaped morsel: 31 pass-1 partitions (``bits1 = 10``)
+        of dense keys, ~122 build rows each over 1,024 buckets. The
+        window above ``bits1`` gives each key its own bucket; the top
+        hash bits, which ``reference=True`` keeps, pair keys up."""
+        from repro.hashing.batch import grouped_bucket_chaining_join
+        from repro.hashing.functions import hash_u64, radix_window
+
+        bits1 = 10
+        keys = np.arange(1, (122 << bits1) + 1, dtype=np.int64)
+        groups = radix_window(hash_u64(keys), bits1)
+        order = np.argsort(groups, kind="stable")
+        morsel = order[groups[order] < 31]
+        keys, groups = keys[morsel], groups[morsel]
+        with tracing.trace_query(tracing.derive_trace_id(0, 0)):
+            for reference in (False, True):
+                grouped_bucket_chaining_join(
+                    keys, keys, groups, keys, groups,
+                    buckets=1024, bits1=bits1, reference=reference,
+                )
+        window, top = [
+            record["attrs"]
+            for record in tracing.records()
+            if record["name"] == "grouped_bucket_chaining_join"
+        ]
+        assert (window["buckets"], window["bucket_offset"]) == (1024, bits1)
+        assert window["long_chains"] == 0
+        assert (top["buckets"], top["bucket_offset"]) == (1024, 64 - 10)
+        assert top["long_chains"] > 0
 
     def test_span_is_noop_when_disabled_or_off_trace(self):
         tracing.disable()
