@@ -1,14 +1,21 @@
-"""Golden fingerprint of the simulator's output, float for float.
+"""Golden fingerprints of the simulator's output, float for float.
 
-One sha256 pins the exact ``repr`` of every :class:`SimResult` field
-over a corpus of seeded random task graphs, each run clean and under
-every checked-in fault plan (``tests/data/fault_plans/``). Any change
-to a simulated float, a trace order, a task record or a fault event
-changes the hash; a refactor of the engine must leave it unchanged.
+The engine sha256 pins the exact ``repr`` of every :class:`SimResult`
+field over a corpus of seeded random task graphs, each run clean and
+under every checked-in fault plan (``tests/data/fault_plans/``). Any
+change to a simulated float, a trace order, a task record or a fault
+event changes the hash; a refactor of the engine must leave it
+unchanged. Those graphs are built directly (no operators, no run
+cache) so the corpus is independent of test order.
 
-Graphs are built directly (no operators, no run cache) so the corpus
-is independent of test order. Task ids come from a process-global
-counter, so records are rendered with graph-relative indices instead.
+The builder sha256 pins the graphs the operators build: every task's
+demands, rate caps, floor, edges, counters and metadata, plus the
+result of simulating it, for each service query template and a set of
+operator shapes. A refactor of the kernel costing or of a graph
+builder must leave it unchanged.
+
+Task ids come from a process-global counter, so records are rendered
+with graph-relative indices instead.
 """
 
 import hashlib
@@ -17,8 +24,24 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
+from repro.aggregate.group_by import (
+    NoPartitioningAggregation,
+    TritonAggregation,
+)
+from repro.data.generator import generate_workload
 from repro.errors import ReproError
 from repro.faults import FaultPlan
+from repro.hw.specs import ac922, v100_pcie, xeon_system
+from repro.join import (
+    CoProcessingJoin,
+    CpuRadixJoin,
+    MultiGpuTritonJoin,
+    TritonJoin,
+    run_cache,
+)
+from repro.partition.prefix_sum import PrefixSumLocation
+from repro.service.loadgen import query_templates
+from repro.service.plan import execute_plan
 from repro.sim.engine import SimEngine
 from repro.sim.resources import Resource, ResourcePool
 from repro.sim.tasks import Task, TaskGraph, chain
@@ -42,6 +65,9 @@ KINDS = ("join", "part", "copy", "scan")
 GRAPHS = 100
 GOLDEN_SHA256 = (
     "41cdac42343b480b9e1d8cd4d5d806d71754edb9b50caca9efc6b9034665800a"
+)
+BUILDER_SHA256 = (
+    "05ab4c14d9b50bf5debe9af1b884a0c5f0046fac4d39402b2c6bf834fe41ad68"
 )
 
 
@@ -153,3 +179,91 @@ def test_simulated_results_match_the_golden_fingerprint():
     }
     assert errors > 0
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _graph_fingerprint(graph):
+    index = {task.task_id: i for i, task in enumerate(graph.tasks)}
+    return repr(
+        [
+            (
+                task.name, task.phase, list(task.demands.items()),
+                list(task.rate_caps.items()), task.min_seconds,
+                [index[dep.task_id] for dep in task.after],
+                repr(task.counters), list(task.meta.items()),
+            )
+            for task in graph.tasks
+        ]
+    )
+
+
+def _operator_shapes():
+    """(label, thunk) pairs: each thunk runs one operator shape."""
+    small = generate_workload(512, 512, scale_divisor=65536, seed=3)
+    skewed = generate_workload(
+        256, 512, scale_divisor=65536, zipf_theta=1.0, seed=5
+    )
+    huge = generate_workload(4096, 4096, scale_divisor=2**20, seed=9)
+    system = ac922()
+    yield "triton", lambda: TritonJoin(system).run(small)
+    yield "triton-skewed", lambda: TritonJoin(system).run(skewed)
+    yield "triton-serial", lambda: TritonJoin(system, overlap=False).run(small)
+    yield "triton-spill", lambda: TritonJoin(
+        system, cache_bytes=2**30
+    ).run(small)
+    yield "triton-nocache", lambda: TritonJoin(
+        system, degraded=True
+    ).run(small)
+    yield "triton-gpu-ps", lambda: TritonJoin(
+        system, prefix_sum=PrefixSumLocation.GPU
+    ).run(small)
+    yield "triton-aggregate", lambda: TritonJoin(
+        system, aggregate=True
+    ).run(small)
+    yield "triton-3pass", lambda: TritonJoin(system).run(huge)
+    yield "triton-pcie", lambda: TritonJoin(v100_pcie()).run(small)
+    yield "multi-gpu", lambda: MultiGpuTritonJoin(system).run(small)
+    yield "coprocess", lambda: CoProcessingJoin(
+        system, cpu_fraction=0.3
+    ).run(small)
+    yield "cpu-radix", lambda: CpuRadixJoin(system).run(small)
+    yield "cpu-radix-xeon", lambda: CpuRadixJoin(xeon_system()).run(small)
+    yield "groupby-triton", lambda: TritonAggregation(system).run(
+        small.probe, 2**20
+    )
+    yield "groupby-nopart", lambda: NoPartitioningAggregation(system).run(
+        small.probe, 2**20
+    )
+
+
+def test_built_graphs_match_the_builder_fingerprint(monkeypatch):
+    """Every graph an operator builds, task by task, plus its result."""
+    recorded = []
+    original = SimEngine.run
+
+    def recording_run(engine, graph):
+        text = _graph_fingerprint(graph)
+        result = original(engine, graph)
+        recorded.append(text + _fingerprint(graph, result))
+        return result
+
+    monkeypatch.setattr(SimEngine, "run", recording_run)
+    was_enabled = run_cache.enabled()
+    run_cache.disable()
+    try:
+        digest = hashlib.sha256()
+        shapes = [
+            (template["name"], lambda t=template: execute_plan(t))
+            for template in query_templates()
+        ] + list(_operator_shapes())
+        for label, thunk in shapes:
+            recorded.clear()
+            thunk()
+            assert recorded, f"{label} simulated no graph"
+            digest.update(label.encode())
+            for text in recorded:
+                digest.update(text.encode())
+                digest.update(b"\n")
+    finally:
+        if was_enabled:
+            run_cache.enable()
+    assert digest.hexdigest() == BUILDER_SHA256
