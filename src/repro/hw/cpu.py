@@ -56,23 +56,39 @@ class CpuModel:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> CpuAccessCost:
         """Time to move ``total_bytes`` through the socket's memory."""
-        if total_bytes < 0:
-            raise ConfigurationError("total_bytes cannot be negative")
-        mem = self.spec.memory
-        if pattern is AccessPattern.SEQUENTIAL:
-            bandwidth = mem.bandwidth_bytes_per_s
-        else:
-            factor = (
-                mem.random_read_factor if op is Op.READ else mem.random_write_factor
-            )
-            bandwidth = mem.bandwidth_bytes_per_s * factor
         counters = PerfCounters()
         if op is Op.READ:
             counters.cpu_mem_read_bytes += total_bytes
         else:
             counters.cpu_mem_write_bytes += total_bytes
-        seconds = total_bytes / bandwidth if total_bytes else 0.0
-        return CpuAccessCost(seconds, bandwidth, counters)
+        return CpuAccessCost(
+            self.access_seconds(total_bytes, op, pattern),
+            self.bandwidth(op, pattern),
+            counters,
+        )
+
+    def access_seconds(
+        self,
+        total_bytes: float,
+        op: Op,
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> float:
+        """Seconds to move ``total_bytes`` through the socket's memory."""
+        if total_bytes < 0:
+            raise ConfigurationError("total_bytes cannot be negative")
+        if not total_bytes:
+            return 0.0
+        return total_bytes / self.bandwidth(op, pattern)
+
+    def bandwidth(self, op: Op, pattern: AccessPattern) -> float:
+        """Achievable bytes/s of an access stream through the memory."""
+        mem = self.spec.memory
+        if pattern is AccessPattern.SEQUENTIAL:
+            return mem.bandwidth_bytes_per_s
+        factor = (
+            mem.random_read_factor if op is Op.READ else mem.random_write_factor
+        )
+        return mem.bandwidth_bytes_per_s * factor
 
     # -- software write-combining ----------------------------------------------
 

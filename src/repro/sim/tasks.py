@@ -141,11 +141,15 @@ class TaskGraph:
             self.add(task)
 
     def validate(self) -> Dict[int, List[Task]]:
-        """Check that the graph is closed and acyclic.
+        """Check that the graph is closed: every dependency is in it.
 
         Returns each task's successors by task id, one entry per
-        ``after`` edge (a repeated dependency appears repeatedly).
+        ``after`` edge (a repeated dependency appears repeatedly). A
+        cycle is found by the engine: its tasks never become ready, and
+        the run raises :class:`SimulationError` when it ends with tasks
+        unfinished.
         """
+        successors: Dict[int, List[Task]] = {t.task_id: [] for t in self.tasks}
         for task in self.tasks:
             for dep in task.after:
                 if dep.task_id not in self._ids:
@@ -153,23 +157,7 @@ class TaskGraph:
                         f"task {task.name!r} depends on {dep.name!r} "
                         "which is not in the graph"
                     )
-        # Kahn's algorithm for cycle detection.
-        indegree = {t.task_id: len(t.after) for t in self.tasks}
-        successors: Dict[int, List[Task]] = {t.task_id: [] for t in self.tasks}
-        for task in self.tasks:
-            for dep in task.after:
                 successors[dep.task_id].append(task)
-        ready = [t for t in self.tasks if indegree[t.task_id] == 0]
-        seen = 0
-        while ready:
-            current = ready.pop()
-            seen += 1
-            for succ in successors[current.task_id]:
-                indegree[succ.task_id] -= 1
-                if indegree[succ.task_id] == 0:
-                    ready.append(succ)
-        if seen != len(self.tasks):
-            raise SimulationError("task graph contains a cycle")
         return successors
 
     def reset(self) -> None:

@@ -15,6 +15,7 @@ import copy
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -483,6 +484,66 @@ class TestCoprocessGate:
             f"fig16 / {TRITON}: bound attribution sums to 0.5, makespan "
             "is 1.0"
         ]
+
+
+# -- tables ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def dump():
+    """The committed ``bench all`` dump, as the gate's baseline reads it."""
+    return (REPO_ROOT / "results_all.txt").read_text()
+
+
+def tables_gate(run, tmp_path, text):
+    path = tmp_path / "results.txt"
+    path.write_text(text)
+    return run("--check-tables", path)
+
+
+class TestTablesGate:
+    def test_same_tables_at_other_timings_pass(self, run, tmp_path, dump):
+        # Timing marks, the wall-clock summary and the measured
+        # experiments' tables all differ run to run.
+        text = re.sub(r"^\[(\w+): [0-9.]+s\]$", r"[\1: 99.9s]", dump,
+                      flags=re.M)
+        text = text.replace("p50 ms    |", "p50 ms    | 12345 |")
+        text = text.replace("wall seconds           |",
+                            "wall seconds           | 6 |")
+        text = text.split("Wall-clock per experiment")[0] + "the end\n"
+        code, first, problems = tables_gate(run, tmp_path, text)
+        assert code == 0 and problems == []
+        assert first == (
+            "tables gate holds: 23 experiment(s) match results_all.txt"
+        )
+
+    def test_changed_value(self, run, tmp_path, dump):
+        line = next(
+            line for line in dump.splitlines()
+            if line.startswith("GPU Triton Join (Perfect) |")
+        )
+        text = dump.replace(line, line.replace("2.268", "2.269"), 1)
+        code, first, problems = tables_gate(run, tmp_path, text)
+        assert code == 1
+        assert first == "1 table difference(s):"
+        assert problems == [
+            f"fig01: 1 line(s) differ; line 6 is "
+            f"{line.replace('2.268', '2.269')!r}, baseline {line!r}"
+        ]
+
+    def test_missing_and_extra_experiments(self, run, tmp_path, dump):
+        text = dump.replace("[fig04: ", "[fig04b: ", 1)
+        code, first, problems = tables_gate(run, tmp_path, text)
+        assert code == 1
+        assert first == "2 table difference(s):"
+        assert problems == [
+            "fig04: missing from the run", "fig04b: not in the baseline",
+        ]
+
+    def test_text_without_tables_is_a_usage_error(self, run, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            tables_gate(run, tmp_path, "no tables here\n")
+        assert exit_info.value.code == 2
 
 
 # -- Prometheus -----------------------------------------------------------------

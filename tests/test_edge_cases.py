@@ -87,14 +87,8 @@ class TestDegenerateJoins:
 
 
 def _relation(keys):
-    """A relation of ``keys`` standing for 1,024x as many rows (so a
-    multi-GPU slice still holds its materialized rows)."""
     keys = np.asarray(keys, dtype=np.int64)
-    return Relation(
-        keys,
-        {"attr0": np.arange(len(keys), dtype=np.int64)},
-        nominal_rows=1024 * len(keys),
-    )
+    return Relation(keys, {"attr0": np.arange(len(keys), dtype=np.int64)})
 
 
 def _every_operator(system):

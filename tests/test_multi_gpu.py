@@ -1,5 +1,6 @@
 """Unit tests for the multi-GPU Triton join extension."""
 
+import numpy as np
 import pytest
 
 from repro.data.generator import generate_workload
@@ -73,3 +74,30 @@ class TestScaling:
         # Part-1 tasks carry X-bus demand.
         part1 = [e for e in run.sim.trace if e.phase == "Part 1"]
         assert len(part1) == 2
+
+
+class TestTinySlices:
+    """A slice never stands for fewer rows than it materializes."""
+
+    def test_fully_materialized_workload_runs(self, system):
+        workload = generate_workload(0.001, 0.001, scale_divisor=1)
+        assert workload.build.nominal_rows == len(workload.build)
+        run = MultiGpuTritonJoin(system).run(workload)
+        assert run.match == reference_join(workload.build, workload.probe)
+        assert run.seconds > 0
+
+    def test_one_row_relations(self, system):
+        from repro.data.generator import Workload, WorkloadConfig
+        from repro.data.relation import Relation
+
+        build = Relation(np.array([5]), {"attr0": np.array([50])})
+        probe = Relation(np.array([5]), {"attr0": np.array([51])})
+        workload = Workload(
+            config=WorkloadConfig(1e-6, 1e-6), build=build, probe=probe
+        )
+        op = MultiGpuTritonJoin(system, gpu_count=3)
+        sliced = op._slice_workload(workload)
+        assert sliced.build.nominal_rows == sliced.probe.nominal_rows == 1
+        run = op.run(workload)
+        assert run.match == reference_join(build, probe)
+        assert run.match.matches == 1

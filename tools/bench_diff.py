@@ -18,6 +18,7 @@ Usage::
     PYTHONPATH=src python tools/bench_diff.py --history
     PYTHONPATH=src python tools/bench_diff.py --check-coprocess fig16.json
     PYTHONPATH=src python tools/bench_diff.py --check-trace t.json --min-traces 1000
+    PYTHONPATH=src python tools/bench_diff.py --check-tables results.txt
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import functools
 import json
 import pathlib
+import re
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -41,6 +43,10 @@ from repro.telemetry.slo import history_anomalies  # noqa: E402
 
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.json"
 SERVICE_BASELINE = REPO_ROOT / "BENCH_service.json"
+#: The committed ``python -m repro.bench all`` dump the tables gate diffs.
+TABLES_BASELINE = REPO_ROOT / "results_all.txt"
+#: Experiments whose tables hold wall-clock measurements.
+MEASURED_EXPERIMENTS = ("ext_outofcore", "ext_service")
 
 #: The morsel pool must not lose to the single-process join.
 MIN_POOL_SPEEDUP = 1.0
@@ -416,6 +422,65 @@ def check_trace(document: dict, min_traces: int = 1) -> List[str]:
     return problems
 
 
+_TIMING_MARK = re.compile(r"^\[(\w+): [0-9.]+s\]$")
+
+
+def bench_tables(text: str) -> Dict[str, List[str]]:
+    """Each experiment's table lines in a ``python -m repro.bench`` dump.
+
+    An experiment's ``[name: X.Xs]`` timing mark closes its tables and is
+    dropped; the wall-clock summary and what follows it are dropped, as
+    are the measured experiments' tables (:data:`MEASURED_EXPERIMENTS`).
+    """
+    tables: Dict[str, List[str]] = {}
+    block: List[str] = []
+    for line in text.splitlines():
+        if line.startswith("Wall-clock per experiment"):
+            break
+        mark = _TIMING_MARK.match(line)
+        if mark is None:
+            block.append(line)
+            continue
+        if mark.group(1) not in MEASURED_EXPERIMENTS:
+            tables[mark.group(1)] = block
+        block = []
+    return tables
+
+
+def check_tables(tables: Dict[str, List[str]], baseline: str) -> List[str]:
+    """Diff a run's tables against a baseline dump ([] = identical)."""
+    expected = bench_tables(baseline)
+    problems = [
+        f"{name}: missing from the run" for name in expected if name not in tables
+    ]
+    for name, lines in tables.items():
+        want = expected.get(name)
+        if want is None:
+            problems.append(f"{name}: not in the baseline")
+            continue
+        if lines == want:
+            continue
+        differ = [
+            i for i in range(max(len(lines), len(want)))
+            if lines[i:i + 1] != want[i:i + 1]
+        ]
+        first = differ[0]
+        got = lines[first] if first < len(lines) else "<end>"
+        was = want[first] if first < len(want) else "<end>"
+        problems.append(
+            f"{name}: {len(differ)} line(s) differ; line {first + 1} "
+            f"is {got!r}, baseline {was!r}"
+        )
+    return problems
+
+
+def _load_tables(path: pathlib.Path) -> Dict[str, List[str]]:
+    tables = bench_tables(_load_text(path))
+    if not tables:
+        raise ValueError(f"{path} holds no `python -m repro.bench` tables")
+    return tables
+
+
 def _expect(description: str, accepts: Callable[[dict], bool]):
     """A JSON loader raising ValueError (a usage error) on the wrong shape."""
 
@@ -502,6 +567,14 @@ GATES: Dict[str, Gate] = {
         lambda d: f"trace gate holds: {len(_trace_spans(d))} spans form a "
         "well-formed trace forest",
         lambda d: "trace gate violation(s)",
+    ),
+    "tables": Gate(
+        f"diff a `python -m repro.bench all` dump against {TABLES_BASELINE.name}",
+        _load_tables,
+        lambda tables: check_tables(tables, _load_text(TABLES_BASELINE)),
+        lambda tables: f"tables gate holds: {len(tables)} experiment(s) "
+        f"match {TABLES_BASELINE.name}",
+        lambda tables: "table difference(s)",
     ),
     "prometheus": Gate(
         "validate a Prometheus text exposition file",
