@@ -88,6 +88,16 @@ class WireCost:
             return 0.0
         return self.wire_bytes / self.payload_bytes - 1.0
 
+    def repeated(self, total_bytes: int) -> "WireCost":
+        """The cost of ``total_bytes`` moved in accesses like this one."""
+        accesses = math.ceil(total_bytes / self.payload_bytes)
+        return WireCost(
+            payload_bytes=total_bytes,
+            to_gpu_bytes=self.to_gpu_bytes * accesses,
+            to_cpu_bytes=self.to_cpu_bytes * accesses,
+            transactions=self.transactions * accesses,
+        )
+
     def __add__(self, other: "WireCost") -> "WireCost":
         return WireCost(
             payload_bytes=self.payload_bytes + other.payload_bytes,
@@ -164,13 +174,8 @@ class InterconnectModel:
         """Wire cost of a stream of ``total_bytes`` in equal-sized accesses."""
         if access_bytes <= 0:
             raise ConfigurationError("access granularity must be positive")
-        accesses = math.ceil(total_bytes / access_bytes)
-        per_access = self.wire_cost(access_bytes, op, aligned=aligned)
-        return WireCost(
-            payload_bytes=total_bytes,
-            to_gpu_bytes=per_access.to_gpu_bytes * accesses,
-            to_cpu_bytes=per_access.to_cpu_bytes * accesses,
-            transactions=per_access.transactions * accesses,
+        return self.wire_cost(access_bytes, op, aligned=aligned).repeated(
+            total_bytes
         )
 
     # -- bandwidth ----------------------------------------------------------
