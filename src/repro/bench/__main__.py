@@ -35,32 +35,34 @@ keeps a set of experiments in flight whose declared budgets sum under
 the cap.
 
 ``--trace out.json`` records wall-clock spans (experiment > operator
-run > functional/simulate > kernels) plus each simulated execution's
-virtual timeline into one Chrome-trace file for
-https://ui.perfetto.dev; ``--metrics out.json`` dumps the metrics
-registry (cache tallies, kernel path counts). ``--explain out.json``
-runs the bottleneck attribution engine (:mod:`repro.explain`) over
-every simulated execution — critical path, per-resource utilization,
-bound classes — prints a one-line summary per experiment, and writes
-the full explanations as ``{"experiments": {name: [run, ...]}}``
-(the input format of ``tools/bench_diff.py``). Each experiment is one
-trace root (``experiment:<name>``), exactly as each service query is.
-All three work with ``--jobs``: every worker ships its spans, metrics,
-and events home in one :func:`repro.telemetry.capture` envelope per
-experiment (explanations travel beside it) and they are absorbed
-here. Note that with the run cache
-on, a figure that replays a memoized (operator, workload) run does not
-re-simulate it, so the explanation appears only under the experiment
-that ran it first.
+run > functional/simulate > kernels), each simulated execution's
+virtual timeline, and the flight recorder's fault, worker and ladder
+instants into one Chrome-trace file for https://ui.perfetto.dev;
+``--metrics out.json`` dumps the metrics registry (cache tallies,
+kernel path counts). ``--explain out.json`` runs the bottleneck
+attribution engine (:mod:`repro.explain`) over every simulated
+execution — critical path, per-resource utilization, bound classes —
+prints a one-line summary per experiment, and writes the full
+explanations as ``{"experiments": {name: [run, ...]}}`` (the input
+format of ``tools/bench_diff.py``). Each experiment is one trace root
+(``experiment:<name>``), exactly as each service query is, and its
+``experiment.start``/``experiment.end`` events fall inside it. All
+three work with ``--jobs``: every worker ships its metrics and records
+home in one :func:`repro.telemetry.capture` envelope per experiment
+(explanations travel beside it) and they are absorbed here. Note that
+with the run cache on, a figure that replays a memoized (operator,
+workload) run does not re-simulate it, so the explanation appears only
+under the experiment that ran it first.
 
-``--events out.jsonl`` turns on the flight recorder
-(:mod:`repro.telemetry.events`) and writes the structured lifecycle
-event stream as JSONL; ``--prom out.prom`` exports the final metrics
-registry in Prometheus text format and ``--prom-port N`` additionally
-serves exactly one scrape of it over HTTP; ``--live`` paints a fleet
+``--events out.jsonl`` writes the flight recorder's structured
+lifecycle events (schema: :mod:`repro.telemetry.events`) as JSONL;
+without ``--trace`` or ``--explain`` the run records events alone, with
+no span timing. ``--prom out.prom`` exports the final metrics registry
+in Prometheus text format and ``--prom-port N`` additionally serves
+exactly one scrape of it over HTTP; ``--live`` paints a fleet
 dashboard to stderr (falling back to plain ``[live]`` lines on
-non-TTY streams). All compose with ``--jobs``: worker events ride
-the same envelope as spans and metrics. See docs/observability.md.
+non-TTY streams). All compose with ``--jobs``. See
+docs/observability.md.
 """
 
 from __future__ import annotations
@@ -130,18 +132,18 @@ def _render_one(name: str, sizes, divisor) -> "tuple[str, list]":
     if divisor is not None and "scale_divisor" in signature.parameters:
         kwargs["scale_divisor"] = divisor
     started = time.time()
-    telemetry.emit_event("experiment.start", experiment=name)
     with tracing.trace_query(
         tracing.derive_trace_id("experiment", name),
         name=f"experiment:{name}",
         divisor=divisor,
     ):
+        telemetry.emit_event("experiment.start", experiment=name)
         result = module.run(**kwargs)
-    elapsed = time.time() - started
+        elapsed = time.time() - started
+        telemetry.emit_event(
+            "experiment.end", experiment=name, seconds=elapsed
+        )
     telemetry.registry.observe("bench.experiment_seconds", elapsed)
-    telemetry.emit_event(
-        "experiment.end", experiment=name, seconds=elapsed
-    )
     tables = result if isinstance(result, tuple) else (result,)
     chunks = []
     for table in tables:
@@ -564,17 +566,13 @@ def main(argv=None) -> int:
             print(f"[fault plan: {fault_plan.summary()}]", file=sys.stderr)
     if not args.no_cache:
         run_cache.enable()
-    if args.trace:
-        telemetry.enable()
-    explained = None
-    if args.explain:
-        explained = {}
-        # Span labels name each explanation (experiment / operator /
-        # simulate), so attribution needs spans recorded even without
-        # --trace.
-        telemetry.enable()
-    if args.events or args.live:
-        telemetry.events.enable()
+    explained = {} if args.explain else None
+    # Span labels name each explanation (experiment / operator /
+    # simulate), so --explain records spans even without --trace.
+    if args.trace or args.explain:
+        telemetry.set_recording(telemetry.SPANS)
+    elif args.events or args.live:
+        telemetry.set_recording(telemetry.EVENTS)
     dashboard = None
     if args.live and args.experiment != "list":
         from repro.bench.live import LiveDashboard
@@ -608,7 +606,9 @@ def main(argv=None) -> int:
         if args.metrics:
             telemetry.write_metrics(args.metrics)
         if args.events:
-            written = telemetry.events.write_jsonl(args.events)
+            written = telemetry.events.write_jsonl(
+                args.events, tracing.events()
+            )
             print(
                 f"[events: {written} -> {args.events}]", file=sys.stderr
             )
@@ -637,10 +637,8 @@ def main(argv=None) -> int:
         shutdown_pool()
         run_cache.disable()
         run_cache.clear()
-        telemetry.disable()
+        telemetry.set_recording(telemetry.OFF)
         tracing.reset()
-        telemetry.events.disable()
-        telemetry.events.reset()
 
 
 if __name__ == "__main__":

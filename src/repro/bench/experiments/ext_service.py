@@ -63,7 +63,7 @@ def run(
             workers=workers,
             seed=seed,
             theta=theta,
-            record_events=False,
+            recording=None,
         )
 
     # Determinism claim: same seed, same worker count, second run —
@@ -73,7 +73,7 @@ def run(
         workers=worker_counts[-1],
         seed=seed,
         theta=theta,
-        record_events=False,
+        recording=None,
     )
     last = reports[columns[-1]]["deterministic"]
     digest_stable = float(

@@ -14,9 +14,10 @@ Two render modes, chosen by ``stream.isatty()``:
 - **plain** — one ``[live] ...`` summary line per state change, no
   cursor movement, safe for CI logs.
 
-The vitals come from the parent-side telemetry registry and event
-buffer, which the parallel runner populates as it absorbs each worker's
-delta — the dashboard is a reader, never a new source of truth. ETA is
+The vitals come from the parent-side telemetry registry and the
+events in the record buffer, which the parallel runner populates as it
+absorbs each worker's delta — the dashboard is a reader, never a new
+source of truth. ETA is
 the mean of completed experiment durations times the remaining count,
 scaled by the worker fan-out.
 """
@@ -28,7 +29,8 @@ import time
 from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.telemetry import events as _events
+from repro.telemetry import tracing
+from repro.telemetry.events import counts_by_type
 
 #: Seconds between full repaints in TTY mode (plain mode only prints on
 #: state changes, so a tick cadence would spam CI logs).
@@ -103,7 +105,7 @@ class LiveDashboard:
     def _vitals(self) -> str:
         registry = telemetry.registry
         done = len(self._seconds)
-        counts = _events.counts_by_type(_events.events())
+        counts = counts_by_type(tracing.events())
         parts = [
             f"{done}/{len(self.names)} done",
             f"eta {_fmt_eta(self._eta())}",

@@ -99,7 +99,7 @@ def _run_pool(
     result = pool.run(
         job, morsels, recover=lambda m: execute_morsel(source, m)
     )
-    if telemetry.enabled() and result.intervals:
+    if telemetry.recording() == telemetry.SPANS and result.intervals:
         _add_pool_track(result)
     return result
 

@@ -28,11 +28,11 @@ set its flag, so after collecting results the parent re-executes every
 morsel with an unset flag inline and respawns the dead worker. Partials
 are order-independent mergeable sums, so recovery is exact — see
 ``docs/robustness.md``. Each job carries the dispatching thread's
-:func:`repro.telemetry.settings` (span parent, flags, the portable
-query context), and each worker returns a
-:func:`repro.telemetry.capture` envelope (metrics delta, spans,
-events) for the parent to absorb — the same hand-off as the parallel
-bench runner.
+:func:`repro.telemetry.settings` (span parent, recording level, the
+portable query context), and each worker returns a
+:func:`repro.telemetry.capture` envelope (metrics delta and records)
+for the parent to absorb — the same hand-off as the parallel bench
+runner.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.exec.morsel import Morsel, Partial, execute_morsel
 
@@ -172,8 +173,6 @@ def _claim(ctrl: np.ndarray, workers: int, worker_id: int, lock):
 
 
 def _run_job(worker_id: int, job: dict, lock) -> dict:
-    from repro import telemetry
-
     out: dict = {
         "job_id": job["job_id"],
         "worker": worker_id,
@@ -381,15 +380,13 @@ class MorselPool:
 
     def ensure_started(self) -> int:
         """Spawn missing or dead workers; returns respawn count."""
-        from repro.telemetry import events as _events
-
         respawned = 0
         for index, proc in enumerate(self._procs):
             if proc is None or not proc.is_alive():
                 if proc is not None:
                     proc.join(timeout=1.0)
                     respawned += 1
-                    _events.emit("worker.respawn", worker=index)
+                    telemetry.emit_event("worker.respawn", worker=index)
                 self._spawn(index)
         return respawned
 
@@ -458,9 +455,6 @@ class MorselPool:
             ctrl[w] = bounds[w]
             ctrl[workers + w] = bounds[w + 1]
 
-        from repro import telemetry
-        from repro.telemetry import events as _events
-
         job = dict(job)
         job["job_id"] = next(self._job_ids)
         job["workers"] = workers
@@ -468,11 +462,11 @@ class MorselPool:
         job["morsels"] = [(m.index, m.lo, m.hi, m.rows) for m in morsels]
         # The telemetry settings ride in the job payload so every pool
         # entry point (out-of-core runner, direct tests) inherits the
-        # dispatching thread's recorder flag and ambient span without
+        # dispatching thread's recording level and ambient span without
         # threading a parameter.
         job["telemetry"] = telemetry.settings()
 
-        _events.emit(
+        telemetry.emit_event(
             "pool.job.start",
             job=job["job_id"],
             workers=workers,
@@ -497,13 +491,13 @@ class MorselPool:
                         if proc is None or not proc.is_alive():
                             pending.discard(index)
                             result.deaths += 1
-                            _events.emit("worker.death", worker=index)
+                            telemetry.emit_event("worker.death", worker=index)
                     for worker, silent in watchdog.observe(
                         ctrl.tobytes(), now, pending
                     ):
                         result.stalls += 1
                         telemetry.registry.count("exec.pool.worker_stalls")
-                        _events.emit(
+                        telemetry.emit_event(
                             "worker.stalled",
                             worker=worker,
                             silent_seconds=round(silent, 3),
@@ -521,7 +515,9 @@ class MorselPool:
                 if reply.get("error") is not None:
                     result.deaths += 1
                     telemetry.registry.count("exec.pool.worker_errors")
-                    _events.emit("worker.death", worker=reply["worker"])
+                    telemetry.emit_event(
+                        "worker.death", worker=reply["worker"]
+                    )
                     continue
                 for index, partial in reply["partials"]:
                     indexed[index] = partial
@@ -539,7 +535,9 @@ class MorselPool:
                 if morsel.index not in indexed:
                     indexed[morsel.index] = recover(morsel)
                     result.recovered += 1
-                    _events.emit("morsel.recovered", morsel=morsel.index)
+                    telemetry.emit_event(
+                        "morsel.recovered", morsel=morsel.index
+                    )
             result.partials = [indexed[m.index] for m in morsels]
             result.steals = int(ctrl[2 * workers])
         finally:
@@ -550,7 +548,7 @@ class MorselPool:
                     "exec.pool.worker_deaths", result.deaths
                 )
                 self.ensure_started()
-            _events.emit(
+            telemetry.emit_event(
                 "pool.job.end",
                 job=job["job_id"],
                 seconds=result.wall_seconds,

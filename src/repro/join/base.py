@@ -104,9 +104,9 @@ def _traced_run(run_method):
     recorder events (``run.end`` with ``cache_hit=true``). Per-run
     latency always lands in the ``join.run_seconds`` timing histogram —
     the registry is always on, and one observation per *run* (not per
-    kernel) is what the percentile reports are built from. With both
-    spans and the recorder disabled the wrapper costs two flag checks
-    and a clock read per run call.
+    kernel) is what the percentile reports are built from. With
+    recording off the wrapper costs one check and a clock read per run
+    call.
 
     A workload with an empty side never reaches the operator: the join
     matches nothing, and every operator's planner needs rows on both
@@ -114,8 +114,6 @@ def _traced_run(run_method):
     leave a side empty). No operator runs, so that run costs zero
     seconds and records no telemetry.
     """
-    from repro.telemetry import events as _events
-
     @functools.wraps(run_method)
     def wrapper(self, workload):
         if len(workload.build) == 0 or len(workload.probe) == 0:
@@ -127,8 +125,7 @@ def _traced_run(run_method):
                 counters=PerfCounters(),
                 uses_gpu=False,
             )
-        events_on = _events.enabled()
-        if not telemetry.enabled() and not events_on:
+        if not telemetry.recording():
             started = time.perf_counter()
             result = run_method(self, workload)
             telemetry.registry.observe(
@@ -136,8 +133,7 @@ def _traced_run(run_method):
             )
             return result
         name = getattr(self, "name", type(self).__name__)
-        if events_on:
-            _events.emit("run.start", operator=name)
+        telemetry.emit_event("run.start", operator=name)
         # A cache hit is visible as the hits counter moving while the
         # wrapped call runs — the cache layer sits just inside this one.
         hits_before = telemetry.registry.counter("run_cache.hits")
@@ -153,16 +149,15 @@ def _traced_run(run_method):
         finally:
             seconds = time.perf_counter() - started
             telemetry.registry.observe("join.run_seconds", seconds)
-            if events_on:
-                _events.emit(
-                    "run.end",
-                    operator=name,
-                    seconds=seconds,
-                    cache_hit=(
-                        telemetry.registry.counter("run_cache.hits")
-                        > hits_before
-                    ),
-                )
+            telemetry.emit_event(
+                "run.end",
+                operator=name,
+                seconds=seconds,
+                cache_hit=(
+                    telemetry.registry.counter("run_cache.hits")
+                    > hits_before
+                ),
+            )
 
     wrapper.__wrapped_by_run_cache__ = True
     return wrapper

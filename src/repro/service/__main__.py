@@ -175,11 +175,13 @@ def main(argv=None) -> int:
         else:
             slo_spec = slo_module.default_spec()
 
-    if args.events:
-        events.enable()
-        events.reset()
-    if args.trace_out:
-        tracing.enable()
+    level = (
+        tracing.SPANS if args.trace_out
+        else tracing.EVENTS if args.events
+        else tracing.OFF
+    )
+    if level:
+        tracing.set_recording(level)
         tracing.reset()
 
     failed = 0
@@ -238,16 +240,12 @@ def main(argv=None) -> int:
             f"on {stats['workers']} workers"
         )
     if args.events:
-        written = events.write_jsonl(args.events)
-        events.disable()
-        events.reset()
+        written = events.write_jsonl(args.events, tracing.events())
         if not args.json:
             print(f"wrote {written} events to {args.events}")
     if args.trace_out:
         document = export.write_chrome_trace(args.trace_out)
         problems = tracing.validate_trace_tree(tracing.records())
-        tracing.disable()
-        tracing.reset()
         if problems:
             for problem in problems:
                 print(f"trace problem: {problem}", file=sys.stderr)
@@ -257,6 +255,9 @@ def main(argv=None) -> int:
                 f"wrote {len(document['traceEvents'])} trace events "
                 f"to {args.trace_out}"
             )
+    if level:
+        tracing.set_recording(tracing.OFF)
+        tracing.reset()
     if slo_report is not None:
         if not slo_report["ok"]:
             failed += 1

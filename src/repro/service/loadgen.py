@@ -146,23 +146,23 @@ def run_load(
     theta: float = 1.2,
     budget_bytes: Optional[int] = None,
     verify: bool = True,
-    record_events: bool = True,
-    trace: bool = False,
+    recording: Optional[int] = tracing.EVENTS,
     slo=None,
     out_of_core_workers: int = 0,
     log=sys.stderr,
 ) -> dict:
     """Run the workload, audit it, and return the report dict.
 
-    ``record_events=True`` owns the flight recorder for the run
-    (enables it and resets the buffer — don't combine with an ongoing
-    recording); the events stay buffered afterwards so the caller can
-    :func:`repro.telemetry.events.write_jsonl` them. ``trace=True``
-    similarly owns the trace-context layer: every query gets a
-    deterministic trace id and the span records stay buffered for
-    export. ``slo`` (an :class:`~repro.telemetry.slo.SLOSpec`, spec
-    dict, or monitor) evaluates the run against declared objectives and
-    adds an ``slo`` section to the report. ``out_of_core_workers > 0``
+    ``recording`` (a :mod:`repro.telemetry.tracing` level) owns the
+    record buffer for the run: it sets the level and resets the buffer
+    (don't combine with an ongoing recording), and the records stay
+    buffered afterwards so the caller can export them. At ``SPANS``
+    every query gets a deterministic trace id and the report gains a
+    ``tracing`` section. ``None`` leaves the caller's setting and
+    buffer alone and reports no event counts. ``slo`` (an
+    :class:`~repro.telemetry.slo.SLOSpec`, spec dict, or monitor)
+    evaluates the run against declared objectives and adds an ``slo``
+    section to the report. ``out_of_core_workers > 0``
     routes every big-state query through the morsel worker pool
     (results are byte-identical; the knob exists so traced runs show
     pool-worker spans).
@@ -173,11 +173,8 @@ def run_load(
     choices = rng.choice(len(templates), size=queries, p=weights)
     priorities = rng.integers(0, 4, size=queries)
 
-    if record_events:
-        events.enable()
-        events.reset()
-    if trace:
-        tracing.enable()
+    if recording is not None:
+        tracing.set_recording(recording)
         tracing.reset()
     pool_config = None
     if out_of_core_workers > 0:
@@ -253,7 +250,7 @@ def run_load(
             )
 
     digest = hashlib.sha256("|".join(checksums).encode()).hexdigest()[:16]
-    event_records = events.events() if record_events else []
+    event_records = tracing.events() if recording else []
     report = {
         "kind": "service-load",
         "queries": queries,
@@ -288,7 +285,7 @@ def run_load(
     slo_report = service.slo_report()
     if slo_report is not None:
         report["slo"] = slo_report
-    if trace:
+    if recording == tracing.SPANS:
         span_records = tracing.records()
         report["tracing"] = {
             "traces": len(tracing.by_trace(span_records)),

@@ -42,7 +42,7 @@ import time
 from contextlib import nullcontext
 from typing import Callable, List, Optional
 
-from repro import context
+from repro import context, telemetry
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -50,7 +50,7 @@ from repro.errors import (
     QueryTimeout,
 )
 from repro.service import plan as plan_module
-from repro.telemetry import MetricsRegistry, events, tracing
+from repro.telemetry import MetricsRegistry, tracing
 
 #: Handle states, in lifecycle order.
 PENDING = "pending"
@@ -301,7 +301,7 @@ class JoinService:
         handle._exec_config = exec_config
         handle._explain = explain
         handle._submitted_ts = submitted_ts
-        if tracing.enabled():
+        if tracing.recording() == tracing.SPANS:
             # One trace per query, its id a pure function of the
             # workload seed and the submission sequence — the same
             # facts that make admission and results deterministic. A
@@ -324,7 +324,7 @@ class JoinService:
                 plan=compiled.name,
             )
         with self._ambient_trace(handle):
-            events.emit(
+            telemetry.emit_event(
                 "query.submitted", query=query_id, plan=compiled.name,
                 priority=priority, estimate_bytes=estimate,
             )
@@ -348,7 +348,9 @@ class JoinService:
                 handle.error = AdmissionError(f"query {query_id}: {reason}")
                 with self._lock:
                     self._rejected += 1
-                events.emit("query.rejected", query=query_id, reason=reason)
+                telemetry.emit_event(
+                    "query.rejected", query=query_id, reason=reason
+                )
                 if self.slo_monitor is not None:
                     self.slo_monitor.record(
                         compiled.name, 0.0, error=True, status=REJECTED
@@ -357,7 +359,7 @@ class JoinService:
                 handle._done.set()
                 return handle
 
-            events.emit("query.admitted", query=query_id)
+            telemetry.emit_event("query.admitted", query=query_id)
         with self._lock:
             self._requests[query_id] = handle
             self._queue.push(handle)
@@ -434,7 +436,7 @@ class JoinService:
                 f"query {handle.id} cancelled before start"
             )
             with self._ambient_trace(handle):
-                events.emit(
+                telemetry.emit_event(
                     "query.finished", query=handle.id, seconds=0.0,
                     status=CANCELLED,
                 )
@@ -459,7 +461,9 @@ class JoinService:
                 query=handle.id,
             )
         with self._ambient_trace(handle):
-            events.emit("query.started", query=handle.id, worker=worker)
+            telemetry.emit_event(
+                "query.started", query=handle.id, worker=worker
+            )
         started = time.perf_counter()
         deadline = (
             None if handle.timeout is None else started + handle.timeout
@@ -509,7 +513,7 @@ class JoinService:
         handle.metrics = scope.snapshot()
         handle.status = status
         with self._ambient_trace(handle):
-            events.emit(
+            telemetry.emit_event(
                 "query.finished", query=handle.id,
                 seconds=handle.wall_seconds, status=status,
             )

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
+from repro.telemetry.events import INSTANT_EVENT_TYPES
 
 #: Virtual-time (simulated) tracks get pids in their own range so a
 #: viewer groups them apart from real host processes.
@@ -189,23 +190,15 @@ def sim_track_events(
 def recorder_instant_events(
     wall_epoch: Optional[float] = None,
 ) -> List[dict]:
-    """Flight-recorder events rendered as Chrome-trace instants.
-
-    Events whose type is in
-    :data:`repro.telemetry.events.INSTANT_EVENT_TYPES` (faults, worker
-    deaths/respawns/stalls, ladder fallbacks, morsel recoveries) become
-    process-scoped instant events (``ph: "i"``) on the emitting
-    process's track — a worker death shows up as a pin on that pool
-    worker's pid, next to the host spans. Recorder timestamps are wall
-    clock; ``wall_epoch`` (the earliest span's, normally) anchors them
-    to the trace timeline. Without an epoch the earliest instant is t=0.
+    """Buffered events of an ``INSTANT_EVENT_TYPES`` type (faults,
+    worker deaths/respawns/stalls, ladder fallbacks, morsel recoveries)
+    as process-scoped Chrome-trace instants (``ph: "i"``) on the
+    emitting pid, their payload and ``trace``/``span`` in ``args``.
+    ``wall_epoch`` (the earliest span's, normally) is rendered as t=0;
+    without one the earliest instant is.
     """
-    from repro.telemetry import events as _events
-
     records = [
-        e
-        for e in _events.events()
-        if e.get("type") in _events.INSTANT_EVENT_TYPES
+        e for e in _tracing.events() if e["type"] in INSTANT_EVENT_TYPES
     ]
     if not records:
         return []
@@ -403,9 +396,10 @@ def validate_chrome_trace(document) -> List[str]:
     spans in one process are strictly nested; simulated tracks
     legitimately overlap — concurrent *phases* are the point of the
     Fig. 11 pipeline), the :func:`~repro.telemetry.tracing.
-    validate_trace_tree` checks hold over the spans' ``args``, and every
+    validate_trace_tree` checks hold over the spans' ``args``, every
     ``cat: "sim"`` event tagged with a trace id tags one that has spans
-    in the document.
+    in the document, and every recorder instant tagged with a trace
+    names a span of that trace in the document.
     """
     problems: List[str] = []
     if not isinstance(document, dict):
@@ -413,7 +407,7 @@ def validate_chrome_trace(document) -> List[str]:
     events = document.get("traceEvents")
     if not isinstance(events, list):
         return ["document has no traceEvents list"]
-    complete = []
+    complete, recorder = [], []
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             problems.append(f"event {i} is not an object")
@@ -423,6 +417,8 @@ def validate_chrome_trace(document) -> List[str]:
             continue
         if event.get("ph") == "i":
             problems.extend(_instant_problems(i, event))
+            if event.get("cat") == "recorder":
+                recorder.append(event)
             continue
         if event.get("ph") != "X":
             continue
@@ -468,5 +464,15 @@ def validate_chrome_trace(document) -> List[str]:
             problems.append(
                 f"sim event {event['name']!r} tagged with trace "
                 f"{trace_id} that has no spans in the document"
+            )
+    recorded = {(r.get("trace"), r.get("span")) for r in span_records}
+    for event in recorder:
+        args = event.get("args") or {}
+        named = args.get("trace"), args.get("span")
+        if named[0] is not None and named not in recorded:
+            problems.append(
+                f"recorder instant {event.get('name')!r} names span "
+                f"{named[1]} of trace {named[0]}, which the document "
+                "does not record"
             )
     return problems

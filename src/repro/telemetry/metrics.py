@@ -2,7 +2,7 @@
 
 The registry is a plain-dictionary store that is *always* live — an
 increment is two dict operations, cheap enough to leave in hot kernels
-unconditionally (unlike spans, which are gated on the tracing flag).
+unconditionally (unlike spans, which are gated on the recording setting).
 It absorbs the ad-hoc statistics that used to live in module-level
 dicts: :mod:`repro.join.run_cache` hit/miss tallies, the scatter
 kernels' scipy-vs-argsort path counts, and the grouped probes'

@@ -228,7 +228,7 @@ class SLOMonitor:
     Thread-safe — the join service's worker threads record concurrently.
     The monitor is windowless by design (it accumulates for the process
     lifetime); callers that want windows run one monitor per window,
-    exactly like they run one flight-recorder buffer per run.
+    exactly like they record one event buffer per run.
     """
 
     def __init__(self, spec) -> None:

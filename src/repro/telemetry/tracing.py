@@ -1,4 +1,4 @@
-"""Spans: the one wall-clock span model, carried by a context variable.
+"""Spans and events: the one record stream, carried by a context variable.
 
 Every span in the codebase — a service query's stages, a plan node, an
 operator's ``functional``/``simulate`` phases, a partition or probe
@@ -24,29 +24,23 @@ needs:
   no locking and no shared stack to corrupt — :func:`trace_query`
   opens a root, :func:`span` nests under whatever is ambient,
   :func:`annotate` tags the innermost open span, and :func:`current`
-  is what the flight recorder stamps onto every event. A span opened
+  is what :func:`emit_event` stamps onto every event. A span opened
   with no ambient trace records nothing.
-- **Simulated timelines ride along.** :func:`add_sim_result` buffers a
-  simulated execution's virtual-time track beside the span records,
-  tagged with the span that ran it, so one export shows a query's host
-  spans and its simulated resources together.
-- **Payload propagation across processes.** :func:`payload` serializes
-  the ambient context into a job dict; a worker re-activates it with
-  :func:`activate` so its spans parent under the dispatching span.
-  Records travel home through :func:`repro.telemetry.capture` /
-  :func:`repro.telemetry.absorb`, built on :func:`drain` /
-  :func:`absorb` here.
-- **Wall-clock on a fork-consistent basis.** Span timestamps come from
+- **One buffer.** Finished spans, simulated timelines
+  (:func:`add_sim_result`) and events (:func:`emit_event`, a typed
+  record on the open span, as OpenTelemetry span events are) share one
+  buffer, which :func:`drain`/:func:`absorb` carry home from workers;
+  there :func:`activate` parents spans under the shipped
+  :func:`payload`.
+- **Wall-clock on a fork-consistent basis.** Every record is stamped by
   :func:`wall_now`: ``time.time`` sampled once at import plus
-  ``time.monotonic`` deltas. A forked child inherits the parent's
-  offset, so parent and child stamps share one monotonic basis and the
-  merged ``(ts, pid, seq)`` order of events and spans within one trace
-  is consistent even when the system clock steps (the flight recorder
-  stamps events with the same clock).
+  ``time.monotonic`` deltas. A forked child inherits the offset, so a
+  merged ``(ts, pid, seq)`` order stays consistent across processes
+  even when the system clock steps.
 
-Tracing is **off by default** — every instrumentation site costs one
-module-flag check while disabled, so ``load_gen`` runs without
-``--trace-out`` are byte-identical to the untraced service.
+Recording is one setting (:func:`set_recording`): :data:`OFF` (the
+default), :data:`EVENTS`, or :data:`SPANS` (events plus spans and
+tracks). A site whose level is off costs one module-level check.
 """
 
 from __future__ import annotations
@@ -59,6 +53,9 @@ import time
 from contextlib import contextmanager, nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro import context as _query_context
+from repro.telemetry.events import EVENT_SCHEMA_VERSION, EVENT_TYPES
+
 #: Hex digits in every trace and span id (64-bit, like W3C span ids).
 ID_HEX_DIGITS = 16
 
@@ -70,13 +67,18 @@ ID_HEX_DIGITS = 16
 #: clock steps between fork and emit.
 _CLOCK_OFFSET = time.time() - time.monotonic()
 
-_enabled = False
+#: The recording setting's levels: nothing, flight-recorder events
+#: only, or events plus spans and simulated tracks.
+OFF, EVENTS, SPANS = 0, 1, 2
+_recording = OFF
 
-#: Finished span records and simulated tracks (plain dicts — the
-#: JSONL/IPC currency).
-_records: List[dict] = []
-_tracks: List[dict] = []
+#: Finished spans, simulated tracks and events in recording order
+#: (plain dicts — the JSONL/IPC currency); an event has a ``type`` and
+#: a track ``entries``. The lock also guards the per-process event
+#: ``seq``, which concurrent service threads must never draw twice.
+_buffer: List[dict] = []
 _lock = threading.Lock()
+_seq = 0
 
 #: The ambient trace context. ContextVars are per-thread (and survive
 #: into worker threads' callables only when explicitly propagated),
@@ -92,9 +94,7 @@ def wall_now() -> float:
 
     Equal to ``time.time()`` up to clock steps; guaranteed monotonic
     within a process and consistent across forked children (they
-    inherit :data:`_CLOCK_OFFSET`). The flight recorder and the span
-    records both stamp with this, so one query's events and spans sort
-    consistently across the service process and its pool workers.
+    inherit :data:`_CLOCK_OFFSET`).
     """
     return _CLOCK_OFFSET + time.monotonic()
 
@@ -203,32 +203,31 @@ class TraceContext:
         return False
 
 
-def enable() -> None:
-    """Turn tracing on (spans record; events/tracks gain trace tags)."""
-    global _enabled
-    _enabled = True
+def set_recording(level: int) -> None:
+    """Record nothing (:data:`OFF`), events only (:data:`EVENTS`), or
+    events plus spans and tracks (:data:`SPANS`)."""
+    global _recording
+    _recording = level
 
 
-def disable() -> None:
-    global _enabled
-    _enabled = False
-
-
-def enabled() -> bool:
-    return _enabled
+def recording() -> int:
+    """The current recording level."""
+    return _recording
 
 
 def reset() -> None:
-    """Drop buffered span records and tracks (the ambient context is
-    unaffected)."""
+    """Drop every buffered record and restart the event sequence (the
+    ambient context is unaffected)."""
+    global _seq
     with _lock:
-        _records.clear()
-        _tracks.clear()
+        _buffer.clear()
+        _seq = 0
 
 
 def current() -> Optional[TraceContext]:
-    """The ambient trace context, or ``None`` (also while disabled)."""
-    if not _enabled:
+    """The ambient trace context, or ``None`` (also while spans are
+    not recorded)."""
+    if _recording != SPANS:
         return None
     return _active.get()
 
@@ -280,7 +279,7 @@ def _record(name, start, end, trace_id, span_id, parent_id, attrs) -> dict:
     if attrs:
         record["attrs"] = dict(attrs)
     with _lock:
-        _records.append(record)
+        _buffer.append(record)
     return record
 
 
@@ -304,9 +303,9 @@ NULL_SPAN = _NullSpan()
 
 def span(name: str, **attrs):
     """Open one ambient child span (``with telemetry.span(...)``); a
-    shared no-op unless a trace is active on this thread (one flag check
-    while tracing is disabled)."""
-    if not _enabled:
+    shared no-op unless a trace is active on this thread (one check
+    while spans are not recorded)."""
+    if _recording != SPANS:
         return NULL_SPAN
     parent = _active.get()
     if parent is None:
@@ -327,12 +326,12 @@ def trace_query(trace_id: str, name: str = "query", **attrs):
     """Open a trace root on this thread for the block's duration.
 
     Activates (and records, on exit) the trace's deterministic root
-    span; a no-op context when tracing is disabled. The root span id is
+    span; a no-op context while spans are not recorded. The root span id is
     ``derive_span_id(trace_id, None, name, 0)`` — callers that record
     retroactive children against the root (admission wait) recompute it
     with :func:`root_span_id`.
     """
-    if not _enabled:
+    if _recording != SPANS:
         return nullcontext()
     return TraceContext(trace_id, root_span_id(trace_id, name), name, attrs)
 
@@ -407,7 +406,7 @@ def add_track(
             for name, series in counters
         ]
     with _lock:
-        _tracks.append(track)
+        _buffer.append(track)
 
 
 def add_sim_result(result, label: Optional[str] = None) -> None:
@@ -441,44 +440,103 @@ def add_sim_result(result, label: Optional[str] = None) -> None:
     )
 
 
-# -- buffers (the building blocks of telemetry.capture/absorb) ------------------
+# -- events ---------------------------------------------------------------------
+
+
+def emit_event(event_type: str, **fields) -> Optional[dict]:
+    """Record one event on the open span; no-op (``None``) while
+    recording is off.
+
+    Unknown types and missing required fields raise: a site that drifts
+    from ``EVENT_TYPES`` is a bug. The query context's tags merge in
+    under the explicit fields, so the join service tags a query once
+    (``query=<id>``) instead of threading the id to every site.
+    """
+    if not _recording:
+        return None
+    required = EVENT_TYPES.get(event_type)
+    if required is None:
+        raise ValueError(f"unknown event type {event_type!r}")
+    ambient = _query_context.current().tags
+    if ambient:
+        fields = {**ambient, **fields}
+    missing = [name for name in required if name not in fields]
+    if missing:
+        raise ValueError(f"event {event_type!r} missing fields {missing}")
+    event = {
+        "v": EVENT_SCHEMA_VERSION,
+        "type": event_type,
+        "ts": wall_now(),
+        "pid": os.getpid(),
+    }
+    context = current()
+    if context is not None:
+        event["trace"] = context.trace_id
+        event["span"] = context.span_id
+    event.update(fields)
+    global _seq
+    with _lock:
+        event["seq"] = _seq
+        _seq += 1
+        _buffer.append(event)
+    return event
+
+
+# -- the buffer (the building block of telemetry.capture/absorb) ----------------
+
+
+def _kind(record: dict) -> str:
+    if "type" in record:
+        return "event"
+    return "track" if "entries" in record else "span"
+
+
+def _select(kind: str) -> List[dict]:
+    with _lock:
+        return [record for record in _buffer if _kind(record) == kind]
 
 
 def records() -> List[dict]:
     """A copy of the buffered finished-span records."""
-    with _lock:
-        return list(_records)
+    return _select("span")
 
 
 def tracks() -> List[dict]:
     """A copy of the buffered simulated tracks."""
-    with _lock:
-        return list(_tracks)
+    return _select("track")
 
 
-def drain() -> "tuple[List[dict], List[dict]]":
-    """Remove and return the buffered ``(span records, tracks)``."""
+def events() -> List[dict]:
+    """A copy of the buffered events (recording order)."""
+    return _select("event")
+
+
+def drain() -> List[dict]:
+    """Remove and return every buffered record."""
     with _lock:
-        drained = list(_records), list(_tracks)
-        _records.clear()
-        _tracks.clear()
+        drained = list(_buffer)
+        _buffer.clear()
     return drained
 
 
-def absorb(
-    span_records: Optional[Iterable[dict]],
-    track_records: Optional[Iterable[dict]] = None,
-) -> None:
-    """Fold a worker's drained records into this process's buffers."""
+def absorb(foreign: Optional[Iterable[dict]]) -> None:
+    """Fold a worker's drained records, unedited, into the buffer."""
     with _lock:
-        _records.extend(span_records or ())
-        _tracks.extend(track_records or ())
+        _buffer.extend(foreign or ())
+
+
+# A forked worker must not ship its parent's records back as its own.
+# No lock: one held by another thread at fork time stays held forever
+# in the child. ``seq`` continues — the child emits under its own pid.
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(after_in_child=_buffer.clear)
 
 
 def by_trace(
     span_records: Optional[Sequence[dict]] = None,
 ) -> Dict[str, List[dict]]:
-    """Group span records by trace id (records without one under "")."""
+    """Group records (default: the buffered spans) by trace id; events
+    and spans outside a trace group under ""."""
     span_records = records() if span_records is None else span_records
     grouped: Dict[str, List[dict]] = {}
     for record in span_records:

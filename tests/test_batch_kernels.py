@@ -388,7 +388,7 @@ def _pk_fk(rows, seed):
 def _kernel_spans(join):
     """Run ``join()`` inside a trace; the span attributes of every
     grouped kernel call it made."""
-    tracing.enable()
+    tracing.set_recording(tracing.SPANS)
     tracing.reset()
     try:
         with tracing.trace_query(tracing.derive_trace_id(0, 0)):
@@ -399,7 +399,7 @@ def _kernel_spans(join):
             if record["name"] == "grouped_bucket_chaining_join"
         ]
     finally:
-        tracing.disable()
+        tracing.set_recording(tracing.OFF)
         tracing.reset()
 
 

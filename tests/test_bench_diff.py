@@ -304,6 +304,14 @@ def trace_document(child_parent=ROOT):
     }
 
 
+def instant(**args):
+    """A recorder instant, as ``recorder_instant_events`` renders one."""
+    return {
+        "ph": "i", "cat": "recorder", "s": "p", "name": "fault.injected",
+        "ts": 2, "pid": 1, "tid": 0, "args": {"kind": "k", **args},
+    }
+
+
 class TestTraceGate:
     def test_one_tree_passes_the_default_floor(self, run, tmp_path):
         path = write_json(tmp_path / "t.json", trace_document())
@@ -330,6 +338,29 @@ class TestTraceGate:
         assert problems == [
             f"trace {TRACE}: span {CHILD} has orphan parent {'d' * 16} "
             "(no such span in the trace)"
+        ]
+
+    def test_recorder_instants_name_recorded_spans(self, run, tmp_path):
+        document = trace_document()
+        document["traceEvents"] += [
+            instant(trace=TRACE, span=CHILD),
+            instant(),  # recorded outside any trace: still valid
+        ]
+        path = write_json(tmp_path / "t.json", document)
+        code, first, problems = run("--check-trace", path)
+        assert code == 0 and problems == []
+        assert first == "trace gate holds: 2 spans form a well-formed trace forest"
+
+    def test_orphan_recorder_instant(self, run, tmp_path):
+        document = trace_document()
+        document["traceEvents"].append(instant(trace=TRACE, span="d" * 16))
+        path = write_json(tmp_path / "t.json", document)
+        code, first, problems = run("--check-trace", path)
+        assert code == 1
+        assert first == "1 trace gate violation(s):"
+        assert problems == [
+            f"recorder instant 'fault.injected' names span {'d' * 16} of "
+            f"trace {TRACE}, which the document does not record"
         ]
 
 

@@ -27,46 +27,50 @@ from repro.exec.pool import (
     get_pool,
     shutdown_pool,
 )
-from repro.telemetry import events
+from repro.telemetry import events, tracing
 from tests.test_outofcore import shm_partition_state, summary
 
 
 @pytest.fixture(autouse=True)
 def _clean_recorder():
     """Every test starts and ends with a disabled, empty recorder."""
-    events.disable()
-    events.reset()
+    telemetry.set_recording(telemetry.OFF)
+    tracing.reset()
     yield
-    events.disable()
-    events.reset()
+    telemetry.set_recording(telemetry.OFF)
+    tracing.reset()
 
 
 class TestEmit:
     def test_disabled_recorder_is_a_noop(self):
-        assert events.emit("experiment.start", experiment="x") is None
-        assert events.events() == []
+        assert (
+            telemetry.emit_event("experiment.start", experiment="x") is None
+        )
+        assert tracing.events() == []
 
     def test_envelope_fields(self):
-        events.enable()
-        event = events.emit("experiment.start", experiment="fig13")
+        telemetry.set_recording(telemetry.EVENTS)
+        event = telemetry.emit_event("experiment.start", experiment="fig13")
         assert event["v"] == events.EVENT_SCHEMA_VERSION
         assert event["type"] == "experiment.start"
         assert event["pid"] == os.getpid()
         assert event["seq"] == 0
         assert event["ts"] > 0
         assert event["experiment"] == "fig13"
-        second = events.emit("experiment.end", experiment="fig13", seconds=1.0)
+        second = telemetry.emit_event(
+            "experiment.end", experiment="fig13", seconds=1.0
+        )
         assert second["seq"] == 1
 
     def test_unknown_type_raises(self):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with pytest.raises(ValueError, match="unknown event type"):
-            events.emit("no.such.event")
+            telemetry.emit_event("no.such.event")
 
     def test_missing_required_fields_raise(self):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with pytest.raises(ValueError, match="missing fields"):
-            events.emit("run.end", operator="x")
+            telemetry.emit_event("run.end", operator="x")
 
     def test_every_emission_site_type_is_known(self):
         # The sites wired through the codebase must stay in the schema.
@@ -88,22 +92,24 @@ class TestForkConsistentClock:
     def test_emit_is_immune_to_wall_clock_steps(self, monkeypatch):
         import time as time_module
 
-        events.enable()
-        before = events.emit("experiment.start", experiment="a")
+        telemetry.set_recording(telemetry.EVENTS)
+        before = telemetry.emit_event("experiment.start", experiment="a")
         # A 1-hour backwards clock step must not move event stamps.
         real_time = time_module.time
         monkeypatch.setattr(
             time_module, "time", lambda: real_time() - 3600.0
         )
-        after = events.emit("experiment.end", experiment="a", seconds=0.1)
+        after = telemetry.emit_event(
+            "experiment.end", experiment="a", seconds=0.1
+        )
         assert after["ts"] >= before["ts"]
 
     def test_event_and_span_stamps_share_one_basis(self):
         from repro.telemetry import tracing
 
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         low = tracing.wall_now()
-        event = events.emit("experiment.start", experiment="a")
+        event = telemetry.emit_event("experiment.start", experiment="a")
         high = tracing.wall_now()
         assert low <= event["ts"] <= high
 
@@ -136,14 +142,14 @@ class TestForkConsistentClock:
 
 class TestDrainAbsorb:
     def test_drain_empties_the_buffer(self):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with telemetry.capture() as envelope:
-            events.emit("experiment.start", experiment="a")
-        assert len(envelope["events"]) == 1
-        assert events.events() == []
+            telemetry.emit_event("experiment.start", experiment="a")
+        assert len(envelope["records"]) == 1
+        assert tracing.events() == []
 
     def test_absorb_keeps_foreign_identity(self):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         foreign = [
             {
                 "v": events.EVENT_SCHEMA_VERSION,
@@ -154,28 +160,30 @@ class TestDrainAbsorb:
                 "worker": 1,
             }
         ]
-        telemetry.absorb({"events": foreign})
+        telemetry.absorb({"records": foreign})
         telemetry.absorb(None)
-        assert events.events() == foreign
+        assert tracing.events() == foreign
 
     def test_double_absorb_is_caught_by_validation(self):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with telemetry.capture() as envelope:
-            events.emit("experiment.start", experiment="a")
+            telemetry.emit_event("experiment.start", experiment="a")
         telemetry.absorb(envelope)
         telemetry.absorb(envelope)
-        problems = events.validate_events(events.events())
+        problems = events.validate_events(tracing.events())
         assert any("absorbed twice" in p for p in problems)
 
 
 class TestValidation:
     def test_valid_stream_has_no_problems(self):
-        events.enable()
-        events.emit("experiment.start", experiment="a")
-        events.emit("run.start", operator="op")
-        events.emit("run.end", operator="op", seconds=0.1, cache_hit=False)
-        events.emit("experiment.end", experiment="a", seconds=0.2)
-        assert events.validate_events(events.events()) == []
+        telemetry.set_recording(telemetry.EVENTS)
+        telemetry.emit_event("experiment.start", experiment="a")
+        telemetry.emit_event("run.start", operator="op")
+        telemetry.emit_event(
+            "run.end", operator="op", seconds=0.1, cache_hit=False
+        )
+        telemetry.emit_event("experiment.end", experiment="a", seconds=0.2)
+        assert events.validate_events(tracing.events()) == []
 
     def test_bad_envelope_is_reported(self):
         problems = events.validate_events(
@@ -202,16 +210,16 @@ class TestValidation:
 
 class TestJsonlSink:
     def test_round_trip_preserves_events_sorted(self, tmp_path):
-        events.enable()
-        events.emit("experiment.start", experiment="a")
-        events.emit("experiment.end", experiment="a", seconds=0.5)
+        telemetry.set_recording(telemetry.EVENTS)
+        telemetry.emit_event("experiment.start", experiment="a")
+        telemetry.emit_event("experiment.end", experiment="a", seconds=0.5)
         # An absorbed foreign event with an earlier timestamp sorts first.
         telemetry.absorb(
-            {"events": [{"v": 1, "type": "worker.death", "ts": 0.5,
-                         "pid": 7, "seq": 0, "worker": 2}]}
+            {"records": [{"v": 1, "type": "worker.death", "ts": 0.5,
+                          "pid": 7, "seq": 0, "worker": 2}]}
         )
         path = tmp_path / "events.jsonl"
-        written = events.write_jsonl(path)
+        written = events.write_jsonl(path, tracing.events())
         assert written == 3
         records = events.read_jsonl(path)
         assert [r["type"] for r in records] == [
@@ -226,11 +234,11 @@ class TestJsonlSink:
             events.read_jsonl(path)
 
     def test_counts_by_type(self):
-        events.enable()
-        events.emit("run.start", operator="a")
-        events.emit("run.start", operator="b")
-        events.emit("experiment.start", experiment="x")
-        assert events.counts_by_type(events.events()) == {
+        telemetry.set_recording(telemetry.EVENTS)
+        telemetry.emit_event("run.start", operator="a")
+        telemetry.emit_event("run.start", operator="b")
+        telemetry.emit_event("experiment.start", experiment="x")
+        assert events.counts_by_type(tracing.events()) == {
             "experiment.start": 1,
             "run.start": 2,
         }
@@ -298,7 +306,7 @@ class TestPoolEvents:
         def recover(morsel):
             return execute_morsel(source, morsel)
 
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         try:
             pool = get_pool(2)
             # Job 1: worker 0 parks on its first morsel; worker 1
@@ -332,7 +340,7 @@ class TestPoolEvents:
                 block.release()
             shutdown_pool()
 
-        recorded = events.events()
+        recorded = tracing.events()
         assert events.validate_events(recorded) == []
         counts = events.counts_by_type(recorded)
         assert counts["pool.job.start"] == 2
@@ -364,7 +372,7 @@ class TestPoolEvents:
         def recover(morsel):
             return execute_morsel(source, morsel)
 
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         try:
             pool = get_pool(2)
             result = pool.run(
@@ -387,11 +395,11 @@ class TestPoolEvents:
                 block.release()
             shutdown_pool()
         stalled = [
-            e for e in events.events() if e["type"] == "worker.stalled"
+            e for e in tracing.events() if e["type"] == "worker.stalled"
         ]
         assert stalled
         assert all(e["silent_seconds"] >= 0.5 for e in stalled)
-        assert events.validate_events(events.events()) == []
+        assert events.validate_events(tracing.events()) == []
 
 
 SMALL_ARGS = ["--sizes", "128", "--divisor", "1048576"]
@@ -409,9 +417,9 @@ class TestBenchCli:
         assert counts["run.start"] == counts["run.end"] >= 1
         ends = [r for r in records if r["type"] == "run.end"]
         assert all(isinstance(r["cache_hit"], bool) for r in ends)
-        # The CLI's finally block left the recorder off and empty.
-        assert not events.enabled()
-        assert events.events() == []
+        # The CLI's finally block left recording off and the buffer empty.
+        assert telemetry.recording() == telemetry.OFF
+        assert tracing.events() == []
 
     def test_jobs_round_trip_with_reused_workers(self, tmp_path, monkeypatch):
         """4 experiments over 2 workers: every worker is reused, and each
@@ -545,3 +553,27 @@ class TestBenchCli:
         # ext_robustness injects faults, so their instants must be there.
         assert any(e["name"] == "fault.injected" for e in instants)
         assert all(e["s"] == "p" and e["ts"] >= 0 for e in instants)
+        # Every event, experiment.start/end included, falls inside the
+        # experiment's trace root, so by_trace slices the sweep whole.
+        records = events.read_jsonl(events_path)
+        trace_id = tracing.derive_trace_id("experiment", "ext_robustness")
+        root = tracing.root_span_id(trace_id, "experiment:ext_robustness")
+        assert set(tracing.by_trace(records)) == {trace_id}
+        bounds = [r for r in records if r["type"].startswith("experiment.")]
+        assert [r["span"] for r in bounds] == [root, root]
+
+    def test_trace_alone_gains_recorder_instants(self, tmp_path):
+        """--trace records events too, so the Chrome trace carries the
+        fault instants without --events."""
+        from repro.telemetry.export import validate_chrome_trace
+
+        trace_path = tmp_path / "trace.json"
+        assert bench_main(
+            ["ext_robustness", *SMALL_ARGS, "--trace", str(trace_path)]
+        ) == 0
+        document = json.loads(trace_path.read_text())
+        assert validate_chrome_trace(document) == []
+        assert any(
+            e.get("cat") == "recorder" and e["name"] == "fault.injected"
+            for e in document["traceEvents"]
+        )

@@ -20,10 +20,10 @@ from repro.telemetry import tracing
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    telemetry.disable()
+    telemetry.set_recording(telemetry.OFF)
     telemetry.reset()
     yield
-    telemetry.disable()
+    telemetry.set_recording(telemetry.OFF)
     telemetry.reset()
 
 
@@ -290,7 +290,7 @@ class TestCollection:
         assert explain.drain() == []
 
     def test_labels_come_from_spans(self, system, workload):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         sink = []
         with context.scoped(explain=sink):
             with tracing.trace_query(tracing.derive_trace_id("t"), name="t"):

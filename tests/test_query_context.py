@@ -20,7 +20,7 @@ from repro.bench.__main__ import _render_one, _worker
 from repro.exec import ExecutionConfig, shutdown_pool
 from repro.exec import context as exec_context
 from repro.service import JoinService
-from repro.telemetry import MetricsRegistry, events, registry
+from repro.telemetry import MetricsRegistry, events, registry, tracing
 
 PLANS = pathlib.Path(__file__).parent / "data" / "fault_plans"
 
@@ -81,13 +81,13 @@ class TestRecord:
         registry.reset("ctx.")
 
     def test_tags_merge_under_explicit_fields(self):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         try:
             with context.scoped(tags={"query": "q7", "operator": "x"}):
-                event = events.emit("run.start", operator="mine")
+                event = telemetry.emit_event("run.start", operator="mine")
         finally:
-            events.disable()
-            events.reset()
+            telemetry.set_recording(telemetry.OFF)
+            tracing.reset()
         assert event["query"] == "q7"
         assert event["operator"] == "mine"
 
@@ -170,18 +170,18 @@ class TestPoolWorkerTags:
             },
         }
         config = ExecutionConfig(workers=2, force=True, morsel_rows=1024)
-        events.enable()
-        events.reset()
+        telemetry.set_recording(telemetry.EVENTS)
+        tracing.reset()
         service = JoinService(workers=2)
         try:
             handle = service.submit(spec, exec_config=config)
             handle.result(timeout=120)
-            recorded = events.events()
+            recorded = tracing.events()
         finally:
             service.shutdown(wait=True)
             shutdown_pool()
-            events.disable()
-            events.reset()
+            telemetry.set_recording(telemetry.OFF)
+            tracing.reset()
 
         grouped = events.by_query(recorded)
         morsels = [

@@ -30,7 +30,7 @@ from repro.errors import (
 )
 from repro.service import JoinService, estimate_query_bytes, execute_plan
 from repro.service.loadgen import run_load
-from repro.telemetry import events
+from repro.telemetry import events, tracing
 
 SCALE = 65536
 
@@ -58,11 +58,11 @@ def spec(name="q", algorithm="triton", **workload):
 @pytest.fixture(autouse=True)
 def _clean_event_state():
     """Each test owns the flight recorder; leave it off and empty."""
-    events.disable()
-    events.reset()
+    telemetry.set_recording(telemetry.OFF)
+    tracing.reset()
     yield
-    events.disable()
-    events.reset()
+    telemetry.set_recording(telemetry.OFF)
+    tracing.reset()
 
 
 class Blocker:
@@ -230,7 +230,7 @@ class TestAdmission:
         small = spec()
         big = spec(name="big", build_m_tuples=4096, probe_m_tuples=4096)
         budget = estimate_query_bytes(small) + 1
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with JoinService(
             system=system, workers=1, memory_budget_bytes=budget
         ) as service:
@@ -243,7 +243,7 @@ class TestAdmission:
             assert accepted.result(timeout=30).match is not None
             stats = service.stats()
         assert stats["rejected"] == 1
-        types = events.counts_by_type(events.events())
+        types = events.counts_by_type(tracing.events())
         assert types["query.rejected"] == 1
         assert types["query.admitted"] == 1
 
@@ -271,7 +271,7 @@ class TestAdmission:
         # Budget fits one query but not two: the second admitted query
         # must wait for headroom, not be rejected.
         budget = int(estimate_query_bytes(one) * 1.5)
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with JoinService(
             system=system, workers=2, memory_budget_bytes=budget
         ) as service:
@@ -280,7 +280,7 @@ class TestAdmission:
                 assert handle.result(timeout=30).match is not None
         lifecycle = [
             event["type"]
-            for event in events.sorted_events()
+            for event in events.sorted_events(tracing.events())
             if event["type"] in ("query.started", "query.finished")
         ]
         # Strictly serialized: start, finish, start, finish.
@@ -288,14 +288,14 @@ class TestAdmission:
             "query.started", "query.finished",
             "query.started", "query.finished",
         ]
-        counts = events.counts_by_type(events.events())
+        counts = events.counts_by_type(tracing.events())
         assert counts.get("query.rejected", 0) == 0
 
 
 class TestPriorityAndCancellation:
     def test_priority_order_fifo_within_ties(self, system):
         blocker = Blocker()
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with JoinService(
             system=system, workers=1, stage_hook=blocker
         ) as service:
@@ -309,7 +309,7 @@ class TestPriorityAndCancellation:
                 handle.result(timeout=30)
         started = [
             event["query"]
-            for event in events.sorted_events()
+            for event in events.sorted_events(tracing.events())
             if event["type"] == "query.started"
         ]
         # `head` ran first (it held the only worker); then priority
@@ -318,7 +318,7 @@ class TestPriorityAndCancellation:
 
     def test_cancel_queued_query_never_starts(self, system):
         blocker = Blocker()
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with JoinService(
             system=system, workers=1, stage_hook=blocker
         ) as service:
@@ -333,13 +333,13 @@ class TestPriorityAndCancellation:
         assert doomed.status == "cancelled"
         started = [
             event["query"]
-            for event in events.events()
+            for event in tracing.events()
             if event["type"] == "query.started"
         ]
         assert doomed.id not in started
         finished = {
             event["query"]: event["status"]
-            for event in events.events()
+            for event in tracing.events()
             if event["type"] == "query.finished"
         }
         assert finished[doomed.id] == "cancelled"
@@ -373,18 +373,18 @@ class TestPriorityAndCancellation:
 
 class TestIsolationAndObservability:
     def test_events_tagged_with_query_id(self, system):
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with JoinService(system=system, workers=1) as service:
             handle = service.submit(spec())
             handle.result(timeout=30)
-        grouped = events.by_query(events.events())
+        grouped = events.by_query(tracing.events())
         assert set(grouped) == {handle.id}
         types = events.counts_by_type(grouped[handle.id])
         assert types["query.submitted"] == 1
         assert types["query.started"] == 1
         assert types["query.finished"] == 1
         assert types["run.start"] >= 1
-        assert events.validate_events(events.events()) == []
+        assert events.validate_events(tracing.events()) == []
 
     def test_explain_query_carries_explanation(self, system):
         with JoinService(system=system, workers=2) as service:
@@ -444,7 +444,7 @@ class TestOverlapRegression:
                 met.add(handle.id)
                 barrier.wait()
 
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         try:
             with JoinService(
                 system=system, workers=2, stage_hook=rendezvous
@@ -461,7 +461,7 @@ class TestOverlapRegression:
                     for handle in (plain, bloom)
                 }
         finally:
-            telemetry.disable()
+            telemetry.set_recording(telemetry.OFF)
             telemetry.reset()
 
         assert met == {plain.id, bloom.id}
@@ -489,7 +489,7 @@ class TestOverlapRegression:
                 met.add(handle.id)
                 barrier.wait()
 
-        events.enable()
+        telemetry.set_recording(telemetry.EVENTS)
         with JoinService(
             system=system, workers=2, stage_hook=rendezvous
         ) as service:
@@ -514,7 +514,7 @@ class TestOverlapRegression:
 
         # Event streams: every operator event carries its query's tag,
         # and each query's stream describes only its own plan.
-        grouped = events.by_query(events.events())
+        grouped = events.by_query(tracing.events())
         assert set(grouped) == {plain.id, bloom.id}
         plain_ops = [
             event["operator"]

@@ -29,10 +29,10 @@ def _root(name: str = "test"):
 @pytest.fixture(autouse=True)
 def clean_telemetry():
     """Every test starts and ends with telemetry disabled and empty."""
-    telemetry.disable()
+    telemetry.set_recording(telemetry.OFF)
     telemetry.reset()
     yield
-    telemetry.disable()
+    telemetry.set_recording(telemetry.OFF)
     telemetry.reset()
 
 
@@ -61,7 +61,7 @@ class TestDisabledMode:
 
 class TestSpans:
     def test_nesting_records_depth_and_parent(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         with _root():
             with telemetry.span("outer"):
                 with telemetry.span("inner"):
@@ -77,7 +77,7 @@ class TestSpans:
         )
 
     def test_attrs_via_kwargs_set_and_annotate(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         with _root():
             with telemetry.span("k", n=5) as sp:
                 sp.set(path="dense")
@@ -86,7 +86,7 @@ class TestSpans:
         assert spans["k"]["attrs"] == {"n": 5, "path": "dense", "hits": 2}
 
     def test_exception_unwinds_open_spans(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         with _root():
             with pytest.raises(ValueError):
                 with telemetry.span("outer"):
@@ -100,7 +100,7 @@ class TestSpans:
         }
 
     def test_span_tree_text(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         with _root():
             with telemetry.span("outer", tuples=8):
                 with telemetry.span("inner"):
@@ -113,7 +113,7 @@ class TestSpans:
         assert "tuples=8" in lines[1]
 
     def test_chrome_export_contains_nested_events(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         with _root():
             with telemetry.span("outer"):
                 with telemetry.span("inner"):
@@ -182,14 +182,14 @@ class TestMetrics:
 
 class TestMultiprocessMerge:
     def test_absorbed_snapshot_exports_as_own_process(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         trace_id = tracing.derive_trace_id("test")
         root = tracing.root_span_id(trace_id, "test")
         with _root():
             with telemetry.span("local"):
                 pass
         worker = {
-            "spans": [
+            "records": [
                 {
                     "trace": trace_id,
                     "span": tracing.derive_span_id(trace_id, root, "remote", 0),
@@ -199,9 +199,7 @@ class TestMultiprocessMerge:
                     "dur": 0.5,
                     "pid": 4242,
                     "attrs": {"experiment": "fig13"},
-                }
-            ],
-            "tracks": [
+                },
                 {
                     "label": "worker sim",
                     "makespan_seconds": 1.0,
@@ -221,15 +219,15 @@ class TestMultiprocessMerge:
         assert len(pids) >= 3  # local host, worker host, worker sim track
 
     def test_drain_prevents_double_reporting(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         with telemetry.capture() as first:
             with _root("first"):
                 pass
-        assert [s["name"] for s in first["spans"]] == ["first"]
+        assert [s["name"] for s in first["records"]] == ["first"]
         with telemetry.capture() as second:
             with _root("second"):
                 pass
-        assert [s["name"] for s in second["spans"]] == ["second"]
+        assert [s["name"] for s in second["records"]] == ["second"]
         assert tracing.records() == []
 
     def test_registry_delta_merge_roundtrip(self):
@@ -303,7 +301,7 @@ class TestValidator:
 
 class TestOperatorInstrumentation:
     def test_run_wrapper_spans_and_sim_track(self, system):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         workload = generate_workload(128, 512, scale_divisor=65536)
         with _root():
             TritonJoin(system).run(workload)
@@ -318,7 +316,7 @@ class TestOperatorInstrumentation:
         assert validate_chrome_trace(doc) == []
 
     def test_run_cache_annotates_hit(self, system):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         run_cache.enable()
         try:
             workload = generate_workload(128, 512, scale_divisor=65536)
@@ -379,7 +377,7 @@ class TestBenchCliTrace:
                 "--trace", str(tmp_path / "t.json"),
             ]
         )
-        assert not telemetry.enabled()
+        assert telemetry.recording() == telemetry.OFF
         assert tracing.records() == []
 
 
@@ -451,7 +449,7 @@ class TestCounterTracks:
     """Per-resource utilization counter (ph "C") events on sim tracks."""
 
     def test_sim_track_emits_counter_events(self, system):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         workload = generate_workload(128, 512, scale_divisor=65536)
         with _root():
             TritonJoin(system).run(workload)
@@ -464,7 +462,7 @@ class TestCounterTracks:
         assert all(e["pid"] >= SIM_PID_BASE for e in counters)
 
     def test_counter_samples_are_valid_utilization(self, system):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         workload = generate_workload(128, 512, scale_divisor=65536)
         with _root():
             TritonJoin(system).run(workload)
@@ -476,7 +474,7 @@ class TestCounterTracks:
                 assert 0.0 <= value <= 1.0 + 1e-9
 
     def test_counters_survive_snapshot_roundtrip(self, system):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
         workload = generate_workload(128, 512, scale_divisor=65536)
         with telemetry.capture() as envelope:
             with _root():
@@ -488,7 +486,7 @@ class TestCounterTracks:
         assert any(e.get("ph") == "C" for e in doc["traceEvents"])
 
     def test_fake_result_without_occupancy_still_works(self):
-        telemetry.enable()
+        telemetry.set_recording(telemetry.SPANS)
 
         class Fake:
             trace = []
@@ -640,20 +638,14 @@ class TestInstantValidation:
         assert any("scope" in p for p in problems)
 
     def test_recorder_instants_render_from_events(self):
-        from repro.telemetry import events
         from repro.telemetry.export import recorder_instant_events
 
-        telemetry.enable()
-        events.enable()
-        try:
-            with _root("experiment:x"):
-                events.emit("fault.injected", kind="k", target="t")
-                events.emit("run.start", operator="op")  # not an instant
-            (root,) = tracing.records()
-            instants = recorder_instant_events(root["ts"])
-        finally:
-            events.disable()
-            events.reset()
+        telemetry.set_recording(telemetry.SPANS)
+        with _root("experiment:x"):
+            telemetry.emit_event("fault.injected", kind="k", target="t")
+            telemetry.emit_event("run.start", operator="op")  # not an instant
+        (root,) = tracing.records()
+        instants = recorder_instant_events(root["ts"])
         assert [e["name"] for e in instants] == ["fault.injected"]
         instant = instants[0]
         assert instant["ph"] == "i"

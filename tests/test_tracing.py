@@ -20,17 +20,17 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.telemetry import events, export, tracing
+from repro.telemetry import export, tracing
 from repro.telemetry.export import chrome_trace_document, validate_chrome_trace
 
 
 @pytest.fixture
 def traced():
-    """Tracing on with an empty buffer; always off again afterwards."""
-    tracing.enable()
+    """Spans on with an empty buffer; always off again afterwards."""
+    tracing.set_recording(tracing.SPANS)
     tracing.reset()
     yield tracing
-    tracing.disable()
+    tracing.set_recording(tracing.OFF)
     tracing.reset()
 
 
@@ -71,7 +71,7 @@ class TestDeterministicIds:
                             pass
             return [
                 (r["trace"], r["span"], r["parent"])
-                for r in envelope["spans"]
+                for r in envelope["records"]
             ]
 
         assert run() == run()
@@ -165,16 +165,17 @@ class TestAmbientPropagation:
         assert top["long_chains"] > 0
 
     def test_span_is_noop_when_disabled_or_off_trace(self):
-        tracing.disable()
-        assert tracing.span("x") is tracing.NULL_SPAN
-        tracing.enable()
+        for level in (tracing.OFF, tracing.EVENTS):
+            tracing.set_recording(level)
+            assert tracing.span("x") is tracing.NULL_SPAN
+        tracing.set_recording(tracing.SPANS)
         try:
             # Enabled but no ambient trace on this thread: still a no-op.
             assert tracing.span("x") is tracing.NULL_SPAN
             assert tracing.current() is None
             assert tracing.payload() is None
         finally:
-            tracing.disable()
+            tracing.set_recording(tracing.OFF)
 
     def test_span_outside_trace_records_nothing(self, traced):
         with tracing.span("orphan"):
@@ -269,7 +270,7 @@ class TestCrossProcessContract:
                 pass
             with tracing.span("morsel[1]", worker=1):
                 pass
-        assert {r["parent"] for r in worker["spans"]} == {shipped["span"]}
+        assert {r["parent"] for r in worker["records"]} == {shipped["span"]}
 
         # Parent absorbs the worker's records: one well-formed tree.
         telemetry.absorb(parent_side)
@@ -287,9 +288,7 @@ class TestCrossProcessContract:
     def test_absorb_tolerates_empty(self, traced):
         telemetry.absorb(None)
         telemetry.absorb({})
-        telemetry.absorb(
-            {"metrics": None, "spans": [], "tracks": None, "events": None}
-        )
+        telemetry.absorb({"metrics": None, "records": None})
         assert tracing.records() == []
         assert tracing.tracks() == []
 
@@ -434,8 +433,6 @@ class TestServiceIntegration:
         from repro.exec import ExecutionConfig, shutdown_pool
         from repro.service.server import JoinService
 
-        events.enable()
-        events.reset()
         service = JoinService(workers=2)
         try:
             handles = [
@@ -450,12 +447,10 @@ class TestServiceIntegration:
             handles.append(pooled)
             for handle in handles:
                 handle.result()
-            recorded = events.events()
+            recorded = tracing.events()
         finally:
             service.shutdown(wait=True)
             shutdown_pool()
-            events.disable()
-            events.reset()
 
         records = tracing.records()
         assert tracing.validate_trace_tree(records) == []
@@ -498,7 +493,7 @@ class TestServiceIntegration:
     def test_untraced_service_run_records_nothing(self):
         from repro.service.server import JoinService
 
-        tracing.disable()
+        tracing.set_recording(tracing.OFF)
         tracing.reset()
         service = JoinService(workers=1)
         try:
@@ -532,24 +527,18 @@ class TestServiceIntegration:
 
 class TestEventTagging:
     def test_events_inside_a_trace_carry_the_context(self, traced):
-        events.enable()
-        events.reset()
-        try:
-            trace_id = tracing.derive_trace_id(0, 0)
-            with tracing.trace_query(trace_id):
-                events.emit("run.start", operator="t")
-            events.emit("run.end", operator="t", seconds=0.1,
-                        cache_hit=False)
-            recorded = events.events()
-        finally:
-            events.disable()
-            events.reset()
+        trace_id = tracing.derive_trace_id(0, 0)
+        with tracing.trace_query(trace_id):
+            telemetry.emit_event("run.start", operator="t")
+        telemetry.emit_event("run.end", operator="t", seconds=0.1,
+                             cache_hit=False)
+        recorded = tracing.events()
         tagged = [e for e in recorded if e["type"] == "run.start"]
         untagged = [e for e in recorded if e["type"] == "run.end"]
         assert tagged[0]["trace"] == trace_id
         assert tagged[0]["span"] == tracing.root_span_id(trace_id)
         assert "trace" not in untagged[0]
-        assert set(events.by_trace(recorded)) == {trace_id, ""}
+        assert set(tracing.by_trace(recorded)) == {trace_id, ""}
 
     def test_sim_tracks_tagged_with_owning_trace(self, traced):
         trace_id = tracing.derive_trace_id(0, 0)

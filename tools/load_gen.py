@@ -21,8 +21,9 @@ budget — and then audits the whole run:
   :class:`repro.telemetry.histogram.Histogram`; the report carries
   p50/p90/p99.
 - **Tracing** (``--trace-out``): every query gets a deterministic
-  trace id; service spans, pool-worker morsel spans, and simulated
-  resource tracks merge into one Chrome trace file, and the report
+  trace id; service spans, pool-worker morsel spans, simulated
+  resource tracks and recorder instants merge into one Chrome trace
+  file, and the report
   gains a ``tracing`` section (trace/span counts + structural
   problems, which must be empty).
 - **SLOs** (``--slo`` / ``--slo-out``): the run is evaluated against a
@@ -162,13 +163,13 @@ def main(argv=None) -> int:
         theta=args.theta,
         budget_bytes=budget,
         verify=not args.no_verify,
-        trace=args.trace_out is not None,
+        recording=tracing.SPANS if args.trace_out else tracing.EVENTS,
         slo=slo_spec,
         out_of_core_workers=args.oc_workers,
     )
 
     if args.events:
-        written = events.write_jsonl(args.events)
+        written = events.write_jsonl(args.events, tracing.events())
         print(f"wrote {written} events to {args.events}")
     if args.trace_out:
         document = export.write_chrome_trace(args.trace_out)
@@ -178,10 +179,8 @@ def main(argv=None) -> int:
             f"wrote {len(document['traceEvents'])} trace events "
             f"({spans} spans across {traces} traces) to {args.trace_out}"
         )
-        tracing.disable()
-        tracing.reset()
-    events.disable()
-    events.reset()
+    tracing.set_recording(tracing.OFF)
+    tracing.reset()
 
     deterministic = report["deterministic"]
     latency = report["latency"]
