@@ -7,7 +7,6 @@ Run any paper experiment (or all of them) from the shell::
     python -m repro.bench fig13 --sizes 128,2048 --divisor 16384
     python -m repro.bench all --divisor 65536
     python -m repro.bench all --jobs 4
-    python -m repro.bench fig13 --profile
 
 Each experiment prints the same table its benchmark produces; the
 ``--divisor`` flag trades functional-array size for speed (cost models
@@ -19,8 +18,9 @@ are memoized (see :mod:`repro.join.run_cache`); ``--no-cache`` turns
 that off. With ``--jobs`` the cache is per worker process (hits only
 within each worker's share of the experiments); workers report their
 hit/miss tallies as metrics deltas that merge into one registry — the
-identical code path the serial runner reads. ``--profile`` wraps a
-single experiment in cProfile and prints the top 20 cumulative entries.
+identical code path the serial runner reads. To profile one experiment,
+run the module under cProfile: ``python -m cProfile -s cumulative -m
+repro.bench fig13``.
 
 ``--memory-budget 512M`` activates an ambient out-of-core
 :class:`repro.exec.ExecutionConfig`: any join whose materialized
@@ -58,10 +58,7 @@ under the experiment that ran it first.
 lifecycle events (schema: :mod:`repro.telemetry.events`) as JSONL;
 without ``--trace`` or ``--explain`` the run records events alone, with
 no span timing. ``--prom out.prom`` exports the final metrics registry
-in Prometheus text format and ``--prom-port N`` additionally serves
-exactly one scrape of it over HTTP; ``--live`` paints a fleet
-dashboard to stderr (falling back to plain ``[live]`` lines on
-non-TTY streams). All compose with ``--jobs``. See
+in Prometheus text format. Both compose with ``--jobs``. See
 docs/observability.md.
 """
 
@@ -165,21 +162,6 @@ def _run_one(name: str, sizes, divisor, explained=None) -> float:
     return time.time() - started
 
 
-def _profile_one(name: str, sizes, divisor) -> None:
-    """Run one experiment under cProfile, print top cumulative entries."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        output, _ = _render_one(name, sizes, divisor)
-    finally:
-        profiler.disable()
-    print(output)
-    pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
-
-
 def _worker(
     name: str, sizes, divisor, use_cache: bool, telemetry_settings: dict
 ):
@@ -243,22 +225,13 @@ def _timing_table(seconds_by_name, workers=1) -> ExperimentTable:
 
 
 def _run_all(
-    sizes,
-    divisor,
-    jobs: int,
-    explained=None,
-    memory_budget=None,
-    dashboard=None,
+    sizes, divisor, jobs: int, explained=None, memory_budget=None
 ) -> None:
     if jobs <= 1:
-        timings = []
-        for name in ALL_EXPERIMENTS:
-            if dashboard is not None:
-                dashboard.mark_running(name)
-            seconds = _run_one(name, sizes, divisor, explained=explained)
-            timings.append((name, seconds))
-            if dashboard is not None:
-                dashboard.mark_done(name, seconds)
+        timings = [
+            (name, _run_one(name, sizes, divisor, explained=explained))
+            for name in ALL_EXPERIMENTS
+        ]
         print(_timing_table(timings).format())
         return
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -302,26 +275,15 @@ def _run_all(
                 running[future] = name
                 in_flight += need
                 queued.pop(index)
-                if dashboard is not None:
-                    dashboard.mark_running(name)
 
         admit()
         printed = 0
         while running:
-            # A finite wait keeps the dashboard's clocks moving while
-            # the fleet is busy; without one the paint would only
-            # refresh on experiment completion.
-            done, _ = wait(
-                set(running),
-                return_when=FIRST_COMPLETED,
-                timeout=1.0 if dashboard is not None else None,
-            )
+            done, _ = wait(set(running), return_when=FIRST_COMPLETED)
             for future in done:
                 finished = running.pop(future)
                 in_flight -= budgets[finished]
                 results[finished] = future.result()
-                if dashboard is not None:
-                    dashboard.mark_done(finished, results[finished][2])
             admit()
             # Print the contiguous prefix now available — output stays
             # in deterministic experiment order regardless of completion
@@ -336,8 +298,6 @@ def _run_all(
                 if explained is not None and explanations:
                     explained.setdefault(name, []).extend(explanations)
                 printed += 1
-            if dashboard is not None:
-                dashboard.tick()
     timings = [(name, timings_by_name[name]) for name in names]
     table = _timing_table(timings, workers=jobs)
     if memory_budget is not None:
@@ -348,7 +308,7 @@ def _run_all(
     print(table.format())
 
 
-def _dispatch(args, sizes, explained, memory_budget, dashboard) -> int:
+def _dispatch(args, sizes, explained, memory_budget) -> int:
     """Run what ``main``'s arguments name; returns the exit code."""
     if args.experiment == "all":
         _run_all(
@@ -357,7 +317,6 @@ def _dispatch(args, sizes, explained, memory_budget, dashboard) -> int:
             args.jobs,
             explained=explained,
             memory_budget=memory_budget,
-            dashboard=dashboard,
         )
         return 0
     if args.experiment not in ALL_EXPERIMENTS:
@@ -367,16 +326,7 @@ def _dispatch(args, sizes, explained, memory_budget, dashboard) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.profile:
-        _profile_one(args.experiment, sizes, args.divisor)
-        return 0
-    if dashboard is not None:
-        dashboard.mark_running(args.experiment)
-    seconds = _run_one(
-        args.experiment, sizes, args.divisor, explained=explained
-    )
-    if dashboard is not None:
-        dashboard.mark_done(args.experiment, seconds)
+    _run_one(args.experiment, sizes, args.divisor, explained=explained)
     return 0
 
 
@@ -409,12 +359,6 @@ def main(argv=None) -> int:
         "--no-cache",
         action="store_true",
         help="disable memoization of identical join runs across figures",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the experiment under cProfile and print the top 20 "
-        "cumulative entries (single experiments only)",
     )
     parser.add_argument(
         "--trace",
@@ -495,28 +439,9 @@ def main(argv=None) -> int:
         help="write the metrics registry in Prometheus text exposition "
         "format (counters as _total, timings as _bucket/_sum/_count)",
     )
-    parser.add_argument(
-        "--prom-port",
-        type=int,
-        metavar="PORT",
-        default=None,
-        help="after the run, serve exactly one Prometheus scrape of "
-        "the final registry on PORT (0 = ephemeral), then exit",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="paint a live fleet dashboard to stderr (per-experiment "
-        "status, ETA, pool occupancy, spill bytes, fault tallies); "
-        "stdout tables are unaffected, and non-TTY streams get plain "
-        "'[live]' lines instead of ANSI redraws",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.profile and args.experiment in ("all", "list"):
-        parser.error("--profile works with a single experiment, not "
-                     f"{args.experiment!r}")
 
     if args.experiment == "list":
         for name, module in sorted(ALL_EXPERIMENTS.items()):
@@ -571,18 +496,8 @@ def main(argv=None) -> int:
     # simulate), so --explain records spans even without --trace.
     if args.trace or args.explain:
         telemetry.set_recording(telemetry.SPANS)
-    elif args.events or args.live:
+    elif args.events:
         telemetry.set_recording(telemetry.EVENTS)
-    dashboard = None
-    if args.live and args.experiment != "list":
-        from repro.bench.live import LiveDashboard
-
-        dash_names = (
-            list(ALL_EXPERIMENTS)
-            if args.experiment == "all"
-            else [args.experiment]
-        )
-        dashboard = LiveDashboard(dash_names, jobs=args.jobs)
     try:
         # Everything the run simulates sees the --faults plan, the
         # out-of-core config and the explain sink; --jobs workers adopt
@@ -593,12 +508,8 @@ def main(argv=None) -> int:
             explain=[] if args.explain else None,
             notes=[],
         ):
-            return _dispatch(
-                args, sizes, explained, memory_budget, dashboard
-            )
+            return _dispatch(args, sizes, explained, memory_budget)
     finally:
-        if dashboard is not None:
-            dashboard.close()
         # Write artifacts before run_cache.clear(): clearing the cache
         # also resets its registry counters.
         if args.trace:
@@ -614,17 +525,6 @@ def main(argv=None) -> int:
             )
         if args.prom:
             telemetry.prometheus.write_prometheus(args.prom)
-        if args.prom_port is not None:
-            server = telemetry.prometheus.serve_once(port=args.prom_port)
-            print(
-                f"[prometheus: serving one scrape on "
-                f"port {server.server_address[1]}]",
-                file=sys.stderr,
-            )
-            try:
-                server.handle_request()
-            finally:
-                server.server_close()
         if args.explain:
             with open(args.explain, "w") as handle:
                 json.dump(

@@ -23,8 +23,9 @@ SimResult` into an :class:`ExplainedRun`; inside
 ``repro.context.scoped(explain=sink)`` the engine explains every
 simulated run into ``sink`` (``python -m repro.bench ... --explain
 out.json`` and ``JoinService.submit(spec, explain=True)`` open one);
-``python -m repro.sim.visualize OP --format explain`` renders one for
-a single operator; ``tools/bench_diff.py`` diffs two collections.
+:meth:`ExplainedRun.format` renders one as text (``python -m
+repro.service --explain`` prints it per query); ``tools/bench_diff.py``
+diffs two collections.
 
 Every explanation is self-checking: :meth:`ExplainedRun.verify` returns
 the list of violated invariants (utilization outside [0, 1], attributed

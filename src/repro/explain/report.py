@@ -4,8 +4,7 @@ The same information the JSON carries, shaped for a terminal: the
 critical path as an indented chain with waits and retries called out,
 the utilization summary as the familiar bar rows, and the bound-class
 breakdown as percentages of the makespan. Truncation is always
-reported — a clipped view never masquerades as complete (the repo-wide
-rule from ``sim.visualize``).
+reported — a clipped view never masquerades as complete.
 """
 
 from __future__ import annotations

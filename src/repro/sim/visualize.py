@@ -1,37 +1,21 @@
-"""Visualization of simulated executions (text, Chrome trace, JSON).
+"""Plain-text timeline of a simulated execution.
 
 Renders a :class:`~repro.sim.engine.SimResult` as a Gantt chart in plain
 text — one row per task (or per phase), time flowing right — so the
 overlap structure the Triton join relies on (Fig. 11) can be inspected
-directly in a terminal or a test failure message. :func:`chrome_trace`
-serializes the same timeline through the shared telemetry trace-event
-writer (:mod:`repro.telemetry.export`) for https://ui.perfetto.dev, and
-:func:`trace_json` emits a plain machine-readable task list.
-
-Runnable as a CLI::
-
-    python -m repro.sim.visualize triton --size 512 --format chrome \
-        --output triton.trace.json
-
-Every output format reports how many tasks were clipped by
-``--max-rows`` — a truncated view never masquerades as complete.
+directly in a terminal or a test failure message. The same timeline
+opens in https://ui.perfetto.dev from ``python -m repro.bench <exp>
+--trace``, and ``ExplainedRun.format()`` (:mod:`repro.explain`) renders
+its bottleneck attribution.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import SimResult
 from repro.sim.trace import TraceEntry
-from repro.telemetry.export import (
-    SIM_PID_BASE,
-    chrome_trace_document,
-    sim_track_events,
-)
 
 _FULL = "█"
 _PARTIAL = "▒"
@@ -114,191 +98,3 @@ def gantt(
 
     header = f"timeline: 0 .. {makespan * 1e3:.1f} ms"
     return "\n".join([header] + lines)
-
-
-def utilization_summary(result: SimResult, pool) -> str:
-    """One line per resource: average utilization over the makespan."""
-    lines = []
-    for name, value in sorted(
-        result.resource_utilization(pool).items(), key=lambda kv: -kv[1]
-    ):
-        bar = _FULL * int(round(20 * min(value, 1.0)))
-        lines.append(f"{name:>16} |{bar:<20}| {100 * value:5.1f}%")
-    return "\n".join(lines)
-
-
-def _clipped(
-    result: SimResult, max_rows: Optional[int]
-) -> "tuple[List[TraceEntry], int]":
-    entries = sorted(result.trace, key=lambda e: (e.start, e.end))
-    if max_rows is not None and len(entries) > max_rows:
-        return entries[:max_rows], len(entries) - max_rows
-    return entries, 0
-
-
-def chrome_trace(
-    result: SimResult, label: str = "sim", max_rows: Optional[int] = None
-) -> dict:
-    """The simulated timeline as a Chrome trace document.
-
-    Reuses the telemetry exporter's virtual-track writer, so the output
-    is the same shape ``python -m repro.bench ... --trace`` emits (one
-    process per simulation, one thread per phase, virtual-time µs).
-    Clipped tasks are reported in ``otherData["truncated_tasks"]``.
-    """
-    entries, truncated = _clipped(result, max_rows)
-    counters = ()
-    if getattr(result, "occupancy", ()):
-        from repro.explain.timeline import utilization_samples
-
-        counters = [
-            (name, samples)
-            for name, samples in sorted(utilization_samples(result).items())
-            if any(value > 0 for _, value in samples)
-        ]
-    events = sim_track_events(
-        [(e.name, e.phase, e.start, e.end) for e in entries],
-        pid=SIM_PID_BASE,
-        label=label,
-        truncated=truncated,
-        instants=[
-            (e.time_s, e.kind, e.target, e.detail)
-            for e in getattr(result, "fault_events", ())
-        ],
-        counters=counters,
-    )
-    return chrome_trace_document(
-        events=events,
-        makespan_seconds=result.makespan_seconds,
-        truncated_tasks=truncated,
-    )
-
-
-def trace_json(result: SimResult, max_rows: Optional[int] = None) -> dict:
-    """Machine-readable task list (seconds, not µs), with clip count."""
-    entries, truncated = _clipped(result, max_rows)
-    return {
-        "makespan_seconds": result.makespan_seconds,
-        "tasks": [
-            {
-                "name": e.name,
-                "phase": e.phase,
-                "start": e.start,
-                "end": e.end,
-            }
-            for e in entries
-        ],
-        "truncated_tasks": truncated,
-    }
-
-
-# -- CLI ------------------------------------------------------------------------
-
-def _operators():
-    # Deferred import: repro.join pulls in the whole operator stack.
-    from repro.hashing.hash_table import HashScheme
-    from repro.join import (
-        CpuPartitionedJoin,
-        CpuRadixJoin,
-        NoPartitioningJoin,
-        TritonJoin,
-    )
-
-    return {
-        "triton": lambda system: TritonJoin(system),
-        "np-perfect": lambda system: NoPartitioningJoin(
-            system, scheme=HashScheme.PERFECT
-        ),
-        "np-chaining": lambda system: NoPartitioningJoin(
-            system, scheme=HashScheme.BUCKET_CHAINING
-        ),
-        "cpu-radix": lambda system: CpuRadixJoin(system),
-        "cpu-partitioned": lambda system: CpuPartitionedJoin(system),
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Simulate one operator and render its timeline."""
-    operators = _operators()
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.visualize",
-        description="Render a simulated join execution timeline.",
-    )
-    parser.add_argument("operator", choices=sorted(operators))
-    parser.add_argument(
-        "--size", type=float, default=512.0,
-        help="build = probe size in M tuples (default 512)",
-    )
-    parser.add_argument(
-        "--divisor", type=float, default=65536.0,
-        help="materialization scale divisor (default 65536)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "chrome", "json", "explain"),
-        default="text",
-        help="explain = bottleneck attribution (critical path, bound "
-        "classes, utilization) instead of the raw timeline",
-    )
-    parser.add_argument(
-        "--output", default=None, help="write to a file instead of stdout"
-    )
-    parser.add_argument("--width", type=int, default=64)
-    parser.add_argument(
-        "--max-rows", type=int, default=40,
-        help="per-task row/event limit (clipping is always reported)",
-    )
-    parser.add_argument(
-        "--by-task", action="store_true",
-        help="text format: one row per task instead of per phase",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.data.generator import generate_workload
-    from repro.hw.specs import ac922
-
-    workload = generate_workload(
-        args.size, args.size, scale_divisor=args.divisor
-    )
-    run = operators[args.operator](ac922()).run(workload)
-    if run.sim is None:
-        print("operator produced no simulated trace", file=sys.stderr)
-        return 1
-
-    if args.format == "text":
-        rendered = gantt(
-            run.sim,
-            width=args.width,
-            by_phase=not args.by_task,
-            max_rows=args.max_rows,
-        )
-    elif args.format == "chrome":
-        rendered = json.dumps(
-            chrome_trace(run.sim, label=run.name, max_rows=args.max_rows),
-            indent=1,
-        )
-    elif args.format == "explain":
-        from repro import explain
-
-        explained = explain.explain(run.sim, label=run.name)
-        rendered = explain.format_explanation(
-            explained, max_rows=args.max_rows
-        )
-        problems = explained.verify()
-        if problems:
-            rendered += "\n\nexplain invariant problems:\n" + "\n".join(
-                f"  ! {p}" for p in problems
-            )
-    else:
-        rendered = json.dumps(
-            trace_json(run.sim, max_rows=args.max_rows), indent=1
-        )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + "\n")
-    else:
-        print(rendered)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via main()
-    sys.exit(main())

@@ -4,9 +4,8 @@ This is the **one trace-event writer in the codebase**: span records
 (from this process and absorbed from workers), simulated virtual-time
 timelines (:class:`repro.sim.trace.TraceEntry` lists), and flight-
 recorder instants all serialize through the same helpers, so
-``python -m repro.bench ... --trace``, ``tools/load_gen.py
---trace-out`` and ``python -m repro.sim.visualize --format chrome``
-produce files a single viewer opens side by side.
+``python -m repro.bench ... --trace`` and ``tools/load_gen.py
+--trace-out`` produce files a single viewer opens side by side.
 
 The format is the Chrome trace-event JSON object form
 (``{"traceEvents": [...]}``) that chrome://tracing and
@@ -110,7 +109,6 @@ def sim_track_events(
     entries: Sequence[tuple],
     pid: int,
     label: str,
-    truncated: int = 0,
     instants: Sequence[tuple] = (),
     counters: Sequence[tuple] = (),
     trace: Optional[str] = None,
@@ -180,10 +178,6 @@ def sim_track_events(
                     "args": {"utilization": value},
                 }
             )
-    if truncated:
-        events.append(
-            _metadata(pid, "process_labels", f"{truncated} tasks clipped")
-        )
     return events
 
 
@@ -251,20 +245,18 @@ def chrome_trace_events() -> List[dict]:
     return events
 
 
-def chrome_trace_document(
-    events: Optional[List[dict]] = None, **other_data
-) -> dict:
-    """The JSON object form viewers load (events + free-form metadata)."""
+def chrome_trace_document() -> dict:
+    """The JSON object form viewers load, over the buffered records."""
     return {
-        "traceEvents": chrome_trace_events() if events is None else events,
+        "traceEvents": chrome_trace_events(),
         "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.telemetry", **other_data},
+        "otherData": {"generator": "repro.telemetry"},
     }
 
 
-def write_chrome_trace(path, document: Optional[dict] = None) -> dict:
+def write_chrome_trace(path) -> dict:
     """Serialize the trace document to ``path``; returns the document."""
-    document = document if document is not None else chrome_trace_document()
+    document = chrome_trace_document()
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")

@@ -94,6 +94,19 @@ class Histogram:
             self.max = other.max if self.max is None else max(self.max, other.max)
         return self
 
+    def since(self, earlier: "Histogram") -> "Histogram":
+        """The samples recorded after ``earlier`` (an older state of
+        this histogram): counts, total and buckets subtract; min and max
+        stay this histogram's, since an extremum has no difference."""
+        delta = Histogram(self.bounds)
+        delta.count = self.count - earlier.count
+        delta.total = self.total - earlier.total
+        delta.buckets = [
+            new - old for new, old in zip(self.buckets, earlier.buckets)
+        ]
+        delta.min, delta.max = self.min, self.max
+        return delta
+
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -224,7 +237,7 @@ class Histogram:
         return histogram
 
     def to_timing(self) -> dict:
-        """The registry's timing-dict shape (for symmetry and tests)."""
+        """The registry's timing-dict shape (snapshots, deltas, merges)."""
         return {
             "count": self.count,
             "total_seconds": self.total,

@@ -11,19 +11,12 @@ latency SLO is scraped in. Naming follows the official conventions:
   ``<name>_bucket{le="..."}`` series over the shared geometric bounds
   (plus the mandatory ``le="+Inf"``), ``<name>_sum`` (total seconds),
   and ``<name>_count`` — so ``histogram_quantile(0.99, ...)`` works on
-  ``repro_bench_experiment_seconds_bucket`` out of the box;
-- registry names may carry **labels** with a ``base{key=value,...}``
-  suffix (``service.slo.burn_rate{objective=availability}``); labeled
-  series of one base metric share a single HELP/TYPE header and render
-  as ``repro_service_slo_burn_rate{objective="availability"}``, with
-  ``le`` merged into each bucket line's label set for histograms.
+  ``repro_bench_experiment_seconds_bucket`` out of the box.
 
 Surfaces: ``python -m repro.bench ... --prom out.prom`` writes a
-scrape-shaped file; ``--prom-port N`` additionally serves **one** scrape
-over HTTP after the run (:func:`serve_once` — a one-shot handler, not a
-daemon: the bench is a batch process, the scrape is for piping into
-``promtool`` or a pushgateway). ``tools/bench_diff.py --check-prometheus
-out.prom`` validates a written file — the CI gate.
+scrape-shaped file (for ``promtool`` or a pushgateway);
+``tools/bench_diff.py --check-prometheus out.prom`` validates a written
+file — the CI gate.
 """
 
 from __future__ import annotations
@@ -32,9 +25,6 @@ import re
 from typing import Dict, List, Optional
 
 from repro.telemetry import metrics as _metrics
-
-#: The exposition content type (text format 0.0.4).
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Metric-name namespace prefix for everything this package exports.
 NAME_PREFIX = "repro_"
@@ -51,49 +41,6 @@ def metric_name(name: str, suffix: str = "") -> str:
     """Flatten a dotted registry name into a Prometheus metric name."""
     flattened = _INVALID_CHARS.sub("_", name)
     return f"{NAME_PREFIX}{flattened}{suffix}"
-
-
-_LABEL_NAME_INVALID = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def split_labels(name: str) -> "tuple[str, Dict[str, str]]":
-    """Split a registry key ``base{key=value,...}`` into base + labels.
-
-    The registry stores labeled series as flat strings (its merge and
-    snapshot machinery stays label-oblivious); this is the single
-    parser of that convention. A name without a well-formed label
-    suffix comes back unchanged with no labels.
-    """
-    if not name.endswith("}") or "{" not in name:
-        return name, {}
-    base, _, raw = name.partition("{")
-    labels: Dict[str, str] = {}
-    for part in raw[:-1].split(","):
-        key, eq, value = part.partition("=")
-        if not eq or not key.strip():
-            return name, {}
-        labels[key.strip()] = value.strip().strip('"')
-    return base, labels
-
-
-def _escape_label_value(value: str) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def render_labels(labels: Dict[str, str], extra: str = "") -> str:
-    """``{key="value",...}`` with sorted keys ("" when empty)."""
-    items = [
-        f'{_LABEL_NAME_INVALID.sub("_", key)}="{_escape_label_value(value)}"'
-        for key, value in sorted(labels.items())
-    ]
-    if extra:
-        items.append(extra)
-    return "{" + ",".join(items) + "}" if items else ""
 
 
 def parse_sample_key(key: str) -> "tuple[str, Dict[str, str]]":
@@ -132,53 +79,34 @@ def prometheus_document(
     registry = registry if registry is not None else _metrics.registry
     snapshot = registry.snapshot()
     lines: List[str] = []
-    headed: set = set()
 
-    def _head(metric: str, kind: str, base: str) -> None:
-        # One HELP/TYPE pair per base metric, however many labeled
-        # series it fans into (the format forbids repeats).
-        if metric in headed:
-            return
-        headed.add(metric)
+    def _head(metric: str, kind: str, name: str) -> None:
         kind_word = "timing histogram" if kind == "histogram" else kind
-        lines.append(f"# HELP {metric} repro {kind_word} {base}")
+        lines.append(f"# HELP {metric} repro {kind_word} {name}")
         lines.append(f"# TYPE {metric} {kind}")
 
     for name, value in sorted(snapshot["counters"].items()):
-        base, labels = split_labels(name)
-        metric = metric_name(base, "_total")
-        _head(metric, "counter", base)
-        lines.append(
-            f"{metric}{render_labels(labels)} {_format_value(float(value))}"
-        )
+        metric = metric_name(name, "_total")
+        _head(metric, "counter", name)
+        lines.append(f"{metric} {_format_value(float(value))}")
     for name, value in sorted(snapshot["gauges"].items()):
-        base, labels = split_labels(name)
-        metric = metric_name(base)
-        _head(metric, "gauge", base)
-        lines.append(
-            f"{metric}{render_labels(labels)} {_format_value(float(value))}"
-        )
+        metric = metric_name(name)
+        _head(metric, "gauge", name)
+        lines.append(f"{metric} {_format_value(float(value))}")
     for name, timing in sorted(snapshot["timings"].items()):
-        base, labels = split_labels(name)
-        metric = metric_name(base)
-        _head(metric, "histogram", base)
+        metric = metric_name(name)
+        _head(metric, "histogram", name)
         cumulative = 0
-        buckets = timing["buckets"]
-        for bound, count in zip(_metrics.BUCKET_BOUNDS, buckets):
+        for bound, count in zip(_metrics.BUCKET_BOUNDS, timing["buckets"]):
             cumulative += count
-            bucket_labels = render_labels(
-                labels, extra=f'le="{_format_bound(bound)}"'
+            lines.append(
+                f'{metric}_bucket{{le="{_format_bound(bound)}"}} {cumulative}'
             )
-            lines.append(f"{metric}_bucket{bucket_labels} {cumulative}")
-        inf_labels = render_labels(labels, extra='le="+Inf"')
-        lines.append(f'{metric}_bucket{inf_labels} {timing["count"]}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {timing["count"]}')
         lines.append(
-            f"{metric}_sum{render_labels(labels)} "
-            f"{_format_value(float(timing['total_seconds']))}"
+            f"{metric}_sum {_format_value(float(timing['total_seconds']))}"
         )
-        lines.append(
-            f"{metric}_count{render_labels(labels)} {timing['count']}"
-        )
+        lines.append(f"{metric}_count {timing['count']}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -280,38 +208,3 @@ def validate_prometheus(text: str) -> List[str]:
         if (f"{base}_sum", labels) not in indexed:
             problems.append(f"{shown}: missing _sum series")
     return problems
-
-
-# -- one-shot HTTP handler ------------------------------------------------------
-
-
-def serve_once(
-    registry: Optional[_metrics.MetricsRegistry] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-):
-    """A bound HTTP server whose ``handle_request()`` serves one scrape.
-
-    Returns the server (``server.server_address`` is the bound
-    ``(host, port)``); the caller decides when to block —
-    ``server.handle_request()`` serves exactly one GET of the current
-    registry state and returns, and ``server.server_close()`` releases
-    the socket. One-shot by design: the bench is a batch process, so
-    "handler" here means "let one scraper in before exit", not a
-    long-lived endpoint.
-    """
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    class _Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            body = prometheus_document(registry).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):  # pragma: no cover - quiet
-            pass
-
-    return HTTPServer((host, port), _Handler)

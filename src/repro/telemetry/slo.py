@@ -328,25 +328,6 @@ class SLOMonitor:
             "by_template": by_template,
         }
 
-    def registry_metrics(self) -> Dict[str, float]:
-        """Burn-rate gauges for the metrics registry / Prometheus page.
-
-        Keyed ``service.slo.burn_rate{objective=<name>}`` — the label
-        convention :mod:`repro.telemetry.prometheus` renders natively.
-        """
-        metrics: Dict[str, float] = {}
-        for objective in self.spec.objectives:
-            verdict = self.evaluate(objective)
-            key = (
-                f"service.slo.burn_rate{{objective={objective.name}}}"
-            )
-            metrics[key] = (
-                verdict["burn_rate"]
-                if math.isfinite(verdict["burn_rate"])
-                else 0.0
-            )
-        return metrics
-
 
 # -- bench-history anomaly sweep ---------------------------------------------------
 

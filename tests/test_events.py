@@ -3,14 +3,13 @@
 Covers the full event path: in-process emission and validation, the
 JSONL sink round-trip, the morsel pool's dispatch/steal/death/respawn/
 recovery/stall events (with the deterministic ``die_on`` / ``sleep_on``
-hooks), and the bench CLI surface (``--events`` / ``--prom`` /
-``--live``) including the multi-process ``--jobs`` hand-off with
-reused pool workers.
+hooks), and the bench CLI surface (``--events`` / ``--prom``)
+including the multi-process ``--jobs`` hand-off with reused pool
+workers.
 """
 
 import json
 import os
-import re
 
 import numpy as np
 import pytest
@@ -503,27 +502,6 @@ class TestBenchCli:
             key.startswith("repro_bench_experiment_seconds_bucket")
             for key in samples
         )
-
-    def test_live_does_not_corrupt_stdout_in_non_tty(self, capsys):
-        """Non-TTY ``--live``: stdout must be byte-identical to a run
-        without the flag (modulo the wall-clock suffix line), and the
-        dashboard's plain lines must all land on stderr."""
-        def normalized(argv):
-            assert bench_main(argv) == 0
-            captured = capsys.readouterr()
-            out = re.sub(
-                r"\[fig14: [0-9.]+s\]", "[fig14: Xs]", captured.out
-            )
-            return out, captured.err
-
-        plain_out, plain_err = normalized(["fig14", *SMALL_ARGS])
-        live_out, live_err = normalized(["fig14", *SMALL_ARGS, "--live"])
-        assert live_out == plain_out
-        assert "[live]" not in live_out
-        assert "[live] start fig14" in live_err
-        assert "[live] done  fig14" in live_err
-        assert "\x1b[" not in live_err  # no ANSI on a non-TTY stream
-        assert "[live]" not in plain_err
 
     def test_events_and_trace_compose(self, tmp_path):
         """--events + --trace: recorder instants land in the Chrome

@@ -1,20 +1,12 @@
-"""Prometheus exposition: naming, histogram triplets, one-shot HTTP."""
-
-import threading
-import urllib.request
+"""Prometheus exposition: naming, histogram triplets, validation."""
 
 import pytest
 
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.prometheus import (
-    CONTENT_TYPE,
     metric_name,
     parse_prometheus,
-    parse_sample_key,
     prometheus_document,
-    render_labels,
-    serve_once,
-    split_labels,
     validate_prometheus,
 )
 
@@ -97,65 +89,7 @@ class TestDocument:
 
 
 class TestLabels:
-    """Label support: registry keys ``base{k=v,...}`` render, parse, and
-    validate as labelled series."""
-
-    def test_split_labels_round_trip(self):
-        base, labels = split_labels(
-            "service.slo.burn_rate{objective=availability}"
-        )
-        assert base == "service.slo.burn_rate"
-        assert labels == {"objective": "availability"}
-
-    def test_split_labels_passes_plain_names_through(self):
-        assert split_labels("run_cache.hits") == ("run_cache.hits", {})
-        assert split_labels("weird{unclosed") == ("weird{unclosed", {})
-
-    def test_labeled_gauge_renders_and_parses(self, registry):
-        registry.gauge(
-            "service.slo.burn_rate{objective=availability}", 1.25
-        )
-        registry.gauge(
-            "service.slo.burn_rate{objective=query-latency}", 0.5
-        )
-        document = prometheus_document(registry)
-        assert validate_prometheus(document) == []
-        samples = parse_prometheus(document)
-        base = "repro_service_slo_burn_rate"
-        assert samples[f'{base}{{objective="availability"}}'] == 1.25
-        assert samples[f'{base}{{objective="query-latency"}}'] == 0.5
-        # One HELP/TYPE head per base metric, not per labelled series.
-        assert document.count(f"# TYPE {base} ") == 1
-
-    def test_labeled_counter_keeps_total_suffix(self, registry):
-        registry.count("queries{template=big-state}", 3)
-        samples = parse_prometheus(prometheus_document(registry))
-        assert (
-            samples['repro_queries_total{template="big-state"}'] == 3.0
-        )
-
-    def test_labeled_timing_merges_le_into_label_set(self, registry):
-        registry.observe("wait{queue=high}", 0.01)
-        registry.observe("wait{queue=high}", 0.5)
-        document = prometheus_document(registry)
-        assert validate_prometheus(document) == []
-        samples = parse_prometheus(document)
-        assert samples['repro_wait_count{queue="high"}'] == 2.0
-        inf_buckets = [
-            key
-            for key in samples
-            if key.startswith("repro_wait_bucket") and "+Inf" in key
-        ]
-        assert len(inf_buckets) == 1
-        name, labels = parse_sample_key(inf_buckets[0])
-        assert name == "repro_wait_bucket"
-        assert labels == {"queue": "high", "le": "+Inf"}
-
-    def test_label_values_escape_and_unescape(self):
-        rendered = render_labels({"path": 'a"b\\c'})
-        assert rendered == '{path="a\\"b\\\\c"}'
-        _, labels = parse_sample_key(f"metric{rendered}")
-        assert labels == {"path": 'a"b\\c'}
+    """The validator parses label sets (``le`` and any other label)."""
 
     def test_validator_distinguishes_label_sets(self):
         # Two label sets of the same histogram validate independently:
@@ -171,28 +105,3 @@ class TestLabels:
         problems = validate_prometheus(document)
         assert any('queue="b"' in p or "queue=b" in p for p in problems)
         assert not any('queue="a"' in p and "count" in p for p in problems)
-
-
-class TestServeOnce:
-    def test_one_shot_scrape_over_http(self, registry):
-        registry.count("run_cache.hits", 7)
-        registry.observe("bench.experiment_seconds", 0.5)
-        server = serve_once(registry)
-        try:
-            port = server.server_address[1]
-            thread = threading.Thread(target=server.handle_request)
-            thread.start()
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=5
-            ) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"] == CONTENT_TYPE
-                body = response.read().decode("utf-8")
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        finally:
-            server.server_close()
-        assert validate_prometheus(body) == []
-        samples = parse_prometheus(body)
-        assert samples["repro_run_cache_hits_total"] == 7.0
-        assert samples["repro_bench_experiment_seconds_count"] == 1.0

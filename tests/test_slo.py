@@ -198,14 +198,6 @@ class TestBurnRateMath:
         assert window["errors"] == 1
         assert window["by_status"] == {"done": 1, "timeout": 1}
 
-    def test_registry_metrics_use_label_keys(self):
-        monitor = SLOMonitor(default_spec())
-        for i in range(10):
-            monitor.record("t", 0.01, error=(i == 0))
-        metrics = monitor.registry_metrics()
-        key = "service.slo.burn_rate{objective=availability}"
-        assert metrics[key] == pytest.approx(0.1 / 0.001)
-
     def test_monitor_rejects_garbage_spec(self):
         with pytest.raises(ConfigurationError, match="SLOSpec"):
             SLOMonitor(["not", "a", "spec"])

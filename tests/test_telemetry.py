@@ -10,7 +10,6 @@ from repro import telemetry
 from repro.bench.__main__ import main as cli_main
 from repro.data.generator import generate_workload
 from repro.join import TritonJoin, run_cache
-from repro.sim.visualize import main as viz_main
 from repro.telemetry.export import (
     SIM_PID_BASE,
     chrome_trace_document,
@@ -379,70 +378,6 @@ class TestBenchCliTrace:
         )
         assert telemetry.recording() == telemetry.OFF
         assert tracing.records() == []
-
-
-class TestVisualizeCli:
-    def test_chrome_format_is_valid(self, tmp_path, capsys):
-        out = tmp_path / "sim.trace.json"
-        code = viz_main(
-            [
-                "triton",
-                "--size", "128",
-                "--divisor", "1048576",
-                "--format", "chrome",
-                "--output", str(out),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert validate_chrome_trace(doc) == []
-        assert all(
-            e["pid"] == SIM_PID_BASE
-            for e in doc["traceEvents"]
-            if e.get("ph") == "X"
-        )
-
-    def test_json_format_reports_truncation(self, capsys):
-        code = viz_main(
-            [
-                "triton",
-                "--size", "128",
-                "--divisor", "1048576",
-                "--format", "json",
-                "--max-rows", "3",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["tasks"]) == 3
-        assert payload["truncated_tasks"] > 0
-
-    def test_chrome_format_reports_truncation(self, capsys):
-        code = viz_main(
-            [
-                "triton",
-                "--size", "128",
-                "--divisor", "1048576",
-                "--format", "chrome",
-                "--max-rows", "3",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["otherData"]["truncated_tasks"] > 0
-
-    def test_text_format_reports_truncation(self, capsys):
-        code = viz_main(
-            [
-                "triton",
-                "--size", "128",
-                "--divisor", "1048576",
-                "--by-task",
-                "--max-rows", "3",
-            ]
-        )
-        assert code == 0
-        assert "more tasks" in capsys.readouterr().out
 
 
 class TestCounterTracks:

@@ -365,8 +365,8 @@ class TestChromeExport:
     def test_document_validation_catches_a_broken_forest(self):
         trace_id = tracing.derive_trace_id(0, 0)
         span_id = tracing.root_span_id(trace_id)
-        document = chrome_trace_document(
-            events=[
+        document = {
+            "traceEvents": [
                 {
                     "name": "query",
                     "cat": "trace",
@@ -382,7 +382,7 @@ class TestChromeExport:
                     },
                 }
             ]
-        )
+        }
         assert any("orphan" in p for p in validate_chrome_trace(document))
 
     def test_empty_document_is_flagged(self):

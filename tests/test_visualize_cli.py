@@ -9,7 +9,7 @@ from repro.join import TritonJoin
 from repro.sim.engine import SimEngine
 from repro.sim.resources import Resource, ResourcePool
 from repro.sim.tasks import Task, TaskGraph, chain
-from repro.sim.visualize import gantt, utilization_summary
+from repro.sim.visualize import gantt
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +67,6 @@ class TestGantt:
         for phase in ("Part 1", "Part 2", "Join"):
             assert phase in chart
 
-    def test_utilization_summary(self, sim_result):
-        result, pool = sim_result
-        summary = utilization_summary(result, pool)
-        assert "link" in summary
-        assert "%" in summary
-
 
 class TestCli:
     def test_list(self, capsys):
@@ -98,40 +92,6 @@ class TestCli:
 
 
 class TestExplainFormat:
-    def test_explain_format_renders_attribution(self, capsys):
-        from repro.sim.visualize import main as viz_main
-
-        code = viz_main(
-            [
-                "triton",
-                "--size", "128",
-                "--divisor", "1048576",
-                "--format", "explain",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "explain: GPU Triton Join" in out
-        assert "critical path" in out
-        assert "bound classes" in out
-        assert "invariant problems" not in out
-
-    def test_explain_format_writes_file(self, tmp_path):
-        from repro.sim.visualize import main as viz_main
-
-        out = tmp_path / "explain.txt"
-        code = viz_main(
-            [
-                "triton",
-                "--size", "128",
-                "--divisor", "1048576",
-                "--format", "explain",
-                "--output", str(out),
-            ]
-        )
-        assert code == 0
-        assert "dominant bound class" in out.read_text()
-
     def test_explain_on_synthetic_result(self, sim_result):
         from repro import explain
 
