@@ -34,7 +34,7 @@ from repro.aggregate import (
     reference_aggregate,
 )
 from repro.data.relation import Relation
-from repro.join import CoProcessingJoin
+from repro.join import CoProcessingJoin, TritonJoin
 from repro.join.filters import BloomFilteredTritonJoin
 from repro.units import GIB
 
@@ -61,8 +61,9 @@ def main() -> None:
 
     # Stage 1+2: filtered join (aggregate mode: the join emits no
     # materialized result; matching fact tuples flow to the aggregation).
-    join_op = BloomFilteredTritonJoin(system)
-    join_op.inner.aggregate = True
+    join_op = BloomFilteredTritonJoin(
+        system, inner=TritonJoin(system, aggregate=True)
+    )
     join_run = join_op.run(workload)
     assert join_run.match == reference_join(workload.build, workload.probe)
     print(

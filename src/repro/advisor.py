@@ -311,25 +311,12 @@ class JoinAdvisor:
         probe_m = (
             probe_m_tuples if probe_m_tuples is not None else build_m_tuples
         )
-        plan_key = None
-        if run_cache.enabled():
-            try:
-                plan_key = run_cache.freeze(
-                    (
-                        "split_plan",
-                        self.system,
-                        build_m_tuples,
-                        probe_m,
-                        tolerance,
-                        faults.active(),
-                    )
-                )
-            except run_cache.UnfreezableError:
-                plan_key = None
-            if plan_key is not None:
-                hit = run_cache.cached_plan(plan_key)
-                if hit is not None:
-                    return hit
+        plan_key = (
+            self.system, build_m_tuples, probe_m, tolerance, faults.active()
+        )
+        hit = run_cache.cached_plan(plan_key)
+        if hit is not None:
+            return hit
 
         workload = generate_workload(
             build_m_tuples, probe_m, scale_divisor=_COSTING_DIVISOR
@@ -385,6 +372,5 @@ class JoinAdvisor:
                 for f, s in sorted(evaluated.items())
             ),
         )
-        if plan_key is not None:
-            run_cache.store_plan(plan_key, plan)
+        run_cache.store_plan(plan_key, plan)
         return plan

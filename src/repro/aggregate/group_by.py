@@ -32,11 +32,13 @@ from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.specs import SystemSpec
 from repro.hw.tlb import MemSpace
+from repro.join.base import simulate
 from repro.join.caching import CachePolicy, plan_cache
+from repro.join.triton import first_pass_task
 from repro.partition.hierarchical import HierarchicalPartitioner
 from repro.partition.planner import plan_radix_join
 from repro.partition.shared import SharedPartitioner
-from repro.sim.engine import SimEngine, SimResult
+from repro.sim.engine import SimResult
 from repro.sim.kernels import GpuKernelBuilder
 from repro.sim.resources import ResourcePool
 from repro.sim.tasks import TaskGraph, chain
@@ -97,16 +99,35 @@ def _accumulate(
     return group_keys.astype(np.int64), states.astype(np.int64)
 
 
+def _values(relation: Relation) -> np.ndarray:
+    """The aggregated column: the first payload, or ones without one."""
+    if relation.payload_columns:
+        return relation.payloads[next(iter(relation.payloads))]
+    return np.ones(len(relation), dtype=np.int64)
+
+
+def _emit_task(builder: GpuKernelBuilder, groups_nominal: int):
+    """Write one entry per group back to CPU memory."""
+    return builder.build(
+        "emit",
+        [
+            MemoryRequest(
+                total_bytes=groups_nominal * ENTRY_BYTES,
+                access_bytes=128,
+                op=Op.WRITE,
+                space=MemSpace.CPU,
+                pattern=AccessPattern.SEQUENTIAL,
+            )
+        ],
+        phase="Emit",
+    )
+
+
 def reference_aggregate(
     relation: Relation, function: AggregateFunction = AggregateFunction.SUM
 ) -> AggregationResult:
     """Ground-truth aggregation for verification."""
-    values = (
-        relation.payloads[next(iter(relation.payloads))]
-        if relation.payload_columns
-        else np.ones(len(relation), dtype=np.int64)
-    )
-    keys, states = _accumulate(function, relation.keys, values)
+    keys, states = _accumulate(function, relation.keys, _values(relation))
     return AggregationResult.from_arrays(keys, states)
 
 
@@ -180,22 +201,10 @@ class NoPartitioningAggregation:
             instructions=rows * UPDATE_SLOTS_PER_TUPLE,
             tuples=rows,
         )
-        emit = self.builder.build(
-            name="emit",
-            phase="Emit",
-            requests=[
-                MemoryRequest(
-                    total_bytes=groups_nominal * ENTRY_BYTES,
-                    access_bytes=128,
-                    op=Op.WRITE,
-                    space=MemSpace.CPU,
-                    pattern=AccessPattern.SEQUENTIAL,
-                )
-            ],
-            tuples=0.0,
+        sim = simulate(
+            TaskGraph(chain([update, _emit_task(self.builder, groups_nominal)])),
+            ResourcePool.for_system(self.system),
         )
-        graph = TaskGraph(chain([update, emit]))
-        sim = SimEngine(ResourcePool.for_system(self.system)).run(graph)
         return AggregationRun(
             name=self.name,
             result=result,
@@ -230,18 +239,8 @@ class TritonAggregation:
         parts = self.first_pass.partition(relation, min(bits1, 10))
         all_keys = []
         all_states = []
-        values = (
-            relation.payloads[next(iter(relation.payloads))]
-            if relation.payload_columns
-            else np.ones(len(relation), dtype=np.int64)
-        )
         # Values travel with their tuples through the partitioning.
-        part_values = (
-            parts.relation.payloads[next(iter(parts.relation.payloads))]
-            if parts.relation.payload_columns
-            else np.ones(len(parts.relation), dtype=np.int64)
-        )
-        _ = values
+        part_values = _values(parts.relation)
         for index in range(parts.fanout):
             rows = parts.partition_rows(index)
             if rows.stop == rows.start:
@@ -278,84 +277,57 @@ class TritonAggregation:
         )
         scratch = self.system.gpu.usable_scratchpad_bytes
 
-        # Pass 1: partition the input into the hybrid cache.
+        # Pass 1 partitions the input into the hybrid cache; then, per
+        # chunk, the spilled state is copied in, refined and aggregated.
         g = cache.gpu_fraction
-        tasks = []
-        requests = []
-        issue = 0.0
-        if g < 1.0:
-            work = self.first_pass.gpu_work(
-                rows * (1 - g), tuple_bytes, plan.fanout1,
-                MemSpace.CPU, MemSpace.CPU, scratch,
+        tasks = [
+            first_pass_task(
+                self.builder, self.first_pass, rows, tuple_bytes,
+                plan.fanout1, g, self.system,
             )
-            requests += [r for r in work.requests if r.op is Op.WRITE
-                         or r.space is MemSpace.GPU]
-            issue += work.issue_slots
-        if g > 0.0:
-            work = self.first_pass.gpu_work(
-                rows * g, tuple_bytes, plan.fanout1,
-                MemSpace.CPU, MemSpace.GPU, scratch,
-            )
-            requests += [r for r in work.requests if r.op is Op.WRITE]
-            issue += work.issue_slots
-        requests.append(
+        ]
+        # The chunks are equal shares, so they issue the same requests.
+        chunk_rows = rows / self.pipeline_chunks
+        chunk_bytes = chunk_rows * tuple_bytes
+        spilled = chunk_bytes * (1 - g)
+        chunk_requests = [
             MemoryRequest(
-                total_bytes=rows * tuple_bytes,
+                total_bytes=chunk_bytes,
                 access_bytes=128,
                 op=Op.READ,
-                space=MemSpace.CPU,
+                space=MemSpace.GPU,
                 pattern=AccessPattern.SEQUENTIAL,
-                duplex=g < 1.0,
             )
-        )
-        part1 = self.builder.build(
-            "part1", requests, instructions=issue, phase="Part 1", tuples=rows
-        )
-        tasks.append(part1)
-
-        # Pipeline: per chunk, copy spilled state in, refine, aggregate.
-        previous = part1
-        chunk_rows = rows / self.pipeline_chunks
-        for c in range(self.pipeline_chunks):
-            chunk_bytes = chunk_rows * tuple_bytes
-            spilled = chunk_bytes * (1 - g)
-            chunk_requests = [
+        ]
+        if spilled > 0:
+            chunk_requests.append(
                 MemoryRequest(
-                    total_bytes=chunk_bytes,
+                    total_bytes=spilled,
                     access_bytes=128,
                     op=Op.READ,
-                    space=MemSpace.GPU,
+                    space=MemSpace.CPU,
                     pattern=AccessPattern.SEQUENTIAL,
                 )
-            ]
-            if spilled > 0:
-                chunk_requests.append(
-                    MemoryRequest(
-                        total_bytes=spilled,
-                        access_bytes=128,
-                        op=Op.READ,
-                        space=MemSpace.CPU,
-                        pattern=AccessPattern.SEQUENTIAL,
-                    )
+            )
+        slots = chunk_rows * UPDATE_SLOTS_PER_TUPLE
+        if plan.bits2:
+            fanout2 = 1 << plan.bits2
+            profile = self.second_pass.write_profile(
+                fanout2, tuple_bytes, scratch, MemSpace.GPU
+            )
+            chunk_requests.append(
+                MemoryRequest(
+                    total_bytes=chunk_bytes,
+                    access_bytes=profile.flush_bytes,
+                    op=Op.WRITE,
+                    space=MemSpace.GPU,
+                    pattern=AccessPattern.RANDOM,
+                    stream_count=fanout2,
                 )
-            fanout2 = 1 << plan.bits2 if plan.bits2 else 1
-            slots = chunk_rows * UPDATE_SLOTS_PER_TUPLE
-            if plan.bits2:
-                profile = self.second_pass.write_profile(
-                    fanout2, tuple_bytes, scratch, MemSpace.GPU
-                )
-                chunk_requests.append(
-                    MemoryRequest(
-                        total_bytes=chunk_bytes,
-                        access_bytes=profile.flush_bytes,
-                        op=Op.WRITE,
-                        space=MemSpace.GPU,
-                        pattern=AccessPattern.RANDOM,
-                        stream_count=fanout2,
-                    )
-                )
-                slots += chunk_rows * profile.issue_slots_per_tuple
-            task = self.builder.build(
+            )
+            slots += chunk_rows * profile.issue_slots_per_tuple
+        tasks.extend(
+            self.builder.build(
                 f"aggregate[{c}]",
                 chunk_requests,
                 instructions=slots,
@@ -363,27 +335,12 @@ class TritonAggregation:
                 tuples=chunk_rows,
                 sm_fraction=0.5,
             )
-            task.depends_on(previous)
-            previous = task
-            tasks.append(task)
-
-        emit = self.builder.build(
-            "emit",
-            [
-                MemoryRequest(
-                    total_bytes=groups_nominal * ENTRY_BYTES,
-                    access_bytes=128,
-                    op=Op.WRITE,
-                    space=MemSpace.CPU,
-                    pattern=AccessPattern.SEQUENTIAL,
-                )
-            ],
-            phase="Emit",
-        ).depends_on(previous)
-        tasks.append(emit)
-
-        graph = TaskGraph(tasks)
-        sim = SimEngine(ResourcePool.for_system(self.system)).run(graph)
+            for c in range(self.pipeline_chunks)
+        )
+        tasks.append(_emit_task(self.builder, groups_nominal))
+        sim = simulate(
+            TaskGraph(chain(tasks)), ResourcePool.for_system(self.system)
+        )
         return AggregationRun(
             name=self.name,
             result=result,

@@ -166,11 +166,18 @@ def generate_pk_fk(config: WorkloadConfig) -> Tuple[Relation, Relation]:
 
 @dataclass(frozen=True)
 class Workload:
-    """A generated workload: the relation pair plus its configuration."""
+    """A generated workload: the relation pair plus its configuration.
+
+    ``lineage`` names how a workload was derived from the generated one
+    (the plan layer sets it for a join over filtered or joined inputs,
+    which share the config and may share the row counts); the run cache
+    keys on it. A generated workload's lineage is empty.
+    """
 
     config: WorkloadConfig
     build: Relation = field(repr=False)
     probe: Relation = field(repr=False)
+    lineage: str = ""
 
     @property
     def total_nominal_tuples(self) -> int:

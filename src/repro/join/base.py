@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -23,7 +24,10 @@ from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.hw.counters import PerfCounters
 from repro.hw.specs import SystemSpec
-from repro.sim.engine import SimResult
+from repro.partition.planner import RadixPlan, plan_radix_join
+from repro.sim.engine import SimEngine, SimResult
+from repro.sim.resources import ResourcePool
+from repro.sim.tasks import TaskGraph
 from repro.units import G_TUPLES
 
 #: Bytes per materialized join result tuple (<key, R-payload> pairs in
@@ -118,7 +122,7 @@ def _traced_run(run_method):
     def wrapper(self, workload):
         if len(workload.build) == 0 or len(workload.probe) == 0:
             return JoinRun(
-                name=getattr(self, "name", type(self).__name__),
+                name=self.name,
                 workload=workload,
                 match=NO_MATCH,
                 seconds=0.0,
@@ -132,7 +136,7 @@ def _traced_run(run_method):
                 "join.run_seconds", time.perf_counter() - started
             )
             return result
-        name = getattr(self, "name", type(self).__name__)
+        name = self.name
         telemetry.emit_event("run.start", operator=name)
         # A cache hit is visible as the hits counter moving while the
         # wrapped call runs — the cache layer sits just inside this one.
@@ -159,41 +163,103 @@ def _traced_run(run_method):
                 ),
             )
 
-    wrapper.__wrapped_by_run_cache__ = True
     return wrapper
 
 
+@dataclass(frozen=True)
 class JoinOperator(abc.ABC):
-    """An equi-join operator bound to one system spec."""
+    """An equi-join operator bound to one system spec.
 
-    name: str
-    uses_gpu: bool = True
+    Operators are frozen records of their configuration, so an operator
+    is its own run-cache key (:mod:`repro.join.run_cache`); cost models,
+    task builders and ``name`` derive from the fields. :meth:`run` is the
+    one skeleton: :meth:`prepare` plans the run, and the facts it returns
+    are keyword arguments to :meth:`functional_join`, :meth:`build_graph`
+    and :meth:`annotate`.
+    """
 
-    def __init__(self, system: SystemSpec) -> None:
-        self.system = system
+    system: SystemSpec
+
+    #: Whether the operator's runs use the GPU.
+    uses_gpu = True
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Memoize each concrete operator's ``run`` across experiments.
+        """Give every subclass its own traced, memoized ``run``.
 
         The wrapper (see :mod:`repro.join.run_cache`) is inert until the
         cache is explicitly enabled — the benchmark CLI does, tests that
-        monkeypatch operator internals never see it.
+        monkeypatch operator internals never see it. A subclass that
+        inherits the skeleton gets a wrapped copy in its own class body
+        too, so per-class instrumentation finds it there.
         """
         super().__init_subclass__(**kwargs)
-        run = cls.__dict__.get("run")
-        if run is not None and not getattr(
-            run, "__wrapped_by_run_cache__", False
-        ):
-            from repro.join import run_cache
+        from repro.join import run_cache
 
-            cls.run = _traced_run(run_cache.cached_run(run))
+        run = inspect.unwrap(cls.__dict__.get("run", cls.run))
+        cls.run = _traced_run(run_cache.cached_run(run))
 
-    @abc.abstractmethod
     def run(self, workload: Workload) -> JoinRun:
         """Execute and simulate the join for one workload."""
+        return self.execute(workload, **self.prepare(workload))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.system.name!r})"
+    def execute(self, workload: Workload, **facts) -> JoinRun:
+        """The run skeleton, given the run's planned ``facts``."""
+        with telemetry.span("functional"):
+            match = self.functional_join(workload, **facts)
+        sim = simulate(self.build_graph(workload, **facts), self.resources())
+        run = JoinRun(
+            name=self.name,
+            workload=workload,
+            match=match,
+            seconds=sim.makespan_seconds,
+            counters=sim.counters,
+            sim=sim,
+            uses_gpu=self.uses_gpu,
+        )
+        self.annotate(run, **facts)
+        # The out-of-core executor leaves one summary note per execution
+        # in the exec context's mailbox; a run takes those its join made.
+        from repro.exec import context as exec_context
+
+        notes = exec_context.consume_notes()
+        if notes:
+            run.notes["out_of_core"] = notes[0] if len(notes) == 1 else notes
+        return run
+
+    def prepare(self, workload: Workload) -> dict:
+        """Plan one run: the facts the hooks below share (none by default)."""
+        return {}
+
+    def plan(self, workload: Workload) -> RadixPlan:
+        """The workload's radix-join plan (pass bits) on this system."""
+        return plan_radix_join(
+            workload.build.nominal_rows,
+            workload.probe.nominal_rows,
+            workload.build.tuple_bytes,
+            self.system,
+        )
+
+    def functional_join(self, workload: Workload, **facts) -> JoinMatch:
+        """Join the materialized arrays (every operator :meth:`run`
+        reaches through the skeleton implements this)."""
+        raise NotImplementedError
+
+    @abc.abstractmethod
+    def build_graph(self, workload: Workload, **facts) -> TaskGraph:
+        """The simulated execution DAG for one workload."""
+
+    def resources(self) -> ResourcePool:
+        """The resource pool the graph runs on."""
+        return ResourcePool.for_system(self.system)
+
+    def annotate(self, run: JoinRun, **facts) -> None:
+        """Add the operator's notes to a finished run."""
+
+
+def simulate(graph: TaskGraph, pool: ResourcePool) -> SimResult:
+    """Run a task graph on a resource pool inside a ``simulate`` span."""
+    with telemetry.span("simulate", tasks=len(graph.tasks)):
+        return SimEngine(pool).run(graph)
 
 
 def reference_join(build: Relation, probe: Relation) -> JoinMatch:
@@ -238,23 +304,6 @@ def build_payload_column(relation: Relation) -> np.ndarray:
     if relation.payload_columns:
         return relation.payloads[next(iter(relation.payloads))]
     return relation.keys
-
-
-def attach_out_of_core_notes(run: JoinRun) -> None:
-    """Annotate a run with any out-of-core executions its join made.
-
-    The out-of-core executor (:mod:`repro.exec.outofcore`) deposits one
-    summary note per execution into the ambient exec context; operators
-    call this right after their functional phase to drain the mailbox
-    into ``run.notes["out_of_core"]`` (a single dict, or a list when one
-    join fanned out into several executions — the co-processing split
-    joins each side separately).
-    """
-    from repro.exec import context as exec_context
-
-    notes = exec_context.consume_notes()
-    if notes:
-        run.notes["out_of_core"] = notes[0] if len(notes) == 1 else notes
 
 
 def split_gpu_cpu(total: float, gpu_fraction: float) -> Tuple[float, float]:

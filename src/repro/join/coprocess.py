@@ -41,26 +41,20 @@ ladder and therefore only falls through when *both* processors are gone.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import telemetry
 from repro.data.generator import Workload
 from repro.errors import CapacityError, ConfigurationError, TaskFailedError
 from repro.hashing.functions import hash_u64, radix_window
 from repro.hashing.hash_table import HashScheme
-from repro.hw.cpu import CpuModel
-from repro.join import base
-from repro.join.base import JoinMatch, JoinOperator, JoinRun
+from repro.join.base import NO_MATCH, JoinMatch, JoinOperator, JoinRun
 from repro.join.batched import batched_radix_join
-from repro.join.cpu_radix import JOIN_OPS, radix_bits_for
-from repro.join.triton import TritonJoin
-from repro.partition.planner import plan_radix_join
-from repro.partition.swwc import CpuSwwcPartitioner
-from repro.sim.engine import SimEngine
-from repro.sim.kernels import CpuTaskBuilder
-from repro.sim.resources import ResourcePool
+from repro.join.cpu_radix import JOIN_OPS, CpuRadixJoin, radix_bits_for
+from repro.join.triton import DEFAULT_PIPELINE_CHUNKS, TritonJoin
 from repro.sim.tasks import Task, TaskGraph
 
 #: The checksum modulus of :meth:`JoinMatch.from_arrays`; partition-wise
@@ -85,49 +79,50 @@ def merge_matches(left: JoinMatch, right: JoinMatch) -> JoinMatch:
     )
 
 
-def _empty_match() -> JoinMatch:
-    empty = np.empty(0, dtype=np.int64)
-    return JoinMatch.from_arrays(empty, empty)
-
-
+@dataclass(frozen=True)
 class CoProcessingJoin(JoinOperator):
     """One join, cost-split across the CPU and the GPU concurrently."""
 
-    def __init__(
-        self,
-        system,
-        cpu_fraction: Optional[float] = None,
-        scheme: HashScheme = HashScheme.BUCKET_CHAINING,
-        cpu_scheme: HashScheme = HashScheme.PERFECT,
-        pipeline_chunks: Optional[int] = None,
-        reference: bool = False,
-        label: Optional[str] = None,
-    ) -> None:
-        super().__init__(system)
-        if cpu_fraction is not None and not 0.0 <= cpu_fraction <= 1.0:
+    cpu_fraction: Optional[float] = None
+    scheme: HashScheme = HashScheme.BUCKET_CHAINING
+    cpu_scheme: HashScheme = HashScheme.PERFECT
+    pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS
+    reference: bool = False
+    label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.cpu_fraction is not None and not 0.0 <= self.cpu_fraction <= 1.0:
             raise ConfigurationError("cpu_fraction must be in [0, 1]")
-        if cpu_scheme not in JOIN_OPS:
+        if self.cpu_scheme not in JOIN_OPS:
             raise ConfigurationError(
-                f"unsupported CPU-side scheme: {cpu_scheme}"
+                f"unsupported CPU-side scheme: {self.cpu_scheme}"
             )
-        self.cpu_fraction = cpu_fraction
-        self.scheme = scheme
-        self.cpu_scheme = cpu_scheme
-        self.pipeline_chunks = pipeline_chunks
-        self.reference = reference
-        self.name = label or CO_PROCESS_NAME
+
+    @property
+    def name(self) -> str:
+        return self.label or CO_PROCESS_NAME
+
+    @functools.cached_property
+    def gpu_side(self) -> TritonJoin:
+        """The Triton join that prices the GPU side's partitions."""
+        return TritonJoin(
+            self.system, scheme=self.scheme, pipeline_chunks=self.pipeline_chunks
+        )
+
+    @functools.cached_property
+    def cpu_side(self) -> CpuRadixJoin:
+        """The CPU radix join that prices the CPU side's partitions."""
+        return CpuRadixJoin(self.system, scheme=self.cpu_scheme)
+
+    def _cpu_side_tasks(self, side: Workload) -> List[Task]:
+        """The CPU radix join's tasks, labelled as the CPU side's."""
+        tasks = self.cpu_side.build_graph(side).tasks
+        for task, name in zip(tasks, ("cpu_part", "cpu_join")):
+            task.name = name
+            task.phase = f"CPU {task.phase}"
+        return tasks
 
     # -- split geometry ---------------------------------------------------------
-
-    def split_bits(self, workload: Workload) -> int:
-        """Radix width of the split space (the functional bits1 cap)."""
-        plan = plan_radix_join(
-            workload.build.nominal_rows,
-            workload.probe.nominal_rows,
-            workload.build.tuple_bytes,
-            self.system,
-        )
-        return min(plan.bits1, _MAX_FUNCTIONAL_BITS)
 
     def gpu_partitions(self, fanout: int, cpu_fraction: float) -> int:
         """Partitions ``[0, boundary)`` assigned to the GPU side."""
@@ -161,8 +156,13 @@ class CoProcessingJoin(JoinOperator):
 
     # -- functional -------------------------------------------------------------
 
-    def _functional_join(
-        self, workload: Workload, bits: int, boundary: int
+    def functional_join(
+        self,
+        workload: Workload,
+        bits: int,
+        bits2: int,
+        sides: Tuple[Workload, Workload],
+        **_,
     ) -> JoinMatch:
         """Join each side's partitions, merge the summaries.
 
@@ -171,22 +171,13 @@ class CoProcessingJoin(JoinOperator):
         path must match byte for byte (hash partitions are disjoint and
         the checksums are modular sums, so they do).
         """
-        plan = plan_radix_join(
-            workload.build.nominal_rows,
-            workload.probe.nominal_rows,
-            workload.build.tuple_bytes,
-            self.system,
-        )
         if self.reference:
-            return batched_radix_join(
-                workload.build, workload.probe, bits, plan.bits2
-            )
-        gpu, cpu = self._split_workload(workload, bits, boundary)
-        match = _empty_match()
+            return batched_radix_join(workload.build, workload.probe, bits, bits2)
+        gpu, cpu = sides
+        match = NO_MATCH
         if len(gpu.build) and len(gpu.probe):
             match = merge_matches(
-                match,
-                batched_radix_join(gpu.build, gpu.probe, bits, plan.bits2),
+                match, batched_radix_join(gpu.build, gpu.probe, bits, bits2)
             )
         if len(cpu.build) and len(cpu.probe):
             cpu_bits = radix_bits_for(max(cpu.build.nominal_rows, 1))
@@ -197,47 +188,13 @@ class CoProcessingJoin(JoinOperator):
 
     # -- cost -------------------------------------------------------------------
 
-    def _cpu_side_tasks(self, side: Workload, tuple_bytes: int) -> List[Task]:
-        """The CPU radix-join pipeline over the CPU-side partitions."""
-        cpu = CpuModel(self.system.cpu)
-        partitioner = CpuSwwcPartitioner(cpu)
-        builder = CpuTaskBuilder(cpu)
-        build_tuples = float(side.build.nominal_rows)
-        probe_tuples = float(side.probe.nominal_rows)
-        total_tuples = build_tuples + probe_tuples
-        bits = radix_bits_for(max(side.build.nominal_rows, 1))
-        part_work = partitioner.work(total_tuples, tuple_bytes, 1 << bits)
-        partition_task = builder.build(
-            name="cpu_part",
-            phase="CPU Partition",
-            read_bytes=part_work.read_bytes,
-            write_bytes=part_work.write_bytes,
-            operations=part_work.operations,
-            tuples=total_tuples,
-        )
-        build_ops, probe_ops = JOIN_OPS[self.cpu_scheme]
-        result_writes = base.result_bytes(probe_tuples)
-        write_bytes = result_writes * (
-            1.0 if partitioner.non_temporal_stores else 2.0
-        )
-        join_task = builder.build(
-            name="cpu_join",
-            phase="CPU Join",
-            read_bytes=total_tuples * tuple_bytes,
-            write_bytes=write_bytes,
-            operations=build_tuples * build_ops + probe_tuples * probe_ops,
-            tuples=total_tuples,
-        ).depends_on(partition_task)
-        return [partition_task, join_task]
-
-    def _gpu_operator(self) -> TritonJoin:
-        kwargs = {"scheme": self.scheme}
-        if self.pipeline_chunks is not None:
-            kwargs["pipeline_chunks"] = self.pipeline_chunks
-        return TritonJoin(self.system, **kwargs)
-
     def build_graph(
-        self, workload: Workload, bits: int, boundary: int
+        self,
+        workload: Workload,
+        bits: int,
+        boundary: int,
+        sides: Tuple[Workload, Workload],
+        **_,
     ) -> TaskGraph:
         """Both sides' task DAGs in one graph, no cross dependencies.
 
@@ -247,14 +204,12 @@ class CoProcessingJoin(JoinOperator):
         fluid allocation rather than being hand-modeled.
         """
         fanout = 1 << bits
-        gpu_side, cpu_side = self._split_workload(workload, bits, boundary)
+        gpu_side, cpu_side = sides
         graph = TaskGraph()
         if boundary > 0 and gpu_side.total_nominal_tuples > 0:
-            graph.extend(self._gpu_operator().build_graph(gpu_side).tasks)
+            graph.extend(self.gpu_side.build_graph(gpu_side).tasks)
         if boundary < fanout and cpu_side.total_nominal_tuples > 0:
-            graph.extend(
-                self._cpu_side_tasks(cpu_side, workload.build.tuple_bytes)
-            )
+            graph.extend(self._cpu_side_tasks(cpu_side))
         if not graph.tasks:
             raise ConfigurationError(
                 "co-processing split produced an empty task graph"
@@ -332,26 +287,30 @@ class CoProcessingJoin(JoinOperator):
     # -- execution --------------------------------------------------------------
 
     def _run_at(self, workload: Workload, cpu_fraction: float) -> JoinRun:
-        bits = self.split_bits(workload)
-        fanout = 1 << bits
-        boundary = self.gpu_partitions(fanout, cpu_fraction)
-        with telemetry.span(
-            "functional", reference=self.reference, boundary=boundary
-        ):
-            match = self._functional_join(workload, bits, boundary)
-        with telemetry.span("simulate", cpu_fraction=cpu_fraction):
-            graph = self.build_graph(workload, bits, boundary)
-            engine = SimEngine(ResourcePool.for_system(self.system))
-            sim = engine.run(graph)
-        run = JoinRun(
-            name=self.name,
-            workload=workload,
-            match=match,
-            seconds=sim.makespan_seconds,
-            counters=sim.counters,
-            sim=sim,
-            uses_gpu=boundary > 0,
+        """The run skeleton at one split fraction (the split space is the
+        first-pass radix window, capped at the functional width)."""
+        plan = self.plan(workload)
+        bits = min(plan.bits1, _MAX_FUNCTIONAL_BITS)
+        boundary = self.gpu_partitions(1 << bits, cpu_fraction)
+        return self.execute(
+            workload,
+            bits=bits,
+            bits2=plan.bits2,
+            boundary=boundary,
+            cpu_fraction=cpu_fraction,
+            sides=self._split_workload(workload, bits, boundary),
         )
+
+    def annotate(
+        self,
+        run: JoinRun,
+        bits: int,
+        boundary: int,
+        cpu_fraction: float,
+        **_,
+    ) -> None:
+        fanout = 1 << bits
+        run.uses_gpu = boundary > 0
         run.notes["cpu_fraction"] = 1.0 - boundary / fanout
         run.notes["split"] = {
             "bits": bits,
@@ -360,9 +319,7 @@ class CoProcessingJoin(JoinOperator):
             "cpu_partitions": fanout - boundary,
             "requested_cpu_fraction": cpu_fraction,
         }
-        run.notes["utilization"] = self._side_utilization(sim)
-        base.attach_out_of_core_notes(run)
-        return run
+        run.notes["utilization"] = self._side_utilization(run.sim)
 
     def run(self, workload: Workload) -> JoinRun:
         fraction = self.cpu_fraction

@@ -19,9 +19,10 @@ with the GPU's link reads.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
-from repro import telemetry
 from repro.data.generator import Workload
 from repro.errors import ConfigurationError
 from repro.hashing.hash_table import HashScheme
@@ -32,12 +33,10 @@ from repro.hw.tlb import MemSpace
 from repro.join import base
 from repro.join.base import JoinOperator, JoinRun
 from repro.join.batched import batched_radix_join, reference_radix_join
-from repro.partition.planner import RadixPlan, plan_radix_join
+from repro.partition.planner import RadixPlan
 from repro.partition.shared import SharedPartitioner
 from repro.partition.swwc import CpuSwwcPartitioner
-from repro.sim.engine import SimEngine
 from repro.sim.kernels import CpuTaskBuilder, GpuKernelBuilder
-from repro.sim.resources import ResourcePool
 from repro.sim.tasks import Task, TaskGraph
 from repro.join.triton import (
     BUILD_SLOTS_PER_TUPLE,
@@ -45,43 +44,43 @@ from repro.join.triton import (
     PROBE_SLOTS_PER_TUPLE,
 )
 
+#: The GPU's in-memory second pass over each transferred working set.
+SECOND_PASS = SharedPartitioner()
 
+
+@dataclass(frozen=True)
 class CpuPartitionedJoin(JoinOperator):
     """CPU partitions, GPU joins — the Fig. 3 strategy."""
 
-    def __init__(
-        self,
-        system,
-        scheme: HashScheme = HashScheme.BUCKET_CHAINING,
-        pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS,
-        aggregate: bool = False,
-        reference: bool = False,
-    ) -> None:
-        super().__init__(system)
-        if scheme not in BUILD_SLOTS_PER_TUPLE:
-            raise ConfigurationError(f"unsupported scheme: {scheme}")
-        self.scheme = scheme
-        self.pipeline_chunks = pipeline_chunks
-        self.aggregate = aggregate
-        self.reference = reference
-        self.name = "CPU-Partitioned Radix Join"
-        self.cpu = CpuModel(system.cpu)
-        self.partitioner = CpuSwwcPartitioner(self.cpu)
-        self.second_pass = SharedPartitioner()
-        self.gpu_builder = GpuKernelBuilder(GpuModel(system))
-        self.cpu_builder = CpuTaskBuilder(self.cpu)
+    scheme: HashScheme = HashScheme.BUCKET_CHAINING
+    pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS
+    aggregate: bool = False
+    reference: bool = False
 
-    def plan(self, workload: Workload) -> RadixPlan:
-        return plan_radix_join(
-            workload.build.nominal_rows,
-            workload.probe.nominal_rows,
-            workload.build.tuple_bytes,
-            self.system,
-        )
+    name = "CPU-Partitioned Radix Join"
+
+    def __post_init__(self) -> None:
+        if self.scheme not in BUILD_SLOTS_PER_TUPLE:
+            raise ConfigurationError(f"unsupported scheme: {self.scheme}")
+
+    @functools.cached_property
+    def cpu_builder(self) -> CpuTaskBuilder:
+        return CpuTaskBuilder(CpuModel(self.system.cpu))
+
+    @functools.cached_property
+    def partitioner(self) -> CpuSwwcPartitioner:
+        return CpuSwwcPartitioner(self.cpu_builder.cpu)
+
+    @functools.cached_property
+    def gpu_builder(self) -> GpuKernelBuilder:
+        return GpuKernelBuilder(GpuModel(self.system))
+
+    def prepare(self, workload: Workload) -> dict:
+        return {"plan": self.plan(workload)}
 
     # -- functional -----------------------------------------------------------
 
-    def _functional_join(self, workload: Workload, plan: RadixPlan) -> base.JoinMatch:
+    def functional_join(self, workload: Workload, plan: RadixPlan) -> base.JoinMatch:
         join = reference_radix_join if self.reference else batched_radix_join
         return join(
             workload.build, workload.probe, min(plan.bits1, 10), plan.bits2
@@ -125,7 +124,7 @@ class CpuPartitionedJoin(JoinOperator):
         issue_slots = 0.0
         if plan.bits2:
             fanout2 = 1 << plan.bits2
-            profile = self.second_pass.write_profile(
+            profile = SECOND_PASS.write_profile(
                 fanout2, tuple_bytes, scratch, MemSpace.GPU
             )
             requests.append(
@@ -172,19 +171,22 @@ class CpuPartitionedJoin(JoinOperator):
             tuples=tuples,
         )
 
-    def run(self, workload: Workload) -> JoinRun:
-        plan = self.plan(workload)
-        with telemetry.span("functional", reference=self.reference):
-            match = self._functional_join(workload, plan)
+    def build_graph(
+        self, workload: Workload, plan: Optional[RadixPlan] = None
+    ) -> TaskGraph:
+        """CPU partitioning of R, then S's chunks feeding the GPU joins.
 
+        The inner relation must be fully partitioned before the join
+        starts (Fig. 3); the outer relation's partitioning overlaps
+        with the transfer/join pipeline.
+        """
+        if plan is None:
+            plan = self.plan(workload)
         tuple_bytes = workload.build.tuple_bytes
         build_tuples = float(workload.build.nominal_rows)
         probe_tuples = float(workload.probe.nominal_rows)
         chunks = self.pipeline_chunks
 
-        # The inner relation must be fully partitioned before the join
-        # starts (Fig. 3); the outer relation's partitioning overlaps
-        # with the transfer/join pipeline.
         part_r = self._cpu_partition_task(
             "cpu_part_R", build_tuples, tuple_bytes, plan.fanout1
         )
@@ -203,19 +205,7 @@ class CpuPartitionedJoin(JoinOperator):
             previous_gpu = gpu
             previous_part_s = part_s
             graph.extend([part_s, gpu])
+        return graph
 
-        with telemetry.span("simulate", chunks=chunks):
-            engine = SimEngine(ResourcePool.for_system(self.system))
-            sim = engine.run(graph)
-        run = JoinRun(
-            name=self.name,
-            workload=workload,
-            match=match,
-            seconds=sim.makespan_seconds,
-            counters=sim.counters,
-            sim=sim,
-            uses_gpu=True,
-        )
+    def annotate(self, run: JoinRun, plan: RadixPlan) -> None:
         run.notes["plan_bits"] = plan.bits_per_pass
-        base.attach_out_of_core_notes(run)
-        return run

@@ -10,9 +10,10 @@ POWER9 and the Xeon host via their :class:`CpuSpec`s.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
-from repro import telemetry
 from repro.data.generator import Workload
 from repro.hashing.hash_table import HashScheme
 from repro.hw.cpu import CpuModel
@@ -20,9 +21,7 @@ from repro.join import base
 from repro.join.base import JoinOperator, JoinRun
 from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.partition.swwc import CpuSwwcPartitioner
-from repro.sim.engine import SimEngine
 from repro.sim.kernels import CpuTaskBuilder
-from repro.sim.resources import ResourcePool
 from repro.sim.tasks import TaskGraph, chain
 
 #: Partition size target: ~128 K tuples keeps a partition's build side
@@ -45,6 +44,7 @@ def radix_bits_for(build_rows: int) -> int:
     return min(MAX_RADIX_BITS, max(MIN_RADIX_BITS, needed))
 
 
+@dataclass(frozen=True)
 class CpuRadixJoin(JoinOperator):
     """Radix-partitioned hash join on one CPU socket.
 
@@ -55,43 +55,45 @@ class CpuRadixJoin(JoinOperator):
     passes. Tests cross-check both.
     """
 
+    scheme: HashScheme = HashScheme.PERFECT
+    reference: bool = False
+
     uses_gpu = False
 
-    def __init__(
-        self,
-        system,
-        scheme: HashScheme = HashScheme.PERFECT,
-        reference: bool = False,
-    ) -> None:
-        super().__init__(system)
-        if scheme not in JOIN_OPS:
-            raise ValueError(f"unsupported CPU join scheme: {scheme}")
-        self.scheme = scheme
-        self.reference = reference
-        self.cpu = CpuModel(system.cpu)
-        self.partitioner = CpuSwwcPartitioner(self.cpu)
-        self.builder = CpuTaskBuilder(self.cpu)
-        self.name = f"CPU Radix Join ({system.cpu.name}, {scheme.value})"
+    def __post_init__(self) -> None:
+        if self.scheme not in JOIN_OPS:
+            raise ValueError(f"unsupported CPU join scheme: {self.scheme}")
+
+    @property
+    def name(self) -> str:
+        return f"CPU Radix Join ({self.system.cpu.name}, {self.scheme.value})"
+
+    @functools.cached_property
+    def builder(self) -> CpuTaskBuilder:
+        return CpuTaskBuilder(CpuModel(self.system.cpu))
+
+    @functools.cached_property
+    def partitioner(self) -> CpuSwwcPartitioner:
+        return CpuSwwcPartitioner(self.builder.cpu)
 
     # -- functional -----------------------------------------------------------
 
-    def _functional_join(self, workload: Workload, bits: int) -> base.JoinMatch:
+    def functional_join(self, workload: Workload) -> base.JoinMatch:
         join = reference_radix_join if self.reference else batched_radix_join
+        bits = radix_bits_for(workload.build.nominal_rows)
         return join(workload.build, workload.probe, bits)
 
     # -- cost -----------------------------------------------------------------
 
-    def run(self, workload: Workload) -> JoinRun:
-        bits = radix_bits_for(workload.build.nominal_rows)
-        with telemetry.span("functional", bits=bits, reference=self.reference):
-            match = self._functional_join(workload, bits)
-
-        fanout = 1 << bits
+    def build_graph(self, workload: Workload) -> TaskGraph:
+        """SWWC partitioning of both relations, then the partition joins."""
+        fanout = 1 << radix_bits_for(workload.build.nominal_rows)
         tuple_bytes = workload.build.tuple_bytes
         total_tuples = (
             workload.build.nominal_rows + workload.probe.nominal_rows
         )
-        part_work = self.partitioner.work(total_tuples, tuple_bytes, fanout)
+        partitioner = self.partitioner
+        part_work = partitioner.work(total_tuples, tuple_bytes, fanout)
         partition_task = self.builder.build(
             name="partition",
             phase="Partition",
@@ -106,7 +108,7 @@ class CpuRadixJoin(JoinOperator):
         result_writes = base.result_bytes(base.nominal_matches(workload))
         # POWER lacks non-temporal stores: result writes pay RFO traffic.
         write_bytes = result_writes * (
-            1.0 if self.partitioner.non_temporal_stores else 2.0
+            1.0 if partitioner.non_temporal_stores else 2.0
         )
         join_task = self.builder.build(
             name="join",
@@ -119,21 +121,9 @@ class CpuRadixJoin(JoinOperator):
             ),
             tuples=total_tuples,
         )
+        return TaskGraph(chain([partition_task, join_task]))
 
-        with telemetry.span("simulate", bits=bits):
-            graph = TaskGraph(chain([partition_task, join_task]))
-            engine = SimEngine(ResourcePool.for_system(self.system))
-            sim = engine.run(graph)
-        run = JoinRun(
-            name=self.name,
-            workload=workload,
-            match=match,
-            seconds=sim.makespan_seconds,
-            counters=sim.counters,
-            sim=sim,
-            uses_gpu=False,
-        )
+    def annotate(self, run: JoinRun) -> None:
+        bits = radix_bits_for(run.workload.build.nominal_rows)
         run.notes["radix_bits"] = bits
-        run.notes["passes"] = part_work.passes
-        base.attach_out_of_core_notes(run)
-        return run
+        run.notes["passes"] = self.partitioner.passes_needed(1 << bits)

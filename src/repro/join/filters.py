@@ -20,7 +20,9 @@ benchmark demonstrates.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.hw.tlb import MemSpace
 from repro.join.base import JoinOperator, JoinRun
 from repro.join.triton import TritonJoin
 from repro.sim.kernels import GpuKernelBuilder
+from repro.sim.tasks import TaskGraph
 from repro.units import next_power_of_two
 
 #: Issue slots per probed tuple (two hashes + bit tests).
@@ -89,26 +92,34 @@ class BloomFilter:
         return (1.0 - math.exp(-load)) ** 2
 
 
+@dataclass(frozen=True)
 class BloomFilteredTritonJoin(JoinOperator):
-    """Triton join with a Bloom-filter semi-join pushdown on S."""
+    """Triton join with a Bloom-filter semi-join pushdown on S.
 
-    def __init__(
-        self,
-        system,
-        bits_per_key: int = 10,
-        inner: Optional[TritonJoin] = None,
-    ) -> None:
-        super().__init__(system)
-        self.bits_per_key = bits_per_key
-        self.inner = inner or TritonJoin(system)
-        self.name = "Bloom-Filtered Triton Join"
-        self.gpu = GpuModel(system)
-        self.builder = GpuKernelBuilder(self.gpu)
+    It composes rather than follows the run skeleton: the inner Triton
+    join runs (and simulates) the semi-joined workload, and the filter
+    scan that precedes it (:meth:`build_graph`) is priced standalone.
+    """
 
-    def _filter_task(self, workload: Workload, filter_bytes: float, pass_rate: float):
+    bits_per_key: int = 10
+    inner: Optional[TritonJoin] = None
+
+    name = "Bloom-Filtered Triton Join"
+
+    def __post_init__(self) -> None:
+        if self.inner is None:
+            object.__setattr__(self, "inner", TritonJoin(self.system))
+
+    @functools.cached_property
+    def builder(self) -> GpuKernelBuilder:
+        return GpuKernelBuilder(GpuModel(self.system))
+
+    def build_graph(
+        self, workload: Workload, filter_bytes: float, pass_rate: float
+    ) -> TaskGraph:
         """The pre-filter scan: keys in, surviving row-ids out."""
         probe_rows = workload.probe.nominal_rows
-        return self.builder.build(
+        return TaskGraph([self.builder.build(
             name="bloom_filter",
             phase="Filter",
             requests=[
@@ -140,7 +151,7 @@ class BloomFilteredTritonJoin(JoinOperator):
             ],
             instructions=probe_rows * FILTER_SLOTS_PER_TUPLE,
             tuples=probe_rows,
-        )
+        )])
 
     def run(self, workload: Workload) -> JoinRun:
         # Build the filter and semi-join S functionally; false positives
@@ -164,10 +175,13 @@ class BloomFilteredTritonJoin(JoinOperator):
             config=workload.config,
             build=workload.build,
             probe=filtered_probe,
+            lineage=workload.lineage,
         )
 
         inner_run = self.inner.run(filtered)
-        filter_task = self._filter_task(workload, bloom.filter_bytes, pass_rate)
+        (filter_task,) = self.build_graph(
+            workload, bloom.filter_bytes, pass_rate
+        ).tasks
         filter_seconds = filter_task.standalone_seconds()
 
         run = JoinRun(

@@ -27,16 +27,15 @@ exchange. Task faults match the suffixed task names the same way (e.g.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict
 
-from repro import telemetry
 from repro.data.generator import Workload
 from repro.errors import ConfigurationError
 from repro.hw.specs import SystemSpec
-from repro.join.base import JoinOperator, JoinRun
+from repro.join.base import JoinMatch, JoinOperator, JoinRun
 from repro.join.triton import TritonJoin
 from repro.sim import resources as res
-from repro.sim.engine import SimEngine
 from repro.sim.resources import Resource, ResourcePool
 from repro.sim.tasks import Task, TaskGraph
 
@@ -75,8 +74,18 @@ def _retarget(task: Task, gpu: int) -> Task:
     return task
 
 
+@dataclass(frozen=True, init=False)
 class MultiGpuTritonJoin(JoinOperator):
-    """The Triton join scaled over multiple GPUs with radix ownership."""
+    """The Triton join scaled over multiple GPUs with radix ownership.
+
+    Keyword arguments beyond ``xbus_bytes_per_s`` configure the
+    single-GPU :class:`TritonJoin` (the ``triton`` field) that plans and
+    executes each GPU's slice.
+    """
+
+    gpu_count: int
+    xbus_bytes_per_s: float
+    triton: TritonJoin
 
     def __init__(
         self,
@@ -85,18 +94,19 @@ class MultiGpuTritonJoin(JoinOperator):
         xbus_bytes_per_s: float = DEFAULT_XBUS_BYTES_PER_S,
         **triton_kwargs,
     ) -> None:
-        super().__init__(system)
         if gpu_count < 1:
             raise ConfigurationError("gpu_count must be >= 1")
-        self.gpu_count = gpu_count
-        self.xbus_bytes_per_s = xbus_bytes_per_s
-        self.name = f"Multi-GPU Triton Join ({gpu_count} GPUs)"
-        # One single-GPU planner/executor per GPU slice.
-        self._triton = TritonJoin(system, **triton_kwargs)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "gpu_count", gpu_count)
+        object.__setattr__(self, "xbus_bytes_per_s", xbus_bytes_per_s)
+        object.__setattr__(self, "triton", TritonJoin(system, **triton_kwargs))
 
-    # -- resources ----------------------------------------------------------
+    @property
+    def name(self) -> str:
+        return f"Multi-GPU Triton Join ({self.gpu_count} GPUs)"
 
-    def _pool(self) -> ResourcePool:
+    def resources(self) -> ResourcePool:
+        """Per-GPU copies of every private resource, plus the X-bus."""
         base = ResourcePool.for_system(self.system)
         resources: Dict[str, Resource] = {}
         for gpu in range(self.gpu_count):
@@ -109,8 +119,6 @@ class MultiGpuTritonJoin(JoinOperator):
         for name in base.names():
             resources[name] = Resource(name, base.capacity(name))
         return ResourcePool(resources)
-
-    # -- execution ------------------------------------------------------------
 
     def _slice_workload(self, workload: Workload) -> Workload:
         """A 1/gpu_count slice of the workload, nominally scaled.
@@ -127,53 +135,37 @@ class MultiGpuTritonJoin(JoinOperator):
         )
         return Workload(config=workload.config, build=build, probe=probe)
 
-    def run(self, workload: Workload) -> JoinRun:
-        # Functional execution: radix ownership does not change the
-        # result, so the single-GPU functional join verifies correctness.
-        plan = self._triton.plan(workload)
-        with telemetry.span("functional"):
-            match, _ = self._triton._functional_join(workload, plan)
+    def prepare(self, workload: Workload) -> dict:
+        return {"plan": self.triton.plan(workload)}
 
-        with telemetry.span("simulate", gpus=self.gpu_count):
-            slice_workload = self._slice_workload(workload)
-            graph = TaskGraph()
-            exchange_fraction = (self.gpu_count - 1) / self.gpu_count
-            for gpu in range(self.gpu_count):
-                # The slice's own plan may pick fewer radix bits than
-                # the functional join's, so it histograms itself.
-                sub_graph = self._triton.build_graph(slice_workload)
-                for task in sub_graph.tasks:
-                    _retarget(task, gpu)
-                    graph.add(task)
-                    # The first pass's spilled writes that land in the
-                    # other socket's partition ranges cross the X-bus.
-                    if task.phase == "Part 1" and exchange_fraction > 0:
-                        exchange_bytes = (
-                            slice_workload.total_nominal_bytes
-                            * exchange_fraction
-                        )
-                        task.demands[XBUS] = (
-                            task.demands.get(XBUS, 0.0) + exchange_bytes
-                        )
-                        task.rate_caps[XBUS] = self.xbus_bytes_per_s
+    def functional_join(self, workload: Workload, plan) -> JoinMatch:
+        # Radix ownership does not change the result, so the single-GPU
+        # functional join verifies correctness.
+        return self.triton.functional_join(workload, plan)
 
-            engine = SimEngine(self._pool())
-            sim = engine.run(graph)
-        run = JoinRun(
-            name=self.name,
-            workload=workload,
-            match=match,
-            seconds=sim.makespan_seconds,
-            counters=sim.counters,
-            sim=sim,
-            uses_gpu=True,
-        )
+    def build_graph(self, workload: Workload, plan=None) -> TaskGraph:
+        """Each GPU's Triton pipeline over its slice, on its resources.
+
+        The slice's own plan may pick fewer radix bits than the whole
+        workload's (``plan`` is not used), so each slice histograms
+        itself.
+        """
+        slice_workload = self._slice_workload(workload)
+        graph = TaskGraph()
+        exchange_fraction = (self.gpu_count - 1) / self.gpu_count
+        exchange_bytes = slice_workload.total_nominal_bytes * exchange_fraction
+        for gpu in range(self.gpu_count):
+            for task in self.triton.build_graph(slice_workload).tasks:
+                _retarget(task, gpu)
+                graph.add(task)
+                # The first pass's spilled writes that land in the
+                # other socket's partition ranges cross the X-bus.
+                if task.phase == "Part 1" and exchange_fraction > 0:
+                    demand = task.demands.get(XBUS, 0.0) + exchange_bytes
+                    task.demands[XBUS] = demand
+                    task.rate_caps[XBUS] = self.xbus_bytes_per_s
+        return graph
+
+    def annotate(self, run: JoinRun, plan) -> None:
         run.notes["gpu_count"] = self.gpu_count
         run.notes["plan_bits"] = plan.bits_per_pass
-        return run
-
-    def scaling_efficiency(self, workload: Workload) -> float:
-        """Speedup over one GPU divided by the GPU count."""
-        single = TritonJoin(self.system).run(workload).seconds
-        multi = self.run(workload).seconds
-        return single / multi / self.gpu_count

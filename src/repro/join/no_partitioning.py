@@ -15,11 +15,10 @@ breaks (Figs. 13, 14, 19):
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro import telemetry
 from repro.data.generator import Workload
 from repro.errors import ConfigurationError
 from repro.hashing.bucket_chaining import BucketChainingTable
@@ -31,9 +30,7 @@ from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.tlb import MemSpace
 from repro.join import base
 from repro.join.base import JoinOperator, JoinRun
-from repro.sim.engine import SimEngine
 from repro.sim.kernels import GpuKernelBuilder
-from repro.sim.resources import ResourcePool
 from repro.sim.tasks import TaskGraph, chain
 from repro.units import next_power_of_two
 
@@ -51,6 +48,7 @@ SEQ_READ_EFFICIENCY = 0.64
 RUNTIME_RESERVED_BYTES = 1 << 30
 
 
+@dataclass(frozen=True)
 class NoPartitioningJoin(JoinOperator):
     """Global-hash-table join on the GPU.
 
@@ -64,25 +62,26 @@ class NoPartitioningJoin(JoinOperator):
             materializing result tuples to CPU memory.
     """
 
-    def __init__(
-        self,
-        system,
-        scheme: HashScheme = HashScheme.PERFECT,
-        cache_bytes: Optional[float] = None,
-        aggregate: bool = False,
-    ) -> None:
-        super().__init__(system)
-        self.scheme = scheme
-        self.cache_bytes = cache_bytes
-        self.aggregate = aggregate
-        self.name = f"GPU No-Partitioning Join ({scheme.value})"
-        self.gpu = GpuModel(system)
-        self.builder = GpuKernelBuilder(self.gpu)
+    scheme: HashScheme = HashScheme.PERFECT
+    cache_bytes: Optional[float] = None
+    aggregate: bool = False
+
+    @property
+    def name(self) -> str:
+        return f"GPU No-Partitioning Join ({self.scheme.value})"
+
+    @functools.cached_property
+    def builder(self) -> GpuKernelBuilder:
+        return GpuKernelBuilder(GpuModel(self.system))
 
     # -- functional -----------------------------------------------------------
 
-    def _build_table(self, workload: Workload):
-        build = workload.build
+    def functional_join(self, workload: Workload) -> base.JoinMatch:
+        table = self._build_table(workload.build)
+        idx, values = table.probe(workload.probe.keys)
+        return base.JoinMatch.from_arrays(workload.probe.keys[idx], values)
+
+    def _build_table(self, build):
         values = base.build_payload_column(build)
         if self.scheme is HashScheme.PERFECT:
             return PerfectTable(build.keys, values)
@@ -110,24 +109,8 @@ class NoPartitioningJoin(JoinOperator):
         cache = min(self.cache_bytes, capacity, table_bytes)
         return cache / table_bytes if table_bytes > 0 else 1.0
 
-    def _table_request(
-        self, accesses: float, op: Op, space: MemSpace, footprint: float
-    ) -> MemoryRequest:
-        return MemoryRequest(
-            total_bytes=accesses * 16,
-            access_bytes=16,
-            op=op,
-            space=space,
-            pattern=AccessPattern.RANDOM,
-            footprint_bytes=max(footprint, 16.0),
-        )
-
-    def run(self, workload: Workload) -> JoinRun:
-        with telemetry.span("functional", scheme=self.scheme.value):
-            table = self._build_table(workload)
-            idx, values = table.probe(workload.probe.keys)
-            match = base.JoinMatch.from_arrays(workload.probe.keys[idx], values)
-
+    def build_graph(self, workload: Workload) -> TaskGraph:
+        """The build kernel, then the probe kernel."""
         profile = self._table_profile(workload)
         g = self._gpu_fraction(profile.table_bytes)
         build_rows = workload.build.nominal_rows
@@ -138,17 +121,23 @@ class NoPartitioningJoin(JoinOperator):
         cpu_foot = profile.table_bytes - gpu_foot
 
         def table_requests(accesses: float, op: Op):
-            requests = []
-            gpu_acc, cpu_acc = base.split_gpu_cpu(accesses, g)
-            if gpu_acc > 0:
-                requests.append(
-                    self._table_request(gpu_acc, op, MemSpace.GPU, gpu_foot)
+            """Random 16-byte table accesses, split by table placement."""
+            return [
+                MemoryRequest(
+                    total_bytes=part * 16,
+                    access_bytes=16,
+                    op=op,
+                    space=space,
+                    pattern=AccessPattern.RANDOM,
+                    footprint_bytes=max(footprint, 16.0),
                 )
-            if cpu_acc > 0:
-                requests.append(
-                    self._table_request(cpu_acc, op, MemSpace.CPU, cpu_foot)
+                for part, space, footprint in zip(
+                    base.split_gpu_cpu(accesses, g),
+                    (MemSpace.GPU, MemSpace.CPU),
+                    (gpu_foot, cpu_foot),
                 )
-            return requests
+                if part > 0
+            ]
 
         build_task = self.builder.build(
             name="build",
@@ -200,19 +189,9 @@ class NoPartitioningJoin(JoinOperator):
             tuples=probe_rows,
         )
 
-        with telemetry.span("simulate", gpu_fraction=g):
-            graph = TaskGraph(chain([build_task, probe_task]))
-            engine = SimEngine(ResourcePool.for_system(self.system))
-            sim = engine.run(graph)
-        run = JoinRun(
-            name=self.name,
-            workload=workload,
-            match=match,
-            seconds=sim.makespan_seconds,
-            counters=sim.counters,
-            sim=sim,
-            uses_gpu=True,
-        )
-        run.notes["table_bytes"] = profile.table_bytes
-        run.notes["gpu_fraction"] = g
-        return run
+        return TaskGraph(chain([build_task, probe_task]))
+
+    def annotate(self, run: JoinRun) -> None:
+        table_bytes = self._table_profile(run.workload).table_bytes
+        run.notes["table_bytes"] = table_bytes
+        run.notes["gpu_fraction"] = self._gpu_fraction(table_bytes)

@@ -15,26 +15,20 @@ and inject failures; a silently-on cache would launder stale results
 through those seams. The benchmark CLI and the perf smoke harness turn
 it on explicitly (``python -m repro.bench`` does unless ``--no-cache``).
 
-Keys are built by :func:`freeze`, a conservative structural hash of the
-operator's ``__dict__`` and the workload's config: anything it cannot
-decompose (an open file, a lambda) raises, and the wrapper then skips
-caching for that operator rather than guessing.
+Keys are tuples of hashable records: the operator itself (a frozen
+dataclass of its configuration, :class:`~repro.join.base.JoinOperator`),
+the workload's config, cardinalities and lineage, and the ambient fault
+plan and execution config. Equal records hash and compare equal, so the
+dictionary lookup is the whole of the key's cost.
 """
 
 from __future__ import annotations
 
 import copy
-import enum
 import functools
-import types
-from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, Tuple
 
-import numpy as np
-
 from repro import faults, telemetry
-
-_ATOMS = (type(None), bool, int, float, str, bytes, complex)
 
 #: Operators whose run() results may be cached (keyed structurally).
 _cache: Dict[Tuple, Any] = {}
@@ -61,65 +55,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class UnfreezableError(TypeError):
-    """Raised when a value cannot be converted to a structural key."""
-
-
-def freeze(value: Any, _depth: int = 0) -> Any:
-    """Recursively convert ``value`` into a hashable structural key.
-
-    Handles atoms, enums, dataclasses, mappings, sequences, numpy
-    scalars/arrays, and plain objects (via their ``__dict__``). Raises
-    :class:`UnfreezableError` for anything else — callers treat that as
-    "do not cache" rather than risking a collision.
-    """
-    if _depth > 32:
-        raise UnfreezableError("structure too deep to freeze")
-    if isinstance(value, _ATOMS):
-        return value
-    if isinstance(value, enum.Enum):
-        return (type(value).__qualname__, value.name)
-    if isinstance(value, np.generic):
-        return (value.dtype.str, value.item())
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    if is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__qualname__,
-            tuple(
-                (f.name, freeze(getattr(value, f.name), _depth + 1))
-                for f in fields(value)
-            ),
-        )
-    if isinstance(value, dict):
-        return tuple(
-            (freeze(k, _depth + 1), freeze(v, _depth + 1))
-            for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        )
-    if isinstance(value, (list, tuple)):
-        return (type(value).__name__,) + tuple(
-            freeze(v, _depth + 1) for v in value
-        )
-    if isinstance(value, (set, frozenset)):
-        return ("set",) + tuple(
-            sorted(freeze(v, _depth + 1) for v in value)
-        )
-    if callable(value) or isinstance(value, types.ModuleType):
-        # Functions/lambdas all carry an (empty) __dict__; freezing
-        # them structurally would make distinct behaviours collide.
-        raise UnfreezableError(f"cannot freeze {type(value).__qualname__}")
-    attrs = getattr(value, "__dict__", None)
-    if attrs is not None:
-        return (type(value).__qualname__, freeze(attrs, _depth + 1))
-    raise UnfreezableError(f"cannot freeze {type(value).__qualname__}")
-
-
 def run_key(operator, workload) -> Tuple:
     """The cache key for one ``operator.run(workload)`` invocation.
 
     The workload key covers the generator config (which determines the
     arrays) plus the nominal/materialized cardinalities, so workloads
-    rescaled through ``with_nominal_rows`` never alias their originals.
+    rescaled through ``with_nominal_rows`` never alias their originals,
+    and the lineage of a workload the plan layer derived (filtered or
+    joined inputs can share the config and even the row counts).
     The ambient fault plan is part of the key: a run simulated under
     injected faults must never be served for (or poisoned by) a clean
     run of the same triple. The ambient out-of-core execution config
@@ -131,15 +74,15 @@ def run_key(operator, workload) -> Tuple:
     from repro.exec import context as exec_context
 
     return (
-        type(operator).__qualname__,
-        freeze(vars(operator)),
-        freeze(workload.config),
+        operator,
+        workload.config,
         workload.build.nominal_rows,
         workload.probe.nominal_rows,
         len(workload.build),
         len(workload.probe),
-        freeze(faults.active()),
-        freeze(exec_context.active()),
+        workload.lineage,
+        faults.active(),
+        exec_context.active(),
     )
 
 
@@ -203,10 +146,7 @@ def cached_run(run_method: Callable) -> Callable:
     def wrapper(self, workload):
         if not _enabled:
             return run_method(self, workload)
-        try:
-            key = run_key(self, workload)
-        except UnfreezableError:
-            return run_method(self, workload)
+        key = run_key(self, workload)
         hit = _cache.get(key)
         if hit is not None:
             telemetry.registry.count("run_cache.hits")
@@ -225,5 +165,4 @@ def cached_run(run_method: Callable) -> Callable:
         _cache[key] = snapshot
         return run
 
-    wrapper.__wrapped_by_run_cache__ = True
     return wrapper

@@ -20,11 +20,13 @@ Implements the paper's section 5 end to end:
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import faults, telemetry
+from repro import faults
 from repro.data.generator import Workload
 from repro.errors import CapacityError, ConfigurationError
 from repro.hashing.hash_table import HashScheme
@@ -42,16 +44,14 @@ from repro.join.caching import (
 )
 from repro.partition.base import GpuPartitioner
 from repro.partition.hierarchical import HierarchicalPartitioner
-from repro.partition.planner import RadixPlan, plan_radix_join
+from repro.partition.planner import RadixPlan
 from repro.partition.prefix_sum import (
     CPU_OPS_PER_TUPLE,
     GPU_SLOTS_PER_TUPLE,
     PrefixSumLocation,
 )
 from repro.partition.shared import SharedPartitioner
-from repro.sim.engine import SimEngine
 from repro.sim.kernels import CpuTaskBuilder, GpuKernelBuilder
-from repro.sim.resources import ResourcePool
 from repro.sim.tasks import Task, TaskGraph
 from repro.hw.cpu import CpuModel
 
@@ -87,59 +87,99 @@ def _sequential(op: Op, space: MemSpace, duplex: bool = False) -> MemoryRequest:
     )
 
 
-class TritonJoin(JoinOperator):
-    """The paper's contribution (sections 4-5)."""
+def first_pass_task(
+    builder: GpuKernelBuilder,
+    partitioner: GpuPartitioner,
+    tuples: float,
+    tuple_bytes: int,
+    fanout: int,
+    gpu_fraction: float,
+    system,
+) -> Task:
+    """Partition tuples out of CPU memory into the hybrid cache.
 
-    def __init__(
-        self,
-        system,
-        scheme: HashScheme = HashScheme.BUCKET_CHAINING,
-        first_pass: Optional[GpuPartitioner] = None,
-        second_pass: Optional[GpuPartitioner] = None,
-        cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED,
-        cache_bytes: Optional[float] = None,
-        prefix_sum: PrefixSumLocation = PrefixSumLocation.CPU,
-        overlap: bool = True,
-        pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS,
-        aggregate: bool = False,
-        reference: bool = False,
-        degraded: bool = False,
-    ) -> None:
-        super().__init__(system)
-        if scheme not in BUILD_SLOTS_PER_TUPLE:
-            raise ConfigurationError(f"unsupported Triton scheme: {scheme}")
-        if pipeline_chunks < 1:
+    The cached share is written to GPU memory, the rest spills back to
+    CPU memory; both shares come from one sequential read of the base
+    data, full duplex only when state actually spills.
+    """
+    scratch = system.gpu.usable_scratchpad_bytes
+    spilled_tuples = tuples * (1.0 - gpu_fraction)
+    cached_tuples = tuples * gpu_fraction
+    requests: List[MemoryRequest] = []
+    issue_slots = 0.0
+    if spilled_tuples > 0:
+        work = partitioner.gpu_work(
+            spilled_tuples, tuple_bytes, fanout,
+            MemSpace.CPU, MemSpace.CPU, scratch,
+        )
+        requests.extend(r for r in work.requests if r.op is Op.WRITE or
+                        r.space is MemSpace.GPU)
+        issue_slots += work.issue_slots
+    if cached_tuples > 0:
+        work = partitioner.gpu_work(
+            cached_tuples, tuple_bytes, fanout,
+            MemSpace.CPU, MemSpace.GPU, scratch,
+        )
+        requests.extend(r for r in work.requests if r.op is Op.WRITE)
+        issue_slots += work.issue_slots
+    requests.append(
+        MemoryRequest(
+            total_bytes=tuples * tuple_bytes,
+            access_bytes=128,
+            op=Op.READ,
+            space=MemSpace.CPU,
+            pattern=AccessPattern.SEQUENTIAL,
+            duplex=spilled_tuples > 0,
+        )
+    )
+    return builder.build(
+        name="part1",
+        phase="Part 1",
+        requests=requests,
+        instructions=issue_slots,
+        tuples=tuples,
+    )
+
+
+@dataclass(frozen=True)
+class TritonJoin(JoinOperator):
+    """The paper's contribution (sections 4-5).
+
+    ``degraded=True`` is the degradation ladder's spill rung: cache
+    nothing, run a plain two-pass out-of-core radix join, and tolerate a
+    GPU whose free memory has shrunk below the nominal pipeline
+    reservation.
+    """
+
+    scheme: HashScheme = HashScheme.BUCKET_CHAINING
+    first_pass: GpuPartitioner = HierarchicalPartitioner()
+    second_pass: GpuPartitioner = SharedPartitioner()
+    cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED
+    cache_bytes: Optional[float] = None
+    prefix_sum: PrefixSumLocation = PrefixSumLocation.CPU
+    overlap: bool = True
+    pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS
+    aggregate: bool = False
+    reference: bool = False
+    degraded: bool = False
+
+    name = "GPU Triton Join"
+
+    def __post_init__(self) -> None:
+        if self.scheme not in BUILD_SLOTS_PER_TUPLE:
+            raise ConfigurationError(f"unsupported Triton scheme: {self.scheme}")
+        if self.pipeline_chunks < 1:
             raise ConfigurationError("pipeline_chunks must be >= 1")
-        self.scheme = scheme
-        self.reference = reference
-        # Degraded mode (the ladder's spill rung): cache nothing, run a
-        # plain two-pass out-of-core radix join, and tolerate a GPU whose
-        # free memory has shrunk below the nominal pipeline reservation.
-        self.degraded = degraded
-        if degraded:
-            cache_policy = CachePolicy.NONE
-        self.first_pass = first_pass or HierarchicalPartitioner()
-        self.second_pass = second_pass or SharedPartitioner()
-        self.cache_policy = cache_policy
-        self.cache_bytes = cache_bytes
-        self.prefix_sum = prefix_sum
-        self.overlap = overlap
-        self.pipeline_chunks = pipeline_chunks
-        self.aggregate = aggregate
-        self.name = "GPU Triton Join"
-        self.gpu = GpuModel(system)
-        self.gpu_builder = GpuKernelBuilder(self.gpu)
-        self.cpu_builder = CpuTaskBuilder(CpuModel(system.cpu))
+
+    @functools.cached_property
+    def gpu_builder(self) -> GpuKernelBuilder:
+        return GpuKernelBuilder(GpuModel(self.system))
+
+    @functools.cached_property
+    def cpu_builder(self) -> CpuTaskBuilder:
+        return CpuTaskBuilder(CpuModel(self.system.cpu))
 
     # -- planning ---------------------------------------------------------------
-
-    def plan(self, workload: Workload) -> RadixPlan:
-        return plan_radix_join(
-            workload.build.nominal_rows,
-            workload.probe.nominal_rows,
-            workload.build.tuple_bytes,
-            self.system,
-        )
 
     def cache_plan(self, workload: Workload) -> CachePlan:
         state_bytes = float(workload.total_nominal_bytes)
@@ -157,31 +197,42 @@ class TritonJoin(JoinOperator):
         return plan_cache(
             state_bytes,
             capacity,
-            policy=self.cache_policy,
+            policy=CachePolicy.NONE if self.degraded else self.cache_policy,
             cache_bytes=self.cache_bytes,
         )
 
     # -- functional ---------------------------------------------------------------
 
-    def _functional_join(
-        self, workload: Workload, plan: RadixPlan
-    ) -> Tuple[base.JoinMatch, np.ndarray]:
+    def prepare(self, workload: Workload) -> dict:
+        """The radix and cache plans, and the pass-1 histogram array the
+        functional join fills for :meth:`build_graph` to weight the
+        pipeline with."""
+        plan = self.plan(workload)
+        return {
+            "plan": plan,
+            "cache": self.cache_plan(workload),
+            "histogram": np.empty(1 << min(plan.bits1, 10), dtype=np.int64),
+        }
+
+    def functional_join(
+        self,
+        workload: Workload,
+        plan: RadixPlan,
+        histogram: Optional[np.ndarray] = None,
+        **_,
+    ) -> base.JoinMatch:
         """Execute the multi-pass partitioned join on the scaled arrays.
 
         ``reference=True`` runs :func:`reference_radix_join`, the
         per-partition loop tests cross-check the batched path against.
-        Returns the match and the pass-1 histogram (build + probe
-        partition sizes) the first pass counted, which
-        :meth:`build_graph` weights the pipeline with.
+        ``histogram``, when given, receives the pass-1 histogram (build
+        + probe partition sizes).
         """
-        bits1 = min(plan.bits1, 10)
-        histogram = np.empty(1 << bits1, dtype=np.int64)
         join = reference_radix_join if self.reference else batched_radix_join
-        match = join(
-            workload.build, workload.probe, bits1, plan.bits2,
+        return join(
+            workload.build, workload.probe, min(plan.bits1, 10), plan.bits2,
             histogram=histogram,
         )
-        return match, histogram
 
     # -- cost ---------------------------------------------------------------------
 
@@ -214,53 +265,6 @@ class TritonJoin(JoinOperator):
                 )
             ],
             instructions=tuples * GPU_SLOTS_PER_TUPLE,
-            tuples=tuples,
-        )
-
-    def _first_pass_task(
-        self, workload: Workload, plan: RadixPlan, cache: CachePlan
-    ) -> Task:
-        """Partition R and S out of CPU memory into the hybrid cache."""
-        tuples = float(workload.total_nominal_tuples)
-        tuple_bytes = workload.build.tuple_bytes
-        scratch = self.system.gpu.usable_scratchpad_bytes
-        g = cache.gpu_fraction
-        spilled_tuples = tuples * (1.0 - g)
-        cached_tuples = tuples * g
-        requests: List[MemoryRequest] = []
-        issue_slots = 0.0
-        if spilled_tuples > 0:
-            work = self.first_pass.gpu_work(
-                spilled_tuples, tuple_bytes, plan.fanout1,
-                MemSpace.CPU, MemSpace.CPU, scratch,
-            )
-            requests.extend(r for r in work.requests if r.op is Op.WRITE or
-                            r.space is MemSpace.GPU)
-            issue_slots += work.issue_slots
-        if cached_tuples > 0:
-            work = self.first_pass.gpu_work(
-                cached_tuples, tuple_bytes, plan.fanout1,
-                MemSpace.CPU, MemSpace.GPU, scratch,
-            )
-            requests.extend(r for r in work.requests if r.op is Op.WRITE)
-            issue_slots += work.issue_slots
-        # One combined sequential read of both base relations; full
-        # duplex only when state actually spills.
-        requests.append(
-            MemoryRequest(
-                total_bytes=tuples * tuple_bytes,
-                access_bytes=128,
-                op=Op.READ,
-                space=MemSpace.CPU,
-                pattern=AccessPattern.SEQUENTIAL,
-                duplex=spilled_tuples > 0,
-            )
-        )
-        return self.gpu_builder.build(
-            name="part1",
-            phase="Part 1",
-            requests=requests,
-            instructions=issue_slots,
             tuples=tuples,
         )
 
@@ -318,7 +322,7 @@ class TritonJoin(JoinOperator):
         the straggling heavy chunk lengthens the join tail. Weights are
         measured on the materialized data and normalized to sum to 1.
         ``histogram`` is the functional join's pass-1 histogram (build +
-        probe partition sizes, see :meth:`_functional_join`); without
+        probe partition sizes, see :meth:`functional_join`); without
         it, the relations are histogrammed here.
         """
         bits = min(plan.bits1, 10)
@@ -362,8 +366,8 @@ class TritonJoin(JoinOperator):
 
         ``histogram`` is the functional join's pass-1 histogram, and
         ``plan`` and ``cache`` the workload's radix and cache plans
-        (:meth:`run` passes all three); standalone callers leave them out
-        and they are computed here.
+        (a run passes all three); standalone callers leave them out and
+        they are computed here.
 
         The chunk kernels' requests are made once per graph: chunks
         differ only in the bytes and tuples they carry.
@@ -376,7 +380,10 @@ class TritonJoin(JoinOperator):
         tuple_bytes = workload.build.tuple_bytes
 
         ps1 = self._prefix_sum_task(tuples)
-        part1 = self._first_pass_task(workload, plan, cache).depends_on(ps1)
+        part1 = first_pass_task(
+            self.gpu_builder, self.first_pass, tuples, tuple_bytes,
+            plan.fanout1, cache.gpu_fraction, self.system,
+        ).depends_on(ps1)
 
         graph = TaskGraph([ps1, part1])
         weights = self.chunk_weights(workload, plan, histogram)
@@ -494,34 +501,16 @@ class TritonJoin(JoinOperator):
             graph.extend([ps2, part2, sched, join])
         return graph
 
-    def run(self, workload: Workload) -> JoinRun:
-        plan = self.plan(workload)
-        cache = self.cache_plan(workload)
-        with telemetry.span("functional", reference=self.reference):
-            match, histogram = self._functional_join(workload, plan)
-        with telemetry.span("simulate", chunks=self.pipeline_chunks):
-            graph = self.build_graph(workload, histogram, plan, cache)
-            engine = SimEngine(ResourcePool.for_system(self.system))
-            sim = engine.run(graph)
-        seconds = sim.makespan_seconds
+    def annotate(
+        self, run: JoinRun, plan: RadixPlan, cache: CachePlan, **_
+    ) -> None:
         # The hybrid-hash-R0 ablation policy loses transfer/compute
         # overlap: the spilled transfer time no longer hides behind the
         # cached partitions' processing (section 5.3's hypothetical).
         if cache.policy is CachePolicy.HYBRID_HASH_R0 and cache.spilled_fraction > 0:
             spill_bytes = cache.state_bytes * cache.spilled_fraction
             lost_overlap = spill_bytes / self.system.interconnect.effective_bytes_per_s
-            seconds += 0.5 * lost_overlap
-        run = JoinRun(
-            name=self.name,
-            workload=workload,
-            match=match,
-            seconds=seconds,
-            counters=sim.counters,
-            sim=sim,
-            uses_gpu=True,
-        )
+            run.seconds += 0.5 * lost_overlap
         run.notes["plan_bits"] = plan.bits_per_pass
         run.notes["gpu_fraction"] = cache.gpu_fraction
         run.notes["state_bytes"] = cache.state_bytes
-        base.attach_out_of_core_notes(run)
-        return run

@@ -81,7 +81,12 @@ class PartitionWork:
 
 
 class GpuPartitioner(abc.ABC):
-    """A GPU radix partitioning algorithm (functional + cost model)."""
+    """A GPU radix partitioning algorithm (functional + cost model).
+
+    Concrete partitioners are frozen dataclasses: equal configurations
+    are equal, hashable values, so an operator can hold one as a field
+    of its run-cache key.
+    """
 
     #: Human-readable name matching the paper's figures.
     name: str
@@ -182,9 +187,6 @@ class GpuPartitioner(abc.ABC):
             fanout=fanout,
             flush_bytes=profile.flush_bytes,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
 
 
 def buffer_tuples_per_partition(

@@ -18,6 +18,8 @@ rise).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.hw.gpu import MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.tlb import MemSpace
@@ -32,6 +34,7 @@ from repro.partition.base import (
 from repro.units import KIB
 
 
+@dataclass(frozen=True)
 class HierarchicalPartitioner(GpuPartitioner):
     """Two-level SWWC with asynchronous double-buffered L2 flushes."""
 
@@ -57,8 +60,9 @@ class HierarchicalPartitioner(GpuPartitioner):
     MIN_PIPELINED_BUFFER_TUPLES = 4
     REDUCED_PIPELINE_EFFICIENCY = 0.7
 
-    def __init__(self, l2_buffer_bytes: int = 16 * KIB) -> None:
-        self.l2_buffer_bytes = l2_buffer_bytes
+    #: Size of one L2 (GPU-memory) buffer: the flush granularity to CPU
+    #: memory.
+    l2_buffer_bytes: int = 16 * KIB
 
     def buffer_tuples(
         self, fanout: int, tuple_bytes: int, scratchpad_bytes: int

@@ -16,6 +16,8 @@ on flushes (33x jump between fanout 64 and 128, Fig. 18d).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.hw.tlb import MemSpace
 from repro.partition.base import (
     BASE_ISSUE_SLOTS_PER_TUPLE,
@@ -27,6 +29,7 @@ from repro.partition.base import (
 )
 
 
+@dataclass(frozen=True)
 class SharedPartitioner(GpuPartitioner):
     """Block-shared SWWC buffers with perfectly coalesced flushes."""
 

@@ -12,6 +12,8 @@ ceiling.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.hw.tlb import MemSpace
 from repro.partition.base import (
     BASE_ISSUE_SLOTS_PER_TUPLE,
@@ -21,6 +23,7 @@ from repro.partition.base import (
 )
 
 
+@dataclass(frozen=True)
 class StandardPartitioner(GpuPartitioner):
     """Direct-scatter radix partitioning (no buffering)."""
 

@@ -430,14 +430,15 @@ class JoinNode(PlanNode):
             # to calling the operator directly.
             workload = state.workload
         else:
-            workload = Workload(
-                config=state.workload.config, build=build, probe=probe
-            )
             # Derived inputs share the scanned workload's config and may
-            # even share row counts, which is all the run-cache key sees
-            # of the data. Folding the input lineage into the operator's
-            # attributes (freeze() walks vars()) keeps the keys distinct.
-            operator._plan_lineage = self.lineage
+            # even share row counts; their lineage keeps the run-cache
+            # keys distinct.
+            workload = Workload(
+                config=state.workload.config,
+                build=build,
+                probe=probe,
+                lineage=self.lineage,
+            )
         # A side a filter left empty gives the operator's empty run
         # (see repro.join.base): zero matches, zero seconds.
         with tracing.span(

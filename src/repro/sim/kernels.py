@@ -36,9 +36,9 @@ class GpuKernelBuilder:
     request's fields other than ``total_bytes``, wherever the byte count
     cannot change it. A CPU-memory random request with the default
     footprint spreads over the bytes it moves, so it is shaped afresh
-    each time. The memo is not a dataclass field: the run cache's
-    structural key (:func:`repro.join.run_cache.freeze`) sees only the
-    model, so a run does not change its operator's key.
+    each time. Operators derive their builders from their configuration
+    (the builder is not an operator field), so the memo never reaches a
+    run-cache key.
     """
 
     gpu: GpuModel

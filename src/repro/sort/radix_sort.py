@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,13 +35,14 @@ from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.specs import SystemSpec
 from repro.hw.tlb import MemSpace
+from repro.join.base import simulate
 from repro.kernels.scatter import counting_order_and_offsets
 from repro.partition.hierarchical import HierarchicalPartitioner
 from repro.partition.shared import SharedPartitioner
-from repro.sim.engine import SimEngine, SimResult
+from repro.sim.engine import SimResult
 from repro.sim.kernels import GpuKernelBuilder
 from repro.sim.resources import ResourcePool
-from repro.sim.tasks import Task, TaskGraph
+from repro.sim.tasks import TaskGraph, chain
 from repro.units import G_TUPLES
 
 #: Key bits to sort by (full 63-bit non-negative int64 range).
@@ -86,16 +87,12 @@ class GpuRadixSort:
 
     # -- functional -----------------------------------------------------------
 
-    def _msd_selector(self, keys: np.ndarray, bits: int, high: int) -> np.ndarray:
-        """Bit window [high - bits, high) of the raw key."""
-        shifted = keys.astype(np.uint64) >> np.uint64(high - bits)
-        return (shifted & np.uint64((1 << bits) - 1)).astype(np.int64)
-
     def _functional_sort(self, relation: Relation) -> Relation:
         """MSD pass + per-bucket refinement, all actually executed."""
-        selector = self._msd_selector(
-            relation.keys, self.first_pass_bits, KEY_BITS
-        )
+        # The MSD digit: the key's top ``first_pass_bits`` of KEY_BITS.
+        bits = self.first_pass_bits
+        shifted = relation.keys.astype(np.uint64) >> np.uint64(KEY_BITS - bits)
+        selector = (shifted & np.uint64((1 << bits) - 1)).astype(np.int64)
         # The MSD selector is a dense bit window: one counting scatter
         # stages the buckets and yields their offsets. The per-bucket
         # refinement argsorts below stay — they order raw 63-bit keys.
@@ -117,9 +114,6 @@ class GpuRadixSort:
 
     # -- cost ------------------------------------------------------------------
 
-    def _refinement_passes(self) -> int:
-        return math.ceil((KEY_BITS - self.first_pass_bits) / REFINE_BITS)
-
     def run(self, relation: Relation) -> SortRun:
         sorted_relation = self._functional_sort(relation)
         is_sorted = bool(np.all(np.diff(sorted_relation.keys) >= 0))
@@ -137,7 +131,6 @@ class GpuRadixSort:
             "msd_pass", work.requests, instructions=work.issue_slots,
             phase="MSD Pass", tuples=rows,
         )
-        tasks: List[Task] = [pass1]
 
         # Refinement: each bucket streams to the GPU once (read + write
         # back sorted), with the remaining digits processed in GPU
@@ -145,9 +138,8 @@ class GpuRadixSort:
         refine_profile = self.refine.write_profile(
             1 << REFINE_BITS, tuple_bytes, scratch, MemSpace.GPU
         )
-        passes = self._refinement_passes()
-        previous = pass1
-        refine_task = self.builder.build(
+        passes = math.ceil((KEY_BITS - self.first_pass_bits) / REFINE_BITS)
+        refine = self.builder.build(
             "refine",
             [
                 MemoryRequest(
@@ -178,11 +170,11 @@ class GpuRadixSort:
             instructions=rows * passes * refine_profile.issue_slots_per_tuple,
             phase="Refine",
             tuples=rows,
-        ).depends_on(previous)
-        tasks.append(refine_task)
-
-        graph = TaskGraph(tasks)
-        sim = SimEngine(ResourcePool.for_system(self.system)).run(graph)
+        )
+        sim = simulate(
+            TaskGraph(chain([pass1, refine])),
+            ResourcePool.for_system(self.system),
+        )
         return SortRun(
             name=self.name,
             rows_nominal=rows,

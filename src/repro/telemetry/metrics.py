@@ -147,7 +147,9 @@ class MetricsRegistry:
     def merge(self, snapshot: Optional[dict]) -> None:
         """Fold a snapshot (or delta) from another process into this one.
 
-        Counters and timing histograms add. Gauges are last-write-wins
+        Counters and timing histograms add, and like every other write
+        they tee into the query context's metrics scopes. Gauges are
+        last-write-wins
         — **except peak gauges** (any name containing ``peak``), which
         merge via ``max``: a high-water mark like
         ``process.children_peak_rss_bytes`` must survive worker deltas
@@ -162,10 +164,11 @@ class MetricsRegistry:
             if "peak" in name and name in self._gauges:
                 value = max(float(value), self._gauges[name])
             self.gauge(name, value)
+        targets = (self, *_current().scopes)
         for name, other in snapshot.get("timings", {}).items():
-            self._timings.setdefault(name, Histogram()).merge(
-                Histogram.from_timing(other)
-            )
+            histogram = Histogram.from_timing(other)
+            for target in targets:
+                target._timings.setdefault(name, Histogram()).merge(histogram)
 
     def reset(self, prefix: Optional[str] = None) -> None:
         """Drop all metrics, or only those whose names start with ``prefix``."""

@@ -534,19 +534,39 @@ def tables_gate(run, tmp_path, text):
 
 class TestTablesGate:
     def test_same_tables_at_other_timings_pass(self, run, tmp_path, dump):
-        # Timing marks, the wall-clock summary and the measured
-        # experiments' tables all differ run to run.
+        # Timing marks, the wall-clock summary's seconds and the
+        # measured experiments' tables all differ run to run.
         text = re.sub(r"^\[(\w+): [0-9.]+s\]$", r"[\1: 99.9s]", dump,
                       flags=re.M)
         text = text.replace("p50 ms    |", "p50 ms    | 12345 |")
         text = text.replace("wall seconds           |",
                             "wall seconds           | 6 |")
-        text = text.split("Wall-clock per experiment")[0] + "the end\n"
+        tables, summary = text.split("Wall-clock per experiment")
+        summary = re.sub(r"\| +[0-9.]+$", "| 9.99", summary, flags=re.M)
+        text = tables + "Wall-clock per experiment" + summary + "the end\n"
         code, first, problems = tables_gate(run, tmp_path, text)
         assert code == 0 and problems == []
         assert first == (
-            "tables gate holds: 23 experiment(s) match results_all.txt"
+            "tables gate holds: 23 experiment(s) and the run-cache tally "
+            "match results_all.txt"
         )
+
+    def test_changed_run_cache_tally(self, run, tmp_path, dump):
+        note = "  note: run cache: 703 hits, 233 misses"
+        assert note in dump.splitlines()
+        changed = note.replace("703 hits", "702 hits")
+        code, first, problems = tables_gate(
+            run, tmp_path, dump.replace(note, changed)
+        )
+        assert code == 1
+        assert problems == [
+            f"run cache: 1 line(s) differ; line 1 is {changed!r}, "
+            f"baseline {note!r}"
+        ]
+        without_summary = dump.split("Wall-clock per experiment")[0]
+        code, first, problems = tables_gate(run, tmp_path, without_summary)
+        assert code == 1
+        assert problems == ["run cache: missing from the run"]
 
     def test_changed_value(self, run, tmp_path, dump):
         line = next(

@@ -184,13 +184,12 @@ class TestScopedTee:
                 {"timings": {"join.run_seconds": timing(1, 1.0, 1.0, 1.0, i24=1)}}
             )
         parent.count("run_cache.hits")
-        # Merged counters and gauges tee through count/gauge; merged
-        # timings land in the merging registry only.
+        # Merged counters, gauges and timings tee into the scope too.
         assert scope.snapshot() == {
             "counters": {"run_cache.hits": 1},
             "gauges": {"exec.pool.occupancy": 1.0},
             "timings": {
-                "join.run_seconds": timing(1, 0.5, 0.5, 0.5, i23=1)
+                "join.run_seconds": timing(2, 1.5, 0.5, 1.0, i23=1, i24=1)
             },
         }
         assert parent.snapshot() == {

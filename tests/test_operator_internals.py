@@ -152,7 +152,7 @@ class TestCpuPartitionedInternals:
 class TestMultiGpuInternals:
     def test_pool_has_per_gpu_resources(self, system):
         op = MultiGpuTritonJoin(system, gpu_count=2)
-        pool = op._pool()
+        pool = op.resources()
         assert "nvlink_to_gpu[0]" in pool
         assert "nvlink_to_gpu[1]" in pool
         assert "xbus" in pool

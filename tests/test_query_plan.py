@@ -737,8 +737,9 @@ class TestAnalyticsByteIdentity:
         workload = generate_workload(
             256, 2048, probe_hit_rate=0.25, scale_divisor=16384, seed=71
         )
-        join_op = BloomFilteredTritonJoin(system)
-        join_op.inner.aggregate = True
+        join_op = BloomFilteredTritonJoin(
+            system, inner=TritonJoin(system, aggregate=True)
+        )
         join_run = join_op.run(workload)
         surviving = workload.probe.take(
             np.nonzero(

@@ -29,7 +29,9 @@ from repro.errors import (
     QueryTimeout,
 )
 from repro.service import JoinService, estimate_query_bytes, execute_plan
-from repro.service.loadgen import run_load
+from repro.exec.context import ExecutionConfig
+from repro.exec.pool import shutdown_pool
+from repro.service.loadgen import POOL_TEMPLATE, query_templates, run_load
 from repro.telemetry import events, tracing
 
 SCALE = 65536
@@ -412,6 +414,28 @@ class TestIsolationAndObservability:
         assert faulted.checksum == clean.checksum
         assert faulted.seconds > clean.seconds
         assert clean_again.seconds == pytest.approx(clean.seconds)
+
+    def test_pool_morsel_timings_reach_the_query_metrics(self, system):
+        """A query's morsel timings land in its metrics whether the
+        morsels ran in-process or on the pool, whose workers' timings
+        the query thread merges."""
+        template = next(
+            t for t in query_templates() if t["name"] == POOL_TEMPLATE
+        )
+        counts = []
+        try:
+            for oc_workers in (0, 2):
+                config = ExecutionConfig(
+                    workers=oc_workers, force=True, morsel_rows=4096
+                )
+                with JoinService(system=system, workers=1) as service:
+                    handle = service.submit(template, exec_config=config)
+                    handle.result(timeout=60)
+                timing = handle.metrics["timings"]["exec.morsel_seconds"]
+                counts.append(timing["count"])
+        finally:
+            shutdown_pool()
+        assert counts[0] == counts[1] > 0
 
     def test_mini_load_is_deterministic_across_runs(self, system):
         first = run_load(queries=24, workers=3, seed=42)
