@@ -33,6 +33,7 @@ from repro.join import (
     TritonJoin,
     run_cache,
 )
+from repro.join.base import simulate
 from repro.units import G_TUPLES
 
 #: Functional arrays are irrelevant for costing; keep them minimal.
@@ -267,14 +268,18 @@ class JoinAdvisor:
             self.system, cpu_fraction=cpu_fraction, label=_SEARCH_LABEL
         )
         try:
-            # _run_at, not run(): search candidates must not collapse on
+            # The simulator only, not run(): the cost is the makespan, so
+            # no functional join runs; candidates must not collapse on
             # faults (infeasibility IS the signal), must not hit the run
             # cache, and get a distinct span label so explain documents
             # can filter them out of the production runs.
             with telemetry.span(
                 f"run:{_SEARCH_LABEL}", cpu_fraction=cpu_fraction
             ):
-                return float(operator._run_at(workload, cpu_fraction).seconds)
+                facts = operator.split_facts(workload, cpu_fraction)
+                graph = operator.build_graph(workload, **facts)
+                sim = simulate(graph, operator.resources())
+                return float(sim.makespan_seconds)
         except ReproError:
             if on_error == "raise":
                 raise

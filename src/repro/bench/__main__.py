@@ -195,10 +195,11 @@ def _worker(
 def _timing_table(seconds_by_name, workers=1) -> ExperimentTable:
     """The per-experiment wall-clock summary.
 
-    Cache tallies come from the telemetry metrics registry
-    (``run_cache.hits`` / ``run_cache.misses``) — with ``--jobs`` the
-    workers' deltas were already merged into it, so serial and parallel
-    runs read the same counters.
+    Cache tallies come from the telemetry metrics registry (the run
+    memo's ``run_cache.hits`` / ``run_cache.misses`` and the match
+    memo's ``run_cache.match_hits`` / ``run_cache.match_misses``) —
+    with ``--jobs`` the workers' deltas were already merged into it, so
+    serial and parallel runs read the same counters.
     """
     table = ExperimentTable(
         experiment="timing",
@@ -211,16 +212,17 @@ def _timing_table(seconds_by_name, workers=1) -> ExperimentTable:
     table.add_row(
         "total", {"seconds": round(sum(s for _, s in seconds_by_name), 2)}
     )
-    hits = telemetry.registry.counter("run_cache.hits")
-    misses = telemetry.registry.counter("run_cache.misses")
-    if hits or misses:
-        note = f"run cache: {hits} hits, {misses} misses"
-        if workers > 1:
-            note += (
-                f" (summed over {workers} worker processes; "
-                "each worker has its own cache)"
-            )
-        table.add_note(note)
+    for label, prefix in (("run cache", ""), ("match memo", "match_")):
+        hits = telemetry.registry.counter(f"run_cache.{prefix}hits")
+        misses = telemetry.registry.counter(f"run_cache.{prefix}misses")
+        if hits or misses:
+            note = f"{label}: {hits} hits, {misses} misses"
+            if workers > 1:
+                note += (
+                    f" (summed over {workers} worker processes; "
+                    "each worker has its own cache)"
+                )
+            table.add_note(note)
     return table
 
 

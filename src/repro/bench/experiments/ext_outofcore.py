@@ -31,6 +31,7 @@ from repro.bench.harness import ExperimentTable
 from repro.bench.workloads import DEFAULT_SCALE_DIVISOR, default_workload
 from repro.exec import ExecutionConfig, out_of_core_join
 from repro.exec import context as exec_context
+from repro.join import run_cache
 from repro.join.batched import batched_radix_join
 from repro.units import MIB
 
@@ -99,7 +100,9 @@ def run(
     # Shield every mode from an ambient bench-level config: the
     # reference must stay on the plain in-memory path, and each
     # out-of-core mode runs exactly the config named in its column.
-    with exec_context.configured(None):
+    # The run cache is suspended so its match memo does not serve the
+    # timed in-memory repeats.
+    with exec_context.configured(None), run_cache.suspended():
         ref_seconds, reference, _ = _timed(
             lambda: batched_radix_join(build, probe, BITS1, 8), repeats
         )

@@ -219,6 +219,18 @@ def _memory_join(
             block.release()
 
 
+def _projection(relation: Relation, payloads: int) -> Relation:
+    """``relation``'s key and its first ``payloads`` payload columns
+    (with none, deferred payloads are not drawn)."""
+    names = relation.column_names()[1:1 + payloads]
+    return Relation(
+        relation.keys,
+        {name: relation.payloads[name] for name in names},
+        nominal_rows=relation.nominal_rows,
+        name=relation.name,
+    )
+
+
 def _spilled_join(
     build: Relation,
     probe: Relation,
@@ -226,10 +238,15 @@ def _spilled_join(
     cfg: context.ExecutionConfig,
     histogram: Optional[np.ndarray],
 ) -> tuple:
-    """Spill both relations to radix shards, stream morsels off disk."""
+    """Spill both relations to radix shards, stream morsels off disk.
+
+    Only what a morsel kernel reads is spilled: the build side's key
+    and first payload column (the hash table value), the probe side's
+    key. Shard sizing follows that projection's width.
+    """
     with SpillManager(cfg.budget_bytes, cfg.spill_dir) as manager:
-        chunked_build = manager.spill(build, bits1)
-        chunked_probe = manager.spill(probe, bits1)
+        chunked_build = manager.spill(_projection(build, 1), bits1)
+        chunked_probe = manager.spill(_projection(probe, 0), bits1)
         spilled_bytes = manager.tempdir_bytes()
         # The in-memory relations stay referenced by the caller; what
         # out-of-core buys here is that the *join's working set* — the

@@ -33,6 +33,7 @@ histogram against :func:`reference_radix_join`.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.hashing.bucket_chaining import BucketChainingTable
-from repro.join import base
+from repro.join import base, run_cache
 from repro.partition.radix import partition_relation, radix_histogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -130,7 +131,9 @@ def batched_radix_join(
     spilled radix shards and/or the morsel worker pool — and returns the
     identical match summary. :func:`reference_radix_join` never
     diverts, so cross-checks always compare against a plain in-memory
-    execution.
+    execution. While the run cache is on, a join of the very arrays it
+    has already joined is served from its match memo
+    (:func:`repro.join.run_cache.memoized_match`).
     """
     # Deferred imports: repro.exec sits above the join layer (it reuses
     # JoinMatch and the grouped kernels); importing it lazily keeps the
@@ -161,10 +164,10 @@ def batched_radix_join(
         bits1=bits1,
         bits2=bits2,
     ):
-        return serial_join(
-            build,
-            probe,
-            bits1,
-            exec_context.DEFAULT_MORSEL_ROWS,
-            histogram,
+        # The three arrays the kernels read: joins that differ only in
+        # what they simulate share them, and run once per cache lifetime.
+        arrays = (build.keys, base.build_payload_column(build), probe.keys)
+        join = functools.partial(
+            serial_join, build, probe, bits1, exec_context.DEFAULT_MORSEL_ROWS
         )
+        return run_cache.memoized_match(arrays, bits1, histogram, join)

@@ -286,20 +286,24 @@ class CoProcessingJoin(JoinOperator):
 
     # -- execution --------------------------------------------------------------
 
-    def _run_at(self, workload: Workload, cpu_fraction: float) -> JoinRun:
-        """The run skeleton at one split fraction (the split space is the
+    def split_facts(self, workload: Workload, cpu_fraction: float) -> dict:
+        """The run's facts at one split fraction (the split space is the
         first-pass radix window, capped at the functional width)."""
         plan = self.plan(workload)
         bits = min(plan.bits1, _MAX_FUNCTIONAL_BITS)
         boundary = self.gpu_partitions(1 << bits, cpu_fraction)
-        return self.execute(
-            workload,
-            bits=bits,
-            bits2=plan.bits2,
-            boundary=boundary,
-            cpu_fraction=cpu_fraction,
-            sides=self._split_workload(workload, bits, boundary),
-        )
+        return {
+            "bits": bits,
+            "bits2": plan.bits2,
+            "boundary": boundary,
+            "cpu_fraction": cpu_fraction,
+            "sides": self._split_workload(workload, bits, boundary),
+        }
+
+    def _run_at(self, workload: Workload, cpu_fraction: float) -> JoinRun:
+        """The run skeleton at one split fraction."""
+        facts = self.split_facts(workload, cpu_fraction)
+        return self.execute(workload, **facts)
 
     def annotate(
         self,

@@ -28,7 +28,7 @@ exchange. Task faults match the suffixed task names the same way (e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.data.generator import Workload
 from repro.errors import ConfigurationError
@@ -78,9 +78,10 @@ def _retarget(task: Task, gpu: int) -> Task:
 class MultiGpuTritonJoin(JoinOperator):
     """The Triton join scaled over multiple GPUs with radix ownership.
 
-    Keyword arguments beyond ``xbus_bytes_per_s`` configure the
-    single-GPU :class:`TritonJoin` (the ``triton`` field) that plans and
-    executes each GPU's slice.
+    The single-GPU :class:`TritonJoin` that plans and executes each
+    GPU's slice is the ``triton`` field: pass it whole, or pass keyword
+    arguments beyond ``xbus_bytes_per_s`` to configure a new one (not
+    both). Passing it whole is what ``dataclasses.replace`` does.
     """
 
     gpu_count: int
@@ -92,14 +93,22 @@ class MultiGpuTritonJoin(JoinOperator):
         system: SystemSpec,
         gpu_count: int = 2,
         xbus_bytes_per_s: float = DEFAULT_XBUS_BYTES_PER_S,
+        triton: Optional[TritonJoin] = None,
         **triton_kwargs,
     ) -> None:
         if gpu_count < 1:
             raise ConfigurationError("gpu_count must be >= 1")
+        if triton is None:
+            triton = TritonJoin(system, **triton_kwargs)
+        elif triton_kwargs:
+            raise ConfigurationError(
+                "pass either triton= or TritonJoin keyword arguments, "
+                f"not both (got {sorted(triton_kwargs)})"
+            )
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "gpu_count", gpu_count)
         object.__setattr__(self, "xbus_bytes_per_s", xbus_bytes_per_s)
-        object.__setattr__(self, "triton", TritonJoin(system, **triton_kwargs))
+        object.__setattr__(self, "triton", triton)
 
     @property
     def name(self) -> str:

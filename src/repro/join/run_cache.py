@@ -20,15 +20,39 @@ dataclass of its configuration, :class:`~repro.join.base.JoinOperator`),
 the workload's config, cardinalities and lineage, and the ambient fault
 plan and execution config. Equal records hash and compare equal, so the
 dictionary lookup is the whole of the key's cost.
+
+Operators that differ only in what they simulate (SM count, cache
+size, first-pass partitioner, CPU/GPU split) still join the same
+arrays, so beneath the run memo a **match memo** keeps each distinct
+functional join's result: :func:`memoized_match` is consulted by
+:func:`~repro.join.batched.batched_radix_join` around its in-memory
+join. It is live exactly while the run cache is enabled and emptied by
+:func:`clear`. Its key is the identity of the arrays the kernels read
+(build keys, build values, probe keys) plus ``bits1``: that function
+sees arrays, not configs, and hashing their contents would cost a pass
+over them. An entry holds weak references to its arrays and hits only
+while each still resolves to the very object passed, so a reused
+``id`` never aliases; rescaled relations (``with_nominal_rows``) and
+slices that share arrays do hit. Arrays are treated as immutable while
+the cache is on. The memo is bypassed under
+:func:`~repro.kernels.scatter.force_reference`, and the out-of-core
+path and :func:`~repro.join.batched.reference_radix_join` never reach
+it. Its tallies are the counters ``run_cache.match_hits`` and
+``run_cache.match_misses``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
-from typing import Any, Callable, Dict, Tuple
+import weakref
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro import faults, telemetry
+from repro.kernels.scatter import reference_mode_active
 
 #: Operators whose run() results may be cached (keyed structurally).
 _cache: Dict[Tuple, Any] = {}
@@ -36,6 +60,19 @@ _cache: Dict[Tuple, Any] = {}
 #: (workload cardinalities, system, fault plan) by the advisor.
 _plan_cache: Dict[Any, Any] = {}
 _enabled = False
+
+
+class _Match(NamedTuple):
+    """One match-memo entry: the joined arrays (weakly), the summary and
+    the memo's own pass-1 histogram."""
+
+    arrays: Tuple[weakref.ref, ...]
+    match: Any
+    histogram: np.ndarray
+
+
+#: Functional join summaries keyed by (array ids..., bits1).
+_matches: Dict[Tuple[int, ...], _Match] = {}
 
 
 def __getattr__(name: str):
@@ -100,9 +137,22 @@ def enabled() -> bool:
     return _enabled
 
 
+@contextlib.contextmanager
+def suspended() -> Iterator[None]:
+    """Turn the cache off inside the block (for timing repeated runs)."""
+    global _enabled
+    previous = _enabled
+    _enabled = False
+    try:
+        yield
+    finally:
+        _enabled = previous
+
+
 def clear() -> None:
     _cache.clear()
     _plan_cache.clear()
+    _matches.clear()
     telemetry.registry.reset(prefix="run_cache.")
 
 
@@ -130,6 +180,45 @@ def store_plan(key: Any, plan: Any) -> None:
     """Memoize an advisor split plan (no-op while the cache is off)."""
     if _enabled:
         _plan_cache[key] = plan
+
+
+def memoized_match(
+    arrays: Tuple[np.ndarray, ...],
+    bits1: int,
+    histogram: Optional[np.ndarray],
+    join: Callable[[np.ndarray], Any],
+) -> Any:
+    """``join(histogram)``'s summary, memoized on ``arrays`` and ``bits1``.
+
+    ``arrays`` are the inputs ``join`` reads and ``join`` fills a
+    ``1 << bits1`` pass-1 histogram. A miss runs ``join`` into the
+    memo's own histogram; a hit or a miss then copies it into the
+    caller's ``histogram``, so a caller editing its array never reaches
+    the memo. While the cache is off, or under ``force_reference()``,
+    this is ``join(histogram)``. There is no lock, as for the run memo:
+    callers racing on one key can only each run the join and store a
+    whole entry.
+    """
+    if not _enabled or reference_mode_active():
+        return join(histogram)
+    key = (*map(id, arrays), bits1)
+    entry = _matches.get(key)
+    if entry is not None and all(
+        ref() is array for ref, array in zip(entry.arrays, arrays)
+    ):
+        telemetry.registry.count("run_cache.match_hits")
+        telemetry.annotate(match_memo="hit")
+    else:
+        telemetry.registry.count("run_cache.match_misses")
+        telemetry.annotate(match_memo="miss")
+        own = np.empty(1 << bits1, dtype=np.int64)
+        entry = _Match(
+            tuple(weakref.ref(array) for array in arrays), join(own), own
+        )
+        _matches[key] = entry
+    if histogram is not None:
+        histogram[...] = entry.histogram
+    return entry.match
 
 
 def cached_run(run_method: Callable) -> Callable:

@@ -568,6 +568,29 @@ class TestTablesGate:
         assert code == 1
         assert problems == ["run cache: missing from the run"]
 
+    def test_match_memo_tally_is_gated(self, run, tmp_path, dump):
+        note = "  note: match memo: 108 hits, 66 misses"
+        assert note in dump.splitlines()
+        code, first, problems = tables_gate(run, tmp_path, dump)
+        assert code == 0 and problems == []
+        changed = note.replace("66 misses", "67 misses")
+        code, first, problems = tables_gate(
+            run, tmp_path, dump.replace(note, changed)
+        )
+        assert code == 1
+        assert problems == [
+            f"run cache: 1 line(s) differ; line 2 is {changed!r}, "
+            f"baseline {note!r}"
+        ]
+        code, first, problems = tables_gate(
+            run, tmp_path, dump.replace(note + "\n", "")
+        )
+        assert code == 1
+        assert problems == [
+            f"run cache: 1 line(s) differ; line 2 is '<end>', "
+            f"baseline {note!r}"
+        ]
+
     def test_changed_value(self, run, tmp_path, dump):
         line = next(
             line for line in dump.splitlines()

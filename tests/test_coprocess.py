@@ -38,6 +38,7 @@ from repro.join import (
     reference_join,
     run_cache,
 )
+from repro.join import coprocess
 from repro.join.coprocess import merge_matches
 
 
@@ -295,6 +296,40 @@ class TestSplitSearch:
         plan = JoinAdvisor(system).recommend_split(512, 512)
         assert plan.speedup_vs_best_single > 1.0
         assert 0.0 < plan.cpu_fraction < 1.0
+
+    def test_search_runs_no_functional_join(self, system, monkeypatch):
+        # Candidates are costed by the simulator alone: only the makespan
+        # is read, so no functional join may run.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the split search ran a functional join")
+
+        monkeypatch.setattr(coprocess, "batched_radix_join", forbidden)
+        plan = JoinAdvisor(system).recommend_split(128, 128)
+        assert 0.0 < plan.cpu_fraction < 1.0
+
+    @pytest.mark.parametrize(
+        "size, cpu_fraction, seconds",
+        [
+            (128, 0.36881, 0.09355228329158813),
+            (512, 0.373835, 0.3739663856274189),
+            (2048, 0.386991, 1.8707148287294448),
+        ],
+    )
+    def test_fig16_plans_match_full_run_costing(
+        self, system, monkeypatch, size, cpu_fraction, seconds
+    ):
+        """The simulator-only search returns the plan a search costing
+        every candidate with a whole run (functional join included) does,
+        at each Fig. 16 size."""
+        plan = JoinAdvisor(system).recommend_split(size, size)
+        assert (plan.cpu_fraction, plan.seconds) == (cpu_fraction, seconds)
+
+        def full_run(self, workload, fraction, on_error):
+            operator = CoProcessingJoin(self.system, cpu_fraction=fraction)
+            return float(operator._run_at(workload, fraction).seconds)
+
+        monkeypatch.setattr(JoinAdvisor, "_cost_split", full_run)
+        assert JoinAdvisor(system).recommend_split(size, size) == plan
 
     def test_rejects_bad_inputs(self, system):
         advisor = JoinAdvisor(system)

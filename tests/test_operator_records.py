@@ -15,6 +15,7 @@ import inspect
 import pytest
 
 from repro.data.generator import generate_workload
+from repro.errors import ConfigurationError
 from repro.hashing.hash_table import HashScheme
 from repro.hw.specs import ac922, v100_pcie, xeon_system
 from repro.join import (
@@ -200,10 +201,26 @@ class TestOperatorRecord:
             assert getattr(variant, name) != getattr(default, name), name
             assert run_key(variant, workload) != key, name
 
+    def test_replace_rebuilds_an_equal_record(self, cls):
+        operator = CASES[cls][0]()
+        assert dataclasses.replace(operator) == operator
+
     def test_lineage_changes_the_key(self, cls, workload):
         operator = CASES[cls][0]()
         derived = dataclasses.replace(workload, lineage="filter(scan)")
         assert run_key(operator, derived) != run_key(operator, workload)
+
+
+def test_multi_gpu_replace_keeps_the_triton_join():
+    operator = MultiGpuTritonJoin(SYSTEM, reference=True)
+    three = dataclasses.replace(operator, gpu_count=3)
+    assert three == MultiGpuTritonJoin(SYSTEM, gpu_count=3, reference=True)
+    assert three.triton is operator.triton
+    assert MultiGpuTritonJoin(
+        SYSTEM, triton=TritonJoin(SYSTEM, reference=True)
+    ) == operator
+    with pytest.raises(ConfigurationError, match="not both"):
+        MultiGpuTritonJoin(SYSTEM, triton=TritonJoin(SYSTEM), reference=True)
 
 
 def test_inherited_skeleton_is_wrapped_in_the_subclass_body():

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.data.generator import generate_workload
+from repro.data.relation import DeferredColumns
 from repro.errors import ConfigurationError
 from repro.exec import context as exec_context
 from repro.exec.context import ExecutionConfig, should_go_out_of_core
@@ -22,6 +24,7 @@ from repro.exec.morsel import (
 )
 from repro.exec.outofcore import out_of_core_join
 from repro.exec.pool import ShmBlock, get_pool, shutdown_pool
+from repro.exec.spill import SpillManager
 from repro.join import run_cache
 from repro.join.base import JoinMatch
 from repro.join.batched import batched_radix_join, reference_radix_join
@@ -29,6 +32,10 @@ from repro.join.triton import TritonJoin
 from repro.service.plan import compile_plan
 
 BITS1 = 6
+
+
+def refuse_draw(*args, **kwargs):
+    raise AssertionError("deferred payload columns drawn")
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +210,40 @@ class TestOutOfCoreIdentity:
         assert note["shards"] >= 2
         # The spill manager cleaned up after itself.
         assert list(tmp_path.glob("repro-spill-*")) == []
+
+    def test_spill_writes_only_the_kernel_columns(
+        self, reference, tmp_path, monkeypatch
+    ):
+        """The probe side spills its keys alone, so its deferred payload
+        columns are never drawn; the build side spills key and value."""
+        workload = generate_workload(
+            0.05, 0.1, scale_divisor=1, seed=7, payload_columns=3
+        )
+        build, probe = workload.build, workload.probe
+        state = build.materialized_bytes + probe.materialized_bytes
+        spilled = []
+        original = SpillManager.spill
+
+        def recording(manager, relation, bits):
+            spilled.append(relation.column_names())
+            return original(manager, relation, bits)
+
+        monkeypatch.setattr(SpillManager, "spill", recording)
+        monkeypatch.setattr(DeferredColumns, "values", refuse_draw)
+        match, note = join_with_note(
+            build,
+            probe,
+            ExecutionConfig(
+                budget_bytes=state // 2,
+                workers=0,
+                morsel_rows=4096,
+                spill_dir=str(tmp_path),
+            ),
+        )
+        monkeypatch.undo()
+        assert note["mode"] == "spill"
+        assert spilled == [["key", "attr0"], ["key"]]
+        assert summary(match) == summary(reference)
 
     def test_spilled_join_opens_files_per_column_not_per_shard(
         self, small_workload, reference, tmp_path, monkeypatch
@@ -397,8 +438,8 @@ class TestOperatorWiring:
 
 def test_spilled_query_byte_accounting_is_pinned(tmp_path):
     """Admission estimates and spill byte counts are pinned figures: a
-    spilled query still writes the probe side's payload columns, which
-    an in-memory root join never draws."""
+    spilled query writes only what the morsel kernels read, the build
+    side's key and first payload column and the probe side's key."""
     plan = compile_plan(
         {
             "name": "spilled",
@@ -428,5 +469,5 @@ def test_spilled_query_byte_accounting_is_pinned(tmp_path):
         result = plan.execute()
     delta = telemetry.registry.delta_since(before)
     assert result.runs[0].notes["out_of_core"]["mode"] == "spill"
-    assert delta["counters"]["exec.spill.bytes_written"] == 336757
+    assert delta["counters"]["exec.spill.bytes_written"] == 159995
     assert result.checksum == "225eda5a30853347"

@@ -423,8 +423,9 @@ def check_trace(document: dict, min_traces: int = 1) -> List[str]:
 
 
 _TIMING_MARK = re.compile(r"^\[(\w+): [0-9.]+s\]$")
-#: The wall-clock summary's run-cache tally note.
-_RUN_CACHE_NOTE = re.compile(r"^\s*note: run cache: ")
+#: The wall-clock summary's tally notes: the run memo's and the match
+#: memo's.
+_RUN_CACHE_NOTE = re.compile(r"^\s*note: (run cache|match memo): ")
 #: The pseudo-table holding that note (no experiment name has a space).
 RUN_CACHE = "run cache"
 
@@ -434,9 +435,9 @@ def bench_tables(text: str) -> Dict[str, List[str]]:
 
     An experiment's ``[name: X.Xs]`` timing mark closes its tables and is
     dropped; the wall-clock summary is dropped except for its run-cache
-    tally note, kept as the :data:`RUN_CACHE` table (the hits and misses
-    are deterministic in a serial run); the measured experiments' tables
-    (:data:`MEASURED_EXPERIMENTS`) are dropped too.
+    and match-memo tally notes, kept as the :data:`RUN_CACHE` table (the
+    hits and misses are deterministic in a serial run); the measured
+    experiments' tables (:data:`MEASURED_EXPERIMENTS`) are dropped too.
     """
     tables: Dict[str, List[str]] = {}
     block: List[str] = []
