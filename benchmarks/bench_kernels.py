@@ -5,7 +5,8 @@ join against the per-partition table loop they replaced, at the CPU
 radix join's fanout regime (2^13 partitions, section 6.1's 12-14 bits)
 where the loop's per-partition dispatch overhead dominates, and the
 pass-1 column scatter against the counting order plus gathers it
-replaced.
+replaced. The partitioned group-by's functional step (pass-1 scatter,
+then one grouping) is timed beside the plain one-grouping reference.
 """
 
 from __future__ import annotations
@@ -13,12 +14,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.aggregate import (
+    AggregateFunction,
+    TritonAggregation,
+    reference_aggregate,
+)
 from repro.data.relation import Relation
 from repro.hashing.batch import grouped_bucket_chaining_join
 from repro.hashing.bucket_chaining import BucketChainingTable
+from repro.hw import ac922
 from repro.join.batched import batched_radix_join
 from repro.hashing.functions import hash_u64, radix_window
 from repro.kernels.scatter import counting_order, counting_order_and_offsets
+from repro.partition.planner import RadixPlan
 
 BUILD_ROWS = 1 << 19
 PROBE_ROWS = 1 << 20
@@ -159,3 +167,34 @@ def test_column_order_then_take(benchmark, grouped_arrays, pass1_selector):
 
     keys, values = benchmark(order_then_take)
     assert len(keys) == len(values) == BUILD_ROWS
+
+
+#: The count-by-key service template's group-by input: 4,096 surviving
+#: probe rows grouped at the planner's minimum pass-1 window (6 bits).
+GROUP_BY_ROWS = 4096
+GROUP_BY_BITS1 = 6
+
+
+@pytest.fixture(scope="module")
+def group_by_input():
+    rng = np.random.default_rng(SEED)
+    keys = rng.integers(1, GROUP_BY_ROWS + 1, GROUP_BY_ROWS).astype(np.int64)
+    return Relation(keys, {"attr0": keys}, name="F")
+
+
+def test_partitioned_group_by(benchmark, group_by_input):
+    """TritonAggregation's functional step: pass-1 scatter, one grouping."""
+    op = TritonAggregation(ac922(), AggregateFunction.COUNT)
+    plan = RadixPlan([GROUP_BY_BITS1])
+    result = benchmark(op.functional, group_by_input, plan=plan)
+    assert result == reference_aggregate(
+        group_by_input, AggregateFunction.COUNT
+    )
+
+
+def test_reference_group_by(benchmark, group_by_input):
+    """One grouping over the unpartitioned rows, for comparison."""
+    result = benchmark(
+        reference_aggregate, group_by_input, AggregateFunction.COUNT
+    )
+    assert result.groups > 0

@@ -4,10 +4,16 @@ The paper motivates robustness with the query optimizer's dilemma:
 "spilling the join state to CPU memory results in a performance cliff
 [and] cardinality estimates can be significantly wrong". This module is
 the optimizer-side counterpart: given a workload and a system, it costs
-every join operator through the simulator (no functional execution —
-only nominal cardinalities matter) and recommends one, optionally
-hedging against cardinality misestimates by evaluating each candidate
-across an error band.
+every join operator through the simulator and recommends one,
+optionally hedging against cardinality misestimates by evaluating each
+candidate across an error band.
+
+Only the nominal cardinalities decide a cost, but :meth:`JoinAdvisor.
+estimate` (the path the degradation ladder ranks its rungs with) gets
+each candidate's cost from a whole ``operator.run`` on a minimal
+generated workload, functional join included: the co-processing rung's
+collapse onto one processor lives in ``run``. Only the co-processing
+split search (:meth:`JoinAdvisor.recommend_split`) is simulator-only.
 
 The expected recommendation pattern, asserted in tests: the
 no-partitioning join for comfortably in-core workloads and high

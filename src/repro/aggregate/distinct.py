@@ -3,16 +3,16 @@
 Section 2.2 lists duplicate elimination alongside group-by aggregation
 as operators the radix-partitioning technique serves. DISTINCT *is* a
 degenerate aggregation — group by the key, keep nothing — so both
-operators here delegate to :mod:`repro.aggregate.group_by` with a COUNT
-accumulator and reinterpret the result: the distinct count is the group
-count, and the state per distinct value is just the 8-byte key (half an
-aggregation entry), which the cost side accounts for by halving the
-emitted volume.
+operators here are the :mod:`repro.aggregate.group_by` operators with a
+fixed COUNT accumulator, and reinterpret the result: the distinct count
+is the group count. The cost side is the COUNT aggregation's unchanged,
+emit included: each distinct value writes a full 16-byte entry (key
+plus count), though DISTINCT needs only the 8-byte key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from repro.aggregate.group_by import (
     TritonAggregation,
 )
 from repro.data.relation import Relation
-from repro.hw.specs import SystemSpec
-from repro.join.caching import CachePolicy
 
 
 @dataclass(frozen=True)
@@ -44,38 +42,34 @@ def reference_distinct(relation: Relation) -> DistinctResult:
     )
 
 
+@dataclass(frozen=True)
 class _DistinctMixin:
-    """Shared result adaptation for the two DISTINCT operators."""
+    """The COUNT accumulator, fixed, and the result adaptation shared by
+    the two DISTINCT operators."""
+
+    function: AggregateFunction = field(
+        default=AggregateFunction.COUNT, init=False
+    )
 
     def distinct(self, relation: Relation, distinct_nominal: int) -> tuple:
         """Run duplicate elimination; returns (DistinctResult, run)."""
         run: AggregationRun = self.run(relation, groups_nominal=distinct_nominal)
-        keys = np.unique(relation.keys)
-        mod = np.int64(2**62)
         result = DistinctResult(
             distinct=run.result.groups,
-            key_checksum=int((keys % mod).sum() % mod),
+            key_checksum=reference_distinct(relation).key_checksum,
         )
         return result, run
 
 
+@dataclass(frozen=True)
 class TritonDistinct(_DistinctMixin, TritonAggregation):
     """GPU-partitioned duplicate elimination."""
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED,
-    ) -> None:
-        super().__init__(
-            system, AggregateFunction.COUNT, cache_policy=cache_policy
-        )
-        self.name = "GPU Triton Distinct"
+    name = "GPU Triton Distinct"
 
 
+@dataclass(frozen=True)
 class NoPartitioningDistinct(_DistinctMixin, NoPartitioningAggregation):
     """Global-table duplicate elimination."""
 
-    def __init__(self, system: SystemSpec) -> None:
-        super().__init__(system, AggregateFunction.COUNT)
-        self.name = "GPU No-Partitioning Distinct"
+    name = "GPU No-Partitioning Distinct"

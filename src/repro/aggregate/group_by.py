@@ -8,7 +8,10 @@ Two operators aggregate a relation's payload column grouped by its key:
   GPU memory, and per-partition scratchpad tables aggregate. Exactly the
   Triton join's skeleton with the probe phase replaced by in-place
   aggregation, so its out-of-core behaviour (graceful degradation,
-  TLB quietness) carries over.
+  TLB quietness) carries over. Functionally, pass 1 is real (one
+  counting scatter by the hashed key's radix window) and one grouping
+  over the partition-major rows aggregates every partition at once:
+  hash partitions are disjoint in keys, so no group spans two of them.
 - :class:`NoPartitioningAggregation` — one global aggregation table
   updated with atomics; like the no-partitioning join it cliffs when the
   table outgrows GPU memory or the TLB reach.
@@ -20,14 +23,18 @@ out of core — the interesting regime the paper's joins cannot show.
 
 from __future__ import annotations
 
+import abc
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from repro import telemetry
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
+from repro.hashing.functions import hash_u64, radix_window
 from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.specs import SystemSpec
@@ -35,8 +42,9 @@ from repro.hw.tlb import MemSpace
 from repro.join.base import simulate
 from repro.join.caching import CachePolicy, plan_cache
 from repro.join.triton import first_pass_task
+from repro.kernels.scatter import counting_order_and_offsets
 from repro.partition.hierarchical import HierarchicalPartitioner
-from repro.partition.planner import plan_radix_join
+from repro.partition.planner import RadixPlan, plan_radix_join
 from repro.partition.shared import SharedPartitioner
 from repro.sim.engine import SimResult
 from repro.sim.kernels import GpuKernelBuilder
@@ -48,6 +56,9 @@ from repro.units import G_TUPLES
 ENTRY_BYTES = 16
 #: Issue slots per input tuple (hash + atomic accumulate with replays).
 UPDATE_SLOTS_PER_TUPLE = 4.0
+#: Pipeline depth of the partitioned aggregation: the input is refined
+#: and aggregated in this many equal chunks (as the Triton join's).
+PIPELINE_CHUNKS = 8
 
 
 class AggregateFunction(enum.Enum):
@@ -71,6 +82,10 @@ class AggregationResult:
         mod = np.int64(2**62)
         mixed = (keys % mod) ^ (values % mod)
         return cls(groups=int(len(keys)), checksum=int(mixed.sum() % mod))
+
+
+#: The result of aggregating no rows.
+NO_GROUPS = AggregationResult(groups=0, checksum=0)
 
 
 def _accumulate(
@@ -148,23 +163,59 @@ class AggregationRun:
         return self.input_rows_nominal / self.seconds / G_TUPLES
 
 
-class NoPartitioningAggregation:
-    """Global-table hash aggregation on the GPU (the baseline)."""
+@dataclass(frozen=True)
+class AggregationOperator(abc.ABC):
+    """A group-by operator: a frozen record of its configuration, like
+    the join operators, with one :meth:`run` skeleton. :meth:`prepare`
+    plans a run; the facts it returns are keyword arguments to
+    :meth:`functional` and :meth:`build_graph`.
+    """
 
-    def __init__(
-        self, system: SystemSpec, function: AggregateFunction = AggregateFunction.SUM
-    ) -> None:
-        self.system = system
-        self.function = function
-        self.name = "GPU No-Partitioning Aggregation"
-        self.gpu = GpuModel(system)
-        self.builder = GpuKernelBuilder(self.gpu)
+    system: SystemSpec
+    function: AggregateFunction = AggregateFunction.SUM
+
+    @functools.cached_property
+    def builder(self) -> GpuKernelBuilder:
+        return GpuKernelBuilder(GpuModel(self.system))
 
     def run(self, relation: Relation, groups_nominal: int) -> AggregationRun:
+        """Aggregate and simulate one relation. An empty relation has no
+        groups: nothing runs, and the run costs zero seconds."""
         if groups_nominal <= 0:
             raise ConfigurationError("groups_nominal must be positive")
-        result = reference_aggregate(relation, self.function)
+        if len(relation) == 0:
+            return AggregationRun(self.name, NO_GROUPS, 0.0, 0)
+        facts = self.prepare(relation, groups_nominal)
+        with telemetry.span("functional"):
+            result = self.functional(relation, **facts)
+        graph = self.build_graph(relation, groups_nominal, **facts)
+        sim = simulate(graph, ResourcePool.for_system(self.system))
+        return AggregationRun(
+            self.name, result, sim.makespan_seconds, relation.nominal_rows, sim
+        )
 
+    def prepare(self, relation: Relation, groups_nominal: int) -> dict:
+        """Plan one run: the facts the hooks share (none by default)."""
+        return {}
+
+    def functional(self, relation: Relation, **facts) -> AggregationResult:
+        """Aggregate the materialized rows: one global grouping."""
+        return reference_aggregate(relation, self.function)
+
+    @abc.abstractmethod
+    def build_graph(
+        self, relation: Relation, groups_nominal: int, **facts
+    ) -> TaskGraph:
+        """The simulated DAG: the aggregation, then the emit."""
+
+
+@dataclass(frozen=True)
+class NoPartitioningAggregation(AggregationOperator):
+    """Global-table hash aggregation on the GPU (the baseline)."""
+
+    name = "GPU No-Partitioning Aggregation"
+
+    def build_graph(self, relation: Relation, groups_nominal: int) -> TaskGraph:
         rows = relation.nominal_rows
         table_bytes = groups_nominal * ENTRY_BYTES
         in_gpu = table_bytes <= self.system.gpu_memory_capacity - (1 << 30)
@@ -201,76 +252,50 @@ class NoPartitioningAggregation:
             instructions=rows * UPDATE_SLOTS_PER_TUPLE,
             tuples=rows,
         )
-        sim = simulate(
-            TaskGraph(chain([update, _emit_task(self.builder, groups_nominal)])),
-            ResourcePool.for_system(self.system),
-        )
-        return AggregationRun(
-            name=self.name,
-            result=result,
-            seconds=sim.makespan_seconds,
-            input_rows_nominal=rows,
-            sim=sim,
-        )
+        emit = _emit_task(self.builder, groups_nominal)
+        return TaskGraph(chain([update, emit]))
 
 
-class TritonAggregation:
+@dataclass(frozen=True)
+class TritonAggregation(AggregationOperator):
     """GPU-partitioned hash aggregation (the Triton strategy)."""
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        function: AggregateFunction = AggregateFunction.SUM,
-        cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED,
-        pipeline_chunks: int = 8,
-    ) -> None:
-        self.system = system
-        self.function = function
-        self.cache_policy = cache_policy
-        self.pipeline_chunks = pipeline_chunks
-        self.name = "GPU Triton Aggregation"
-        self.gpu = GpuModel(system)
-        self.builder = GpuKernelBuilder(self.gpu)
-        self.first_pass = HierarchicalPartitioner()
-        self.second_pass = SharedPartitioner()
+    cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED
 
-    def _functional(self, relation: Relation, bits1: int) -> AggregationResult:
-        """Partition, aggregate per partition, combine."""
-        parts = self.first_pass.partition(relation, min(bits1, 10))
-        all_keys = []
-        all_states = []
-        # Values travel with their tuples through the partitioning.
-        part_values = _values(parts.relation)
-        for index in range(parts.fanout):
-            rows = parts.partition_rows(index)
-            if rows.stop == rows.start:
-                continue
-            keys, states = _accumulate(
-                self.function,
-                parts.relation.keys[rows],
-                part_values[rows.start : rows.stop],
+    name = "GPU Triton Aggregation"
+    first_pass = HierarchicalPartitioner()
+    second_pass = SharedPartitioner()
+
+    def prepare(self, relation: Relation, groups_nominal: int) -> dict:
+        """The radix plan: the groups' state is the build side."""
+        return {
+            "plan": plan_radix_join(
+                groups_nominal, relation.nominal_rows, ENTRY_BYTES, self.system
             )
-            all_keys.append(keys)
-            all_states.append(states)
-        if not all_keys:
-            empty = np.empty(0, dtype=np.int64)
-            return AggregationResult.from_arrays(empty, empty)
-        # Hash partitions are disjoint in keys, so no cross-partition merge
-        # is needed — the combine step is a concatenation.
+        }
+
+    def functional(self, relation: Relation, plan: RadixPlan) -> AggregationResult:
+        """Partition by the pass-1 hash window, then group once.
+
+        Hash partitions are disjoint in keys, so grouping the
+        partition-major rows as one array gives each partition's groups
+        and states, with no cross-partition merge.
+        """
+        bits1 = min(plan.bits1, 10)
+        (keys, values), _ = counting_order_and_offsets(
+            radix_window(hash_u64(relation.keys), bits1),
+            1 << bits1,
+            columns=(relation.keys, _values(relation)),
+        )
         return AggregationResult.from_arrays(
-            np.concatenate(all_keys), np.concatenate(all_states)
+            *_accumulate(self.function, keys, values)
         )
 
-    def run(self, relation: Relation, groups_nominal: int) -> AggregationRun:
-        if groups_nominal <= 0:
-            raise ConfigurationError("groups_nominal must be positive")
+    def build_graph(
+        self, relation: Relation, groups_nominal: int, plan: RadixPlan
+    ) -> TaskGraph:
         rows = relation.nominal_rows
         tuple_bytes = relation.tuple_bytes
-        plan = plan_radix_join(
-            max(groups_nominal, 1), rows, ENTRY_BYTES, self.system
-        )
-        result = self._functional(relation, plan.bits1)
-
         state_bytes = float(rows * tuple_bytes)
         cache = plan_cache(
             state_bytes, self.system.gpu_memory_capacity, policy=self.cache_policy
@@ -287,7 +312,7 @@ class TritonAggregation:
             )
         ]
         # The chunks are equal shares, so they issue the same requests.
-        chunk_rows = rows / self.pipeline_chunks
+        chunk_rows = rows / PIPELINE_CHUNKS
         chunk_bytes = chunk_rows * tuple_bytes
         spilled = chunk_bytes * (1 - g)
         chunk_requests = [
@@ -335,16 +360,7 @@ class TritonAggregation:
                 tuples=chunk_rows,
                 sm_fraction=0.5,
             )
-            for c in range(self.pipeline_chunks)
+            for c in range(PIPELINE_CHUNKS)
         )
         tasks.append(_emit_task(self.builder, groups_nominal))
-        sim = simulate(
-            TaskGraph(chain(tasks)), ResourcePool.for_system(self.system)
-        )
-        return AggregationRun(
-            name=self.name,
-            result=result,
-            seconds=sim.makespan_seconds,
-            input_rows_nominal=rows,
-            sim=sim,
-        )
+        return TaskGraph(chain(tasks))

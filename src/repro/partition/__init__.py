@@ -13,11 +13,11 @@ Implements the four GPU radix-partitioning algorithms the paper compares
 - ``CpuSwwc`` — the CPU-side SWWC partitioner used by the CPU radix join
   and the CPU-partitioned strategy.
 
-All algorithms share one *functional* implementation (a stable radix
-bucket sort over hashed key bits — their outputs are identical) and
-differ in the *work profile* they present to the hardware model: write
-granularity, alignment, stream-cursor TLB behaviour, buffer hierarchies,
-and instruction footprints.
+All algorithms compute the same output — a stable radix bucket sort
+over hashed key bits, :func:`partition_relation` — so each class is only
+the *work profile* it presents to the hardware model: write granularity,
+alignment, stream-cursor TLB behaviour, buffer hierarchies, and
+instruction footprints.
 """
 
 from repro.partition.radix import (

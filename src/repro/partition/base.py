@@ -16,13 +16,10 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro import telemetry
-from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.hw.gpu import MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.tlb import MemSpace
-from repro.partition.radix import PartitionedRelation, partition_relation
 
 #: Baseline warp-level issue slots per tuple: hash, cursor/slot claim
 #: (atomic with replays), and the buffered store.
@@ -81,7 +78,7 @@ class PartitionWork:
 
 
 class GpuPartitioner(abc.ABC):
-    """A GPU radix partitioning algorithm (functional + cost model).
+    """A GPU radix partitioning algorithm's cost model.
 
     Concrete partitioners are frozen dataclasses: equal configurations
     are equal, hashable values, so an operator can hold one as a field
@@ -92,29 +89,6 @@ class GpuPartitioner(abc.ABC):
     name: str
     #: Table 1 row for this algorithm.
     design_goals: DesignGoals
-
-    # -- functional -----------------------------------------------------------
-
-    def partition(
-        self,
-        relation: Relation,
-        bits: int,
-        offset: int = 0,
-        hashed=None,
-    ) -> PartitionedRelation:
-        """Partition a relation (identical results for all algorithms).
-
-        ``hashed`` reuses precomputed multiply-shift hashes from an
-        earlier pass instead of re-hashing the keys.
-        """
-        with telemetry.span(
-            f"partition:{getattr(self, 'name', type(self).__name__)}",
-            tuples=len(relation),
-            fanout=1 << bits,
-        ):
-            return partition_relation(relation, bits, offset, hashed=hashed)
-
-    # -- cost model -------------------------------------------------------------
 
     @abc.abstractmethod
     def write_profile(

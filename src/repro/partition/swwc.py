@@ -18,11 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import telemetry
-from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.hw.cpu import CpuModel
-from repro.partition.radix import PartitionedRelation, partition_relation
 from repro.units import next_power_of_two
 
 
@@ -62,18 +59,6 @@ class CpuSwwcPartitioner:
         # POWER9 has no non-temporal stores (section 6.1): flushes read
         # the destination cacheline for ownership before writing it.
         self.non_temporal_stores = non_temporal_stores
-
-    # -- functional -----------------------------------------------------------
-
-    def partition(
-        self, relation: Relation, bits: int, offset: int = 0, hashed=None
-    ) -> PartitionedRelation:
-        with telemetry.span(
-            f"partition:{self.name}", tuples=len(relation), fanout=1 << bits
-        ):
-            return partition_relation(relation, bits, offset, hashed=hashed)
-
-    # -- cost model -------------------------------------------------------------
 
     def passes_needed(self, fanout: int) -> int:
         """1 while the SWWC buffers fit the cache, else 2 (section 6.2.1)."""

@@ -39,7 +39,6 @@ import numpy as np
 from repro.aggregate.group_by import (
     AggregateFunction,
     AggregationResult,
-    AggregationRun,
     TritonAggregation,
 )
 from repro.bench.harness import ExperimentTable
@@ -491,19 +490,12 @@ class GroupByNode(PlanNode):
         operator = TritonAggregation(
             state.system, AggregateFunction(self.function)
         )
-        if len(relation) == 0:
-            # No rows, no groups; like an empty join, nothing is run.
-            run = AggregationRun(
-                name=operator.name,
-                result=AggregationResult(groups=0, checksum=0),
-                seconds=0.0,
-                input_rows_nominal=0,
+        # An empty input gives the operator's empty run (no groups, zero
+        # seconds), as an empty join side does.
+        with tracing.span(self.label, rows=len(relation)):
+            run = operator.run(
+                relation, groups_nominal=state.workload.build.nominal_rows
             )
-        else:
-            with tracing.span(self.label, rows=len(relation)):
-                run = operator.run(
-                    relation, groups_nominal=state.workload.build.nominal_rows
-                )
         state.record(self.label, run, groups=run.result.groups)
         yield relation
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregate import (
     AggregateFunction,
@@ -9,9 +11,11 @@ from repro.aggregate import (
     TritonAggregation,
     reference_aggregate,
 )
+from repro.aggregate.group_by import NO_GROUPS
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.join.caching import CachePolicy
+from repro.partition.planner import RadixPlan
 
 
 def make_relation(rows=20_000, groups=500, seed=0, nominal=None):
@@ -73,6 +77,50 @@ class TestCorrectness:
         relation = Relation(keys, {"attr0": keys})
         run = TritonAggregation(system).run(relation, groups_nominal=5000)
         assert run.result.groups == 5000
+
+
+@st.composite
+def aggregation_inputs(draw):
+    """Dense, uniform or Zipf keys (0-400 rows) with payloads past 2^53."""
+    rows = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "uniform", "zipf"]))
+    if kind == "dense":
+        keys = rng.integers(1, max(rows // 4, 1) + 1, size=rows)
+    elif kind == "uniform":
+        keys = rng.integers(1, 2**62, size=rows)
+    else:
+        keys = rng.zipf(1.3, size=rows)
+    values = rng.integers(2**53, 2**62, size=rows) * rng.choice([-1, 1], rows)
+    return Relation(
+        keys.astype(np.int64), {"attr0": values.astype(np.int64)}, name="F"
+    )
+
+
+class TestPartitionedMatchesReference:
+    @given(
+        aggregation_inputs(),
+        st.sampled_from(list(AggregateFunction)),
+        st.integers(1, 10),
+        st.integers(1, 2**33),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_result_equals_reference(
+        self, system, relation, fn, bits1, groups
+    ):
+        """Every function, with payloads above 2^53 (int64 wrap-around
+        sums) and pass-1 fanouts that leave partitions empty; an empty
+        input runs nothing on either operator."""
+        expected = reference_aggregate(relation, fn)
+        for operator in (TritonAggregation, NoPartitioningAggregation):
+            run = operator(system, fn).run(relation, groups_nominal=groups)
+            assert run.result == expected
+            if len(relation) == 0:
+                assert expected == NO_GROUPS
+                assert run.seconds == 0.0 and run.sim is None
+        if len(relation):
+            op = TritonAggregation(system, fn)
+            assert op.functional(relation, plan=RadixPlan([bits1])) == expected
 
 
 class TestCostBehaviour:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.aggregate import (
+    AggregateFunction,
+    NoPartitioningAggregation,
     NoPartitioningDistinct,
+    TritonAggregation,
     TritonDistinct,
     reference_distinct,
 )
@@ -65,3 +68,20 @@ class TestOperators:
         result, _ = TritonDistinct(system).distinct(relation, 1)
         assert result.distinct == 1
         assert result.key_checksum == 7
+
+    @pytest.mark.parametrize(
+        "distinct, aggregation",
+        [
+            (TritonDistinct, TritonAggregation),
+            (NoPartitioningDistinct, NoPartitioningAggregation),
+        ],
+    )
+    def test_costs_the_count_aggregation(self, system, distinct, aggregation):
+        # DISTINCT is the COUNT aggregation, emit volume included.
+        relation = make_relation(nominal=512_000_000)
+        _, run = distinct(system).distinct(relation, 100_000_000)
+        count = aggregation(system, AggregateFunction.COUNT).run(
+            relation, 100_000_000
+        )
+        assert run.seconds == count.seconds
+        assert run.name != count.name

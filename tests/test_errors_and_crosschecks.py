@@ -79,9 +79,7 @@ class TestAnalyticVsFunctional:
         workload = generate_workload(512, 512, scale_divisor=8192)
         op = TritonJoin(system)
         plan = op.plan(workload)
-        parts = op.first_pass.partition(
-            workload.build, min(plan.bits1, 10)
-        )
+        parts = partition_relation(workload.build, min(plan.bits1, 10))
         assert parts.fanout == 1 << min(plan.bits1, 10)
         # No data is lost through the two-sided split.
         assert parts.offsets[-1] == len(workload.build)

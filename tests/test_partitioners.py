@@ -1,9 +1,7 @@
 """Unit tests for the GPU partitioning algorithms' work profiles."""
 
-import numpy as np
 import pytest
 
-from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.hw.interconnect import Op
 from repro.hw.tlb import MemSpace
@@ -27,22 +25,6 @@ ALL = [
 
 def work_for(algorithm, fanout, tuples=gib(1) / TUPLE, dst=MemSpace.CPU):
     return algorithm.gpu_work(tuples, TUPLE, fanout, MemSpace.CPU, dst, SCRATCH)
-
-
-class TestFunctionalEquivalence:
-    """All algorithms produce identical partitioned output."""
-
-    def test_same_partitions(self):
-        rng = np.random.default_rng(4)
-        relation = Relation(rng.integers(1, 10**6, size=10_000).astype(np.int64))
-        reference = None
-        for algorithm in ALL:
-            parts = algorithm.partition(relation, bits=5)
-            if reference is None:
-                reference = parts
-            else:
-                assert np.array_equal(parts.relation.keys, reference.relation.keys)
-                assert np.array_equal(parts.offsets, reference.offsets)
 
 
 class TestWorkShapes:

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError, PlanError
 from repro.hw.cpu import CpuModel
 from repro.hw.gpu import GpuModel
 from repro.partition.planner import RadixPlan, plan_radix_join
+from repro.partition.radix import partition_relation
 from repro.partition.prefix_sum import (
     PrefixSumLocation,
     exclusive_scan,
@@ -30,9 +31,9 @@ def xeon_swwc(xeon):
 
 
 class TestCpuSwwc:
-    def test_functional_partitioning(self, p9):
+    def test_functional_partitioning(self):
         keys = np.random.default_rng(2).permutation(5000).astype(np.int64) + 1
-        parts = p9.partition(Relation(keys), bits=4)
+        parts = partition_relation(Relation(keys), bits=4)
         assert parts.offsets[-1] == 5000
 
     def test_power9_single_pass_at_14_bits(self, p9):
