@@ -23,6 +23,7 @@ from repro.aggregate.group_by import (
     TritonAggregation,
 )
 from repro.data.relation import Relation
+from repro.join.base import CHECKSUM_MOD
 
 
 @dataclass(frozen=True)
@@ -32,33 +33,37 @@ class DistinctResult:
     distinct: int
     key_checksum: int
 
+    @classmethod
+    def from_keys(cls, keys: np.ndarray) -> "DistinctResult":
+        """The summary of an array of distinct keys."""
+        mod = np.int64(CHECKSUM_MOD)
+        return cls(
+            distinct=int(len(keys)), key_checksum=int((keys % mod).sum() % mod)
+        )
+
 
 def reference_distinct(relation: Relation) -> DistinctResult:
     """Ground truth via numpy."""
-    keys = np.unique(relation.keys)
-    mod = np.int64(2**62)
-    return DistinctResult(
-        distinct=int(len(keys)), key_checksum=int((keys % mod).sum() % mod)
-    )
+    return DistinctResult.from_keys(np.unique(relation.keys))
 
 
 @dataclass(frozen=True)
 class _DistinctMixin:
     """The COUNT accumulator, fixed, and the result adaptation shared by
-    the two DISTINCT operators."""
+    the two DISTINCT operators: the groups' keys are the distinct
+    values."""
 
     function: AggregateFunction = field(
         default=AggregateFunction.COUNT, init=False
     )
 
+    def result(self, group_keys: np.ndarray, states: np.ndarray) -> DistinctResult:
+        return DistinctResult.from_keys(group_keys)
+
     def distinct(self, relation: Relation, distinct_nominal: int) -> tuple:
         """Run duplicate elimination; returns (DistinctResult, run)."""
         run: AggregationRun = self.run(relation, groups_nominal=distinct_nominal)
-        result = DistinctResult(
-            distinct=run.result.groups,
-            key_checksum=reference_distinct(relation).key_checksum,
-        )
-        return result, run
+        return run.result, run
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
 from repro.hw.specs import SystemSpec
 from repro.hw.tlb import MemSpace
-from repro.join.base import simulate
-from repro.join.caching import CachePolicy, plan_cache
+from repro.join.base import CHECKSUM_MOD, simulate
+from repro.join.caching import plan_cache
 from repro.join.triton import first_pass_task
 from repro.kernels.scatter import counting_order_and_offsets
 from repro.partition.hierarchical import HierarchicalPartitioner
@@ -79,13 +79,9 @@ class AggregationResult:
 
     @classmethod
     def from_arrays(cls, keys: np.ndarray, values: np.ndarray) -> "AggregationResult":
-        mod = np.int64(2**62)
+        mod = np.int64(CHECKSUM_MOD)
         mixed = (keys % mod) ^ (values % mod)
         return cls(groups=int(len(keys)), checksum=int(mixed.sum() % mod))
-
-
-#: The result of aggregating no rows.
-NO_GROUPS = AggregationResult(groups=0, checksum=0)
 
 
 def _accumulate(
@@ -184,7 +180,9 @@ class AggregationOperator(abc.ABC):
         if groups_nominal <= 0:
             raise ConfigurationError("groups_nominal must be positive")
         if len(relation) == 0:
-            return AggregationRun(self.name, NO_GROUPS, 0.0, 0)
+            # No rows, no groups: the result of empty keys and states.
+            empty = relation.keys
+            return AggregationRun(self.name, self.result(empty, empty), 0.0, 0)
         facts = self.prepare(relation, groups_nominal)
         with telemetry.span("functional"):
             result = self.functional(relation, **facts)
@@ -198,9 +196,15 @@ class AggregationOperator(abc.ABC):
         """Plan one run: the facts the hooks share (none by default)."""
         return {}
 
-    def functional(self, relation: Relation, **facts) -> AggregationResult:
+    def functional(self, relation: Relation, **facts):
         """Aggregate the materialized rows: one global grouping."""
-        return reference_aggregate(relation, self.function)
+        return self.result(
+            *_accumulate(self.function, relation.keys, _values(relation))
+        )
+
+    def result(self, group_keys: np.ndarray, states: np.ndarray):
+        """The run's result from its groups' keys and states."""
+        return AggregationResult.from_arrays(group_keys, states)
 
     @abc.abstractmethod
     def build_graph(
@@ -260,8 +264,6 @@ class NoPartitioningAggregation(AggregationOperator):
 class TritonAggregation(AggregationOperator):
     """GPU-partitioned hash aggregation (the Triton strategy)."""
 
-    cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED
-
     name = "GPU Triton Aggregation"
     first_pass = HierarchicalPartitioner()
     second_pass = SharedPartitioner()
@@ -274,7 +276,7 @@ class TritonAggregation(AggregationOperator):
             )
         }
 
-    def functional(self, relation: Relation, plan: RadixPlan) -> AggregationResult:
+    def functional(self, relation: Relation, plan: RadixPlan):
         """Partition by the pass-1 hash window, then group once.
 
         Hash partitions are disjoint in keys, so grouping the
@@ -287,9 +289,7 @@ class TritonAggregation(AggregationOperator):
             1 << bits1,
             columns=(relation.keys, _values(relation)),
         )
-        return AggregationResult.from_arrays(
-            *_accumulate(self.function, keys, values)
-        )
+        return self.result(*_accumulate(self.function, keys, values))
 
     def build_graph(
         self, relation: Relation, groups_nominal: int, plan: RadixPlan
@@ -297,9 +297,7 @@ class TritonAggregation(AggregationOperator):
         rows = relation.nominal_rows
         tuple_bytes = relation.tuple_bytes
         state_bytes = float(rows * tuple_bytes)
-        cache = plan_cache(
-            state_bytes, self.system.gpu_memory_capacity, policy=self.cache_policy
-        )
+        cache = plan_cache(state_bytes, self.system.gpu_memory_capacity)
         scratch = self.system.gpu.usable_scratchpad_bytes
 
         # Pass 1 partitions the input into the hybrid cache; then, per

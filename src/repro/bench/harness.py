@@ -9,7 +9,7 @@ so benchmark output is directly comparable against the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -60,22 +60,6 @@ class ExperimentTable:
 
     def format(self, precision: int = 3) -> str:
         return format_table(self, precision=precision)
-
-    def to_csv(self) -> str:
-        """Comma-separated rendering (series label first, then columns)."""
-        def escape(cell: str) -> str:
-            if any(ch in cell for ch in ',"\n'):
-                return '"' + cell.replace('"', '""') + '"'
-            return cell
-
-        lines = [",".join(escape(c) for c in ["series"] + self.columns)]
-        for row in self.rows:
-            cells = [escape(row.label)]
-            for column in self.columns:
-                value = row.get(column)
-                cells.append("" if value is None else repr(float(value)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         """JSON-serializable representation of the whole table."""
@@ -150,16 +134,3 @@ def format_table(table: ExperimentTable, precision: int = 3) -> str:
     if notes:
         parts.append(notes)
     return "\n".join(parts)
-
-
-def series_ratio(
-    table: ExperimentTable, numerator: str, denominator: str
-) -> List[Optional[float]]:
-    """Column-wise ratio of two rows (for speedup assertions in tests)."""
-    top = table.row(numerator)
-    bottom = table.row(denominator)
-    ratios: List[Optional[float]] = []
-    for column in table.columns:
-        a, b = top.get(column), bottom.get(column)
-        ratios.append(None if a is None or not b else a / b)
-    return ratios

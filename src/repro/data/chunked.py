@@ -259,18 +259,6 @@ class ChunkedRelation:
                 position += count * size
         return out
 
-    def shard_column(
-        self, shard: int, column: str, mmap: bool = True
-    ) -> np.ndarray:
-        """One shard's column, memory-mapped read-only by default."""
-        start, stop = (int(r) for r in self._shard_base[shard : shard + 2])
-        if mmap:
-            path = self.directory / _column_file(self._column_index(column))
-            return np.load(path, mmap_mode="r")[start:stop]
-        return self._read_rows(
-            column, np.array([start]), np.array([stop - start])
-        )
-
     def partition_sizes(self) -> np.ndarray:
         """Per-partition row counts summed across all shards."""
         return np.diff(self._offset_table(), axis=1).sum(

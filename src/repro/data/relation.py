@@ -173,12 +173,6 @@ class Relation:
             name=name or self.name,
         )
 
-    def head(self, rows: int) -> "Relation":
-        """The first ``rows`` rows (used for build:probe re-slicing)."""
-        if rows < 0 or rows > len(self):
-            raise ConfigurationError(f"cannot take {rows} of {len(self)} rows")
-        return self.take(np.arange(rows))
-
     def with_nominal_rows(self, nominal_rows: int) -> "Relation":
         """Same data, different nominal cardinality (still deferred if
         this relation's payloads are)."""

@@ -7,9 +7,9 @@ both relations are laid out partition-major (in memory by
 are contiguous slices — zero-copy views in shared memory, one
 positional read per shard and column on disk — and hash partitions are
 disjoint, so per-morsel :class:`~repro.join.base.JoinMatch` summaries
-merge exactly: the checksums are order-independent modular sums (the same
-property :func:`repro.join.coprocess.merge_matches` relies on), so the
-merged summary equals that of the per-partition reference loop
+merge exactly through :func:`repro.join.base.merge_matches` (the
+checksums are order-independent modular sums): the merged summary
+equals that of the per-partition reference loop
 (:func:`repro.join.batched.reference_radix_join`).
 
 Each morsel runs :func:`~repro.hashing.batch.grouped_bucket_chaining_
@@ -47,11 +47,6 @@ from repro.kernels.scatter import (
     DENSE_FLOOR_ENTRIES,
     counting_order_and_offsets,
 )
-
-#: The JoinMatch checksum modulus; per-morsel sums merge exactly under
-#: it (2**64 is a multiple of 2**62, so numpy's wrapping int64 sums
-#: agree with arbitrary-precision sums modulo it).
-CHECKSUM_MOD = 2**62
 
 #: Fewest rows a partition-capped in-memory morsel may hold on average
 #: (see :func:`serial_join`); below it, per-morsel dispatch costs more
@@ -300,16 +295,10 @@ def execute_morsel(source, morsel: Morsel) -> Partial:
 
 def merge_partials(partials: Iterable[Partial]) -> JoinMatch:
     """Fold per-morsel partials into the exact whole-join summary."""
-    matches = key_checksum = payload_checksum = 0
+    match = base.NO_MATCH
     for m, kcs, pcs, _rows in partials:
-        matches += m
-        key_checksum = (key_checksum + kcs) % CHECKSUM_MOD
-        payload_checksum = (payload_checksum + pcs) % CHECKSUM_MOD
-    return JoinMatch(
-        matches=matches,
-        key_checksum=key_checksum,
-        payload_checksum=payload_checksum,
-    )
+        match = base.merge_matches(match, JoinMatch(m, kcs, pcs))
+    return match
 
 
 def fill_histogram(

@@ -40,8 +40,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Tuple
 
 from repro import context as _context
 from repro.errors import ConfigurationError
@@ -330,9 +330,6 @@ class FaultPlan:
     def load(cls, path) -> "FaultPlan":
         with open(path) as handle:
             return cls.from_json(handle.read())
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     def summary(self) -> str:
         """One-line human summary (used in bench output and run notes)."""

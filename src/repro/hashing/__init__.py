@@ -14,7 +14,6 @@ from repro.hashing.functions import (
     fibonacci_hash,
     hash_u64,
     multiply_shift,
-    murmur_mix,
     radix_window,
 )
 from repro.hashing.hash_table import HashScheme, HashTable, TableProfile
@@ -33,6 +32,5 @@ __all__ = [
     "grouped_bucket_chaining_join",
     "hash_u64",
     "multiply_shift",
-    "murmur_mix",
     "radix_window",
 ]

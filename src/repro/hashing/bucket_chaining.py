@@ -99,10 +99,6 @@ class BucketChainingTable(HashTable):
     def table_bytes(self) -> int:
         return int(self.profile.table_bytes)
 
-    @property
-    def bucket_count(self) -> int:
-        return self._buckets
-
     def chain_lengths(self) -> np.ndarray:
         """Per-bucket chain lengths (for balance diagnostics)."""
         return np.diff(self._offsets)

@@ -1,8 +1,8 @@
 """Vectorized hash functions.
 
 The joins use the multiply-shift scheme of Dietzfelbinger et al., as in
-the paper (section 6.1); a Murmur-style finalizer and the Fibonacci
-constant variant are provided for tests and extensions. All functions
+the paper (section 6.1); the Fibonacci constant variant is the Bloom
+filter's second hash. All functions
 take int64 numpy arrays and return non-negative int64 hashes (or bucket
 indices when ``bits`` is given).
 
@@ -119,18 +119,6 @@ def fibonacci_hash(keys: np.ndarray, bits: int | None = None) -> np.ndarray:
     with np.errstate(over="ignore"):
         hashed = _as_uint64(keys) * FIBONACCI_A
     return _finish(hashed, bits)
-
-
-def murmur_mix(keys: np.ndarray, bits: int | None = None) -> np.ndarray:
-    """MurmurHash3's 64-bit finalizer: strong avalanche, slower."""
-    h = _as_uint64(keys).copy()
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51_AFD7_ED55_8CCD)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xC4CE_B9FE_1A85_EC53)
-        h ^= h >> np.uint64(33)
-    return _finish(h, bits)
 
 
 def radix_bits_of(keys: np.ndarray, bits: int, offset: int = 0) -> np.ndarray:

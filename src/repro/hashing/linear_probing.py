@@ -115,7 +115,3 @@ class LinearProbingTable(HashTable):
     @property
     def table_bytes(self) -> int:
         return self._slots * ENTRY_BYTES
-
-    @property
-    def slot_count(self) -> int:
-        return self._slots

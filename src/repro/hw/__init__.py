@@ -11,7 +11,7 @@ Public entry points:
 - :mod:`repro.hw.specs` — immutable spec dataclasses and system presets.
 - :mod:`repro.hw.interconnect` — the NVLink 2.0 packet/transaction model.
 - :mod:`repro.hw.tlb` — GPU TLB + IOMMU address-translation model.
-- :mod:`repro.hw.memory` — memory spaces, page allocation, interleaving.
+- :mod:`repro.hw.memory` — the Fig. 12 GPU/CPU page interleaving.
 - :mod:`repro.hw.gpu` / :mod:`repro.hw.cpu` — processor models.
 - :mod:`repro.hw.counters` — hardware performance counters.
 - :mod:`repro.hw.power` — the energy/power model.
@@ -29,7 +29,7 @@ from repro.hw.specs import (
 )
 from repro.hw.counters import PerfCounters
 from repro.hw.interconnect import AccessPattern, InterconnectModel
-from repro.hw.memory import MemorySpace, PageAllocator, InterleavedMapping
+from repro.hw.memory import InterleavedMapping
 from repro.hw.tlb import TranslationModel
 from repro.hw.gpu import GpuModel
 from repro.hw.cpu import CpuModel
@@ -44,9 +44,7 @@ __all__ = [
     "InterconnectModel",
     "InterconnectSpec",
     "InterleavedMapping",
-    "MemorySpace",
     "MemorySpec",
-    "PageAllocator",
     "PerfCounters",
     "PowerModel",
     "SystemSpec",

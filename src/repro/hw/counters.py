@@ -85,20 +85,6 @@ class PerfCounters:
     # -- derived metrics ----------------------------------------------------
 
     @property
-    def nvlink_overhead_fraction(self) -> float:
-        """Protocol overhead relative to useful payload (Fig. 18c)."""
-        if self.nvlink_payload_bytes == 0:
-            return 0.0
-        return self.nvlink_wire_bytes / self.nvlink_payload_bytes - 1.0
-
-    @property
-    def tuples_per_transaction(self) -> float:
-        """Average tuples written per memory transaction (Fig. 18b)."""
-        if self.nvlink_transactions == 0:
-            return 0.0
-        return self.tuples_processed / self.nvlink_transactions
-
-    @property
     def iommu_requests_per_tuple(self) -> float:
         """IOMMU translation requests per input tuple (Figs. 14b, 18d)."""
         if self.tuples_processed == 0:

@@ -110,10 +110,3 @@ class CpuModel:
         (section 6.2.1).
         """
         return self.swwc_buffer_bytes(fanout) <= self.spec.cache.swwc_budget_per_core
-
-    def max_single_pass_fanout(self) -> int:
-        """Largest power-of-two fanout whose SWWC buffers fit in cache."""
-        fanout = 1
-        while self.swwc_fits_in_cache(fanout * 2):
-            fanout *= 2
-        return fanout

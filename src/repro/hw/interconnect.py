@@ -76,18 +76,6 @@ class WireCost:
     to_cpu_bytes: int
     transactions: int
 
-    @property
-    def wire_bytes(self) -> int:
-        """Total physical bytes on the link, both directions."""
-        return self.to_gpu_bytes + self.to_cpu_bytes
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Protocol overhead relative to the useful payload (Fig. 18c)."""
-        if self.payload_bytes == 0:
-            return 0.0
-        return self.wire_bytes / self.payload_bytes - 1.0
-
     def repeated(self, total_bytes: int) -> "WireCost":
         """The cost of ``total_bytes`` moved in accesses like this one."""
         accesses = math.ceil(total_bytes / self.payload_bytes)
@@ -168,16 +156,6 @@ class InterconnectModel:
             transactions=transactions,
         )
 
-    def wire_cost_bulk(
-        self, total_bytes: int, access_bytes: int, op: Op, aligned: bool = True
-    ) -> WireCost:
-        """Wire cost of a stream of ``total_bytes`` in equal-sized accesses."""
-        if access_bytes <= 0:
-            raise ConfigurationError("access granularity must be positive")
-        return self.wire_cost(access_bytes, op, aligned=aligned).repeated(
-            total_bytes
-        )
-
     # -- bandwidth ----------------------------------------------------------
 
     def effective_bandwidth(
@@ -234,20 +212,3 @@ class InterconnectModel:
             + 2 * MISALIGNED_PARTIAL_WRITE_SECONDS
         )
         return access_bytes / misaligned_seconds
-
-    def transfer_time(
-        self,
-        total_bytes: float,
-        access_bytes: int,
-        op: Op,
-        pattern: AccessPattern = AccessPattern.RANDOM,
-        aligned: bool = True,
-        duplex: bool = False,
-    ) -> float:
-        """Seconds to move ``total_bytes`` with the given access shape."""
-        if total_bytes <= 0:
-            return 0.0
-        bandwidth = self.effective_bandwidth(
-            access_bytes, op, pattern, aligned=aligned, duplex=duplex
-        )
-        return total_bytes / bandwidth

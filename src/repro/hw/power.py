@@ -34,15 +34,6 @@ class PowerReading:
     watts: float
     seconds: float
 
-    @property
-    def joules(self) -> float:
-        return self.watts * self.seconds
-
-    def tuples_per_joule(self, tuples: float) -> float:
-        if self.joules <= 0:
-            raise ConfigurationError("energy must be positive")
-        return tuples / self.joules
-
     def m_tuples_per_s_per_watt(self, tuples: float) -> float:
         """The paper's Figure 23 metric: normalized throughput per Watt."""
         if self.watts <= 0 or self.seconds <= 0:

@@ -84,18 +84,6 @@ class IommuSpec:
     walk_coalescing: int = 16
     walk_latency_s: float = 3186.4 * NS
 
-    @property
-    def translations_per_s(self) -> float:
-        """Peak translation service rate with all walkers busy.
-
-        12 walkers finishing a walk every ``walk_latency_s`` seconds, each
-        walk returning up to 16 coalesced translations. For the paper's
-        2 MiB pages this caps a TLB-thrashing access stream's page-touch
-        rate, which is what collapses the no-partitioning join with linear
-        probing to ~1 M tuples/s (section 6.2.2).
-        """
-        return self.page_table_walkers * self.walk_coalescing / self.walk_latency_s
-
 
 @dataclass(frozen=True)
 class GpuSpec:

@@ -22,6 +22,7 @@ from repro import telemetry
 from repro.data.generator import Workload
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
+from repro.explain.timeline import ELECTRICAL_LIMIT_BYTES_PER_S
 from repro.hw.counters import PerfCounters
 from repro.hw.specs import SystemSpec
 from repro.partition.planner import RadixPlan, plan_radix_join
@@ -34,6 +35,11 @@ from repro.units import G_TUPLES
 #: the paper's default early-materialization setup).
 RESULT_TUPLE_BYTES = 16
 
+#: The modulus of a join summary's checksums. 2**62 divides 2**64, so a
+#: wrapping int64 sum reduces exactly, and the summaries of disjoint
+#: partition ranges merge exactly (:func:`merge_matches`).
+CHECKSUM_MOD = 2**62
+
 
 @dataclass(frozen=True)
 class JoinMatch:
@@ -41,7 +47,8 @@ class JoinMatch:
 
     Checksums make results comparable without materializing gigabytes:
     ``payload_checksum`` sums the matched build-side payloads and
-    ``key_checksum`` sums the matched probe keys (both mod 2**62).
+    ``key_checksum`` sums the matched probe keys (both mod
+    :data:`CHECKSUM_MOD`).
     """
 
     matches: int
@@ -52,9 +59,8 @@ class JoinMatch:
     def from_arrays(
         cls, probe_keys: np.ndarray, build_payloads: np.ndarray
     ) -> "JoinMatch":
-        # One wrapping int64 sum, then one reduction: 2**62 divides
-        # 2**64, so the wrapped sum is exact modulo 2**62.
-        mod = np.int64(2**62)
+        # One wrapping int64 sum, then one reduction.
+        mod = np.int64(CHECKSUM_MOD)
         return cls(
             matches=int(len(probe_keys)),
             key_checksum=int(probe_keys.sum(dtype=np.int64) % mod),
@@ -64,6 +70,16 @@ class JoinMatch:
 
 #: The summary of a join that matched nothing.
 NO_MATCH = JoinMatch(matches=0, key_checksum=0, payload_checksum=0)
+
+
+def merge_matches(left: JoinMatch, right: JoinMatch) -> JoinMatch:
+    """Combine two disjoint partition ranges' join summaries exactly."""
+    return JoinMatch(
+        matches=left.matches + right.matches,
+        key_checksum=(left.key_checksum + right.key_checksum) % CHECKSUM_MOD,
+        payload_checksum=(left.payload_checksum + right.payload_checksum)
+        % CHECKSUM_MOD,
+    )
 
 
 @dataclass
@@ -89,8 +105,9 @@ class JoinRun:
     @property
     def interconnect_utilization(self) -> float:
         """Fig. 14a's metric against the 75 GB/s electrical limit."""
-        raise_bw = 75e9
-        return self.counters.interconnect_utilization(raise_bw, self.seconds)
+        return self.counters.interconnect_utilization(
+            ELECTRICAL_LIMIT_BYTES_PER_S, self.seconds
+        )
 
     @property
     def iommu_requests_per_tuple(self) -> float:

@@ -71,18 +71,6 @@ class CachePlan:
             total_bytes=total, gpu_bytes=min(gpu, total), page_bytes=page_bytes
         )
 
-    def overlap_fraction(self) -> float:
-        """How much of the spill traffic overlaps with cached processing.
-
-        Even interleaving keeps the link busy for the whole pass (full
-        overlap); the R0 policy serializes: spilled partitions transfer
-        while cached ones are *not* being processed, so the cached
-        processing time cannot hide transfer time.
-        """
-        if self.policy is CachePolicy.EVEN_INTERLEAVED:
-            return 1.0
-        return 0.0
-
 
 #: GPU memory the join pipeline itself needs (second-pass output buffers
 #: for two partition pairs, hash tables, spare pools) — the paper notes

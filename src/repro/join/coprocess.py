@@ -50,16 +50,17 @@ import numpy as np
 from repro.data.generator import Workload
 from repro.errors import CapacityError, ConfigurationError, TaskFailedError
 from repro.hashing.functions import hash_u64, radix_window
-from repro.hashing.hash_table import HashScheme
-from repro.join.base import NO_MATCH, JoinMatch, JoinOperator, JoinRun
+from repro.join.base import (
+    NO_MATCH,
+    JoinMatch,
+    JoinOperator,
+    JoinRun,
+    merge_matches,
+)
 from repro.join.batched import batched_radix_join
-from repro.join.cpu_radix import JOIN_OPS, CpuRadixJoin, radix_bits_for
-from repro.join.triton import DEFAULT_PIPELINE_CHUNKS, TritonJoin
+from repro.join.cpu_radix import CpuRadixJoin, radix_bits_for
+from repro.join.triton import TritonJoin
 from repro.sim.tasks import Task, TaskGraph
-
-#: The checksum modulus of :meth:`JoinMatch.from_arrays`; partition-wise
-#: sums merge exactly under it.
-_CHECKSUM_MOD = 2**62
 
 #: Functional radix width cap shared with the single-backend operators.
 _MAX_FUNCTIONAL_BITS = 10
@@ -68,35 +69,17 @@ _MAX_FUNCTIONAL_BITS = 10
 CO_PROCESS_NAME = "Co-Processing Join (CPU+GPU)"
 
 
-def merge_matches(left: JoinMatch, right: JoinMatch) -> JoinMatch:
-    """Combine two disjoint partition ranges' join summaries exactly."""
-    return JoinMatch(
-        matches=left.matches + right.matches,
-        key_checksum=(left.key_checksum + right.key_checksum)
-        % _CHECKSUM_MOD,
-        payload_checksum=(left.payload_checksum + right.payload_checksum)
-        % _CHECKSUM_MOD,
-    )
-
-
 @dataclass(frozen=True)
 class CoProcessingJoin(JoinOperator):
     """One join, cost-split across the CPU and the GPU concurrently."""
 
     cpu_fraction: Optional[float] = None
-    scheme: HashScheme = HashScheme.BUCKET_CHAINING
-    cpu_scheme: HashScheme = HashScheme.PERFECT
-    pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS
     reference: bool = False
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cpu_fraction is not None and not 0.0 <= self.cpu_fraction <= 1.0:
             raise ConfigurationError("cpu_fraction must be in [0, 1]")
-        if self.cpu_scheme not in JOIN_OPS:
-            raise ConfigurationError(
-                f"unsupported CPU-side scheme: {self.cpu_scheme}"
-            )
 
     @property
     def name(self) -> str:
@@ -105,14 +88,12 @@ class CoProcessingJoin(JoinOperator):
     @functools.cached_property
     def gpu_side(self) -> TritonJoin:
         """The Triton join that prices the GPU side's partitions."""
-        return TritonJoin(
-            self.system, scheme=self.scheme, pipeline_chunks=self.pipeline_chunks
-        )
+        return TritonJoin(self.system)
 
     @functools.cached_property
     def cpu_side(self) -> CpuRadixJoin:
         """The CPU radix join that prices the CPU side's partitions."""
-        return CpuRadixJoin(self.system, scheme=self.cpu_scheme)
+        return CpuRadixJoin(self.system)
 
     def _cpu_side_tasks(self, side: Workload) -> List[Task]:
         """The CPU radix join's tasks, labelled as the CPU side's."""

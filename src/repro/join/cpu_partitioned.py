@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.data.generator import Workload
-from repro.errors import ConfigurationError
 from repro.hashing.hash_table import HashScheme
 from repro.hw.cpu import CpuModel
 from repro.hw.gpu import GpuModel, MemoryRequest
@@ -46,22 +45,18 @@ from repro.join.triton import (
 
 #: The GPU's in-memory second pass over each transferred working set.
 SECOND_PASS = SharedPartitioner()
+#: The GPU joins each working set with scratchpad bucket chaining.
+BUILD_SLOTS = BUILD_SLOTS_PER_TUPLE[HashScheme.BUCKET_CHAINING]
+PROBE_SLOTS = PROBE_SLOTS_PER_TUPLE[HashScheme.BUCKET_CHAINING]
 
 
 @dataclass(frozen=True)
 class CpuPartitionedJoin(JoinOperator):
     """CPU partitions, GPU joins — the Fig. 3 strategy."""
 
-    scheme: HashScheme = HashScheme.BUCKET_CHAINING
-    pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS
-    aggregate: bool = False
     reference: bool = False
 
     name = "CPU-Partitioned Radix Join"
-
-    def __post_init__(self) -> None:
-        if self.scheme not in BUILD_SLOTS_PER_TUPLE:
-            raise ConfigurationError(f"unsupported scheme: {self.scheme}")
 
     @functools.cached_property
     def cpu_builder(self) -> CpuTaskBuilder:
@@ -147,21 +142,20 @@ class CpuPartitionedJoin(JoinOperator):
                 pattern=AccessPattern.SEQUENTIAL,
             )
         )
-        if not self.aggregate:
-            requests.append(
-                MemoryRequest(
-                    total_bytes=base.result_bytes(
-                        base.nominal_matches(workload) * share
-                    ),
-                    access_bytes=128,
-                    op=Op.WRITE,
-                    space=MemSpace.CPU,
-                    pattern=AccessPattern.SEQUENTIAL,
-                )
+        requests.append(
+            MemoryRequest(
+                total_bytes=base.result_bytes(
+                    base.nominal_matches(workload) * share
+                ),
+                access_bytes=128,
+                op=Op.WRITE,
+                space=MemSpace.CPU,
+                pattern=AccessPattern.SEQUENTIAL,
             )
+        )
         issue_slots += (
-            workload.build.nominal_rows * share * BUILD_SLOTS_PER_TUPLE[self.scheme]
-            + workload.probe.nominal_rows * share * PROBE_SLOTS_PER_TUPLE[self.scheme]
+            workload.build.nominal_rows * share * BUILD_SLOTS
+            + workload.probe.nominal_rows * share * PROBE_SLOTS
         )
         return self.gpu_builder.build(
             name=f"gpu[{chunk}]",
@@ -185,7 +179,7 @@ class CpuPartitionedJoin(JoinOperator):
         tuple_bytes = workload.build.tuple_bytes
         build_tuples = float(workload.build.nominal_rows)
         probe_tuples = float(workload.probe.nominal_rows)
-        chunks = self.pipeline_chunks
+        chunks = DEFAULT_PIPELINE_CHUNKS
 
         part_r = self._cpu_partition_task(
             "cpu_part_R", build_tuples, tuple_bytes, plan.fanout1

@@ -56,7 +56,6 @@ class BloomFilter:
         self._bits = next_power_of_two(max(len(keys) * bits_per_key, 64))
         self._mask = self._bits - 1
         self._words = np.zeros(self._bits // 64, dtype=np.uint64)
-        self.bits_per_key = bits_per_key
         for positions in self._positions(keys):
             np.bitwise_or.at(
                 self._words,
@@ -101,7 +100,6 @@ class BloomFilteredTritonJoin(JoinOperator):
     scan that precedes it (:meth:`build_graph`) is priced standalone.
     """
 
-    bits_per_key: int = 10
     inner: Optional[TritonJoin] = None
 
     name = "Bloom-Filtered Triton Join"
@@ -162,7 +160,7 @@ class BloomFilteredTritonJoin(JoinOperator):
             probe=workload.probe.nominal_rows,
         )
         with sp:
-            bloom = BloomFilter(workload.build.keys, self.bits_per_key)
+            bloom = BloomFilter(workload.build.keys)
             survives = bloom.contains(workload.probe.keys)
             pass_rate = float(survives.mean()) if len(survives) else 1.0
             sp.set(pass_rate=pass_rate)

@@ -32,7 +32,6 @@ from typing import Dict, Optional
 
 from repro.data.generator import Workload
 from repro.errors import ConfigurationError
-from repro.hw.specs import SystemSpec
 from repro.join.base import JoinMatch, JoinOperator, JoinRun
 from repro.join.triton import TritonJoin
 from repro.sim import resources as res
@@ -74,41 +73,23 @@ def _retarget(task: Task, gpu: int) -> Task:
     return task
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MultiGpuTritonJoin(JoinOperator):
     """The Triton join scaled over multiple GPUs with radix ownership.
 
     The single-GPU :class:`TritonJoin` that plans and executes each
-    GPU's slice is the ``triton`` field: pass it whole, or pass keyword
-    arguments beyond ``xbus_bytes_per_s`` to configure a new one (not
-    both). Passing it whole is what ``dataclasses.replace`` does.
+    GPU's slice is the ``triton`` field (the default Triton join when
+    left out).
     """
 
-    gpu_count: int
-    xbus_bytes_per_s: float
-    triton: TritonJoin
+    gpu_count: int = 2
+    triton: Optional[TritonJoin] = None
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        gpu_count: int = 2,
-        xbus_bytes_per_s: float = DEFAULT_XBUS_BYTES_PER_S,
-        triton: Optional[TritonJoin] = None,
-        **triton_kwargs,
-    ) -> None:
-        if gpu_count < 1:
+    def __post_init__(self) -> None:
+        if self.gpu_count < 1:
             raise ConfigurationError("gpu_count must be >= 1")
-        if triton is None:
-            triton = TritonJoin(system, **triton_kwargs)
-        elif triton_kwargs:
-            raise ConfigurationError(
-                "pass either triton= or TritonJoin keyword arguments, "
-                f"not both (got {sorted(triton_kwargs)})"
-            )
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "gpu_count", gpu_count)
-        object.__setattr__(self, "xbus_bytes_per_s", xbus_bytes_per_s)
-        object.__setattr__(self, "triton", triton)
+        if self.triton is None:
+            object.__setattr__(self, "triton", TritonJoin(self.system))
 
     @property
     def name(self) -> str:
@@ -123,7 +104,7 @@ class MultiGpuTritonJoin(JoinOperator):
                 suffixed = _suffixed(name, gpu)
                 resources[suffixed] = Resource(suffixed, base.capacity(name))
         # Shared cross-socket exchange path.
-        resources[XBUS] = Resource(XBUS, self.xbus_bytes_per_s)
+        resources[XBUS] = Resource(XBUS, DEFAULT_XBUS_BYTES_PER_S)
         # Keep the base names too: CPU-side tasks (prefix sums) use them.
         for name in base.names():
             resources[name] = Resource(name, base.capacity(name))
@@ -172,7 +153,7 @@ class MultiGpuTritonJoin(JoinOperator):
                 if task.phase == "Part 1" and exchange_fraction > 0:
                     demand = task.demands.get(XBUS, 0.0) + exchange_bytes
                     task.demands[XBUS] = demand
-                    task.rate_caps[XBUS] = self.xbus_bytes_per_s
+                    task.rate_caps[XBUS] = DEFAULT_XBUS_BYTES_PER_S
         return graph
 
     def annotate(self, run: JoinRun, plan) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.data.generator import Workload
-from repro.errors import ConfigurationError
 from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.hashing.hash_table import HashScheme, TableProfile, profile_for
 from repro.hashing.linear_probing import LinearProbingTable
@@ -58,13 +57,10 @@ class NoPartitioningJoin(JoinOperator):
         cache_bytes: GPU memory used to cache (part of) the hash table.
             ``None`` reproduces the paper's default: the table lives in
             GPU memory iff it fits entirely, otherwise in CPU memory.
-        aggregate: aggregate matches in registers instead of
-            materializing result tuples to CPU memory.
     """
 
     scheme: HashScheme = HashScheme.PERFECT
     cache_bytes: Optional[float] = None
-    aggregate: bool = False
 
     @property
     def name(self) -> str:
@@ -170,17 +166,15 @@ class NoPartitioningJoin(JoinOperator):
             )
         ] + table_requests(
             probe_rows * profile.probe_accesses_per_tuple, Op.READ
-        )
-        if not self.aggregate:
-            probe_requests.append(
-                MemoryRequest(
-                    total_bytes=base.result_bytes(base.nominal_matches(workload)),
-                    access_bytes=128,
-                    op=Op.WRITE,
-                    space=MemSpace.CPU,
-                    pattern=AccessPattern.SEQUENTIAL,
-                )
+        ) + [
+            MemoryRequest(
+                total_bytes=base.result_bytes(base.nominal_matches(workload)),
+                access_bytes=128,
+                op=Op.WRITE,
+                space=MemSpace.CPU,
+                pattern=AccessPattern.SEQUENTIAL,
             )
+        ]
         probe_task = self.builder.build(
             name="probe",
             phase="Probe",

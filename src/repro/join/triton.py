@@ -153,23 +153,20 @@ class TritonJoin(JoinOperator):
 
     scheme: HashScheme = HashScheme.BUCKET_CHAINING
     first_pass: GpuPartitioner = HierarchicalPartitioner()
-    second_pass: GpuPartitioner = SharedPartitioner()
     cache_policy: CachePolicy = CachePolicy.EVEN_INTERLEAVED
     cache_bytes: Optional[float] = None
     prefix_sum: PrefixSumLocation = PrefixSumLocation.CPU
     overlap: bool = True
-    pipeline_chunks: int = DEFAULT_PIPELINE_CHUNKS
     aggregate: bool = False
     reference: bool = False
     degraded: bool = False
 
     name = "GPU Triton Join"
+    second_pass = SharedPartitioner()
 
     def __post_init__(self) -> None:
         if self.scheme not in BUILD_SLOTS_PER_TUPLE:
             raise ConfigurationError(f"unsupported Triton scheme: {self.scheme}")
-        if self.pipeline_chunks < 1:
-            raise ConfigurationError("pipeline_chunks must be >= 1")
 
     @functools.cached_property
     def gpu_builder(self) -> GpuKernelBuilder:
@@ -340,12 +337,12 @@ class TritonJoin(JoinOperator):
             )
         sizes = np.asarray(histogram).astype(float)
         total = sizes.sum()
+        chunks = DEFAULT_PIPELINE_CHUNKS
         if total == 0:
-            return [1.0 / self.pipeline_chunks] * self.pipeline_chunks
+            return [1.0 / chunks] * chunks
         # Contiguous partition ranges map to pipeline chunks.
         bounds = [
-            int(round(i * len(sizes) / self.pipeline_chunks))
-            for i in range(self.pipeline_chunks + 1)
+            int(round(i * len(sizes) / chunks)) for i in range(chunks + 1)
         ]
         weights = [
             float(sizes[lo:hi].sum()) / total
@@ -425,7 +422,7 @@ class TritonJoin(JoinOperator):
         previous_ps2: Optional[Task] = None
         previous_part2: Optional[Task] = None
         previous_join: Optional[Task] = None
-        for c in range(self.pipeline_chunks):
+        for c in range(DEFAULT_PIPELINE_CHUNKS):
             chunk_tuples = tuples * weights[c]
             state_bytes = chunk_tuples * tuple_bytes
             gpu_bytes, spilled_bytes = base.split_gpu_cpu(

@@ -57,14 +57,6 @@ class RadixPlan:
     def fanout1(self) -> int:
         return 1 << self.bits1
 
-    @property
-    def total_fanout(self) -> int:
-        return 1 << self.total_bits
-
-    def final_partition_rows(self, build_rows: int) -> float:
-        """Expected build rows per final partition."""
-        return build_rows / self.total_fanout
-
 
 def plan_radix_join(
     build_rows: int,

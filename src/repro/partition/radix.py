@@ -80,10 +80,6 @@ class PartitionedRelation:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def max_partition_rows(self) -> int:
-        sizes = self.sizes()
-        return int(sizes.max()) if len(sizes) else 0
-
 
 def partition_relation(
     relation: Relation,

@@ -119,13 +119,6 @@ class SimResult:
         """
         return PhaseBreakdown.from_trace(self.trace, self.makespan_seconds)
 
-    def phase_seconds(self) -> Dict[str, float]:
-        """Total task-active seconds per phase (can exceed makespan)."""
-        seconds: Dict[str, float] = {}
-        for entry in self.trace:
-            seconds[entry.phase] = seconds.get(entry.phase, 0.0) + entry.duration
-        return seconds
-
     def resource_utilization(self, pool: ResourcePool) -> Dict[str, float]:
         """Average utilization of each resource over the makespan."""
         if self.makespan_seconds <= 0:

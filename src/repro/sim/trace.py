@@ -10,12 +10,7 @@ wall-clock time between concurrently running phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, TYPE_CHECKING
-
-from repro.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.tasks import Task
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -30,17 +25,6 @@ class TraceEntry:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    @classmethod
-    def from_task(cls, task: "Task") -> "TraceEntry":
-        if task.start_time is None or task.end_time is None:
-            raise SimulationError(f"task {task.name!r} has not completed")
-        return cls(
-            name=task.name,
-            phase=task.phase or task.name,
-            start=task.start_time,
-            end=task.end_time,
-        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ Three pieces:
   ``telemetry.gauge``, ``telemetry.observe``).
 - **Exporters** (:mod:`repro.telemetry.export`): one Chrome-trace/
   Perfetto JSON writer for spans, simulated tracks, and recorder
-  instants; a plain-text span tree; a JSON metrics dump; and the
+  instants; a JSON metrics dump; and the
   structural validator tests and CI run over emitted files.
 
 Work done in another process comes home through one hand-off:
@@ -50,7 +50,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.export import (
     chrome_trace_document,
-    format_span_tree,
     metrics_document,
     validate_chrome_trace,
     write_chrome_trace,
@@ -187,7 +186,6 @@ __all__ = [
     "emit_event",
     "events",
     "export",
-    "format_span_tree",
     "gauge",
     "histogram",
     "metrics",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome-trace (Perfetto) JSON, span trees, metrics dumps.
+"""Exporters: Chrome-trace (Perfetto) JSON and metrics dumps.
 
 This is the **one trace-event writer in the codebase**: span records
 (from this process and absorbed from workers), simulated virtual-time
@@ -261,36 +261,6 @@ def write_chrome_trace(path) -> dict:
         json.dump(document, handle, indent=1)
         handle.write("\n")
     return document
-
-
-def format_span_tree(
-    span_records: Optional[Sequence[dict]] = None, precision_ms: int = 3
-) -> str:
-    """Indented plain-text rendering of span records (default: the
-    buffer), one line per span under its parent."""
-    ordered = _ordered(
-        _tracing.records() if span_records is None else span_records
-    )
-    if not ordered:
-        return "(no spans recorded)"
-    depth: Dict[Optional[str], int] = {}
-    for record in ordered:
-        depth[record["span"]] = depth.get(record["parent"], -1) + 1
-    labels = ["  " * depth[r["span"]] + r["name"] for r in ordered]
-    width = max(len(label) for label in labels)
-    lines = []
-    for label, record in zip(labels, ordered):
-        attrs = record.get("attrs") or {}
-        suffix = (
-            "  " + ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-            if attrs
-            else ""
-        )
-        lines.append(
-            f"{label.ljust(width)}  "
-            f"{record['dur'] * 1e3:10.{precision_ms}f} ms{suffix}"
-        )
-    return "\n".join(lines)
 
 
 def metrics_document(registry: Optional[_metrics.MetricsRegistry] = None) -> dict:

@@ -88,20 +88,6 @@ class MetricsRegistry:
             if name.startswith(prefix)
         }
 
-    def timing_histogram(self, name: str) -> Optional[Histogram]:
-        """A copy of timing ``name`` as a :class:`Histogram` (or None)."""
-        histogram = self._timings.get(name)
-        if histogram is None:
-            return None
-        return Histogram().merge(histogram)
-
-    def timing_quantiles(self, name: str) -> Optional[Dict[str, float]]:
-        """p50/p90/p99 estimates for timing ``name`` (None if absent)."""
-        histogram = self.timing_histogram(name)
-        if histogram is None or histogram.count == 0:
-            return None
-        return histogram.percentiles()
-
     def snapshot(self) -> dict:
         """JSON-serializable copy of the whole registry."""
         return {

@@ -33,45 +33,14 @@ M_TUPLES = 1_000_000
 G_TUPLES = 1_000_000_000
 
 
-def mib(n: float) -> float:
-    """Return ``n`` mebibytes expressed in bytes."""
-    return n * MIB
-
-
 def gib(n: float) -> float:
     """Return ``n`` gibibytes expressed in bytes."""
     return n * GIB
 
 
-def to_gib(n_bytes: float) -> float:
-    """Express a byte count in GiB."""
-    return n_bytes / GIB
-
-
-def to_mib(n_bytes: float) -> float:
-    """Express a byte count in MiB."""
-    return n_bytes / MIB
-
-
 def gib_per_s(rate: float) -> float:
     """Return a rate given in GiB/s expressed in bytes/s."""
     return rate * GIB
-
-
-def gb_per_s(rate: float) -> float:
-    """Return a rate given in decimal GB/s expressed in bytes/s."""
-    return rate * GB
-
-
-def g_tuples_per_s(tuples: float, seconds: float) -> float:
-    """Throughput in G tuples/s, the paper's headline metric.
-
-    Defined as total input cardinality divided by total runtime
-    (paper section 6.1, "Methodology").
-    """
-    if seconds <= 0:
-        raise ValueError(f"runtime must be positive, got {seconds!r}")
-    return tuples / seconds / G_TUPLES
 
 
 #: Suffix multipliers for :func:`parse_bytes`. Binary (``Ki``/``Mi``/…)
@@ -118,27 +87,8 @@ def parse_bytes(text: str) -> int:
     return int(value)
 
 
-def is_power_of_two(n: int) -> bool:
-    """True if ``n`` is a positive power of two."""
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def next_power_of_two(n: int) -> int:
     """Smallest power of two >= ``n`` (n must be positive)."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n!r}")
     return 1 << (n - 1).bit_length()
-
-
-def align_up(value: int, alignment: int) -> int:
-    """Round ``value`` up to the next multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment!r}")
-    return -(-value // alignment) * alignment
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment!r}")
-    return (value // alignment) * alignment

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import ExperimentTable, format_table, series_ratio
+from repro.bench.harness import ExperimentTable, format_table
 from repro.bench.workloads import default_workload
 from repro.errors import ConfigurationError
 
@@ -45,10 +45,6 @@ class TestExperimentTable:
         t.add_row("r", {"a": 1.0})
         assert t.row("r").get("b") is None
         assert "-" in t.format()
-
-    def test_series_ratio(self, table):
-        ratios = series_ratio(table, "fast", "slow")
-        assert ratios[0] == pytest.approx(2.0)
 
 
 class TestFormatting:

@@ -134,16 +134,6 @@ class TestPartitionReads:
             np.sort(combined), np.sort(per_partition)
         )
 
-    def test_shard_column_memory_maps_by_default(self, tmp_path):
-        relation = make_relation(1024, seed=6)
-        chunked = ChunkedRelation.from_relation(
-            relation, tmp_path / "r", shard_rows=512, bits=0
-        )
-        assert isinstance(chunked.shard_column(0, "key"), np.memmap)
-        assert not isinstance(
-            chunked.shard_column(0, "key", mmap=False), np.memmap
-        )
-
 
 class TestLifecycleAndErrors:
     def test_close_releases_files_and_reads_reopen(self, tmp_path):
@@ -192,7 +182,7 @@ class TestLifecycleAndErrors:
             make_relation(600), tmp_path / "r", shard_rows=512
         )
         with pytest.raises(ConfigurationError):
-            chunked.shard_column(0, "nope")
+            chunked.partition_range_column("nope", 0, 1)
 
     def test_format_1_directory_rejected(self, tmp_path):
         """The one-file-per-shard layout is not read back as format 2."""

@@ -39,7 +39,7 @@ from repro.join import (
     run_cache,
 )
 from repro.join import coprocess
-from repro.join.coprocess import merge_matches
+from repro.join.base import merge_matches
 
 
 @pytest.fixture(scope="module")

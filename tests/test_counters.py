@@ -54,21 +54,6 @@ class TestDerivedMetrics:
         )
         assert c.nvlink_wire_bytes == 150
 
-    def test_overhead_fraction(self):
-        c = PerfCounters(
-            nvlink_payload_bytes=100,
-            nvlink_wire_to_gpu_bytes=80,
-            nvlink_wire_to_cpu_bytes=45,
-        )
-        assert c.nvlink_overhead_fraction == pytest.approx(0.25)
-
-    def test_overhead_zero_payload(self):
-        assert PerfCounters().nvlink_overhead_fraction == 0.0
-
-    def test_tuples_per_transaction(self):
-        c = PerfCounters(tuples_processed=20, nvlink_transactions=10)
-        assert c.tuples_per_transaction == 2.0
-
     def test_iommu_per_tuple(self):
         c = PerfCounters(tuples_processed=1000, iommu_requests=5)
         assert c.iommu_requests_per_tuple == pytest.approx(0.005)

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hw.cpu import CpuModel
 from repro.hw.interconnect import AccessPattern, Op
-from repro.hw.power import PowerModel, PowerReading
-from repro.units import GIB, MIB
+from repro.hw.power import PowerModel
+from repro.units import GIB
 
 
 class TestCpuMemory:
@@ -60,12 +60,6 @@ class TestSwwcCacheBudget:
     def test_buffer_bytes_scale_with_fanout(self, cpu_model):
         assert cpu_model.swwc_buffer_bytes(512) == 512 * 144
 
-    def test_max_single_pass_fanout_power_of_two(self, cpu_model):
-        fanout = cpu_model.max_single_pass_fanout()
-        assert fanout & (fanout - 1) == 0
-        assert cpu_model.swwc_fits_in_cache(fanout)
-        assert not cpu_model.swwc_fits_in_cache(fanout * 2)
-
     def test_rejects_bad_fanout(self, cpu_model):
         with pytest.raises(ConfigurationError):
             cpu_model.swwc_buffer_bytes(0)
@@ -92,11 +86,6 @@ class TestPowerModel:
         # This asymmetry is why the CPU wins Fig. 23 despite being slower.
         model = PowerModel(system)
         assert model.gpu_join_power() > 2 * model.cpu_join_power()
-
-    def test_reading_energy(self):
-        reading = PowerReading(watts=100.0, seconds=2.0)
-        assert reading.joules == 200.0
-        assert reading.tuples_per_joule(400.0) == pytest.approx(2.0)
 
     def test_efficiency_metric(self, system):
         model = PowerModel(system)

@@ -63,6 +63,22 @@ class TestOperators:
         )
         assert triton.seconds < baseline.seconds
 
+    def test_groups_the_keys_once(self, system, monkeypatch):
+        """The result comes from the operator's own grouping: one
+        ``np.unique`` per call, none from the reference."""
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        result, _ = TritonDistinct(system).distinct(make_relation(), 700)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert result == reference_distinct(make_relation())
+
     def test_single_value_relation(self, system):
         relation = Relation(np.full(1000, 7, dtype=np.int64))
         result, _ = TritonDistinct(system).distinct(relation, 1)

@@ -7,7 +7,7 @@ import pytest
 from repro import faults
 from repro.data.generator import generate_workload
 from repro.data.relation import Relation
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.faults import BandwidthFault, FaultPlan
 from repro.hashing import BucketChainingTable, LinearProbingTable
 from repro.hw.gpu import MemoryRequest
@@ -192,12 +192,12 @@ class TestPartitionEdges:
             Relation(np.empty(0, dtype=np.int64)), bits=4
         )
         assert parts.offsets[-1] == 0
-        assert parts.max_partition_rows() == 0
+        assert parts.sizes().max() == 0
 
     def test_all_keys_identical(self):
         keys = np.full(500, 42, dtype=np.int64)
         parts = partition_relation(Relation(keys), bits=4)
-        assert parts.max_partition_rows() == 500
+        assert parts.sizes().max() == 500
         assert (parts.sizes() > 0).sum() == 1
 
     def test_shared_partitioner_minimum_fanout(self):
@@ -236,11 +236,6 @@ class TestSimulatorEdges:
         task = Task(name="t", demands={"ghost": 1.0})
         with faults.injected(plan), pytest.raises(ConfigurationError):
             SimEngine(pool).run(TaskGraph([task]))
-
-    def test_trace_entry_requires_completion(self):
-        task = Task(name="t", demands={})
-        with pytest.raises(SimulationError):
-            TraceEntry.from_task(task)
 
     def test_empty_breakdown(self):
         breakdown = PhaseBreakdown.from_trace([], 0.0)

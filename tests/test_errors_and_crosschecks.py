@@ -107,17 +107,6 @@ class TestAnalyticVsFunctional:
 
 
 class TestCapacityEnforcement:
-    def test_memory_space_guards_the_papers_capacities(self, system):
-        from repro.hw.memory import PageAllocator
-
-        allocator = PageAllocator(
-            system.gpu_memory_capacity, system.cpu_memory_capacity
-        )
-        # 61 GiB of partitioned state cannot live in GPU memory...
-        with pytest.raises(CapacityError):
-            allocator.alloc("state", 61 * 2**30, MemSpace.GPU)
-        # ...but fits the CPU socket (the paper's point).
-        allocator.alloc("state", 61 * 2**30, MemSpace.CPU)
 
     def test_request_validation_is_configuration_error(self, gpu_model):
         from repro.hw.gpu import MemoryRequest

@@ -206,11 +206,10 @@ class TestFaultPlan:
         plan.save(path)
         assert FaultPlan.load(path) == plan
 
-    def test_with_seed_and_summary(self):
+    def test_summary(self):
         plan = FaultPlan(
             bandwidth=(BandwidthFault("link", 0.5),), description="brownout"
         )
-        assert plan.with_seed(9).seed == 9
         summary = plan.summary()
         assert "brownout" in summary and "1 bandwidth fault(s)" in summary
 

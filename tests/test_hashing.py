@@ -11,7 +11,6 @@ from repro.hashing import (
     PerfectTable,
     fibonacci_hash,
     multiply_shift,
-    murmur_mix,
 )
 from repro.hashing.functions import radix_bits_of
 from repro.hashing.hash_table import (
@@ -27,15 +26,15 @@ VALUES = KEYS * 3
 
 
 class TestHashFunctions:
-    @pytest.mark.parametrize("fn", [multiply_shift, fibonacci_hash, murmur_mix])
+    @pytest.mark.parametrize("fn", [multiply_shift, fibonacci_hash])
     def test_deterministic(self, fn):
         assert np.array_equal(fn(KEYS), fn(KEYS))
 
-    @pytest.mark.parametrize("fn", [multiply_shift, fibonacci_hash, murmur_mix])
+    @pytest.mark.parametrize("fn", [multiply_shift, fibonacci_hash])
     def test_nonnegative(self, fn):
         assert (fn(KEYS) >= 0).all()
 
-    @pytest.mark.parametrize("fn", [multiply_shift, fibonacci_hash, murmur_mix])
+    @pytest.mark.parametrize("fn", [multiply_shift, fibonacci_hash])
     def test_bits_bound_range(self, fn):
         hashed = fn(KEYS, bits=8)
         assert hashed.min() >= 0
@@ -85,7 +84,6 @@ class TestLinearProbing:
 
     def test_table_is_power_of_two_at_50_percent_load(self):
         table = LinearProbingTable(KEYS, VALUES, load_factor=0.5)
-        assert table.slot_count == 32768
         assert table.table_bytes == 32768 * 16
 
     def test_rejects_empty_build(self):
@@ -114,7 +112,7 @@ class TestBucketChaining:
 
     def test_default_bucket_count_is_the_papers(self):
         table = BucketChainingTable(KEYS, VALUES)
-        assert table.bucket_count == 2048
+        assert len(table.chain_lengths()) == 2048
 
     def test_chain_lengths_sum_to_rows(self):
         table = BucketChainingTable(KEYS, VALUES)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.data.generator import generate_workload
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
-from repro.hw.tlb import MemSpace
 from repro.join import CachePolicy, plan_cache, reference_join
 from repro.join.base import (
     JoinMatch,
@@ -17,7 +16,7 @@ from repro.join.base import (
     result_bytes,
     split_gpu_cpu,
 )
-from repro.join.caching import PIPELINE_RESERVED_BYTES, CachePlan
+from repro.join.caching import PIPELINE_RESERVED_BYTES
 from repro.units import GIB, gib
 
 
@@ -133,12 +132,6 @@ class TestCachePlan:
         plan = plan_cache(gib(6), 16 * GIB, cache_bytes=gib(2))
         mapping = plan.mapping()
         assert mapping.gpu_fraction == pytest.approx(plan.gpu_fraction, abs=0.01)
-
-    def test_overlap_fraction_by_policy(self):
-        even = CachePlan(100.0, 50.0, CachePolicy.EVEN_INTERLEAVED)
-        r0 = CachePlan(100.0, 50.0, CachePolicy.HYBRID_HASH_R0)
-        assert even.overlap_fraction() == 1.0
-        assert r0.overlap_fraction() == 0.0
 
     def test_rejects_negative_cache(self):
         with pytest.raises(ConfigurationError):

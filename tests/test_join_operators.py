@@ -51,7 +51,6 @@ class TestCorrectness:
             TritonJoin(system, overlap=False),
             TritonJoin(system, prefix_sum=PrefixSumLocation.GPU),
             TritonJoin(system, scheme=HashScheme.PERFECT),
-            TritonJoin(system, pipeline_chunks=2),
         ]
         for op in variants:
             assert op.run(workload).match == reference

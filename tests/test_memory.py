@@ -1,77 +1,23 @@
-"""Unit tests for memory spaces and the interleaved cache (repro.hw.memory)."""
+"""Unit tests for the interleaved cache layout (repro.hw.memory)."""
+
+import itertools
 
 import pytest
 
-from repro.errors import CapacityError, ConfigurationError
-from repro.hw.memory import InterleavedMapping, MemorySpace, PageAllocator
+from repro.errors import ConfigurationError
+from repro.hw.memory import InterleavedMapping
 from repro.hw.tlb import MemSpace
-from repro.units import GIB, MIB
+from repro.units import MIB
 
 
-class TestMemorySpace:
-    def make(self, capacity=1 * GIB):
-        return MemorySpace(MemSpace.GPU, capacity, 2 * MIB)
-
-    def test_alloc_rounds_to_pages(self):
-        space = self.make()
-        allocation = space.alloc("a", 1)
-        assert allocation.bytes == 2 * MIB
-
-    def test_alloc_tracks_usage(self):
-        space = self.make()
-        space.alloc("a", 10 * MIB)
-        assert space.allocated_bytes == 10 * MIB
-        assert space.free_bytes == 1 * GIB - 10 * MIB
-
-    def test_capacity_enforced(self):
-        space = self.make(capacity=10 * MIB)
-        space.alloc("a", 8 * MIB)
-        with pytest.raises(CapacityError):
-            space.alloc("b", 4 * MIB)
-
-    def test_duplicate_name_rejected(self):
-        space = self.make()
-        space.alloc("a", MIB)
-        with pytest.raises(ConfigurationError):
-            space.alloc("a", MIB)
-
-    def test_free_releases(self):
-        space = self.make()
-        space.alloc("a", 100 * MIB)
-        space.free("a")
-        assert space.allocated_bytes == 0
-        assert "a" not in space
-
-    def test_free_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self.make().free("ghost")
-
-    def test_reset(self):
-        space = self.make()
-        space.alloc("a", MIB)
-        space.alloc("b", MIB)
-        space.reset()
-        assert space.allocated_bytes == 0
-
-
-class TestPageAllocator:
-    def test_spaces_are_independent(self):
-        allocator = PageAllocator(16 * GIB, 128 * GIB)
-        allocator.alloc("state", 10 * GIB, MemSpace.GPU)
-        allocator.alloc("state", 100 * GIB, MemSpace.CPU)
-        assert allocator.gpu.allocated_bytes == 10 * GIB
-        assert allocator.cpu.allocated_bytes == 100 * GIB
-
-    def test_gpu_capacity_is_the_papers(self):
-        allocator = PageAllocator(16 * GIB, 128 * GIB)
-        with pytest.raises(CapacityError):
-            allocator.alloc("too_big", 17 * GIB, MemSpace.GPU)
-
-    def test_reset_clears_both(self):
-        allocator = PageAllocator(16 * GIB, 128 * GIB)
-        allocator.alloc("a", GIB, MemSpace.GPU)
-        allocator.reset()
-        assert allocator.gpu.allocated_bytes == 0
+def run_lengths(mapping):
+    """Consecutive runs of pages in the same space."""
+    return [
+        (space, len(list(run)))
+        for space, run in itertools.groupby(
+            space for _, space in mapping.iter_pages()
+        )
+    ]
 
 
 class TestInterleavedMapping:
@@ -81,7 +27,6 @@ class TestInterleavedMapping:
         mapping = InterleavedMapping(
             total_bytes=90 * MIB, gpu_bytes=30 * MIB, page_bytes=2 * MIB
         )
-        assert mapping.cpu_bytes == 60 * MIB
         assert mapping.gpu_fraction == pytest.approx(1 / 3)
 
     def test_one_gpu_page_after_every_two_cpu_pages(self):
@@ -89,7 +34,7 @@ class TestInterleavedMapping:
         mapping = InterleavedMapping(
             total_bytes=90 * MIB, gpu_bytes=30 * MIB, page_bytes=2 * MIB
         )
-        runs = mapping.run_lengths()
+        runs = run_lengths(mapping)
         cpu_runs = [n for space, n in runs if space is MemSpace.CPU]
         gpu_runs = [n for space, n in runs if space is MemSpace.GPU]
         assert all(n == 1 for n in gpu_runs)
@@ -123,16 +68,8 @@ class TestInterleavedMapping:
             total_bytes=1000 * 2 * MIB, gpu_bytes=300 * 2 * MIB,
             page_bytes=2 * MIB,
         )
-        runs = mapping.run_lengths()
+        runs = run_lengths(mapping)
         assert max(n for space, n in runs if space is MemSpace.CPU) <= 3
-
-    def test_split_bytes(self):
-        mapping = InterleavedMapping(
-            total_bytes=100, gpu_bytes=40, page_bytes=2 * MIB
-        )
-        gpu_part, cpu_part = mapping.split_bytes(50)
-        assert gpu_part == pytest.approx(20)
-        assert cpu_part == pytest.approx(30)
 
     def test_gpu_cannot_exceed_total(self):
         with pytest.raises(ConfigurationError):
@@ -149,4 +86,4 @@ class TestInterleavedMapping:
         mapping = InterleavedMapping(0, 0, 2 * MIB)
         assert mapping.page_count == 0
         assert mapping.gpu_fraction == 0.0
-        assert mapping.run_lengths() == []
+        assert run_lengths(mapping) == []

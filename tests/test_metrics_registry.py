@@ -201,8 +201,3 @@ class TestScopedTee:
                 )
             },
         }
-
-    def test_histogram_view(self):
-        histogram = _written().timing_histogram("join.run_seconds")
-        assert histogram.to_timing() == SNAPSHOT["timings"]["join.run_seconds"]
-        assert _written().timing_histogram("absent") is None

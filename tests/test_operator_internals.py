@@ -12,6 +12,7 @@ from repro.join import (
     NoPartitioningJoin,
     TritonJoin,
 )
+from repro.join.triton import DEFAULT_PIPELINE_CHUNKS
 from repro.sim import resources as res
 from repro.units import GIB, gib
 
@@ -52,23 +53,14 @@ class TestNoPartitioningInternals:
         ratio = linear.notes["table_bytes"] / perfect.notes["table_bytes"]
         assert 1.9 < ratio < 2.2
 
-    def test_aggregate_mode_skips_result_writes(self, system):
-        workload = generate_workload(512, 512, scale_divisor=65536)
-        materialized = NoPartitioningJoin(system).run(workload)
-        aggregated = NoPartitioningJoin(system, aggregate=True).run(workload)
-        assert (
-            aggregated.counters.cpu_mem_write_bytes
-            < materialized.counters.cpu_mem_write_bytes
-        )
-
 
 class TestTritonInternals:
     def test_graph_has_expected_task_counts(self, system):
-        op = TritonJoin(system, pipeline_chunks=4)
+        op = TritonJoin(system)
         workload = generate_workload(512, 512, scale_divisor=65536)
         graph = op.build_graph(workload)
-        # ps1 + part1 + 4 x (ps2, part2, sched, join).
-        assert len(graph.tasks) == 2 + 4 * 4
+        # ps1 + part1 + one (ps2, part2, sched, join) per pipeline chunk.
+        assert len(graph.tasks) == 2 + 4 * DEFAULT_PIPELINE_CHUNKS
         graph.validate()
 
     def test_overlap_halves_sm_shares(self, system):
@@ -106,12 +98,6 @@ class TestTritonInternals:
         # fraction shrinks, so spill re-reads grow superlinearly.
         assert large_reads > 2.2 * small_reads
 
-    def test_pipeline_chunks_bound_checked(self, system):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TritonJoin(system, pipeline_chunks=0)
-
     def test_cache_policy_none_forces_spill(self, system):
         workload = generate_workload(128, 128, scale_divisor=65536)
         run = TritonJoin(system, cache_policy=CachePolicy.NONE).run(workload)
@@ -120,16 +106,17 @@ class TestTritonInternals:
 
 class TestCpuPartitionedInternals:
     def test_cpu_partition_tasks_feed_gpu_chunks(self, system):
-        op = CpuPartitionedJoin(system, pipeline_chunks=3)
+        op = CpuPartitionedJoin(system)
         workload = generate_workload(512, 512, scale_divisor=65536)
         run = op.run(workload)
         phases = {e.phase for e in run.sim.trace}
         assert phases == {"CPU Partition", "GPU Join"}
         cpu_tasks = [e for e in run.sim.trace if e.phase == "CPU Partition"]
-        assert len(cpu_tasks) == 1 + 3  # R plus 3 S chunks
+        # R plus one S chunk per pipeline chunk.
+        assert len(cpu_tasks) == 1 + DEFAULT_PIPELINE_CHUNKS
 
     def test_r_partitioning_precedes_every_gpu_chunk(self, system):
-        op = CpuPartitionedJoin(system, pipeline_chunks=2)
+        op = CpuPartitionedJoin(system)
         workload = generate_workload(512, 512, scale_divisor=65536)
         run = op.run(workload)
         r_end = next(

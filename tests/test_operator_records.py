@@ -14,8 +14,13 @@ import inspect
 
 import pytest
 
+from repro.aggregate import (
+    NoPartitioningAggregation,
+    NoPartitioningDistinct,
+    TritonAggregation,
+    TritonDistinct,
+)
 from repro.data.generator import generate_workload
-from repro.errors import ConfigurationError
 from repro.hashing.hash_table import HashScheme
 from repro.hw.specs import ac922, v100_pcie, xeon_system
 from repro.join import (
@@ -48,9 +53,6 @@ CASES = {
             "first_pass": lambda: TritonJoin(
                 SYSTEM, first_pass=StandardPartitioner()
             ),
-            "second_pass": lambda: TritonJoin(
-                SYSTEM, second_pass=HierarchicalPartitioner()
-            ),
             "cache_policy": lambda: TritonJoin(
                 SYSTEM, cache_policy=CachePolicy.NONE
             ),
@@ -59,7 +61,6 @@ CASES = {
                 SYSTEM, prefix_sum=PrefixSumLocation.GPU
             ),
             "overlap": lambda: TritonJoin(SYSTEM, overlap=False),
-            "pipeline_chunks": lambda: TritonJoin(SYSTEM, pipeline_chunks=4),
             "aggregate": lambda: TritonJoin(SYSTEM, aggregate=True),
             "reference": lambda: TritonJoin(SYSTEM, reference=True),
             "degraded": lambda: TritonJoin(SYSTEM, degraded=True),
@@ -75,7 +76,6 @@ CASES = {
             "cache_bytes": lambda: NoPartitioningJoin(
                 SYSTEM, cache_bytes=2**30
             ),
-            "aggregate": lambda: NoPartitioningJoin(SYSTEM, aggregate=True),
         },
     ),
     CpuRadixJoin: (
@@ -92,13 +92,6 @@ CASES = {
         lambda: CpuPartitionedJoin(SYSTEM),
         {
             "system": lambda: CpuPartitionedJoin(v100_pcie()),
-            "scheme": lambda: CpuPartitionedJoin(
-                SYSTEM, scheme=HashScheme.PERFECT
-            ),
-            "pipeline_chunks": lambda: CpuPartitionedJoin(
-                SYSTEM, pipeline_chunks=4
-            ),
-            "aggregate": lambda: CpuPartitionedJoin(SYSTEM, aggregate=True),
             "reference": lambda: CpuPartitionedJoin(SYSTEM, reference=True),
         },
     ),
@@ -107,15 +100,6 @@ CASES = {
         {
             "system": lambda: CoProcessingJoin(v100_pcie()),
             "cpu_fraction": lambda: CoProcessingJoin(SYSTEM, cpu_fraction=0.5),
-            "scheme": lambda: CoProcessingJoin(
-                SYSTEM, scheme=HashScheme.PERFECT
-            ),
-            "cpu_scheme": lambda: CoProcessingJoin(
-                SYSTEM, cpu_scheme=HashScheme.BUCKET_CHAINING
-            ),
-            "pipeline_chunks": lambda: CoProcessingJoin(
-                SYSTEM, pipeline_chunks=4
-            ),
             "reference": lambda: CoProcessingJoin(SYSTEM, reference=True),
             "label": lambda: CoProcessingJoin(SYSTEM, label="other"),
         },
@@ -125,19 +109,15 @@ CASES = {
         {
             "system": lambda: MultiGpuTritonJoin(v100_pcie()),
             "gpu_count": lambda: MultiGpuTritonJoin(SYSTEM, gpu_count=3),
-            "xbus_bytes_per_s": lambda: MultiGpuTritonJoin(
-                SYSTEM, xbus_bytes_per_s=8e9
+            "triton": lambda: MultiGpuTritonJoin(
+                SYSTEM, triton=TritonJoin(SYSTEM, reference=True)
             ),
-            "triton": lambda: MultiGpuTritonJoin(SYSTEM, reference=True),
         },
     ),
     BloomFilteredTritonJoin: (
         lambda: BloomFilteredTritonJoin(SYSTEM),
         {
             "system": lambda: BloomFilteredTritonJoin(v100_pcie()),
-            "bits_per_key": lambda: BloomFilteredTritonJoin(
-                SYSTEM, bits_per_key=8
-            ),
             "inner": lambda: BloomFilteredTritonJoin(
                 SYSTEM, inner=TritonJoin(SYSTEM, aggregate=True)
             ),
@@ -211,16 +191,59 @@ class TestOperatorRecord:
         assert run_key(operator, derived) != run_key(operator, workload)
 
 
-def test_multi_gpu_replace_keeps_the_triton_join():
-    operator = MultiGpuTritonJoin(SYSTEM, reference=True)
+def test_settable_fields():
+    """The join and aggregation records keep 22 settable fields beside
+    ``system``: each is set outside the tests or selects a reference
+    mode. A fixed model parameter is a module constant instead."""
+    join_fields = sum(len(variants) - 1 for _, variants in CASES.values())
+    aggregation_fields = [
+        {f.name for f in dataclasses.fields(cls) if f.init} - {"system"}
+        for cls in (
+            TritonAggregation,
+            NoPartitioningAggregation,
+            TritonDistinct,
+            NoPartitioningDistinct,
+        )
+    ]
+    assert aggregation_fields == [{"function"}, {"function"}, set(), set()]
+    assert join_fields + 2 == 22
+
+
+#: Per record, keywords that were fixed model parameters, and a value.
+FIXED_PARAMETERS = [
+    (TritonJoin, "second_pass", SharedPartitioner()),
+    (TritonJoin, "pipeline_chunks", 4),
+    (NoPartitioningJoin, "aggregate", True),
+    (CpuPartitionedJoin, "scheme", HashScheme.PERFECT),
+    (CpuPartitionedJoin, "pipeline_chunks", 4),
+    (CpuPartitionedJoin, "aggregate", True),
+    (CoProcessingJoin, "scheme", HashScheme.PERFECT),
+    (CoProcessingJoin, "cpu_scheme", HashScheme.BUCKET_CHAINING),
+    (CoProcessingJoin, "pipeline_chunks", 4),
+    (MultiGpuTritonJoin, "xbus_bytes_per_s", 8e9),
+    (BloomFilteredTritonJoin, "bits_per_key", 8),
+    (TritonAggregation, "cache_policy", CachePolicy.NONE),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, keyword, value",
+    FIXED_PARAMETERS,
+    ids=[f"{cls.__name__}-{keyword}" for cls, keyword, _ in FIXED_PARAMETERS],
+)
+def test_fixed_parameters_are_not_keywords(cls, keyword, value):
+    with pytest.raises(TypeError):
+        cls(SYSTEM, **{keyword: value})
+
+
+def test_multi_gpu_replace_keeps_the_triton_join(workload):
+    operator = MultiGpuTritonJoin(SYSTEM)
+    spelled_out = MultiGpuTritonJoin(SYSTEM, triton=TritonJoin(SYSTEM))
+    assert operator == spelled_out
+    assert run_key(operator, workload) == run_key(spelled_out, workload)
     three = dataclasses.replace(operator, gpu_count=3)
-    assert three == MultiGpuTritonJoin(SYSTEM, gpu_count=3, reference=True)
+    assert three == MultiGpuTritonJoin(SYSTEM, gpu_count=3)
     assert three.triton is operator.triton
-    assert MultiGpuTritonJoin(
-        SYSTEM, triton=TritonJoin(SYSTEM, reference=True)
-    ) == operator
-    with pytest.raises(ConfigurationError, match="not both"):
-        MultiGpuTritonJoin(SYSTEM, triton=TritonJoin(SYSTEM), reference=True)
 
 
 def test_inherited_skeleton_is_wrapped_in_the_subclass_body():

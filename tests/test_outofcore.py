@@ -16,8 +16,6 @@ from repro.errors import ConfigurationError
 from repro.exec import context as exec_context
 from repro.exec.context import ExecutionConfig, should_go_out_of_core
 from repro.exec.morsel import (
-    CHECKSUM_MOD,
-    ArraySource,
     merge_partials,
     partition_state,
     plan_morsels,
@@ -26,7 +24,7 @@ from repro.exec.outofcore import out_of_core_join
 from repro.exec.pool import ShmBlock, get_pool, shutdown_pool
 from repro.exec.spill import SpillManager
 from repro.join import run_cache
-from repro.join.base import JoinMatch
+from repro.join.base import CHECKSUM_MOD, JoinMatch
 from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.triton import TritonJoin
 from repro.service.plan import compile_plan

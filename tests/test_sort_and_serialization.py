@@ -81,18 +81,6 @@ class TestTableSerialization:
         t.add_note("note one")
         return t
 
-    def test_csv_round_numbers(self, table):
-        csv = table.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "series,a,b"
-        assert lines[1] == "x,1.5,2.0"
-        assert lines[2] == "partial,3.0,"
-
-    def test_csv_escaping(self):
-        t = ExperimentTable("e", "T", ["a"])
-        t.add_row('needs,"quotes"', {"a": 1.0})
-        assert '"needs,""quotes"""' in t.to_csv()
-
     def test_dict_round_trip(self, table):
         restored = ExperimentTable.from_dict(table.to_dict())
         assert restored.experiment == table.experiment

@@ -90,7 +90,7 @@ class TestPlanner:
 
     def test_final_partitions_fit_scratchpad(self, system):
         plan = plan_radix_join(2048 * M_TUPLES, 2048 * M_TUPLES, 16, system)
-        per_partition = 2048 * M_TUPLES * 16 / plan.total_fanout
+        per_partition = 2048 * M_TUPLES * 16 / (1 << plan.total_bits)
         assert per_partition <= system.gpu.usable_scratchpad_bytes
 
     def test_single_pass_mode(self, system):
@@ -111,8 +111,7 @@ class TestPlanner:
     def test_plan_properties(self):
         plan = RadixPlan(bits_per_pass=[8, 9])
         assert plan.fanout1 == 256
-        assert plan.total_fanout == 1 << 17
-        assert plan.final_partition_rows(1 << 20) == pytest.approx(8.0)
+        assert plan.total_bits == 17
 
     def test_rejects_bad_cardinality(self, system):
         with pytest.raises(PlanError):

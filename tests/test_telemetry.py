@@ -13,7 +13,6 @@ from repro.join import TritonJoin, run_cache
 from repro.telemetry.export import (
     SIM_PID_BASE,
     chrome_trace_document,
-    format_span_tree,
     validate_chrome_trace,
 )
 from repro.telemetry import tracing
@@ -98,18 +97,17 @@ class TestSpans:
             "inner",
         }
 
-    def test_span_tree_text(self):
+    def test_span_tree_nesting(self):
         telemetry.set_recording(telemetry.SPANS)
         with _root():
             with telemetry.span("outer", tuples=8):
                 with telemetry.span("inner"):
                     pass
-        tree = format_span_tree()
-        lines = tree.splitlines()
-        assert lines[0].startswith("test")
-        assert lines[1].startswith("  outer")
-        assert lines[2].startswith("    inner")
-        assert "tuples=8" in lines[1]
+        spans = {r["name"]: r for r in tracing.records()}
+        assert spans["test"]["parent"] is None
+        assert spans["outer"]["parent"] == spans["test"]["span"]
+        assert spans["inner"]["parent"] == spans["outer"]["span"]
+        assert spans["outer"]["attrs"] == {"tuples": 8}
 
     def test_chrome_export_contains_nested_events(self):
         telemetry.set_recording(telemetry.SPANS)
@@ -523,15 +521,6 @@ class TestPeakGaugeMerge:
         reg.merge(second.snapshot())
         # A point-in-time gauge reports the latest observation.
         assert reg.snapshot()["gauges"]["exec.pool.occupancy"] == 0.3
-
-    def test_timing_quantiles_from_registry(self):
-        reg = MetricsRegistry()
-        for seconds in (0.01, 0.02, 0.02, 0.5):
-            reg.observe("bench.experiment_seconds", seconds)
-        quantiles = reg.timing_quantiles("bench.experiment_seconds")
-        assert set(quantiles) == {"p50", "p90", "p99"}
-        assert quantiles["p50"] <= quantiles["p90"] <= quantiles["p99"]
-        assert reg.timing_quantiles("no.such.timing") is None
 
 
 class TestInstantValidation:

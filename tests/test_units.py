@@ -15,14 +15,10 @@ class TestByteUnits:
         assert units.GB == 1000 * units.MB == 1_000_000 * units.KB
 
     def test_gib_round_trip(self):
-        assert units.to_gib(units.gib(2.5)) == pytest.approx(2.5)
-
-    def test_mib_round_trip(self):
-        assert units.to_mib(units.mib(7)) == pytest.approx(7.0)
+        assert units.gib(2.5) == 2.5 * units.GIB
 
     def test_rates(self):
         assert units.gib_per_s(1) == units.GIB
-        assert units.gb_per_s(75) == 75e9
 
 
 class TestParseBytes:
@@ -48,31 +44,7 @@ class TestParseBytes:
             units.parse_bytes(text)
 
 
-class TestThroughput:
-    def test_g_tuples_per_s(self):
-        assert units.g_tuples_per_s(2e9, 1.0) == pytest.approx(2.0)
-
-    def test_g_tuples_per_s_uses_total_cardinality_over_runtime(self):
-        # The paper's definition: (|R| + |S|) / runtime.
-        assert units.g_tuples_per_s(4096e6, 2.0) == pytest.approx(2.048)
-
-    def test_zero_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            units.g_tuples_per_s(1.0, 0.0)
-
-    def test_negative_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            units.g_tuples_per_s(1.0, -1.0)
-
-
 class TestPowersOfTwo:
-    @pytest.mark.parametrize("n", [1, 2, 4, 1024, 2**30])
-    def test_is_power_of_two_true(self, n):
-        assert units.is_power_of_two(n)
-
-    @pytest.mark.parametrize("n", [0, -2, 3, 6, 1000])
-    def test_is_power_of_two_false(self, n):
-        assert not units.is_power_of_two(n)
 
     @pytest.mark.parametrize(
         "n,expected", [(1, 1), (2, 2), (3, 4), (1000, 1024), (1025, 2048)]
@@ -83,20 +55,3 @@ class TestPowersOfTwo:
     def test_next_power_of_two_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             units.next_power_of_two(0)
-
-
-class TestAlignment:
-    def test_align_up(self):
-        assert units.align_up(100, 128) == 128
-        assert units.align_up(128, 128) == 128
-        assert units.align_up(129, 128) == 256
-
-    def test_align_down(self):
-        assert units.align_down(100, 128) == 0
-        assert units.align_down(129, 128) == 128
-
-    def test_alignment_must_be_positive(self):
-        with pytest.raises(ValueError):
-            units.align_up(1, 0)
-        with pytest.raises(ValueError):
-            units.align_down(1, -128)

@@ -1,15 +1,13 @@
-"""Unit tests for the Gantt visualizer and the CLI experiment runner."""
+"""Unit tests for the simulated timeline and the CLI experiment runner."""
 
 import pytest
 
 from repro.bench.__main__ import main as cli_main
 from repro.data.generator import generate_workload
-from repro.errors import ConfigurationError
 from repro.join import TritonJoin
 from repro.sim.engine import SimEngine
 from repro.sim.resources import Resource, ResourcePool
 from repro.sim.tasks import Task, TaskGraph, chain
-from repro.sim.visualize import gantt
 
 
 @pytest.fixture(scope="module")
@@ -21,51 +19,12 @@ def sim_result():
     return SimEngine(pool).run(graph), pool
 
 
-class TestGantt:
-    def test_contains_all_phases(self, sim_result):
-        result, _ = sim_result
-        chart = gantt(result)
-        assert "Phase A" in chart
-        assert "Phase B" in chart
-        assert "timeline" in chart
-
-    def test_per_task_mode(self, sim_result):
-        result, _ = sim_result
-        chart = gantt(result, by_phase=False)
-        assert "a " in chart or chart.count("|") >= 4
-
-    def test_sequence_is_visible(self, sim_result):
-        result, _ = sim_result
-        lines = gantt(result, width=30).splitlines()[1:]
-        row_a = next(l for l in lines if "Phase A" in l)
-        row_b = next(l for l in lines if "Phase B" in l)
-        bar_a = row_a.split("|")[1]
-        bar_b = row_b.split("|")[1]
-        # A occupies the first two thirds, B the last third.
-        assert bar_a[:10].count("█") > 5
-        assert bar_b[:10].strip() == ""
-        assert bar_b[-8:].count("█") > 3
-
-    def test_row_limit(self):
-        pool = ResourcePool({"link": Resource("link", 100.0)})
-        tasks = chain(
-            [Task(name=f"t{i}", demands={"link": 10.0}) for i in range(50)]
-        )
-        result = SimEngine(pool).run(TaskGraph(tasks))
-        chart = gantt(result, by_phase=False, max_rows=5)
-        assert "more tasks" in chart
-
-    def test_rejects_tiny_width(self, sim_result):
-        result, _ = sim_result
-        with pytest.raises(ConfigurationError):
-            gantt(result, width=2)
-
+class TestTimeline:
     def test_real_triton_timeline(self, system):
         workload = generate_workload(512, 512, scale_divisor=65536)
         run = TritonJoin(system).run(workload)
-        chart = gantt(run.sim)
-        for phase in ("Part 1", "Part 2", "Join"):
-            assert phase in chart
+        phases = {entry.phase for entry in run.sim.trace}
+        assert {"Part 1", "Part 2", "Join"} <= phases
 
 
 class TestCli:
