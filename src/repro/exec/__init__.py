@@ -1,20 +1,23 @@
 """Morsel-driven out-of-core execution (the ``repro.exec`` subsystem).
 
-Four layers, bottom up:
+Four modules, bottom up:
 
 - :mod:`repro.exec.spill` — budget-driven spilling of relations into
   :class:`~repro.data.chunked.ChunkedRelation` column files, with
   tempdir byte accounting;
 - :mod:`repro.exec.morsel` — morsel planning over contiguous radix
-  partition ranges and the per-morsel grouped-kernel execution whose
-  partial summaries merge byte-identically to the in-memory join;
+  partition ranges; the two morsel sources (partition-major arrays in
+  memory or shared memory, spilled shards), each owning its pool
+  transport; and the one morsel body whose partial summaries merge
+  byte-identically to the in-memory join;
 - :mod:`repro.exec.pool` — a persistent work-stealing worker pool that
-  receives columns zero-copy through ``multiprocessing.shared_memory``
-  (or shard paths for spilled joins) and recovers crashed workers'
-  morsels exactly;
-- :mod:`repro.exec.outofcore` — the orchestrator
-  :func:`~repro.exec.outofcore.out_of_core_join` that the batched join
-  dispatches to when the ambient :class:`ExecutionConfig` says so.
+  ships a source's descriptor, never its columns by name, and recovers
+  crashed workers' morsels exactly;
+- :mod:`repro.exec.outofcore` — the one morsel driver
+  (:func:`~repro.exec.outofcore.join_morsels`) every functional radix
+  join ends in, and :func:`~repro.exec.outofcore.out_of_core_join`,
+  which the batched join dispatches to when the ambient
+  :class:`ExecutionConfig` says so.
 
 Activate with ``exec_context.configured(ExecutionConfig(...))``, or
 per service query with ``JoinService.submit(spec, exec_config=...)``, or
@@ -26,30 +29,15 @@ the "Out-of-core execution" sections of docs/architecture.md and
 docs/performance.md.
 """
 
-from repro.exec.context import (
-    DEFAULT_MORSEL_ROWS,
-    ExecutionConfig,
-    active,
-    configured,
-    consume_notes,
-    record_note,
-    should_go_out_of_core,
-)
+from repro.exec.context import DEFAULT_MORSEL_ROWS, ExecutionConfig, configured
 from repro.exec.outofcore import out_of_core_join
-from repro.exec.pool import MorselPool, get_pool, shutdown_pool
-from repro.exec.spill import SpillManager
+from repro.exec.pool import get_pool, shutdown_pool
 
 __all__ = [
     "DEFAULT_MORSEL_ROWS",
     "ExecutionConfig",
-    "MorselPool",
-    "SpillManager",
-    "active",
     "configured",
-    "consume_notes",
     "get_pool",
     "out_of_core_join",
-    "record_note",
     "shutdown_pool",
-    "should_go_out_of_core",
 ]

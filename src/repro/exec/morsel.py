@@ -21,43 +21,37 @@ max_group + 1`` and ``b`` buckets per group sized from the morsel's
 build rows; absolute partition ids would bill every morsel for the
 whole fanout's slot space, rebasing keeps it proportional to the
 morsel — a cache-sized table per call, the way the paper sizes each
-partition's table to fast memory. :func:`serial_join` runs this loop
-in-process; it is the plain in-memory join behind
-:func:`repro.join.batched.batched_radix_join`, and the out-of-core
-executor runs the same morsels serially, off disk, or across the
-worker pool.
+partition's table to fast memory.
+
+A source also owns its pool transport: :meth:`ArraySource.descriptor`
+and :meth:`ChunkedSource.descriptor` say what a worker needs to reach
+the columns (shared-memory segment names, or shard directories), and
+:func:`open_source` rebuilds the source from that inside the worker.
+:func:`run_morsel` is the executor's one morsel body, inline or on a
+worker; :func:`repro.exec.outofcore.join_morsels` drives the morsels.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from multiprocessing import shared_memory
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.data.chunked import ChunkedRelation
 from repro.data.relation import Relation
-from repro.hashing.batch import DEFAULT_BUCKETS, grouped_bucket_chaining_join
+from repro.hashing.batch import grouped_bucket_chaining_join
 from repro.hashing.functions import hash_u64, radix_window
 from repro.join import base
 from repro.join.base import JoinMatch
-from repro.kernels.scatter import (
-    DENSE_FLOOR_ENTRIES,
-    counting_order_and_offsets,
-)
-
-#: Fewest rows a partition-capped in-memory morsel may hold on average
-#: (see :func:`serial_join`); below it, per-morsel dispatch costs more
-#: than the dense probe saves.
-MIN_DENSE_MORSEL_ROWS = 4096
+from repro.kernels.scatter import counting_order_and_offsets
 
 #: One morsel's functional outcome: (matches, key_checksum,
 #: payload_checksum, rows_processed).
 Partial = Tuple[int, int, int, int]
-
-EMPTY_PARTIAL: Partial = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,67 @@ def plan_morsels(
     return morsels
 
 
+# -- shared memory --------------------------------------------------------------
+
+
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment without adopting its lifetime.
+
+    Attaching registers the segment with the resource tracker, which
+    would unlink the parent's segment when the worker exits
+    (bpo-38119) — and under the fork start method the tracker is
+    *shared* with the parent, so unregister-after-attach would strip
+    the creator's own registration. Suppressing registration during
+    the attach avoids both failure modes (Python 3.13's ``track=False``
+    made this official; the worker is single-threaded here, so the
+    temporary patch cannot race).
+    """
+    from multiprocessing import resource_tracker
+
+    original = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = original
+
+
+class ShmBlock:
+    """One shared-memory segment viewed as a numpy array.
+
+    Without ``name`` it creates the segment and owns it (:meth:`close`
+    unlinks it); with a :meth:`descriptor`'s ``name`` it attaches to the
+    creator's segment and only unmaps it.
+    """
+
+    def __init__(
+        self, rows: int, dtype: np.dtype, name: Optional[str] = None
+    ) -> None:
+        rows, dtype = int(rows), np.dtype(dtype)
+        self.owner = name is None
+        self.segment = (
+            shared_memory.SharedMemory(
+                create=True, size=max(1, rows * dtype.itemsize)
+            )
+            if self.owner
+            else _attach(name)
+        )
+        self.array = np.ndarray(rows, dtype=dtype, buffer=self.segment.buf)
+
+    def descriptor(self) -> Tuple[int, str, str]:
+        """``ShmBlock(*descriptor)`` attaches to this segment."""
+        return (len(self.array), self.array.dtype.str, self.segment.name)
+
+    def close(self) -> None:
+        self.array = None
+        self.segment.close()
+        if self.owner:
+            try:
+                self.segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+
+
 # -- sources --------------------------------------------------------------------
 
 
@@ -133,6 +188,8 @@ class ArraySource:
     :class:`ChunkedSource` does: rehashing a morsel's keys while they
     are cache-resident is cheaper than scattering (and, for the pool,
     shipping) more full columns — one scatter call moves at most two.
+    ``blocks`` are the shared-memory segments behind the three columns
+    when the source is pooled; :meth:`close` releases them.
     """
 
     build_keys: np.ndarray
@@ -140,11 +197,16 @@ class ArraySource:
     probe_keys: np.ndarray
     build_offsets: np.ndarray
     probe_offsets: np.ndarray
+    blocks: Tuple[ShmBlock, ...] = ()
 
     @property
     def bits1(self) -> int:
         """The pass-1 radix bits the partitions were scattered by."""
         return (len(self.build_offsets) - 1).bit_length() - 1
+
+    def sizes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-partition build and probe rows."""
+        return np.diff(self.build_offsets), np.diff(self.probe_offsets)
 
     def load(self, morsel: Morsel):
         lo, hi = morsel.lo, morsel.hi
@@ -162,6 +224,21 @@ class ArraySource:
             hash_u64(probe_keys),
         )
 
+    def descriptor(self) -> tuple:
+        """The pool job's view of this source: its segments and offsets."""
+        if not self.blocks:
+            raise ValueError("only a shared-memory source can be pooled")
+        return (
+            "shm",
+            tuple(block.descriptor() for block in self.blocks),
+            self.build_offsets,
+            self.probe_offsets,
+        )
+
+    def close(self) -> None:
+        for block in self.blocks:
+            block.close()
+
 
 @dataclass
 class ChunkedSource:
@@ -176,12 +253,20 @@ class ChunkedSource:
 
     build: ChunkedRelation
     probe: ChunkedRelation
-    build_value_column: str
+
+    @property
+    def build_value_column(self) -> str:
+        """The build side's first payload column, or its keys without one."""
+        return next((c for c in self.build.columns if c != "key"), "key")
 
     @property
     def bits1(self) -> int:
         """The spill's radix bits (0 for a single all-rows partition)."""
         return self.build.bits
+
+    def sizes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-partition build and probe rows."""
+        return self.build.partition_sizes(), self.probe.partition_sizes()
 
     def load(self, morsel: Morsel):
         lo, hi = morsel.lo, morsel.hi
@@ -200,26 +285,32 @@ class ChunkedSource:
             hash_u64(probe_keys),
         )
 
+    def descriptor(self) -> tuple:
+        """The pool job's view of this source: its two shard directories."""
+        directories = (self.build.directory, self.probe.directory)
+        return ("chunked", *map(str, directories))
+
     def close(self) -> None:
         self.build.close()
         self.probe.close()
 
 
-def chunked_source(
-    build: ChunkedRelation, probe: ChunkedRelation
-) -> ChunkedSource:
-    """Two spilled relations as one join source (the build side's
-    first payload column, or its keys when it has none, is the value)."""
-    value_column = next((c for c in build.columns if c != "key"), "key")
-    return ChunkedSource(
-        build=build, probe=probe, build_value_column=value_column
-    )
+def open_source(descriptor: tuple):
+    """Rebuild a source from its ``descriptor()`` inside a pool worker.
 
-
-def open_chunked_source(build_dir: str, probe_dir: str) -> ChunkedSource:
-    """Attach to two spilled relation directories as one join source."""
-    return chunked_source(
-        ChunkedRelation(build_dir), ChunkedRelation(probe_dir)
+    The source attaches to the parent's segments or opens the shard
+    files; its ``close`` unmaps or closes them and leaves them in place.
+    """
+    kind, *fields = descriptor
+    if kind == "chunked":
+        return ChunkedSource(*map(ChunkedRelation, fields))
+    blocks, build_offsets, probe_offsets = fields
+    blocks = tuple(ShmBlock(*block) for block in blocks)
+    return ArraySource(
+        *(block.array for block in blocks),
+        build_offsets=build_offsets,
+        probe_offsets=probe_offsets,
+        blocks=blocks,
     )
 
 
@@ -227,47 +318,64 @@ def open_chunked_source(build_dir: str, probe_dir: str) -> ChunkedSource:
 
 
 def partition_state(
-    build: Relation,
-    probe: Relation,
-    bits1: int,
-    allocate: Optional[Callable[[str, int, np.dtype], np.ndarray]] = None,
+    build: Relation, probe: Relation, bits1: int, shared: bool = False
 ) -> ArraySource:
     """One partitioning pass producing a morsel-ready :class:`ArraySource`.
 
     Hash once and counting-scatter by the ``bits1`` window once per
     relation: the scatter writes the build key and value columns (one
     call) and the probe keys (another) straight into partition-major
-    order, with no order array or gather. ``allocate(name, rows,
-    dtype)`` supplies the destination arrays — the pool path hands in
-    shared-memory-backed arrays so the scatter writes straight into the
-    segments workers attach to, with no extra copy or pickling.
+    order, with no order array or gather. ``shared`` scatters straight
+    into shared-memory segments the source owns, which pool workers
+    attach to with no extra copy or pickling.
     """
     fanout = 1 << bits1
-    if allocate is None:
-        def allocate(name, rows, dtype):
-            return np.empty(rows, dtype=dtype)
+    blocks: List[ShmBlock] = []
 
-    def scatter(relation, names, columns):
+    def allocate(rows, dtype):
+        if not shared:
+            return np.empty(rows, dtype=dtype)
+        blocks.append(ShmBlock(rows, dtype))
+        return blocks[-1].array
+
+    def scatter(relation, columns):
         selector = radix_window(hash_u64(relation.keys), bits1)
-        out = [
-            allocate(name, len(relation), column.dtype)
-            for name, column in zip(names, columns)
-        ]
+        out = [allocate(len(relation), column.dtype) for column in columns]
         return counting_order_and_offsets(
             selector, fanout, columns=columns, out=out
         )
 
-    (build_keys, build_values), build_offsets = scatter(
-        build, ("bk", "bv"), (build.keys, base.build_payload_column(build))
-    )
-    (probe_keys,), probe_offsets = scatter(probe, ("pk",), (probe.keys,))
+    try:
+        (build_keys, build_values), build_offsets = scatter(
+            build, (build.keys, base.build_payload_column(build))
+        )
+        (probe_keys,), probe_offsets = scatter(probe, (probe.keys,))
+    except BaseException:
+        for block in blocks:
+            block.close()
+        raise
     return ArraySource(
         build_keys=build_keys,
         build_values=build_values,
         probe_keys=probe_keys,
         build_offsets=build_offsets,
         probe_offsets=probe_offsets,
+        blocks=tuple(blocks),
     )
+
+
+def plan_source(
+    source,
+    morsel_rows: int,
+    histogram: Optional[np.ndarray] = None,
+    max_partitions: Optional[int] = None,
+) -> List[Morsel]:
+    """:func:`plan_morsels` over ``source``'s partitions; ``histogram``,
+    if given, receives the pass-1 partition sizes (build + probe)."""
+    build_sizes, probe_sizes = source.sizes()
+    if histogram is not None:
+        np.add(build_sizes, probe_sizes, out=histogram)
+    return plan_morsels(build_sizes, probe_sizes, morsel_rows, max_partitions)
 
 
 # -- execution ------------------------------------------------------------------
@@ -293,71 +401,28 @@ def execute_morsel(source, morsel: Morsel) -> Partial:
     return (part.matches, part.key_checksum, part.payload_checksum, rows)
 
 
+def run_morsel(source, morsel: Morsel, **attrs) -> Partial:
+    """The executor's morsel body, inline or on a pool worker.
+
+    Opens the ``morsel[i]`` span (``attrs`` add to its ``rows``), times
+    the kernel into ``exec.morsel_seconds`` and counts ``exec.morsels``
+    and ``exec.morsel_rows``, so a query's telemetry does not depend on
+    where its morsels ran.
+    """
+    started = time.perf_counter()
+    with telemetry.span(f"morsel[{morsel.index}]", rows=morsel.rows, **attrs):
+        partial = execute_morsel(source, morsel)
+    telemetry.registry.observe(
+        "exec.morsel_seconds", time.perf_counter() - started
+    )
+    telemetry.registry.count("exec.morsels")
+    telemetry.registry.count("exec.morsel_rows", partial[3])
+    return partial
+
+
 def merge_partials(partials: Iterable[Partial]) -> JoinMatch:
     """Fold per-morsel partials into the exact whole-join summary."""
     match = base.NO_MATCH
     for m, kcs, pcs, _rows in partials:
         match = base.merge_matches(match, JoinMatch(m, kcs, pcs))
     return match
-
-
-def fill_histogram(
-    histogram: Optional[np.ndarray],
-    build_sizes: np.ndarray,
-    probe_sizes: np.ndarray,
-) -> None:
-    """Write the pass-1 histogram (build + probe sizes) if one is asked for."""
-    if histogram is not None:
-        np.add(build_sizes, probe_sizes, out=histogram)
-
-
-def serial_join(
-    build: Relation,
-    probe: Relation,
-    bits1: int,
-    morsel_rows: int,
-    histogram: Optional[np.ndarray] = None,
-) -> JoinMatch:
-    """The in-memory join: one partitioning pass, then serial morsels.
-
-    ``histogram`` receives the pass-1 partition sizes (see
-    :func:`fill_histogram`). Uninstrumented on purpose — the ``exec.*``
-    counters describe the out-of-core executor, and this is every plain
-    in-memory join.
-    """
-    source = partition_state(build, probe, bits1)
-    build_sizes = np.diff(source.build_offsets)
-    probe_sizes = np.diff(source.probe_offsets)
-    fill_histogram(histogram, build_sizes, probe_sizes)
-    # At most ``dense_span`` partitions' full-size (paper geometry)
-    # tables fit under the kernels' dense-offsets floor, so a morsel
-    # that narrow probes by O(1) lookups whatever its rows. Sparse
-    # partitions keep the row target alone: capped morsels would be too
-    # small to amortize their dispatch.
-    dense_span = max(1, (DENSE_FLOOR_ENTRIES - 1) // DEFAULT_BUCKETS)
-    rows_per_partition = (len(build) + len(probe)) / len(build_sizes)
-    morsels = plan_morsels(
-        build_sizes,
-        probe_sizes,
-        morsel_rows,
-        max_partitions=(
-            dense_span
-            if dense_span * rows_per_partition >= MIN_DENSE_MORSEL_ROWS
-            else None
-        ),
-    )
-    return merge_partials(execute_morsel(source, morsel) for morsel in morsels)
-
-
-def run_serial(source, morsels: List[Morsel]) -> List[Partial]:
-    """Execute every morsel in-process, in order."""
-    partials = []
-    for morsel in morsels:
-        started = time.perf_counter()
-        partials.append(execute_morsel(source, morsel))
-        telemetry.registry.observe(
-            "exec.morsel_seconds", time.perf_counter() - started
-        )
-        telemetry.registry.count("exec.morsels")
-        telemetry.registry.count("exec.morsel_rows", partials[-1][3])
-    return partials

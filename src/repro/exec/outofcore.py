@@ -1,20 +1,26 @@
-"""The out-of-core join executor: spill, morsel, pool — one entry point.
+"""The morsel executor: one driver for every radix join, and the
+out-of-core entry point.
 
-:func:`out_of_core_join` is what :func:`repro.join.batched.
-batched_radix_join` dispatches to when an ambient
+:func:`join_morsels` runs a source's morsels and merges their
+partials; every functional radix join ends in it. The plain in-memory
+join (:func:`repro.join.batched.batched_radix_join`) calls it with no
+worker count, so each morsel is the bare kernel. :func:`out_of_core_join`
+is what the batched join dispatches to when an ambient
 :class:`~repro.exec.context.ExecutionConfig` says this join should
-leave the in-memory path. It picks one of three executions:
+leave the in-memory path. It builds one of two sources:
 
-- **in-memory morsels** (state fits the budget, ``force`` set): one
+- **in-memory** (state fits the budget, ``force`` set): one
   partitioning pass lays both relations out partition-major —
-  straight into shared-memory segments when a pool is configured —
-  and morsels stream through the grouped kernels;
-- **spill morsels** (state exceeds the budget): both relations are
+  straight into shared-memory segments when a pool is configured;
+- **spilled** (state exceeds the budget): both relations are
   radix-spilled to disk shards first (one file per column), and each
   morsel reads only its partition range of every shard back off disk —
   the join's working set is one morsel's rows, not the relations;
-- each of the above either **serially** or across the **morsel pool**
-  (``workers > 0``), with work stealing and crash recovery.
+
+and runs its morsels either **inline** or across the **morsel pool**
+(``workers > 0``), with work stealing and crash recovery. Inline and
+pooled morsels run one body (:func:`repro.exec.morsel.run_morsel`), so
+their ``exec.morsel*`` metrics and ``morsel[i]`` spans agree.
 
 Every execution deposits a summary note via
 :func:`repro.exec.context.record_note` (mode, morsels, steals,
@@ -26,9 +32,10 @@ pool-occupancy counter series next to the simulator's timelines.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import namedtuple
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,16 +43,15 @@ from repro import telemetry
 from repro.data.relation import Relation
 from repro.exec import context
 from repro.exec.morsel import (
+    ChunkedSource,
     Morsel,
-    chunked_source,
     execute_morsel,
-    fill_histogram,
     merge_partials,
     partition_state,
-    plan_morsels,
-    run_serial,
+    plan_source,
+    run_morsel,
 )
-from repro.exec.pool import PoolResult, ShmBlock, get_pool
+from repro.exec.pool import PoolResult, get_pool
 from repro.exec.spill import SpillManager
 from repro.join.base import JoinMatch
 
@@ -88,41 +94,73 @@ def _add_pool_track(result: PoolResult) -> None:
     )
 
 
-def _run_pool(
-    job: dict,
-    source,
-    morsels: List[Morsel],
-    workers: int,
-) -> PoolResult:
-    """Ship one job to the shared pool; recovery re-runs inline."""
-    pool = get_pool(workers)
-    result = pool.run(
-        job, morsels, recover=lambda m: execute_morsel(source, m)
+def join_morsels(
+    source, morsels: List[Morsel], workers: Optional[int] = None
+) -> Tuple[JoinMatch, dict]:
+    """Run ``source``'s ``morsels`` and merge them: ``(match, detail)``.
+
+    ``workers=None`` is the plain in-memory join: bare kernel calls, no
+    ``exec.*`` metric, span or note detail. Otherwise each morsel is
+    :func:`~repro.exec.morsel.run_morsel`, inline for ``workers=0`` or a
+    single morsel, else on the shared pool of ``workers`` (a morsel a
+    dead worker left is re-run inline). ``detail`` is the note's
+    morsel and pool fields.
+    """
+    if workers is None:
+        partials = (execute_morsel(source, morsel) for morsel in morsels)
+        return merge_partials(partials), {}
+    if workers == 0 or len(morsels) <= 1:
+        partials = [run_morsel(source, morsel) for morsel in morsels]
+        return merge_partials(partials), {"morsels": len(morsels), "steals": 0}
+    result = get_pool(workers).run(
+        source, morsels, recover=lambda morsel: run_morsel(source, morsel)
     )
     if telemetry.recording() == telemetry.SPANS and result.intervals:
         _add_pool_track(result)
-    return result
+    return merge_partials(result.partials), {
+        "morsels": len(morsels),
+        "steals": result.steals,
+        "occupancy": round(result.occupancy, 4),
+        "recovered": result.recovered,
+        "worker_deaths": result.deaths,
+        "pool_wall_seconds": round(result.wall_seconds, 4),
+    }
+
+
+def _projection(relation: Relation, payloads: int) -> Relation:
+    """``relation``'s key and its first ``payloads`` payload columns
+    (with none, deferred payloads are not drawn)."""
+    names = relation.column_names()[1:1 + payloads]
+    return Relation(
+        relation.keys,
+        {name: relation.payloads[name] for name in names},
+        nominal_rows=relation.nominal_rows,
+        name=relation.name,
+    )
 
 
 def out_of_core_join(
     build: Relation,
     probe: Relation,
     bits1: int,
-    bits2: int = 0,
     config: Optional[context.ExecutionConfig] = None,
     histogram: Optional[np.ndarray] = None,
 ) -> JoinMatch:
     """Morsel-driven join, byte-identical to the in-memory batched path.
 
-    ``bits1`` is the radix window (the morsel partition fanout).
-    ``bits2`` is accepted for signature compatibility with the batched
-    path but unused: the second-pass subdivision exists to bound GPU
-    scratchpad tables, while here each morsel's grouped kernel already
-    works on one ``bits1`` partition's bucket space — and the match
-    summary is order-independent, so skipping the composite reorder
-    changes no output byte (tests cross-check this). ``histogram``
-    receives the pass-1 partition sizes, as in
-    :func:`~repro.exec.morsel.serial_join`.
+    ``bits1`` is the radix window (the morsel partition fanout); the
+    second pass is not run, since each morsel's grouped kernel already
+    works on one ``bits1`` partition's bucket space and the match
+    summary is order-independent (tests cross-check this).
+    ``histogram`` receives the pass-1 partition sizes, as in
+    :func:`~repro.join.batched.batched_radix_join`.
+
+    Only what a morsel kernel reads is spilled: the build side's key
+    and first payload column (the hash table value), the probe side's
+    key. Shard sizing follows that projection's width. The in-memory
+    relations stay referenced by the caller; what out-of-core buys is
+    that the *join's working set* — the partition-major copies the
+    in-memory path would scatter — never materializes.
     """
     cfg = config if config is not None else context.active()
     if cfg is None:
@@ -143,11 +181,29 @@ def out_of_core_join(
         build=len(build),
         probe=len(probe),
         bits1=bits1,
-    ):
+    ), contextlib.ExitStack() as stack:
+        spilled = {}
         if spill:
-            match, detail = _spilled_join(build, probe, bits1, cfg, histogram)
+            # The manager's cleanup closes the files the source opens.
+            manager = stack.enter_context(
+                SpillManager(cfg.budget_bytes, cfg.spill_dir)
+            )
+            source = ChunkedSource(
+                manager.spill(_projection(build, 1), bits1),
+                manager.spill(_projection(probe, 0), bits1),
+            )
+            spilled = {
+                "spilled_bytes": manager.tempdir_bytes(),
+                "shards": source.build.shards + source.probe.shards,
+            }
         else:
-            match, detail = _memory_join(build, probe, bits1, cfg, histogram)
+            with telemetry.span("oc:partition", bits1=bits1):
+                source = partition_state(
+                    build, probe, bits1, shared=workers > 0
+                )
+            stack.callback(source.close)
+        morsels = plan_source(source, cfg.morsel_rows, histogram)
+        match, detail = join_morsels(source, morsels, workers)
 
     note = {
         "mode": mode,
@@ -157,118 +213,6 @@ def out_of_core_join(
         "seconds": round(time.time() - started, 4),
         "bits1": bits1,
     }
-    note.update(detail)
+    note.update(detail, **spilled)
     context.record_note(note)
     return match
-
-
-def _finish(result, morsels: List[Morsel]) -> tuple:
-    """Merge a serial partial list or a PoolResult into (match, detail)."""
-    if isinstance(result, PoolResult):
-        return merge_partials(result.partials), {
-            "morsels": len(morsels),
-            "steals": result.steals,
-            "occupancy": round(result.occupancy, 4),
-            "recovered": result.recovered,
-            "worker_deaths": result.deaths,
-            "pool_wall_seconds": round(result.wall_seconds, 4),
-        }
-    return merge_partials(result), {"morsels": len(morsels), "steals": 0}
-
-
-def _memory_join(
-    build: Relation,
-    probe: Relation,
-    bits1: int,
-    cfg: context.ExecutionConfig,
-    histogram: Optional[np.ndarray],
-) -> tuple:
-    """In-memory morsel execution (serial or pooled)."""
-    use_pool = cfg.workers > 0 and len(build) and len(probe)
-    blocks: List[ShmBlock] = []
-
-    def allocate(name, rows, dtype):
-        if not use_pool:
-            return np.empty(rows, dtype=dtype)
-        block = ShmBlock(rows, dtype)
-        blocks.append((name, block))
-        return block.array
-
-    try:
-        with telemetry.span("oc:partition", bits1=bits1):
-            source = partition_state(build, probe, bits1, allocate=allocate)
-        build_sizes = np.diff(source.build_offsets)
-        probe_sizes = np.diff(source.probe_offsets)
-        fill_histogram(histogram, build_sizes, probe_sizes)
-        morsels = plan_morsels(build_sizes, probe_sizes, cfg.morsel_rows)
-        if use_pool and len(morsels) > 1:
-            job = {
-                "mode": "shm",
-                "blocks": {
-                    name: block.descriptor() for name, block in blocks
-                },
-                "build_offsets": source.build_offsets,
-                "probe_offsets": source.probe_offsets,
-            }
-            result = _run_pool(job, source, morsels, cfg.workers)
-        else:
-            result = run_serial(source, morsels)
-        return _finish(result, morsels)
-    finally:
-        for _name, block in blocks:
-            block.release()
-
-
-def _projection(relation: Relation, payloads: int) -> Relation:
-    """``relation``'s key and its first ``payloads`` payload columns
-    (with none, deferred payloads are not drawn)."""
-    names = relation.column_names()[1:1 + payloads]
-    return Relation(
-        relation.keys,
-        {name: relation.payloads[name] for name in names},
-        nominal_rows=relation.nominal_rows,
-        name=relation.name,
-    )
-
-
-def _spilled_join(
-    build: Relation,
-    probe: Relation,
-    bits1: int,
-    cfg: context.ExecutionConfig,
-    histogram: Optional[np.ndarray],
-) -> tuple:
-    """Spill both relations to radix shards, stream morsels off disk.
-
-    Only what a morsel kernel reads is spilled: the build side's key
-    and first payload column (the hash table value), the probe side's
-    key. Shard sizing follows that projection's width.
-    """
-    with SpillManager(cfg.budget_bytes, cfg.spill_dir) as manager:
-        chunked_build = manager.spill(_projection(build, 1), bits1)
-        chunked_probe = manager.spill(_projection(probe, 0), bits1)
-        spilled_bytes = manager.tempdir_bytes()
-        # The in-memory relations stay referenced by the caller; what
-        # out-of-core buys here is that the *join's working set* — the
-        # partition-major copies the in-memory path would scatter — never
-        # materializes. Production ingestion would build the shards
-        # directly and skip the Relation entirely.
-        # The manager's cleanup closes the files this source opens.
-        source = chunked_source(chunked_build, chunked_probe)
-        build_sizes = chunked_build.partition_sizes()
-        probe_sizes = chunked_probe.partition_sizes()
-        fill_histogram(histogram, build_sizes, probe_sizes)
-        morsels = plan_morsels(build_sizes, probe_sizes, cfg.morsel_rows)
-        if cfg.workers > 0 and len(morsels) > 1:
-            job = {
-                "mode": "chunked",
-                "build_dir": str(chunked_build.directory),
-                "probe_dir": str(chunked_probe.directory),
-            }
-            result = _run_pool(job, source, morsels, cfg.workers)
-        else:
-            result = run_serial(source, morsels)
-        match, detail = _finish(result, morsels)
-        detail["spilled_bytes"] = spilled_bytes
-        detail["shards"] = chunked_build.shards + chunked_probe.shards
-        return match, detail

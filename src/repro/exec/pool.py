@@ -1,14 +1,15 @@
-"""Persistent morsel-pool workers with shared-memory transport.
+"""Persistent morsel-pool workers and their work-stealing scheduler.
 
 The pool keeps ``N`` worker processes alive across joins (fork start
 method where available, so workers inherit the loaded modules) and
-feeds them **jobs**: a join's partition-major columns plus a morsel
-list. Columns travel zero-copy — the parent scatters them straight into
-``multiprocessing.shared_memory`` segments and ships only the segment
-*names*; each worker maps the segments and slices its morsels as views.
-Spilled joins ship even less: just the two shard-directory paths; every
-worker opens the column files once per job and reads its morsels off
-disk.
+feeds them **jobs**: a morsel source's ``descriptor()`` plus a morsel
+list. The pool does not know what a descriptor holds — the source
+(:mod:`repro.exec.morsel`) builds it and
+:func:`~repro.exec.morsel.open_source` reopens it inside the worker:
+an in-memory source ships its shared-memory segment names, so every
+worker slices its morsels as zero-copy views, and a spilled source
+ships its two shard directories, whose column files every worker opens
+once per job.
 
 Scheduling is morsel-driven work stealing. A control block (one more
 shared-memory segment of ``int64``) holds, under a single shared lock::
@@ -45,14 +46,19 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.exec.morsel import Morsel, Partial, execute_morsel
+from repro.exec.morsel import (
+    Morsel,
+    Partial,
+    ShmBlock,
+    open_source,
+    run_morsel,
+)
 
 #: Hard ceiling on one job's wall-clock before the parent gives up on
 #: the pool (a worker wedged while holding the claim lock).
@@ -65,87 +71,7 @@ _POLL_SECONDS = 0.2
 CRASH_EXIT_CODE = 17
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Map an existing segment without adopting its lifetime.
-
-    Attaching registers the segment with the resource tracker, which
-    would unlink the parent's segment when the worker exits
-    (bpo-38119) — and under the fork start method the tracker is
-    *shared* with the parent, so unregister-after-attach would strip
-    the creator's own registration. Suppressing registration during
-    the attach avoids both failure modes (Python 3.13's ``track=False``
-    made this official; the worker is single-threaded here, so the
-    temporary patch cannot race).
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class ShmBlock:
-    """One parent-owned shared-memory segment viewed as a numpy array."""
-
-    def __init__(self, rows: int, dtype: np.dtype) -> None:
-        dtype = np.dtype(dtype)
-        self.rows = int(rows)
-        self.dtype = dtype
-        self.segment = shared_memory.SharedMemory(
-            create=True, size=max(1, self.rows * dtype.itemsize)
-        )
-        self.array = np.ndarray(
-            self.rows, dtype=dtype, buffer=self.segment.buf
-        )
-
-    def descriptor(self) -> Tuple[str, int, str]:
-        return (self.segment.name, self.rows, self.dtype.str)
-
-    def release(self) -> None:
-        self.array = None
-        self.segment.close()
-        try:
-            self.segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _view(segment: shared_memory.SharedMemory, rows: int, dtype: str):
-    return np.ndarray(rows, dtype=np.dtype(dtype), buffer=segment.buf)
-
-
 # -- worker side ----------------------------------------------------------------
-
-
-def _open_source(job: dict, handles: list):
-    """Reconstruct the job's morsel source inside a worker.
-
-    Whatever the source holds open (shared-memory segments, column
-    files) is appended to ``handles`` for the job's teardown to close.
-    """
-    if job["mode"] == "chunked":
-        from repro.exec.morsel import open_chunked_source
-
-        source = open_chunked_source(job["build_dir"], job["probe_dir"])
-        handles.append(source)
-        return source
-    from repro.exec.morsel import ArraySource
-
-    arrays = {}
-    for name, descriptor in job["blocks"].items():
-        segment = _attach(descriptor[0])
-        handles.append(segment)
-        arrays[name] = _view(segment, descriptor[1], descriptor[2])
-    return ArraySource(
-        build_keys=arrays["bk"],
-        build_values=arrays["bv"],
-        probe_keys=arrays["pk"],
-        build_offsets=job["build_offsets"],
-        probe_offsets=job["probe_offsets"],
-    )
 
 
 def _claim(ctrl: np.ndarray, workers: int, worker_id: int, lock):
@@ -186,18 +112,15 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
     # tree, and morsel events carry the dispatching query's tags.
     with telemetry.capture(job["telemetry"]) as envelope:
         try:
-            source = _open_source(job, handles)
-            control = _attach(job["control"])
-            handles.append(control)
             workers = job["workers"]
             morsels = job["morsels"]
-            ctrl = _view(
-                control,
-                2 * workers + 1 + len(morsels),
-                np.dtype(np.int64).str,
-            )
-            die_on = job.get("die_on") or {}
-            sleep_on = job.get("sleep_on") or {}
+            control = ShmBlock(*job["control"])
+            handles.append(control)
+            ctrl = control.array
+            source = open_source(job["source"])
+            handles.append(source)
+            die_on = job["die_on"] or {}
+            sleep_on = job["sleep_on"] or {}
             epoch = time.perf_counter()
             while True:
                 claim = _claim(ctrl, workers, worker_id, lock)
@@ -229,25 +152,18 @@ def _run_job(worker_id: int, job: dict, lock) -> dict:
                     # flag this worker as silent.
                     time.sleep(pause[1])
                 started = time.perf_counter() - epoch
-                with telemetry.span(
-                    f"morsel[{index}]",
-                    worker=worker_id,
-                    stolen=stolen,
-                    rows=morsels[index][3],
-                ):
-                    partial = execute_morsel(source, Morsel(*morsels[index]))
+                partial = run_morsel(
+                    source, morsels[index], worker=worker_id, stolen=stolen
+                )
                 ended = time.perf_counter() - epoch
                 ctrl[2 * workers + 1 + index] = 1
                 out["partials"].append((index, partial))
                 out["intervals"].append((index, started, ended, stolen))
                 out["busy"] += ended - started
-                telemetry.registry.observe(
-                    "exec.morsel_seconds", ended - started
-                )
         except BaseException as error:  # noqa: BLE001 - report, don't kill worker
             out["error"] = repr(error)
         finally:
-            for handle in handles:
+            for handle in reversed(handles):
                 try:
                     handle.close()
                 except Exception:  # pragma: no cover - teardown best effort
@@ -378,22 +294,14 @@ class MorselPool:
         proc.start()
         self._procs[index] = proc
 
-    def ensure_started(self) -> int:
-        """Spawn missing or dead workers; returns respawn count."""
-        respawned = 0
+    def ensure_started(self) -> None:
+        """Spawn missing or dead workers."""
         for index, proc in enumerate(self._procs):
             if proc is None or not proc.is_alive():
                 if proc is not None:
                     proc.join(timeout=1.0)
-                    respawned += 1
                     telemetry.emit_event("worker.respawn", worker=index)
                 self._spawn(index)
-        return respawned
-
-    def alive(self) -> int:
-        return sum(
-            1 for proc in self._procs if proc is not None and proc.is_alive()
-        )
 
     def shutdown(self) -> None:
         for index, proc in enumerate(self._procs):
@@ -413,179 +321,181 @@ class MorselPool:
 
     def run(
         self,
-        job: dict,
+        source,
         morsels: List[Morsel],
         recover: Callable[[Morsel], Partial],
         timeout: float = DEFAULT_JOB_TIMEOUT,
         stall_after: float = DEFAULT_STALL_SECONDS,
+        die_on: Optional[Dict[int, int]] = None,
+        sleep_on: Optional[Dict[int, Tuple[int, float]]] = None,
     ) -> PoolResult:
-        """Thread-safe entry: one job owns the pool at a time."""
-        with self._run_lock:
-            return self._run(job, morsels, recover, timeout, stall_after)
+        """Execute ``source``'s ``morsels`` across the pool.
 
-    def _run(
-        self,
-        job: dict,
-        morsels: List[Morsel],
-        recover: Callable[[Morsel], Partial],
-        timeout: float = DEFAULT_JOB_TIMEOUT,
-        stall_after: float = DEFAULT_STALL_SECONDS,
-    ) -> PoolResult:
-        """Execute ``morsels`` under ``job``'s payload across the pool.
-
-        ``job`` carries the source description (shared-memory block
-        descriptors or shard directories) and optional
-        ``die_on`` / ``sleep_on``; this method adds the control block,
-        the per-worker ranges and the telemetry settings. ``recover`` re-executes a
+        Thread-safe: one job owns the pool at a time. The job ships the
+        source's ``descriptor()``, the control block, the per-worker
+        ranges and the telemetry settings. ``recover`` re-executes a
         morsel inline in the parent when its done flag never appeared
         (worker death). ``stall_after`` is the silent-seconds threshold
         past which a still-pending worker is flagged ``worker.stalled``.
+        The test hooks ``die_on`` (``{worker: morsel}``: exit on claiming
+        it) and ``sleep_on`` (``{worker: (morsel, seconds)}``: hold it)
+        fault one worker deterministically.
         """
         if not morsels:
             return PoolResult(partials=[], workers=0)
-        self.ensure_started()
-        workers = self.workers
-        count = len(morsels)
-        control = ShmBlock(2 * workers + 1 + count, np.dtype(np.int64))
-        ctrl = control.array
-        ctrl[:] = 0
-        # Contiguous equal-count ranges; stealing rebalances the rest.
-        bounds = [round(i * count / workers) for i in range(workers + 1)]
-        for w in range(workers):
-            ctrl[w] = bounds[w]
-            ctrl[workers + w] = bounds[w + 1]
+        with self._run_lock:
+            self.ensure_started()
+            workers = self.workers
+            count = len(morsels)
+            control = ShmBlock(2 * workers + 1 + count, np.dtype(np.int64))
+            ctrl = control.array
+            ctrl[:] = 0
+            # Contiguous equal-count ranges; stealing rebalances the rest.
+            bounds = [round(i * count / workers) for i in range(workers + 1)]
+            for w in range(workers):
+                ctrl[w] = bounds[w]
+                ctrl[workers + w] = bounds[w + 1]
 
-        job = dict(job)
-        job["job_id"] = next(self._job_ids)
-        job["workers"] = workers
-        job["control"] = control.segment.name
-        job["morsels"] = [(m.index, m.lo, m.hi, m.rows) for m in morsels]
-        # The telemetry settings ride in the job payload so every pool
-        # entry point (out-of-core runner, direct tests) inherits the
-        # dispatching thread's recording level and ambient span without
-        # threading a parameter.
-        job["telemetry"] = telemetry.settings()
+            job = {
+                "job_id": next(self._job_ids),
+                "source": source.descriptor(),
+                "workers": workers,
+                "control": control.descriptor(),
+                "morsels": morsels,
+                # The telemetry settings ride in the job payload so every
+                # pool entry point (out-of-core runner, direct tests)
+                # inherits the dispatching thread's recording level and
+                # ambient span without threading a parameter.
+                "telemetry": telemetry.settings(),
+                "die_on": die_on,
+                "sleep_on": sleep_on,
+            }
 
-        telemetry.emit_event(
-            "pool.job.start",
-            job=job["job_id"],
-            workers=workers,
-            morsels=count,
-        )
-        started = time.time()
-        result = PoolResult(partials=[], workers=workers)
-        watchdog = _StallWatchdog(stall_after)
-        try:
-            for index in range(workers):
-                self._job_queues[index].put(job)
-            pending = set(range(workers))
-            indexed: Dict[int, Partial] = {}
-            deadline = started + timeout
-            while pending:
-                try:
-                    reply = self._results.get(timeout=_POLL_SECONDS)
-                except queue.Empty:
-                    now = time.time()
-                    for index in list(pending):
-                        proc = self._procs[index]
-                        if proc is None or not proc.is_alive():
-                            pending.discard(index)
-                            result.deaths += 1
-                            telemetry.emit_event("worker.death", worker=index)
-                    for worker, silent in watchdog.observe(
-                        ctrl.tobytes(), now, pending
-                    ):
-                        result.stalls += 1
-                        telemetry.registry.count("exec.pool.worker_stalls")
-                        telemetry.emit_event(
-                            "worker.stalled",
-                            worker=worker,
-                            silent_seconds=round(silent, 3),
-                        )
-                    if now > deadline:
-                        raise TimeoutError(
-                            f"morsel pool job timed out after {timeout:g}s "
-                            f"({len(pending)} workers pending)"
-                        )
-                    continue
-                if reply.get("job_id") != job["job_id"]:
-                    continue  # stale result from an abandoned job
-                pending.discard(reply["worker"])
-                telemetry.absorb(reply["telemetry"])
-                if reply.get("error") is not None:
-                    result.deaths += 1
-                    telemetry.registry.count("exec.pool.worker_errors")
-                    telemetry.emit_event(
-                        "worker.death", worker=reply["worker"]
-                    )
-                    continue
-                for index, partial in reply["partials"]:
-                    indexed[index] = partial
-                result.busy_seconds += reply["busy"]
-                result.intervals.extend(
-                    (reply["worker"], i, s, e, stolen)
-                    for i, s, e, stolen in reply["intervals"]
-                )
-
-            # Crash recovery: any morsel whose partial never arrived —
-            # its claimer died mid-morsel or errored before reporting —
-            # is re-executed inline (partials merge order-independently,
-            # so a re-run is exact, never a double count).
-            for morsel in morsels:
-                if morsel.index not in indexed:
-                    indexed[morsel.index] = recover(morsel)
-                    result.recovered += 1
-                    telemetry.emit_event(
-                        "morsel.recovered", morsel=morsel.index
-                    )
-            result.partials = [indexed[m.index] for m in morsels]
-            result.steals = int(ctrl[2 * workers])
-        finally:
-            result.wall_seconds = time.time() - started
-            control.release()
-            if result.deaths:
-                telemetry.registry.count(
-                    "exec.pool.worker_deaths", result.deaths
-                )
-                self.ensure_started()
             telemetry.emit_event(
-                "pool.job.end",
+                "pool.job.start",
                 job=job["job_id"],
-                seconds=result.wall_seconds,
+                workers=workers,
+                morsels=count,
             )
-        telemetry.registry.count("exec.pool.jobs")
-        telemetry.registry.count("exec.pool.morsels_stolen", result.steals)
-        telemetry.registry.count(
-            "exec.pool.morsels_recovered", result.recovered
-        )
-        telemetry.registry.gauge("exec.pool.occupancy", result.occupancy)
-        return result
+            started = time.time()
+            result = PoolResult(partials=[], workers=workers)
+            watchdog = _StallWatchdog(stall_after)
+            try:
+                for index in range(workers):
+                    self._job_queues[index].put(job)
+                pending = set(range(workers))
+                indexed: Dict[int, Partial] = {}
+                deadline = started + timeout
+                while pending:
+                    try:
+                        reply = self._results.get(timeout=_POLL_SECONDS)
+                    except queue.Empty:
+                        now = time.time()
+                        for index in list(pending):
+                            proc = self._procs[index]
+                            if proc is None or not proc.is_alive():
+                                pending.discard(index)
+                                result.deaths += 1
+                                telemetry.emit_event(
+                                    "worker.death", worker=index
+                                )
+                        for worker, silent in watchdog.observe(
+                            ctrl.tobytes(), now, pending
+                        ):
+                            result.stalls += 1
+                            telemetry.registry.count("exec.pool.worker_stalls")
+                            telemetry.emit_event(
+                                "worker.stalled",
+                                worker=worker,
+                                silent_seconds=round(silent, 3),
+                            )
+                        if now > deadline:
+                            raise TimeoutError(
+                                f"morsel pool job timed out after "
+                                f"{timeout:g}s ({len(pending)} workers "
+                                "pending)"
+                            )
+                        continue
+                    if reply.get("job_id") != job["job_id"]:
+                        continue  # stale result from an abandoned job
+                    pending.discard(reply["worker"])
+                    telemetry.absorb(reply["telemetry"])
+                    if reply.get("error") is not None:
+                        result.deaths += 1
+                        telemetry.registry.count("exec.pool.worker_errors")
+                        telemetry.emit_event(
+                            "worker.death", worker=reply["worker"]
+                        )
+                        continue
+                    for index, partial in reply["partials"]:
+                        indexed[index] = partial
+                    result.busy_seconds += reply["busy"]
+                    result.intervals.extend(
+                        (reply["worker"], i, s, e, stolen)
+                        for i, s, e, stolen in reply["intervals"]
+                    )
+
+                # Crash recovery: any morsel whose partial never arrived —
+                # its claimer died mid-morsel or errored before reporting —
+                # is re-executed inline (partials merge order-independently,
+                # so a re-run is exact, never a double count).
+                for morsel in morsels:
+                    if morsel.index not in indexed:
+                        indexed[morsel.index] = recover(morsel)
+                        result.recovered += 1
+                        telemetry.emit_event(
+                            "morsel.recovered", morsel=morsel.index
+                        )
+                result.partials = [indexed[m.index] for m in morsels]
+                result.steals = int(ctrl[2 * workers])
+            finally:
+                result.wall_seconds = time.time() - started
+                control.close()
+                if result.deaths:
+                    telemetry.registry.count(
+                        "exec.pool.worker_deaths", result.deaths
+                    )
+                    self.ensure_started()
+                telemetry.emit_event(
+                    "pool.job.end",
+                    job=job["job_id"],
+                    seconds=result.wall_seconds,
+                )
+            telemetry.registry.count("exec.pool.jobs")
+            telemetry.registry.count("exec.pool.morsels_stolen", result.steals)
+            telemetry.registry.count(
+                "exec.pool.morsels_recovered", result.recovered
+            )
+            telemetry.registry.gauge("exec.pool.occupancy", result.occupancy)
+            return result
 
 
-# -- shared pool ----------------------------------------------------------------
+# -- shared pools ---------------------------------------------------------------
 
-_pool: Optional[MorselPool] = None
-_pool_lock = threading.Lock()
+_pools: Dict[int, MorselPool] = {}
+_pools_lock = threading.Lock()
 
 
 def get_pool(workers: int) -> MorselPool:
-    """The process-wide pool, resized (restarted) when ``workers`` changes."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool.workers != workers:
-            _pool.shutdown()
-            _pool = None
-        if _pool is None:
-            _pool = MorselPool(workers)
-        return _pool
+    """The process-wide pool of ``workers`` workers.
+
+    One pool per worker count: asking for another count never stops a
+    pool that a job on another thread may be running on.
+    """
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = MorselPool(workers)
+        return pool
 
 
 def shutdown_pool() -> None:
-    """Stop the process-wide pool's workers (safe when none exists)."""
-    global _pool
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
+    """Stop every process-wide pool's workers (safe when none exists)."""
+    with _pools_lock:
+        pools = list(_pools.values())
+        _pools.clear()
+    for pool in pools:
+        pool.shutdown()
 
 
 atexit.register(shutdown_pool)

@@ -86,14 +86,6 @@ class WireCost:
             transactions=self.transactions * accesses,
         )
 
-    def __add__(self, other: "WireCost") -> "WireCost":
-        return WireCost(
-            payload_bytes=self.payload_bytes + other.payload_bytes,
-            to_gpu_bytes=self.to_gpu_bytes + other.to_gpu_bytes,
-            to_cpu_bytes=self.to_cpu_bytes + other.to_cpu_bytes,
-            transactions=self.transactions + other.transactions,
-        )
-
 
 class InterconnectModel:
     """Bandwidth and packet-cost model of one CPU<->GPU interconnect."""

@@ -19,10 +19,11 @@ Triton join does: partition once, then join cache-sized pieces.
 2. contiguous partition ranges are packed into morsels of
    :data:`~repro.exec.context.DEFAULT_MORSEL_ROWS` rows — fewer
    partitions when that keeps a morsel's slot space within the dense
-   probe table's floor (:func:`~repro.exec.morsel.serial_join`);
+   probe table's floor (:func:`_dense_span`);
 3. each morsel is one grouped build/probe (:func:`~repro.hashing.batch.
    grouped_bucket_chaining_join`) over that morsel's small slot space,
-   and the per-morsel summaries merge exactly into the
+   and the morsel executor (:func:`~repro.exec.outofcore.join_morsels`)
+   merges the per-morsel summaries exactly into the
    :class:`~repro.join.base.JoinMatch`.
 
 The summary is order-independent, so the second pass's ``bits2``
@@ -33,7 +34,6 @@ histogram against :func:`reference_radix_join`.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,30 @@ from repro.errors import ConfigurationError
 from repro.hashing.batch import DEFAULT_BUCKETS
 from repro.hashing.bucket_chaining import BucketChainingTable
 from repro.join import base, run_cache
+from repro.kernels.scatter import DENSE_FLOOR_ENTRIES
 from repro.partition.radix import partition_relation, radix_histogram
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Fewest rows a partition-capped in-memory morsel may hold on average
+#: (see :func:`_dense_span`); below it, per-morsel dispatch costs more
+#: than the dense probe saves.
+MIN_DENSE_MORSEL_ROWS = 4096
+
+
+def _dense_span(rows: int, bits1: int) -> Optional[int]:
+    """The in-memory join's cap on partitions per morsel, if any.
+
+    At most ``span`` partitions' full-size (paper geometry) tables fit
+    under the kernels' dense-offsets floor, so a morsel that narrow
+    probes by O(1) lookups whatever its rows. Sparse partitions keep the
+    row target alone: capped morsels would be too small to amortize
+    their dispatch.
+    """
+    span = max(1, (DENSE_FLOOR_ENTRIES - 1) // DEFAULT_BUCKETS)
+    if span * rows / (1 << bits1) >= MIN_DENSE_MORSEL_ROWS:
+        return span
+    return None
 
 
 def _validate_bits(bits1: int, bits2: int) -> None:
@@ -143,9 +164,7 @@ def batched_radix_join(
     if exec_context.should_go_out_of_core(build, probe):
         from repro.exec.outofcore import out_of_core_join
 
-        return out_of_core_join(
-            build, probe, bits1, bits2, histogram=histogram
-        )
+        return out_of_core_join(build, probe, bits1, histogram=histogram)
     _validate_bits(bits1, bits2)
     if len(build) == 0 or len(probe) == 0:
         if histogram is not None:
@@ -155,7 +174,18 @@ def batched_radix_join(
                 out=histogram,
             )
         return base.NO_MATCH
-    from repro.exec.morsel import serial_join
+    from repro.exec.morsel import partition_state, plan_source
+    from repro.exec.outofcore import join_morsels
+
+    def join(histogram):
+        source = partition_state(build, probe, bits1)
+        morsels = plan_source(
+            source,
+            exec_context.DEFAULT_MORSEL_ROWS,
+            histogram,
+            _dense_span(len(build) + len(probe), bits1),
+        )
+        return join_morsels(source, morsels)[0]
 
     with telemetry.span(
         "batched_radix_join",
@@ -167,7 +197,4 @@ def batched_radix_join(
         # The three arrays the kernels read: joins that differ only in
         # what they simulate share them, and run once per cache lifetime.
         arrays = (build.keys, base.build_payload_column(build), probe.keys)
-        join = functools.partial(
-            serial_join, build, probe, bits1, exec_context.DEFAULT_MORSEL_ROWS
-        )
         return run_cache.memoized_match(arrays, bits1, histogram, join)

@@ -344,7 +344,7 @@ class TestBatchedRadixJoin:
         want = reference_radix_join(build, probe, bits1, bits2)
         assert batched_radix_join(build, probe, bits1, bits2) == want
         forced = out_of_core_join(
-            build, probe, bits1, bits2, config=ExecutionConfig(force=True)
+            build, probe, bits1, config=ExecutionConfig(force=True)
         )
         assert forced == want
 

@@ -11,23 +11,18 @@ workers.
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.bench.__main__ import main as bench_main
-from repro.exec.morsel import (
-    execute_morsel,
-    merge_partials,
-    plan_morsels,
-)
+from repro.exec.morsel import execute_morsel, merge_partials
 from repro.exec.pool import (
     _StallWatchdog,
     get_pool,
     shutdown_pool,
 )
 from repro.telemetry import events, tracing
-from tests.test_outofcore import shm_partition_state, summary
+from tests.test_outofcore import pooled_source, summary
 
 
 @pytest.fixture(autouse=True)
@@ -264,17 +259,6 @@ class TestStallWatchdog:
         assert watchdog.observe(b"b", 3.5, {0}) == [(0, 1.5)]
 
 
-def _pool_job(source, blocks, **extra):
-    job = {
-        "mode": "shm",
-        "blocks": {name: block.descriptor() for name, block in blocks},
-        "build_offsets": source.build_offsets,
-        "probe_offsets": source.probe_offsets,
-    }
-    job.update(extra)
-    return job
-
-
 class TestPoolEvents:
     def test_steal_death_recovery_and_respawn_events(self, small_workload):
         """Two faulted pool jobs must leave a full lifecycle trail.
@@ -292,14 +276,7 @@ class TestPoolEvents:
         reference = batched_radix_join(
             small_workload.build, small_workload.probe, 6, 4
         )
-        source, blocks = shm_partition_state(
-            small_workload.build, small_workload.probe
-        )
-        morsels = plan_morsels(
-            np.diff(source.build_offsets),
-            np.diff(source.probe_offsets),
-            2048,
-        )
+        source, morsels = pooled_source(small_workload, 2048)
         assert len(morsels) >= 4
 
         def recover(morsel):
@@ -311,12 +288,10 @@ class TestPoolEvents:
             # Job 1: worker 0 parks on its first morsel; worker 1
             # finishes its own range and steals from worker 0's.
             stolen_run = pool.run(
-                _pool_job(
-                    source, blocks,
-                    sleep_on={0: (morsels[0].index, 1.0)},
-                ),
+                source,
                 morsels,
                 recover,
+                sleep_on={0: (morsels[0].index, 1.0)},
             )
             assert stolen_run.steals >= 1
             assert summary(merge_partials(stolen_run.partials)) == summary(
@@ -325,9 +300,7 @@ class TestPoolEvents:
             # Job 2: worker 0 dies on its first claim; the parent must
             # recover the hole inline and respawn the worker.
             died_run = pool.run(
-                _pool_job(source, blocks, die_on={0: morsels[0].index}),
-                morsels,
-                recover,
+                source, morsels, recover, die_on={0: morsels[0].index}
             )
             assert died_run.deaths == 1
             assert died_run.recovered >= 1
@@ -335,8 +308,7 @@ class TestPoolEvents:
                 reference
             )
         finally:
-            for _name, block in blocks:
-                block.release()
+            source.close()
             shutdown_pool()
 
         recorded = tracing.events()
@@ -359,14 +331,7 @@ class TestPoolEvents:
         assert all(e["victim"] in (0, 1) for e in stolen)
 
     def test_watchdog_flags_parked_worker(self, small_workload):
-        source, blocks = shm_partition_state(
-            small_workload.build, small_workload.probe
-        )
-        morsels = plan_morsels(
-            np.diff(source.build_offsets),
-            np.diff(source.probe_offsets),
-            2048,
-        )
+        source, morsels = pooled_source(small_workload, 2048)
 
         def recover(morsel):
             return execute_morsel(source, morsel)
@@ -375,23 +340,20 @@ class TestPoolEvents:
         try:
             pool = get_pool(2)
             result = pool.run(
-                _pool_job(
-                    source, blocks,
-                    # Park worker 0 well past the stall threshold.
-                    # Worker 1 drains and steals everything else within
-                    # a poll or two, after which the control block goes
-                    # still — the silence the watchdog must flag.
-                    sleep_on={0: (morsels[0].index, 1.6)},
-                ),
+                source,
                 morsels,
                 recover,
                 stall_after=0.5,
+                # Park worker 0 well past the stall threshold. Worker 1
+                # drains and steals everything else within a poll or
+                # two, after which the control block goes still — the
+                # silence the watchdog must flag.
+                sleep_on={0: (morsels[0].index, 1.6)},
             )
             assert result.stalls >= 1
             assert result.deaths == 0
         finally:
-            for _name, block in blocks:
-                block.release()
+            source.close()
             shutdown_pool()
         stalled = [
             e for e in tracing.events() if e["type"] == "worker.stalled"

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.interconnect import (
-    AccessPattern,
-    InterconnectModel,
-    Op,
-    WireCost,
-)
+from repro.hw.interconnect import AccessPattern, InterconnectModel, Op
 from repro.hw.specs import nvlink2
 from repro.units import GIB
 
@@ -49,14 +44,6 @@ class TestWireCost:
         misaligned = model.wire_cost(512, Op.WRITE, aligned=False)
         assert misaligned.to_cpu_bytes > aligned.to_cpu_bytes
         assert misaligned.transactions == aligned.transactions + 1
-
-    def test_wire_cost_addition(self):
-        a = WireCost(10, 20, 30, 1)
-        b = WireCost(1, 2, 3, 4)
-        total = a + b
-        assert total.payload_bytes == 11
-        assert (total.to_gpu_bytes, total.to_cpu_bytes) == (22, 33)
-        assert total.transactions == 5
 
     def test_rejects_nonpositive_access(self, model):
         with pytest.raises(ConfigurationError):

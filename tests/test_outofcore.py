@@ -2,7 +2,10 @@
 
 import builtins
 import io
+import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,12 +19,14 @@ from repro.errors import ConfigurationError
 from repro.exec import context as exec_context
 from repro.exec.context import ExecutionConfig, should_go_out_of_core
 from repro.exec.morsel import (
+    execute_morsel,
     merge_partials,
     partition_state,
     plan_morsels,
+    plan_source,
 )
 from repro.exec.outofcore import out_of_core_join
-from repro.exec.pool import ShmBlock, get_pool, shutdown_pool
+from repro.exec.pool import get_pool, shutdown_pool
 from repro.exec.spill import SpillManager
 from repro.join import run_cache
 from repro.join.base import CHECKSUM_MOD, JoinMatch
@@ -326,17 +331,22 @@ def test_in_memory_join_leaves_exec_counters_alone(small_workload):
     assert delta["counters"]  # the kernels' own counters did move
 
 
-def shm_partition_state(build, probe):
-    """Partition into shared-memory blocks, as ``_memory_join`` does."""
-    blocks = []
+def pooled_source(workload, morsel_rows):
+    """The shared-memory source a pooled in-memory join partitions into,
+    and its morsels."""
+    source = partition_state(
+        workload.build, workload.probe, BITS1, shared=True
+    )
+    return source, plan_source(source, morsel_rows)
 
-    def allocate(name, rows, dtype):
-        block = ShmBlock(rows, dtype)
-        blocks.append((name, block))
-        return block.array
 
-    source = partition_state(build, probe, BITS1, allocate=allocate)
-    return source, blocks
+def morsel_workers():
+    """Names of the morsel-pool worker processes still alive."""
+    return sorted(
+        child.name
+        for child in multiprocessing.active_children()
+        if child.name.startswith("morsel-worker-")
+    )
 
 
 class TestCrashRecovery:
@@ -349,28 +359,8 @@ class TestCrashRecovery:
         and because partials merge order-independently, the recovered
         result is identical, not merely close.
         """
-        from repro.exec.morsel import execute_morsel
-
-        source, blocks = shm_partition_state(
-            small_workload.build, small_workload.probe
-        )
-        morsels = plan_morsels(
-            np.diff(source.build_offsets),
-            np.diff(source.probe_offsets),
-            4096,
-        )
+        source, morsels = pooled_source(small_workload, 4096)
         assert len(morsels) > 1
-
-        def job(die_on=None):
-            return {
-                "mode": "shm",
-                "blocks": {
-                    name: block.descriptor() for name, block in blocks
-                },
-                "build_offsets": source.build_offsets,
-                "probe_offsets": source.probe_offsets,
-                "die_on": die_on,
-            }
 
         def recover(morsel):
             return execute_morsel(source, morsel)
@@ -378,7 +368,7 @@ class TestCrashRecovery:
         try:
             pool = get_pool(2)
             result = pool.run(
-                job(die_on={0: morsels[0].index}), morsels, recover
+                source, morsels, recover, die_on={0: morsels[0].index}
             )
             assert result.deaths == 1
             assert result.recovered >= 1
@@ -388,7 +378,7 @@ class TestCrashRecovery:
 
             # The pool respawned the dead worker: a second, clean job
             # on the same pool completes with no deaths.
-            healed = pool.run(job(), morsels, recover)
+            healed = pool.run(source, morsels, recover)
             assert healed.deaths == 0
             assert healed.recovered == 0
             assert summary(merge_partials(healed.partials)) == summary(
@@ -396,9 +386,47 @@ class TestCrashRecovery:
             )
             assert 0.0 <= healed.occupancy <= 1.0
         finally:
-            for _name, block in blocks:
-                block.release()
+            source.close()
             shutdown_pool()
+
+    def test_resizing_leaves_a_running_job_alone(
+        self, small_workload, reference
+    ):
+        """Asking for another worker count while a job runs neither
+        waits for the job nor stops its workers, and shutdown stops
+        every pool's workers."""
+        source, morsels = pooled_source(small_workload, 4096)
+        runs = []
+
+        def job():
+            runs.append(
+                get_pool(2).run(
+                    source,
+                    morsels,
+                    lambda morsel: execute_morsel(source, morsel),
+                    sleep_on={0: (morsels[0].index, 3.0)},
+                )
+            )
+
+        thread = threading.Thread(target=job)
+        try:
+            get_pool(2).ensure_started()
+            thread.start()
+            time.sleep(0.5)  # worker 0 is parked on its first morsel
+            started = time.perf_counter()
+            get_pool(3).ensure_started()
+            assert time.perf_counter() - started < 1.0
+            thread.join(timeout=30)
+            (run,) = runs
+            assert (run.deaths, run.recovered) == (0, 0)
+            assert summary(merge_partials(run.partials)) == summary(
+                reference
+            )
+        finally:
+            thread.join(timeout=30)
+            shutdown_pool()
+            source.close()
+        assert morsel_workers() == []
 
 
 class TestOperatorWiring:

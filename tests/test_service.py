@@ -415,27 +415,58 @@ class TestIsolationAndObservability:
         assert faulted.seconds > clean.seconds
         assert clean_again.seconds == pytest.approx(clean.seconds)
 
-    def test_pool_morsel_timings_reach_the_query_metrics(self, system):
-        """A query's morsel timings land in its metrics whether the
-        morsels ran in-process or on the pool, whose workers' timings
-        the query thread merges."""
+    def test_pool_morsel_timings_reach_the_query_metrics(
+        self, system, tmp_path
+    ):
+        """A query's morsel telemetry does not depend on where its
+        morsels ran. In process or on the pool (whose workers' metrics
+        and spans the query thread merges), in memory or spilled, the
+        query records the same ``exec.morsel*`` counters, the same
+        number of ``exec.morsel_seconds`` observations and, traced, the
+        same number of ``morsel[i]`` spans."""
         template = next(
             t for t in query_templates() if t["name"] == POOL_TEMPLATE
         )
-        counts = []
+        seen = {}
+        telemetry.set_recording(telemetry.SPANS)
         try:
-            for oc_workers in (0, 2):
-                config = ExecutionConfig(
-                    workers=oc_workers, force=True, morsel_rows=4096
-                )
-                with JoinService(system=system, workers=1) as service:
-                    handle = service.submit(template, exec_config=config)
-                    handle.result(timeout=60)
-                timing = handle.metrics["timings"]["exec.morsel_seconds"]
-                counts.append(timing["count"])
+            for budget in (None, 64 << 10):
+                for oc_workers in (0, 2):
+                    config = ExecutionConfig(
+                        budget_bytes=budget,
+                        workers=oc_workers,
+                        force=True,
+                        morsel_rows=4096,
+                        spill_dir=str(tmp_path),
+                    )
+                    tracing.reset()  # each service reuses trace ids
+                    with JoinService(system=system, workers=1) as service:
+                        handle = service.submit(template, exec_config=config)
+                        result = handle.result(timeout=60)
+                    note = result.runs[0].notes["out_of_core"]
+                    assert note["mode"] == ("memory", "spill")[bool(budget)]
+                    counters = {
+                        name: value
+                        for name, value in handle.metrics["counters"].items()
+                        if name.startswith("exec.morsel")
+                    }
+                    timing = handle.metrics["timings"]["exec.morsel_seconds"]
+                    spans = [
+                        record
+                        for record in tracing.by_trace()[handle.trace_id]
+                        if record["name"].startswith("morsel[")
+                    ]
+                    seen[budget, oc_workers] = (
+                        counters, timing["count"], len(spans)
+                    )
         finally:
             shutdown_pool()
-        assert counts[0] == counts[1] > 0
+        for budget in (None, 64 << 10):
+            inline, pooled = seen[budget, 0], seen[budget, 2]
+            assert inline == pooled
+            counters, observations, spans = inline
+            assert set(counters) == {"exec.morsels", "exec.morsel_rows"}
+            assert counters["exec.morsels"] == observations == spans > 1
 
     def test_mini_load_is_deterministic_across_runs(self, system):
         first = run_load(queries=24, workers=3, seed=42)

@@ -1,15 +1,17 @@
 """Out-of-core execution smoke: end-to-end identity + leak guards.
 
-Runs a full operator (:class:`repro.join.triton.TritonJoin`) twice on
-the same workload — once clean, once under an ambient
+Runs a full operator (:class:`repro.join.triton.TritonJoin`) on the
+same workload clean, then under an ambient
 :class:`repro.exec.ExecutionConfig` whose budget is a small fraction of
 the relations' tuple bytes, so the functional join transparently
-spills to disk shards and streams morsels across the worker pool — and
+spills to disk shards and streams morsels across the worker pool, and
+— with ``--workers > 0`` — once more forced out-of-core in memory, so
+the pool's workers attach to the shared-memory columns instead. It
 asserts:
 
-1. the out-of-core run's match summary (matches, key checksum, payload
+1. each out-of-core run's match summary (matches, key checksum, payload
    checksum) equals the clean run's, and ``run.notes["out_of_core"]``
-   records a ``spill``-mode execution;
+   records a ``spill``-mode (then a ``memory``-mode) execution;
 2. **no spill residue**: after the run, no ``repro-spill-*`` directory
    survives under the spill parent (the spill manager must remove its
    own tempdir even though the join streamed morsels off it);
@@ -21,7 +23,11 @@ asserts:
    files itself, in whichever process runs a morsel, and must close
    them). The pool and the multiprocessing resource tracker are
    started before the first count, so their one-time pipes do not
-   count as a leak.
+   count as a leak;
+5. **no shared-memory residue**: where ``/dev/shm`` exists, no
+   ``psm_*`` segment created during the out-of-core runs survives them
+   (the in-memory source owns its column segments and unlinks them,
+   the pool its control block).
 
 CI runs this as the out-of-core leg next to the perf-smoke gate::
 
@@ -63,6 +69,43 @@ def morsel_workers() -> list:
         ),
         key=lambda child: child.name,
     )
+
+
+def shm_segments() -> set:
+    """Names of the live ``psm_*`` shared-memory segments (empty
+    without ``/dev/shm``)."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+def check_run(run, clean, mode, workers, failures) -> None:
+    """Append what is wrong with an out-of-core ``run`` to ``failures``."""
+    note = run.notes.get("out_of_core")
+    if not note:
+        failures.append(
+            f"{mode} run carries no out_of_core note — the join never "
+            "left the in-memory path"
+        )
+        return
+    if note.get("mode") != mode:
+        failures.append(
+            f"expected a {mode}-mode run, got {note.get('mode')!r}"
+        )
+    if note.get("workers") != workers:
+        failures.append(
+            f"{mode} note records {note.get('workers')!r} workers, "
+            f"expected {workers}"
+        )
+    for field in ("matches", "key_checksum", "payload_checksum"):
+        clean_value = getattr(clean.match, field)
+        oc_value = getattr(run.match, field)
+        if clean_value != oc_value:
+            failures.append(
+                f"{mode} run's {field} diverged: clean {clean_value} vs "
+                f"out-of-core {oc_value}"
+            )
 
 
 def open_fds():
@@ -127,6 +170,7 @@ def main(argv=None) -> int:
         get_pool(args.workers).ensure_started()
     multiprocessing.resource_tracker.ensure_running()
     fds_before = open_fds()
+    segments_before = shm_segments()
     with tempfile.TemporaryDirectory(prefix="oc-smoke-") as spill_parent:
         parent = pathlib.Path(spill_parent)
         config = ExecutionConfig(
@@ -137,36 +181,21 @@ def main(argv=None) -> int:
         )
         with configured(config):
             budgeted = operator.run(workload)
-
-        note = budgeted.notes.get("out_of_core")
-        if not note:
-            failures.append(
-                "budgeted run carries no out_of_core note — the join "
-                "never left the in-memory path"
-            )
-        else:
-            if note.get("mode") != "spill":
-                failures.append(
-                    f"expected spill mode under a {budget} B budget for "
-                    f"{state_bytes} B of state, got {note.get('mode')!r}"
-                )
-            if note.get("workers") != args.workers:
-                failures.append(
-                    f"note records {note.get('workers')!r} workers, "
-                    f"expected {args.workers}"
-                )
-        for field in ("matches", "key_checksum", "payload_checksum"):
-            clean_value = getattr(clean.match, field)
-            oc_value = getattr(budgeted.match, field)
-            if clean_value != oc_value:
-                failures.append(
-                    f"{field} diverged: clean {clean_value} vs "
-                    f"out-of-core {oc_value}"
-                )
+        check_run(budgeted, clean, "spill", args.workers, failures)
 
         residue = spill_residue(parent)
         if residue:
             failures.append(f"spill directories leaked: {residue}")
+    if args.workers > 0:
+        config = ExecutionConfig(
+            workers=args.workers, morsel_rows=4096, force=True
+        )
+        with configured(config):
+            pooled = operator.run(workload)
+        check_run(pooled, clean, "memory", args.workers, failures)
+    segments = sorted(shm_segments() - segments_before)
+    if segments:
+        failures.append(f"shared-memory segments leaked: {segments}")
     fds_after = open_fds()
     if fds_after != fds_before:
         failures.append(
@@ -187,8 +216,8 @@ def main(argv=None) -> int:
     print(
         f"oc smoke OK: spill join under {budget} B budget "
         f"({state_bytes} B state, {args.workers} workers) matched the "
-        f"clean run (matches={clean.match.matches}); no spill, worker "
-        "or file-descriptor residue"
+        f"clean run (matches={clean.match.matches}); no spill, worker, "
+        "shared-memory or file-descriptor residue"
         + ("" if fds_before is not None else " (fd count unavailable)")
     )
     return 0
