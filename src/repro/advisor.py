@@ -8,12 +8,12 @@ every join operator through the simulator and recommends one,
 optionally hedging against cardinality misestimates by evaluating each
 candidate across an error band.
 
-Only the nominal cardinalities decide a cost, but :meth:`JoinAdvisor.
-estimate` (the path the degradation ladder ranks its rungs with) gets
-each candidate's cost from a whole ``operator.run`` on a minimal
-generated workload, functional join included: the co-processing rung's
-collapse onto one processor lives in ``run``. Only the co-processing
-split search (:meth:`JoinAdvisor.recommend_split`) is simulator-only.
+Only the nominal cardinalities decide a cost, so every candidate is
+priced by its ``cost`` step on a minimal generated workload: the
+simulated run with no functional join. That covers
+:meth:`JoinAdvisor.estimate` (the path the degradation ladder ranks
+its rungs with) and the co-processing split search
+(:meth:`JoinAdvisor.recommend_split`).
 
 The expected recommendation pattern, asserted in tests: the
 no-partitioning join for comfortably in-core workloads and high
@@ -39,7 +39,7 @@ from repro.join import (
     TritonJoin,
     run_cache,
 )
-from repro.join.base import simulate
+from repro.join.base import JoinOperator
 from repro.units import G_TUPLES
 
 #: Functional arrays are irrelevant for costing; keep them minimal.
@@ -142,19 +142,6 @@ class JoinAdvisor:
             raise ConfigurationError("advisor needs at least one candidate")
         self.candidates = candidates
 
-    def _cost(self, name: str, build_m: float, probe_m: float) -> CostEstimate:
-        workload = generate_workload(
-            build_m, probe_m, scale_divisor=_COSTING_DIVISOR
-        )
-        run = self.candidates[name]().run(workload)
-        return CostEstimate(
-            operator=name,
-            seconds=run.seconds,
-            throughput_g_tuples_per_s=(
-                workload.total_nominal_tuples / run.seconds / G_TUPLES
-            ),
-        )
-
     def estimate(
         self,
         build_m_tuples: float,
@@ -172,14 +159,19 @@ class JoinAdvisor:
         if on_error not in ("raise", "skip"):
             raise ConfigurationError("on_error must be 'raise' or 'skip'")
         estimates = []
-        for name in self.candidates:
+        for name, candidate in self.candidates.items():
             try:
-                estimates.append(
-                    self._cost(name, build_m_tuples, probe_m_tuples)
+                workload = generate_workload(
+                    build_m_tuples, probe_m_tuples,
+                    scale_divisor=_COSTING_DIVISOR,
                 )
+                seconds = candidate().cost(workload).makespan_seconds
             except ReproError:
                 if on_error == "raise":
                     raise
+                continue
+            throughput = workload.total_nominal_tuples / seconds / G_TUPLES
+            estimates.append(CostEstimate(name, seconds, throughput))
         return sorted(estimates, key=lambda e: e.seconds)
 
     def recommend(
@@ -274,17 +266,14 @@ class JoinAdvisor:
             self.system, cpu_fraction=cpu_fraction, label=_SEARCH_LABEL
         )
         try:
-            # The simulator only, not run(): the cost is the makespan, so
-            # no functional join runs; candidates must not collapse on
-            # faults (infeasibility IS the signal), must not hit the run
-            # cache, and get a distinct span label so explain documents
-            # can filter them out of the production runs.
+            # The skeleton's cost step, not the operator's: candidates
+            # must not collapse on faults (infeasibility IS the signal).
+            # They get a distinct span label so explain documents can
+            # filter them out of the production runs.
             with telemetry.span(
                 f"run:{_SEARCH_LABEL}", cpu_fraction=cpu_fraction
             ):
-                facts = operator.split_facts(workload, cpu_fraction)
-                graph = operator.build_graph(workload, **facts)
-                sim = simulate(graph, operator.resources())
+                sim = JoinOperator.cost(operator, workload)
                 return float(sim.makespan_seconds)
         except ReproError:
             if on_error == "raise":

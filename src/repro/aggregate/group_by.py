@@ -23,7 +23,6 @@ out of core — the interesting regime the paper's joins cannot show.
 
 from __future__ import annotations
 
-import abc
 import enum
 import functools
 from dataclasses import dataclass
@@ -31,15 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro import telemetry
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
 from repro.hashing.functions import hash_u64, radix_window
 from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
-from repro.hw.specs import SystemSpec
 from repro.hw.tlb import MemSpace
-from repro.join.base import CHECKSUM_MOD, simulate
+from repro.join.base import CHECKSUM_MOD, Operator
 from repro.join.caching import plan_cache
 from repro.join.triton import first_pass_task
 from repro.kernels.scatter import counting_order_and_offsets
@@ -48,7 +45,6 @@ from repro.partition.planner import RadixPlan, plan_radix_join
 from repro.partition.shared import SharedPartitioner
 from repro.sim.engine import SimResult
 from repro.sim.kernels import GpuKernelBuilder
-from repro.sim.resources import ResourcePool
 from repro.sim.tasks import TaskGraph, chain
 from repro.units import G_TUPLES
 
@@ -160,41 +156,27 @@ class AggregationRun:
 
 
 @dataclass(frozen=True)
-class AggregationOperator(abc.ABC):
-    """A group-by operator: a frozen record of its configuration, like
-    the join operators, with one :meth:`run` skeleton. :meth:`prepare`
-    plans a run; the facts it returns are keyword arguments to
-    :meth:`functional` and :meth:`build_graph`.
-    """
+class AggregationOperator(Operator):
+    """A group-by operator: the skeleton over a relation, whose nominal
+    group count every hook gets as the fact ``groups_nominal``."""
 
-    system: SystemSpec
     function: AggregateFunction = AggregateFunction.SUM
 
     @functools.cached_property
     def builder(self) -> GpuKernelBuilder:
         return GpuKernelBuilder(GpuModel(self.system))
 
-    def run(self, relation: Relation, groups_nominal: int) -> AggregationRun:
-        """Aggregate and simulate one relation. An empty relation has no
-        groups: nothing runs, and the run costs zero seconds."""
-        if groups_nominal <= 0:
-            raise ConfigurationError("groups_nominal must be positive")
-        if len(relation) == 0:
-            # No rows, no groups: the result of empty keys and states.
-            empty = relation.keys
-            return AggregationRun(self.name, self.result(empty, empty), 0.0, 0)
-        facts = self.prepare(relation, groups_nominal)
-        with telemetry.span("functional"):
-            result = self.functional(relation, **facts)
-        graph = self.build_graph(relation, groups_nominal, **facts)
-        sim = simulate(graph, ResourcePool.for_system(self.system))
-        return AggregationRun(
-            self.name, result, sim.makespan_seconds, relation.nominal_rows, sim
-        )
+    def empty_run(self, relation: Relation) -> Optional[AggregationRun]:
+        """No rows, no groups: the result of empty arrays, at no cost."""
+        if len(relation):
+            return None
+        empty = relation.keys
+        return AggregationRun(self.name, self.result(empty, empty), 0.0, 0)
 
     def prepare(self, relation: Relation, groups_nominal: int) -> dict:
-        """Plan one run: the facts the hooks share (none by default)."""
-        return {}
+        if groups_nominal <= 0:
+            raise ConfigurationError("groups_nominal must be positive")
+        return {"groups_nominal": groups_nominal}
 
     def functional(self, relation: Relation, **facts):
         """Aggregate the materialized rows: one global grouping."""
@@ -206,11 +188,12 @@ class AggregationOperator(abc.ABC):
         """The run's result from its groups' keys and states."""
         return AggregationResult.from_arrays(group_keys, states)
 
-    @abc.abstractmethod
-    def build_graph(
-        self, relation: Relation, groups_nominal: int, **facts
-    ) -> TaskGraph:
-        """The simulated DAG: the aggregation, then the emit."""
+    def record(
+        self, relation: Relation, result, sim: SimResult, **facts
+    ) -> AggregationRun:
+        return AggregationRun(
+            self.name, result, sim.makespan_seconds, relation.nominal_rows, sim
+        )
 
 
 @dataclass(frozen=True)
@@ -270,13 +253,13 @@ class TritonAggregation(AggregationOperator):
 
     def prepare(self, relation: Relation, groups_nominal: int) -> dict:
         """The radix plan: the groups' state is the build side."""
-        return {
-            "plan": plan_radix_join(
-                groups_nominal, relation.nominal_rows, ENTRY_BYTES, self.system
-            )
-        }
+        facts = super().prepare(relation, groups_nominal)
+        facts["plan"] = plan_radix_join(
+            groups_nominal, relation.nominal_rows, ENTRY_BYTES, self.system
+        )
+        return facts
 
-    def functional(self, relation: Relation, plan: RadixPlan):
+    def functional(self, relation: Relation, plan: RadixPlan, **_):
         """Partition by the pass-1 hash window, then group once.
 
         Hash partitions are disjoint in keys, so grouping the

@@ -183,6 +183,7 @@ def out_of_core_join(
         bits1=bits1,
     ), contextlib.ExitStack() as stack:
         spilled = {}
+        pool_workers = workers
         if spill:
             # The manager's cleanup closes the files the source opens.
             manager = stack.enter_context(
@@ -197,13 +198,16 @@ def out_of_core_join(
                 "shards": source.build.shards + source.probe.shards,
             }
         else:
+            if not (len(build) and len(probe)):
+                # A side with no rows joins inline: no segment, no pool.
+                pool_workers = 0
             with telemetry.span("oc:partition", bits1=bits1):
                 source = partition_state(
-                    build, probe, bits1, shared=workers > 0
+                    build, probe, bits1, shared=pool_workers > 0
                 )
             stack.callback(source.close)
         morsels = plan_source(source, cfg.morsel_rows, histogram)
-        match, detail = join_morsels(source, morsels, workers)
+        match, detail = join_morsels(source, morsels, pool_workers)
 
     note = {
         "mode": mode,

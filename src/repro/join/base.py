@@ -1,10 +1,13 @@
-"""Join operator interface, results, and the reference join.
+"""The operator skeleton, the join interface and results, and the
+reference join.
 
-Every operator both *executes* the join (numpy, correct results,
-summarized as a match count and payload checksum) and *simulates* it
-(a task graph against the hardware model, yielding runtime, throughput,
-counters, and phase breakdowns). The two sides share their planning
-code, and tests cross-check them.
+Every operator — join, aggregation or sort — both *executes* (numpy,
+correct results; a join's summarized as a match count and payload
+checksum) and *simulates* (a task graph against the hardware model,
+yielding runtime, throughput, counters, and phase breakdowns) through
+one skeleton, :class:`Operator`. The two sides share their planning
+code, and tests cross-check them; :meth:`Operator.cost` is the
+simulated side alone.
 """
 
 from __future__ import annotations
@@ -129,23 +132,14 @@ def _traced_run(run_method):
     recording off the wrapper costs one check and a clock read per run
     call.
 
-    A workload with an empty side never reaches the operator: the join
-    matches nothing, and every operator's planner needs rows on both
-    sides (a filter, an operator's own bloom filter among them, may
-    leave a side empty). No operator runs, so that run costs zero
-    seconds and records no telemetry.
+    A workload with an empty side (a filter may leave one) gets the
+    operator's ``empty_run`` before any telemetry or cache lookup.
     """
     @functools.wraps(run_method)
     def wrapper(self, workload):
-        if len(workload.build) == 0 or len(workload.probe) == 0:
-            return JoinRun(
-                name=self.name,
-                workload=workload,
-                match=NO_MATCH,
-                seconds=0.0,
-                counters=PerfCounters(),
-                uses_gpu=False,
-            )
+        empty = self.empty_run(workload)
+        if empty is not None:
+            return empty
         if not telemetry.recording():
             started = time.perf_counter()
             result = run_method(self, workload)
@@ -184,18 +178,69 @@ def _traced_run(run_method):
 
 
 @dataclass(frozen=True)
-class JoinOperator(abc.ABC):
-    """An equi-join operator bound to one system spec.
+class Operator(abc.ABC):
+    """An operator bound to one system spec: a frozen record of its
+    configuration, with the one skeleton joins, aggregations and sorts
+    run through.
 
-    Operators are frozen records of their configuration, so an operator
-    is its own run-cache key (:mod:`repro.join.run_cache`); cost models,
-    task builders and ``name`` derive from the fields. :meth:`run` is the
-    one skeleton: :meth:`prepare` plans the run, and the facts it returns
-    are keyword arguments to :meth:`functional_join`, :meth:`build_graph`
-    and :meth:`annotate`.
+    :meth:`run` gives an input with nothing to process the family's
+    ``empty_run``, with no planning. Otherwise :meth:`prepare` plans the
+    run, ``functional`` processes the materialized rows in a
+    ``functional`` span, :meth:`simulate` prices the input, and
+    ``record`` makes the family's run record; the facts ``prepare``
+    returns are keyword arguments to every hook. :meth:`cost` is the
+    skeleton without the functional step.
     """
 
     system: SystemSpec
+
+    def run(self, input, *args, **kwargs):
+        """Execute and simulate one input (and the family's further
+        inputs, such as an aggregation's group count)."""
+        empty = self.empty_run(input)
+        if empty is not None:
+            return empty
+        facts = self.prepare(input, *args, **kwargs)
+        facts.update(self.buffers(input, **facts))
+        with telemetry.span("functional"):
+            output = self.functional(input, **facts)
+        sim = self.simulate(input, **facts)
+        return self.record(input, output, sim, **facts)
+
+    def cost(self, input, *args, **kwargs) -> SimResult:
+        """The simulated run of one input, with no functional step."""
+        return self.simulate(input, **self.prepare(input, *args, **kwargs))
+
+    def prepare(self, input, *args, **kwargs) -> dict:
+        """Plan one run: the facts the hooks share (none by default)."""
+        return {}
+
+    def buffers(self, input, **facts) -> dict:
+        """Arrays a run's functional step fills for :meth:`simulate`
+        (none by default; a cost-only call has none)."""
+        return {}
+
+    @abc.abstractmethod
+    def build_graph(self, input, **facts) -> TaskGraph:
+        """The simulated execution DAG for one input."""
+
+    def resources(self) -> ResourcePool:
+        """The resource pool the graph runs on."""
+        return ResourcePool.for_system(self.system)
+
+    def simulate(self, input, **facts) -> SimResult:
+        """The input's task graph run on :meth:`resources`, in a
+        ``simulate`` span."""
+        graph = self.build_graph(input, **facts)
+        with telemetry.span("simulate", tasks=len(graph.tasks)):
+            return SimEngine(self.resources()).run(graph)
+
+
+@dataclass(frozen=True)
+class JoinOperator(Operator):
+    """An equi-join operator on a :class:`Workload`: its own run-cache
+    key (:mod:`repro.join.run_cache`). Cost models, task builders and
+    ``name`` derive from the fields."""
 
     #: Whether the operator's runs use the GPU.
     uses_gpu = True
@@ -215,15 +260,32 @@ class JoinOperator(abc.ABC):
         run = inspect.unwrap(cls.__dict__.get("run", cls.run))
         cls.run = _traced_run(run_cache.cached_run(run))
 
-    def run(self, workload: Workload) -> JoinRun:
-        """Execute and simulate the join for one workload."""
-        return self.execute(workload, **self.prepare(workload))
+    def empty_run(self, workload: Workload) -> Optional[JoinRun]:
+        """A workload with an empty side matches nothing, at no cost."""
+        if len(workload.build) and len(workload.probe):
+            return None
+        return JoinRun(
+            name=self.name,
+            workload=workload,
+            match=NO_MATCH,
+            seconds=0.0,
+            counters=PerfCounters(),
+            uses_gpu=False,
+        )
 
-    def execute(self, workload: Workload, **facts) -> JoinRun:
-        """The run skeleton, given the run's planned ``facts``."""
-        with telemetry.span("functional"):
-            match = self.functional_join(workload, **facts)
-        sim = simulate(self.build_graph(workload, **facts), self.resources())
+    def plan(self, workload: Workload) -> RadixPlan:
+        """The workload's radix-join plan (pass bits) on this system."""
+        return plan_radix_join(
+            workload.build.nominal_rows,
+            workload.probe.nominal_rows,
+            workload.build.tuple_bytes,
+            self.system,
+        )
+
+    def record(
+        self, workload: Workload, match: JoinMatch, sim: SimResult, **facts
+    ) -> JoinRun:
+        """The run, with the operator's and the executor's notes."""
         run = JoinRun(
             name=self.name,
             workload=workload,
@@ -243,40 +305,8 @@ class JoinOperator(abc.ABC):
             run.notes["out_of_core"] = notes[0] if len(notes) == 1 else notes
         return run
 
-    def prepare(self, workload: Workload) -> dict:
-        """Plan one run: the facts the hooks below share (none by default)."""
-        return {}
-
-    def plan(self, workload: Workload) -> RadixPlan:
-        """The workload's radix-join plan (pass bits) on this system."""
-        return plan_radix_join(
-            workload.build.nominal_rows,
-            workload.probe.nominal_rows,
-            workload.build.tuple_bytes,
-            self.system,
-        )
-
-    def functional_join(self, workload: Workload, **facts) -> JoinMatch:
-        """Join the materialized arrays (every operator :meth:`run`
-        reaches through the skeleton implements this)."""
-        raise NotImplementedError
-
-    @abc.abstractmethod
-    def build_graph(self, workload: Workload, **facts) -> TaskGraph:
-        """The simulated execution DAG for one workload."""
-
-    def resources(self) -> ResourcePool:
-        """The resource pool the graph runs on."""
-        return ResourcePool.for_system(self.system)
-
     def annotate(self, run: JoinRun, **facts) -> None:
         """Add the operator's notes to a finished run."""
-
-
-def simulate(graph: TaskGraph, pool: ResourcePool) -> SimResult:
-    """Run a task graph on a resource pool inside a ``simulate`` span."""
-    with telemetry.span("simulate", tasks=len(graph.tasks)):
-        return SimEngine(pool).run(graph)
 
 
 def reference_join(build: Relation, probe: Relation) -> JoinMatch:

@@ -41,6 +41,7 @@ ladder and therefore only falls through when *both* processors are gone.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -105,10 +106,6 @@ class CoProcessingJoin(JoinOperator):
 
     # -- split geometry ---------------------------------------------------------
 
-    def gpu_partitions(self, fanout: int, cpu_fraction: float) -> int:
-        """Partitions ``[0, boundary)`` assigned to the GPU side."""
-        return int(round(fanout * (1.0 - cpu_fraction)))
-
     def _split_workload(
         self, workload: Workload, bits: int, boundary: int
     ) -> Tuple[Workload, Workload]:
@@ -137,7 +134,7 @@ class CoProcessingJoin(JoinOperator):
 
     # -- functional -------------------------------------------------------------
 
-    def functional_join(
+    def functional(
         self,
         workload: Workload,
         bits: int,
@@ -210,14 +207,11 @@ class CoProcessingJoin(JoinOperator):
                 for resource in pool_resources
             )
         )
-        busy = 0.0
-        cursor = None
+        busy = cursor = 0.0
         for start, end in intervals:
-            if cursor is None or start > cursor:
+            start = max(start, cursor)
+            if end > start:
                 busy += end - start
-                cursor = end
-            elif end > cursor:
-                busy += end - cursor
                 cursor = end
         return float(busy)
 
@@ -267,33 +261,21 @@ class CoProcessingJoin(JoinOperator):
 
     # -- execution --------------------------------------------------------------
 
-    def split_facts(self, workload: Workload, cpu_fraction: float) -> dict:
-        """The run's facts at one split fraction (the split space is the
-        first-pass radix window, capped at the functional width)."""
+    def prepare(self, workload: Workload) -> dict:
+        """The split at the record's fraction: the split space is the
+        first-pass radix window, capped at the functional width."""
         plan = self.plan(workload)
         bits = min(plan.bits1, _MAX_FUNCTIONAL_BITS)
-        boundary = self.gpu_partitions(1 << bits, cpu_fraction)
+        # Partitions [0, boundary) go to the GPU side.
+        boundary = int(round((1 << bits) * (1.0 - self.cpu_fraction)))
         return {
             "bits": bits,
             "bits2": plan.bits2,
             "boundary": boundary,
-            "cpu_fraction": cpu_fraction,
             "sides": self._split_workload(workload, bits, boundary),
         }
 
-    def _run_at(self, workload: Workload, cpu_fraction: float) -> JoinRun:
-        """The run skeleton at one split fraction."""
-        facts = self.split_facts(workload, cpu_fraction)
-        return self.execute(workload, **facts)
-
-    def annotate(
-        self,
-        run: JoinRun,
-        bits: int,
-        boundary: int,
-        cpu_fraction: float,
-        **_,
-    ) -> None:
+    def annotate(self, run: JoinRun, bits: int, boundary: int, **_) -> None:
         fanout = 1 << bits
         run.uses_gpu = boundary > 0
         run.notes["cpu_fraction"] = 1.0 - boundary / fanout
@@ -302,43 +284,48 @@ class CoProcessingJoin(JoinOperator):
             "fanout": fanout,
             "gpu_partitions": boundary,
             "cpu_partitions": fanout - boundary,
-            "requested_cpu_fraction": cpu_fraction,
+            "requested_cpu_fraction": self.cpu_fraction,
         }
         run.notes["utilization"] = self._side_utilization(run.sim)
 
-    def run(self, workload: Workload) -> JoinRun:
-        fraction = self.cpu_fraction
-        split_plan = None
-        if fraction is None:
-            from repro.advisor import JoinAdvisor
-            from repro.units import M_TUPLES
+    def _resolved(self, workload: Workload):
+        """This record at a split fraction (the advisor's when
+        ``cpu_fraction`` is None), and the advisor's split plan."""
+        if self.cpu_fraction is not None:
+            return self, None
+        from repro.advisor import JoinAdvisor
+        from repro.units import M_TUPLES
 
-            split_plan = JoinAdvisor(self.system).recommend_split(
-                workload.build.nominal_rows / M_TUPLES,
-                workload.probe.nominal_rows / M_TUPLES,
-                on_error="skip",
-            )
-            fraction = split_plan.cpu_fraction
+        split_plan = JoinAdvisor(self.system).recommend_split(
+            workload.build.nominal_rows / M_TUPLES,
+            workload.probe.nominal_rows / M_TUPLES,
+            on_error="skip",
+        )
+        fraction = split_plan.cpu_fraction
+        return dataclasses.replace(self, cpu_fraction=fraction), split_plan
+
+    def _collapsing(self, step, workload: Workload):
+        """``step(self, workload)`` (the skeleton's run or cost) and the
+        collapse note: on a GPU capacity loss every partition shifts
+        CPU-ward, on a permanent kernel failure onto the other side. A
+        second failure propagates to the degradation ladder."""
         try:
-            run = self._run_at(workload, fraction)
-        except CapacityError as error:
-            # GPU memory shrunk below the Triton pipeline reservation:
-            # every partition shifts CPU-ward.
-            run = self._run_at(workload, 1.0)
-            run.notes["collapsed"] = {
-                "to": "cpu",
+            return step(self, workload), None
+        except (CapacityError, TaskFailedError) as error:
+            to_cpu = isinstance(error, CapacityError) or error.gpu
+            fraction = 1.0 if to_cpu else 0.0
+            survivor = dataclasses.replace(self, cpu_fraction=fraction)
+            collapsed = {
+                "to": "cpu" if to_cpu else "gpu",
                 "reason": f"{type(error).__name__}: {error}",
             }
-        except TaskFailedError as error:
-            # A permanent kernel failure on one side: collapse onto the
-            # surviving processor (and let a second failure propagate —
-            # the degradation ladder takes over from there).
-            survivor_fraction = 1.0 if error.gpu else 0.0
-            run = self._run_at(workload, survivor_fraction)
-            run.notes["collapsed"] = {
-                "to": "cpu" if error.gpu else "gpu",
-                "reason": f"{type(error).__name__}: {error}",
-            }
+            return step(survivor, workload), collapsed
+
+    def run(self, workload: Workload) -> JoinRun:
+        operator, split_plan = self._resolved(workload)
+        run, collapsed = operator._collapsing(JoinOperator.run, workload)
+        if collapsed is not None:
+            run.notes["collapsed"] = collapsed
         if split_plan is not None:
             run.notes["split_plan"] = {
                 "cpu_fraction": split_plan.cpu_fraction,
@@ -348,3 +335,10 @@ class CoProcessingJoin(JoinOperator):
                 "seeded_fraction": split_plan.seeded_fraction,
             }
         return run
+
+    def cost(self, workload: Workload):
+        """The cost of the split :meth:`run` executes, collapse included
+        (the advisor's split search costs its fixed-fraction candidates
+        with the skeleton's :meth:`JoinOperator.cost`, uncollapsed)."""
+        operator, _ = self._resolved(workload)
+        return operator._collapsing(JoinOperator.cost, workload)[0]

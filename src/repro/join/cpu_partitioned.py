@@ -75,7 +75,7 @@ class CpuPartitionedJoin(JoinOperator):
 
     # -- functional -----------------------------------------------------------
 
-    def functional_join(self, workload: Workload, plan: RadixPlan) -> base.JoinMatch:
+    def functional(self, workload: Workload, plan: RadixPlan) -> base.JoinMatch:
         join = reference_radix_join if self.reference else batched_radix_join
         return join(
             workload.build, workload.probe, min(plan.bits1, 10), plan.bits2

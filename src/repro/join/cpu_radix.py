@@ -78,7 +78,7 @@ class CpuRadixJoin(JoinOperator):
 
     # -- functional -----------------------------------------------------------
 
-    def functional_join(self, workload: Workload) -> base.JoinMatch:
+    def functional(self, workload: Workload) -> base.JoinMatch:
         join = reference_radix_join if self.reference else batched_radix_join
         bits = radix_bits_for(workload.build.nominal_rows)
         return join(workload.build, workload.probe, bits)

@@ -128,10 +128,10 @@ class MultiGpuTritonJoin(JoinOperator):
     def prepare(self, workload: Workload) -> dict:
         return {"plan": self.triton.plan(workload)}
 
-    def functional_join(self, workload: Workload, plan) -> JoinMatch:
+    def functional(self, workload: Workload, plan) -> JoinMatch:
         # Radix ownership does not change the result, so the single-GPU
         # functional join verifies correctness.
-        return self.triton.functional_join(workload, plan)
+        return self.triton.functional(workload, plan)
 
     def build_graph(self, workload: Workload, plan=None) -> TaskGraph:
         """Each GPU's Triton pipeline over its slice, on its resources.

@@ -72,7 +72,7 @@ class NoPartitioningJoin(JoinOperator):
 
     # -- functional -----------------------------------------------------------
 
-    def functional_join(self, workload: Workload) -> base.JoinMatch:
+    def functional(self, workload: Workload) -> base.JoinMatch:
         table = self._build_table(workload.build)
         idx, values = table.probe(workload.probe.keys)
         return base.JoinMatch.from_arrays(workload.probe.keys[idx], values)

@@ -201,17 +201,16 @@ class TritonJoin(JoinOperator):
     # -- functional ---------------------------------------------------------------
 
     def prepare(self, workload: Workload) -> dict:
-        """The radix and cache plans, and the pass-1 histogram array the
-        functional join fills for :meth:`build_graph` to weight the
-        pipeline with."""
-        plan = self.plan(workload)
-        return {
-            "plan": plan,
-            "cache": self.cache_plan(workload),
-            "histogram": np.empty(1 << min(plan.bits1, 10), dtype=np.int64),
-        }
+        """The radix and cache plans."""
+        return {"plan": self.plan(workload), "cache": self.cache_plan(workload)}
 
-    def functional_join(
+    def buffers(self, workload: Workload, plan: RadixPlan, **_) -> dict:
+        """The pass-1 histogram array the functional join fills for
+        :meth:`build_graph` to weight the pipeline with (a cost-only
+        call histograms the relations in :meth:`chunk_weights`)."""
+        return {"histogram": np.empty(1 << min(plan.bits1, 10), dtype=np.int64)}
+
+    def functional(
         self,
         workload: Workload,
         plan: RadixPlan,
@@ -319,7 +318,7 @@ class TritonJoin(JoinOperator):
         the straggling heavy chunk lengthens the join tail. Weights are
         measured on the materialized data and normalized to sum to 1.
         ``histogram`` is the functional join's pass-1 histogram (build +
-        probe partition sizes, see :meth:`functional_join`); without
+        probe partition sizes, see :meth:`functional`); without
         it, the relations are histogrammed here.
         """
         bits = min(plan.bits1, 10)
@@ -363,8 +362,8 @@ class TritonJoin(JoinOperator):
 
         ``histogram`` is the functional join's pass-1 histogram, and
         ``plan`` and ``cache`` the workload's radix and cache plans
-        (a run passes all three); standalone callers leave them out and
-        they are computed here.
+        (a run passes all three, :meth:`cost` the two plans); standalone
+        callers leave them out and they are computed here.
 
         The chunk kernels' requests are made once per graph: chunks
         differ only in the bytes and tuples they carry.

@@ -23,6 +23,7 @@ machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,26 +32,30 @@ import numpy as np
 
 from repro.data.relation import Relation
 from repro.errors import ConfigurationError
+from repro.hw.cpu import CpuModel
 from repro.hw.gpu import GpuModel, MemoryRequest
 from repro.hw.interconnect import AccessPattern, Op
-from repro.hw.specs import SystemSpec
 from repro.hw.tlb import MemSpace
-from repro.join.base import simulate
+from repro.join.base import Operator
 from repro.kernels.scatter import counting_order_and_offsets
 from repro.partition.hierarchical import HierarchicalPartitioner
 from repro.partition.shared import SharedPartitioner
+from repro.partition.swwc import CpuSwwcPartitioner
 from repro.sim.engine import SimResult
-from repro.sim.kernels import GpuKernelBuilder
-from repro.sim.resources import ResourcePool
+from repro.sim.kernels import CpuTaskBuilder, GpuKernelBuilder
 from repro.sim.tasks import TaskGraph, chain
 from repro.units import G_TUPLES
 
 #: Key bits to sort by (full 63-bit non-negative int64 range).
 KEY_BITS = 63
+#: The GPU sort's out-of-core MSD digit: the key's top bits.
+FIRST_PASS_BITS = 8
 #: In-core refinement digit width (Shared with 8 bits per pass keeps
 #: buffers at 32 tuples in a 64 KiB scratchpad for 8-byte keys... the
 #: passes run in GPU memory where granularity matters less).
 REFINE_BITS = 8
+#: The CPU sort's LSD digit width.
+DIGIT_BITS = 11
 
 
 @dataclass
@@ -71,61 +76,78 @@ class SortRun:
         return self.rows_nominal / self.seconds / G_TUPLES
 
 
-class GpuRadixSort:
+@dataclass(frozen=True)
+class _RadixSort(Operator):
+    """A sort on the operator skeleton: its input is a relation, its
+    functional output the sorted relation, checked for order."""
+
+    def empty_run(self, relation: Relation) -> Optional[SortRun]:
+        """No rows are already sorted, at no cost."""
+        if len(relation):
+            return None
+        return SortRun(self.name, 0, 0.0, True, 0)
+
+    def record(
+        self, relation: Relation, ordered: Relation, sim: SimResult, **_
+    ) -> SortRun:
+        return SortRun(
+            name=self.name,
+            rows_nominal=relation.nominal_rows,
+            seconds=sim.makespan_seconds,
+            is_sorted=bool(np.all(np.diff(ordered.keys) >= 0)),
+            passes=self.passes,
+            sim=sim,
+        )
+
+
+@dataclass(frozen=True)
+class GpuRadixSort(_RadixSort):
     """MSD radix sort over the fast interconnect."""
 
-    def __init__(self, system: SystemSpec, first_pass_bits: int = 8) -> None:
-        if not 1 <= first_pass_bits <= 16:
-            raise ConfigurationError("first_pass_bits must be in [1, 16]")
-        self.system = system
-        self.first_pass_bits = first_pass_bits
-        self.gpu = GpuModel(system)
-        self.builder = GpuKernelBuilder(self.gpu)
-        self.first_pass = HierarchicalPartitioner()
-        self.refine = SharedPartitioner()
-        self.name = "GPU Radix Sort (out-of-core)"
+    name = "GPU Radix Sort (out-of-core)"
+    first_pass = HierarchicalPartitioner()
+    refine = SharedPartitioner()
+    #: Refinement digit passes over the bits below the MSD digit.
+    refine_passes = math.ceil((KEY_BITS - FIRST_PASS_BITS) / REFINE_BITS)
+    passes = 1 + refine_passes
 
-    # -- functional -----------------------------------------------------------
+    @functools.cached_property
+    def builder(self) -> GpuKernelBuilder:
+        return GpuKernelBuilder(GpuModel(self.system))
 
-    def _functional_sort(self, relation: Relation) -> Relation:
+    def functional(self, relation: Relation) -> Relation:
         """MSD pass + per-bucket refinement, all actually executed."""
-        # The MSD digit: the key's top ``first_pass_bits`` of KEY_BITS.
-        bits = self.first_pass_bits
-        shifted = relation.keys.astype(np.uint64) >> np.uint64(KEY_BITS - bits)
-        selector = (shifted & np.uint64((1 << bits) - 1)).astype(np.int64)
+        # The MSD digit: the key's top FIRST_PASS_BITS of KEY_BITS.
+        shifted = relation.keys.astype(np.uint64) >> np.uint64(
+            KEY_BITS - FIRST_PASS_BITS
+        )
+        selector = (shifted & np.uint64((1 << FIRST_PASS_BITS) - 1)).astype(
+            np.int64
+        )
         # The MSD selector is a dense bit window: one counting scatter
         # stages the buckets and yields their offsets. The per-bucket
         # refinement argsorts below stay — they order raw 63-bit keys.
         order, offsets = counting_order_and_offsets(
-            selector, 1 << self.first_pass_bits
+            selector, 1 << FIRST_PASS_BITS
         )
         staged = relation.take(order)
-        pieces = []
-        for index in range(1 << self.first_pass_bits):
-            lo, hi = int(offsets[index]), int(offsets[index + 1])
-            if hi == lo:
-                continue
-            inner = np.argsort(staged.keys[lo:hi], kind="stable") + lo
-            pieces.append(inner)
-        if pieces:
-            final_order = np.concatenate(pieces)
-            return staged.take(final_order)
-        return staged
+        pieces = [
+            np.argsort(staged.keys[lo:hi], kind="stable") + lo
+            for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+            if hi > lo
+        ]
+        return staged.take(np.concatenate(pieces)) if pieces else staged
 
-    # -- cost ------------------------------------------------------------------
-
-    def run(self, relation: Relation) -> SortRun:
-        sorted_relation = self._functional_sort(relation)
-        is_sorted = bool(np.all(np.diff(sorted_relation.keys) >= 0))
-
+    def build_graph(self, relation: Relation) -> TaskGraph:
+        """The out-of-core MSD pass, then the in-GPU refinement."""
         rows = relation.nominal_rows
         tuple_bytes = relation.tuple_bytes
         scratch = self.system.gpu.usable_scratchpad_bytes
-        fanout1 = 1 << self.first_pass_bits
 
         # Pass 1: out-of-core MSD scatter, CPU memory to CPU memory.
         work = self.first_pass.gpu_work(
-            rows, tuple_bytes, fanout1, MemSpace.CPU, MemSpace.CPU, scratch
+            rows, tuple_bytes, 1 << FIRST_PASS_BITS,
+            MemSpace.CPU, MemSpace.CPU, scratch,
         )
         pass1 = self.builder.build(
             "msd_pass", work.requests, instructions=work.issue_slots,
@@ -138,7 +160,7 @@ class GpuRadixSort:
         refine_profile = self.refine.write_profile(
             1 << REFINE_BITS, tuple_bytes, scratch, MemSpace.GPU
         )
-        passes = math.ceil((KEY_BITS - self.first_pass_bits) / REFINE_BITS)
+        passes = self.refine_passes
         refine = self.builder.build(
             "refine",
             [
@@ -171,64 +193,43 @@ class GpuRadixSort:
             phase="Refine",
             tuples=rows,
         )
-        sim = simulate(
-            TaskGraph(chain([pass1, refine])),
-            ResourcePool.for_system(self.system),
-        )
-        return SortRun(
-            name=self.name,
-            rows_nominal=rows,
-            seconds=sim.makespan_seconds,
-            is_sorted=is_sorted,
-            passes=1 + passes,
-            sim=sim,
-        )
+        return TaskGraph(chain([pass1, refine]))
 
 
-class CpuRadixSort:
+@dataclass(frozen=True)
+class CpuRadixSort(_RadixSort):
     """Multi-core LSD radix sort baseline on one CPU socket.
 
     The classic Wassenberg & Sanders-style engineering the paper's SWWC
-    partitioning descends from: ``ceil(KEY_BITS / digit_bits)`` stable
+    partitioning descends from: ``ceil(KEY_BITS / DIGIT_BITS)`` stable
     counting passes, each streaming the data through CPU memory with
     SWWC write combining. Functionally delegates to numpy's stable sort
     (same result); the cost side reuses :class:`CpuSwwcPartitioner`.
     """
 
-    def __init__(self, system: SystemSpec, digit_bits: int = 11) -> None:
-        if not 1 <= digit_bits <= 16:
-            raise ConfigurationError("digit_bits must be in [1, 16]")
-        self.system = system
-        self.digit_bits = digit_bits
-        from repro.hw.cpu import CpuModel
-        from repro.partition.swwc import CpuSwwcPartitioner
+    name = "CPU Radix Sort"
+    passes = math.ceil(KEY_BITS / DIGIT_BITS)
 
-        self.cpu = CpuModel(system.cpu)
-        self.partitioner = CpuSwwcPartitioner(self.cpu)
-        self.name = "CPU Radix Sort"
+    @functools.cached_property
+    def builder(self) -> CpuTaskBuilder:
+        return CpuTaskBuilder(CpuModel(self.system.cpu))
 
-    def _functional_sort(self, relation: Relation) -> Relation:
-        order = np.argsort(relation.keys, kind="stable")
-        return relation.take(order)
+    def functional(self, relation: Relation) -> Relation:
+        return relation.take(np.argsort(relation.keys, kind="stable"))
 
-    def run(self, relation: Relation) -> SortRun:
-        sorted_relation = self._functional_sort(relation)
-        is_sorted = bool(np.all(np.diff(sorted_relation.keys) >= 0))
-
-        rows = relation.nominal_rows
-        tuple_bytes = relation.tuple_bytes
-        passes = math.ceil(KEY_BITS / self.digit_bits)
-        per_pass = self.partitioner.work(
-            float(rows), tuple_bytes, 1 << self.digit_bits
+    def build_graph(self, relation: Relation) -> TaskGraph:
+        """One task: every counting pass's SWWC traffic and work."""
+        rows = float(relation.nominal_rows)
+        per_pass = CpuSwwcPartitioner(self.builder.cpu).work(
+            rows, relation.tuple_bytes, 1 << DIGIT_BITS
         )
-        mem_bytes = passes * (per_pass.read_bytes + per_pass.write_bytes)
-        mem_seconds = mem_bytes / self.system.cpu.memory.bandwidth_bytes_per_s
-        compute_seconds = self.cpu.compute_time(passes * per_pass.operations)
-        seconds = max(mem_seconds, compute_seconds)
-        return SortRun(
-            name=self.name,
-            rows_nominal=rows,
-            seconds=seconds,
-            is_sorted=is_sorted,
-            passes=passes,
-        )
+        return TaskGraph([
+            self.builder.build(
+                "lsd_passes",
+                read_bytes=self.passes * per_pass.read_bytes,
+                write_bytes=self.passes * per_pass.write_bytes,
+                operations=self.passes * per_pass.operations,
+                phase="LSD Passes",
+                tuples=rows,
+            )
+        ])

@@ -326,7 +326,7 @@ class TestSplitSearch:
 
         def full_run(self, workload, fraction, on_error):
             operator = CoProcessingJoin(self.system, cpu_fraction=fraction)
-            return float(operator._run_at(workload, fraction).seconds)
+            return float(operator.run(workload).seconds)
 
         monkeypatch.setattr(JoinAdvisor, "_cost_split", full_run)
         assert JoinAdvisor(system).recommend_split(size, size) == plan
@@ -378,7 +378,7 @@ class TestEstimateSkip:
     """estimate(on_error='skip') with a candidate dying mid-search."""
 
     class _Boom:
-        def run(self, workload):
+        def cost(self, workload):
             raise CapacityError("state does not fit anywhere")
 
     def _advisor(self, system):

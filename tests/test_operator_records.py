@@ -33,12 +33,13 @@ from repro.join import (
     NoPartitioningJoin,
     TritonJoin,
 )
-from repro.join.base import JoinOperator
+from repro.join.base import JoinOperator, Operator
 from repro.join.run_cache import run_key
 from repro.partition.hierarchical import HierarchicalPartitioner
 from repro.partition.prefix_sum import PrefixSumLocation
 from repro.partition.shared import SharedPartitioner
 from repro.partition.standard import StandardPartitioner
+from repro.sort import CpuRadixSort, GpuRadixSort
 
 SYSTEM = ac922()
 
@@ -209,6 +210,28 @@ def test_settable_fields():
     assert join_fields + 2 == 22
 
 
+@pytest.mark.parametrize(
+    "cls", [GpuRadixSort, CpuRadixSort], ids=lambda cls: cls.__name__
+)
+class TestSortRecord:
+    """The sorts are frozen records of their system alone."""
+
+    def test_frozen_dataclass(self, cls):
+        assert dataclasses.is_dataclass(cls)
+        assert cls.__dataclass_params__.frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cls(SYSTEM).system = SYSTEM
+
+    def test_value_equal(self, cls):
+        assert cls(SYSTEM) == cls(SYSTEM)
+        assert hash(cls(SYSTEM)) == hash(cls(SYSTEM))
+        assert cls(SYSTEM) != cls(xeon_system())
+        assert dataclasses.replace(cls(SYSTEM)) == cls(SYSTEM)
+
+    def test_no_settable_field_beside_system(self, cls):
+        assert {f.name for f in dataclasses.fields(cls) if f.init} == {"system"}
+
+
 #: Per record, keywords that were fixed model parameters, and a value.
 FIXED_PARAMETERS = [
     (TritonJoin, "second_pass", SharedPartitioner()),
@@ -223,6 +246,8 @@ FIXED_PARAMETERS = [
     (MultiGpuTritonJoin, "xbus_bytes_per_s", 8e9),
     (BloomFilteredTritonJoin, "bits_per_key", 8),
     (TritonAggregation, "cache_policy", CachePolicy.NONE),
+    (GpuRadixSort, "first_pass_bits", 8),
+    (CpuRadixSort, "digit_bits", 11),
 ]
 
 
@@ -253,7 +278,7 @@ def test_inherited_skeleton_is_wrapped_in_the_subclass_body():
 
     run = Tagged.__dict__["run"]
     assert run is not CpuRadixJoin.__dict__["run"]
-    assert inspect.unwrap(run) is JoinOperator.__dict__["run"]
+    assert inspect.unwrap(run) is Operator.__dict__["run"]
 
 
 def test_partitioners_are_value_equal():

@@ -18,7 +18,10 @@ from repro.data.relation import DeferredColumns
 from repro.errors import ConfigurationError
 from repro.exec import context as exec_context
 from repro.exec.context import ExecutionConfig, should_go_out_of_core
+from repro.exec import morsel as morsel_module
+from repro.exec import pool as pool_module
 from repro.exec.morsel import (
+    ShmBlock,
     execute_morsel,
     merge_partials,
     partition_state,
@@ -29,12 +32,14 @@ from repro.exec.outofcore import out_of_core_join
 from repro.exec.pool import get_pool, shutdown_pool
 from repro.exec.spill import SpillManager
 from repro.join import run_cache
-from repro.join.base import CHECKSUM_MOD, JoinMatch
+from repro.join.base import CHECKSUM_MOD, NO_MATCH, JoinMatch
 from repro.join.batched import batched_radix_join, reference_radix_join
 from repro.join.triton import TritonJoin
 from repro.service.plan import compile_plan
 
 BITS1 = 6
+#: The note fields only a pooled join records.
+POOL_FIELDS = {"occupancy", "recovered", "worker_deaths", "pool_wall_seconds"}
 
 
 def refuse_draw(*args, **kwargs):
@@ -193,6 +198,33 @@ class TestOutOfCoreIdentity:
         assert summary(match) == summary(reference)
         assert note["mode"] == "memory"
         assert note["morsels"] >= 1
+
+    def test_empty_side_joins_inline(self, small_workload, monkeypatch):
+        """A forced pooled join whose build side has no rows runs its
+        morsels inline: no shared-memory segment, no pool fields."""
+        created = []
+
+        def recording(*args):
+            created.append(args)
+            return ShmBlock(*args)
+
+        monkeypatch.setattr(morsel_module, "ShmBlock", recording)
+        monkeypatch.setattr(pool_module, "ShmBlock", recording)
+        empty = small_workload.build.take(np.arange(0))
+        try:
+            match, note = join_with_note(
+                empty,
+                small_workload.probe,
+                ExecutionConfig(force=True, workers=2, morsel_rows=1024),
+            )
+        finally:
+            shutdown_pool()
+        assert match == NO_MATCH
+        assert (note["mode"], note["workers"]) == ("memory", 2)
+        # Enough morsels that a pooled join would have used the pool.
+        assert note["morsels"] > 1
+        assert set(note) & POOL_FIELDS == set()
+        assert created == []
 
     def test_spill_to_disk(self, small_workload, reference, tmp_path):
         build, probe = small_workload.build, small_workload.probe

@@ -7,8 +7,8 @@ import pytest
 
 from repro.bench.harness import ExperimentTable
 from repro.data.relation import Relation
-from repro.errors import ConfigurationError
-from repro.sort import GpuRadixSort
+from repro.bench.experiments import ext_sort
+from repro.sort import CpuRadixSort, GpuRadixSort
 
 
 def make_relation(rows=50_000, seed=3, nominal=None):
@@ -25,18 +25,18 @@ class TestFunctionalSort:
     def test_sort_is_a_permutation(self, system):
         relation = make_relation(rows=5000, seed=9)
         sorter = GpuRadixSort(system)
-        result = sorter._functional_sort(relation)
+        result = sorter.functional(relation)
         assert np.array_equal(np.sort(relation.keys), result.keys)
 
     def test_payloads_travel_with_keys(self, system):
         relation = make_relation(rows=5000, seed=9)
-        result = GpuRadixSort(system)._functional_sort(relation)
+        result = GpuRadixSort(system).functional(relation)
         assert np.array_equal(result.payloads["attr0"], result.keys * 3)
 
     def test_duplicates_survive(self, system):
         keys = np.array([5, 1, 5, 3, 1], dtype=np.int64)
         relation = Relation(keys, {"attr0": keys})
-        result = GpuRadixSort(system)._functional_sort(relation)
+        result = GpuRadixSort(system).functional(relation)
         assert list(result.keys) == [1, 1, 3, 5, 5]
 
     def test_already_sorted_input(self, system):
@@ -63,13 +63,41 @@ class TestSortCost:
         assert 0.7 < ratio < 1.3  # near-linear in input size
 
     def test_pass_count(self, system):
-        run = GpuRadixSort(system, first_pass_bits=8).run(make_relation())
+        run = GpuRadixSort(system).run(make_relation())
         # 8 MSD bits + ceil(55 / 8) refinement digit passes.
         assert run.passes == 1 + 7
 
-    def test_rejects_bad_bits(self, system):
-        with pytest.raises(ConfigurationError):
-            GpuRadixSort(system, first_pass_bits=0)
+    def test_empty_input_is_the_empty_run(self, system):
+        empty = Relation(np.empty(0, dtype=np.int64))
+        for sorter in (GpuRadixSort(system), CpuRadixSort(system)):
+            run = sorter.run(empty)
+            assert (run.is_sorted, run.seconds, run.passes, run.sim) == (
+                True, 0.0, 0, None
+            )
+
+
+class TestCpuRadixSort:
+    def test_sorts_the_ext_sort_input(self, system):
+        relation = ext_sort._input(256_000_000)
+        run = CpuRadixSort(system).run(relation)
+        assert run.is_sorted
+        # ceil(63 / 11) LSD counting passes.
+        assert run.passes == 6
+        # 256 M 16-byte tuples, 6 SWWC passes: memory-bound on POWER9.
+        assert run.seconds == 0.768
+
+    def test_output_is_the_stable_sort(self, system):
+        relation = make_relation(rows=5000, seed=9)
+        result = CpuRadixSort(system).functional(relation)
+        assert np.array_equal(np.sort(relation.keys), result.keys)
+        assert np.array_equal(result.payloads["attr0"], result.keys * 3)
+
+    def test_cost_is_the_simulated_run(self, system):
+        relation = ext_sort._input(1_024_000_000)
+        sorter = CpuRadixSort(system)
+        assert sorter.cost(relation).makespan_seconds == sorter.run(
+            relation
+        ).seconds == 3.072
 
 
 class TestTableSerialization:
