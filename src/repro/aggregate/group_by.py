@@ -184,6 +184,15 @@ class AggregationOperator(Operator):
             *_accumulate(self.function, relation.keys, _values(relation))
         )
 
+    def memo_key(self, relation: Relation):
+        """The groups are fixed by the function, the result type and the
+        key and value columns, whatever the plan: the partitioned and
+        global strategies share entries."""
+        columns = (relation.keys,)
+        if relation.payload_columns:
+            columns += (_values(relation),)
+        return ("aggregate", self.function, type(self).result), columns
+
     def result(self, group_keys: np.ndarray, states: np.ndarray):
         """The run's result from its groups' keys and states."""
         return AggregationResult.from_arrays(group_keys, states)

@@ -196,8 +196,10 @@ def _timing_table(seconds_by_name, workers=1) -> ExperimentTable:
     """The per-experiment wall-clock summary.
 
     Cache tallies come from the telemetry metrics registry (the run
-    memo's ``run_cache.hits`` / ``run_cache.misses`` and the match
-    memo's ``run_cache.match_hits`` / ``run_cache.match_misses``) —
+    memo's ``run_cache.hits`` / ``run_cache.misses``, the match memo's
+    ``run_cache.match_hits`` / ``run_cache.match_misses`` and the
+    functional memo's ``run_cache.functional_hits`` /
+    ``run_cache.functional_misses``) —
     with ``--jobs`` the workers' deltas were already merged into it, so
     serial and parallel runs read the same counters.
     """
@@ -212,7 +214,11 @@ def _timing_table(seconds_by_name, workers=1) -> ExperimentTable:
     table.add_row(
         "total", {"seconds": round(sum(s for _, s in seconds_by_name), 2)}
     )
-    for label, prefix in (("run cache", ""), ("match memo", "match_")):
+    for label, prefix in (
+        ("run cache", ""),
+        ("match memo", "match_"),
+        ("functional memo", "functional_"),
+    ):
         hits = telemetry.registry.counter(f"run_cache.{prefix}hits")
         misses = telemetry.registry.counter(f"run_cache.{prefix}misses")
         if hits or misses:

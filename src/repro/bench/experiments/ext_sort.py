@@ -22,9 +22,13 @@ from repro.sort import CpuRadixSort, GpuRadixSort
 DEFAULT_SIZES_M = (256, 1024, 4096)
 
 
+def _materialized_rows(rows_nominal: int) -> int:
+    return max(4096, min(rows_nominal, 200_000))
+
+
 def _input(rows_nominal: int, seed: int = 41) -> Relation:
     rng = np.random.default_rng(seed)
-    materialized = max(4096, min(rows_nominal, 200_000))
+    materialized = _materialized_rows(rows_nominal)
     keys = rng.integers(0, 2**62, size=materialized).astype(np.int64)
     return Relation(keys, {"attr0": keys}, nominal_rows=rows_nominal)
 
@@ -42,10 +46,17 @@ def run(sizes_m: Sequence[int] = DEFAULT_SIZES_M) -> ExperimentTable:
         "CPU Radix Sort (POWER9)": CpuRadixSort(system),
         "GPU Radix Sort (NVLink 2.0)": GpuRadixSort(system),
     }
+    # One input per materialized size, rescaled per column: the runs
+    # share arrays, so the run cache's functional memo sorts each once.
+    inputs = {}
     for name, op in ops.items():
         values = {}
         for m in sizes_m:
-            run_result = op.run(_input(int(m * 1e6)))
+            rows = int(m * 1e6)
+            size = _materialized_rows(rows)
+            if size not in inputs:
+                inputs[size] = _input(rows)
+            run_result = op.run(inputs[size].with_nominal_rows(rows))
             assert run_result.is_sorted
             values[f"{m}M"] = run_result.throughput_g_tuples_per_s
         table.add_row(name, values)

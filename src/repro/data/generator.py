@@ -77,8 +77,17 @@ class WorkloadConfig:
 
 
 def _record_ids(rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Random 63-bit record-id payload values."""
-    return rng.integers(0, 2**62, size=rows, dtype=np.int64)
+    """Random record-id payload values in ``[0, 2**62)``.
+
+    Exactly ``rng.integers(0, 2**62, size=rows, dtype=np.int64)``, values
+    and stream position alike, at about half the cost: for a
+    power-of-two range numpy's bounded draw is one raw 64-bit word
+    shifted right by 2, which never rejects. ``tests/test_generator.py``
+    pins the equality.
+    """
+    raw = rng.bit_generator.random_raw(rows)
+    raw >>= np.uint64(2)
+    return raw.view(np.int64)
 
 
 def _zipf_keys(

@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.explain.timeline import ELECTRICAL_LIMIT_BYTES_PER_S
 from repro.hw.counters import PerfCounters
 from repro.hw.specs import SystemSpec
+from repro.join import run_cache
 from repro.partition.planner import RadixPlan, plan_radix_join
 from repro.sim.engine import SimEngine, SimResult
 from repro.sim.resources import ResourcePool
@@ -188,8 +189,11 @@ class Operator(abc.ABC):
     run, ``functional`` processes the materialized rows in a
     ``functional`` span, :meth:`simulate` prices the input, and
     ``record`` makes the family's run record; the facts ``prepare``
-    returns are keyword arguments to every hook. :meth:`cost` is the
-    skeleton without the functional step.
+    returns are keyword arguments to every hook. While the run cache is
+    on, a family that names its functional step's inputs
+    (:meth:`memo_key`) runs that step once per distinct input
+    (:func:`repro.join.run_cache.memoized_functional`). :meth:`cost` is
+    the skeleton without the functional step.
     """
 
     system: SystemSpec
@@ -203,7 +207,10 @@ class Operator(abc.ABC):
         facts = self.prepare(input, *args, **kwargs)
         facts.update(self.buffers(input, **facts))
         with telemetry.span("functional"):
-            output = self.functional(input, **facts)
+            if run_cache.enabled():
+                output = run_cache.memoized_functional(self, input, facts)
+            else:
+                output = self.functional(input, **facts)
         sim = self.simulate(input, **facts)
         return self.record(input, output, sim, **facts)
 
@@ -214,6 +221,15 @@ class Operator(abc.ABC):
     def prepare(self, input, *args, **kwargs) -> dict:
         """Plan one run: the facts the hooks share (none by default)."""
         return {}
+
+    def memo_key(self, input) -> Optional[Tuple[Tuple, Tuple]]:
+        """What the functional output depends on, as ``(settings,
+        arrays)``: a hashable record of the family and its settings, and
+        the arrays read, by identity (None, the default, never
+        memoizes). Operators whose keys are equal must return equal
+        outputs, and a family with :meth:`buffers` names none: a memo
+        hit would leave them unfilled."""
+        return None
 
     def buffers(self, input, **facts) -> dict:
         """Arrays a run's functional step fills for :meth:`simulate`
@@ -255,8 +271,6 @@ class JoinOperator(Operator):
         too, so per-class instrumentation finds it there.
         """
         super().__init_subclass__(**kwargs)
-        from repro.join import run_cache
-
         run = inspect.unwrap(cls.__dict__.get("run", cls.run))
         cls.run = _traced_run(run_cache.cached_run(run))
 

@@ -151,6 +151,14 @@ class BloomFilteredTritonJoin(JoinOperator):
             tuples=probe_rows,
         )])
 
+    def cost(self, workload: Workload, *args, **kwargs):
+        """No cost-only path: the filter's size and pass rate, which the
+        pre-filter scan's graph needs, come from building it."""
+        raise ConfigurationError(
+            f"{self.name} has no cost-only path: its filter's size and "
+            "pass rate come from a functional run"
+        )
+
     def run(self, workload: Workload) -> JoinRun:
         # Build the filter and semi-join S functionally; false positives
         # survive here and are eliminated by the real join below.

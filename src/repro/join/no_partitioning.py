@@ -77,6 +77,15 @@ class NoPartitioningJoin(JoinOperator):
         idx, values = table.probe(workload.probe.keys)
         return base.JoinMatch.from_arrays(workload.probe.keys[idx], values)
 
+    def memo_key(self, workload: Workload):
+        """The summary is fixed by the scheme and the three arrays the
+        kernels read."""
+        build = workload.build
+        arrays = (
+            build.keys, base.build_payload_column(build), workload.probe.keys
+        )
+        return ("no_partitioning", self.scheme), arrays
+
     def _build_table(self, build):
         values = base.build_payload_column(build)
         if self.scheme is HashScheme.PERFECT:

@@ -21,24 +21,35 @@ the workload's config, cardinalities and lineage, and the ambient fault
 plan and execution config. Equal records hash and compare equal, so the
 dictionary lookup is the whole of the key's cost.
 
-Operators that differ only in what they simulate (SM count, cache
-size, first-pass partitioner, CPU/GPU split) still join the same
-arrays, so beneath the run memo a **match memo** keeps each distinct
-functional join's result: :func:`memoized_match` is consulted by
-:func:`~repro.join.batched.batched_radix_join` around its in-memory
-join. It is live exactly while the run cache is enabled and emptied by
-:func:`clear`. Its key is the identity of the arrays the kernels read
-(build keys, build values, probe keys) plus ``bits1``: that function
-sees arrays, not configs, and hashing their contents would cost a pass
-over them. An entry holds weak references to its arrays and hits only
-while each still resolves to the very object passed, so a reused
+Beneath the run memo one **functional memo** keeps each distinct
+functional step's output, keyed by the identity of the arrays it read:
+operators that differ only in what they simulate (SM count, cache
+size, first-pass partitioner, CPU/GPU split, input nominal size) still
+process the same arrays. It is live exactly while the run cache is
+enabled and emptied by :func:`clear`. It has two callers, with their
+own tallies:
+
+- :func:`memoized_match`, consulted by
+  :func:`~repro.join.batched.batched_radix_join` around its in-memory
+  join, keys on the three arrays the kernels read (build keys, build
+  values, probe keys) plus ``bits1`` and counts
+  ``run_cache.match_hits`` / ``run_cache.match_misses``;
+- :func:`memoized_functional`, consulted by
+  :meth:`~repro.join.base.Operator.run` around the functional step of
+  every family that names its inputs
+  (:meth:`~repro.join.base.Operator.memo_key`: the sorts, the
+  aggregations and the no-partitioning join), counts
+  ``run_cache.functional_hits`` / ``run_cache.functional_misses``.
+
+Keys see arrays, not configs, and hashing their contents would cost a
+pass over them. An entry holds weak references to its arrays and hits
+only while each still resolves to the very object passed, so a reused
 ``id`` never aliases; rescaled relations (``with_nominal_rows``) and
 slices that share arrays do hit. Arrays are treated as immutable while
-the cache is on. The memo is bypassed under
+the cache is on. An error is never stored. The memo is bypassed under
 :func:`~repro.kernels.scatter.force_reference`, and the out-of-core
 path and :func:`~repro.join.batched.reference_radix_join` never reach
-it. Its tallies are the counters ``run_cache.match_hits`` and
-``run_cache.match_misses``.
+it.
 """
 
 from __future__ import annotations
@@ -62,17 +73,16 @@ _plan_cache: Dict[Any, Any] = {}
 _enabled = False
 
 
-class _Match(NamedTuple):
-    """One match-memo entry: the joined arrays (weakly), the summary and
-    the memo's own pass-1 histogram."""
+class _Memo(NamedTuple):
+    """One functional-memo entry: the arrays read (weakly) and the
+    output computed from them."""
 
     arrays: Tuple[weakref.ref, ...]
-    match: Any
-    histogram: np.ndarray
+    output: Any
 
 
-#: Functional join summaries keyed by (array ids..., bits1).
-_matches: Dict[Tuple[int, ...], _Match] = {}
+#: Functional outputs keyed by (tally, settings, array ids...).
+_memo: Dict[Tuple, _Memo] = {}
 
 
 def __getattr__(name: str):
@@ -152,7 +162,7 @@ def suspended() -> Iterator[None]:
 def clear() -> None:
     _cache.clear()
     _plan_cache.clear()
-    _matches.clear()
+    _memo.clear()
     telemetry.registry.reset(prefix="run_cache.")
 
 
@@ -182,6 +192,33 @@ def store_plan(key: Any, plan: Any) -> None:
         _plan_cache[key] = plan
 
 
+def _memoized(
+    tally: str,
+    settings: Tuple,
+    arrays: Tuple[np.ndarray, ...],
+    compute: Callable[[], Any],
+) -> Any:
+    """``compute()``'s output, memoized on ``settings`` and the identity
+    of ``arrays``; hits and misses count as ``run_cache.<tally>_*``.
+
+    There is no lock, as for the run memo: callers racing on one key
+    can only each compute and store a whole entry.
+    """
+    key = (tally, settings, *map(id, arrays))
+    entry = _memo.get(key)
+    if entry is not None and all(
+        ref() is array for ref, array in zip(entry.arrays, arrays)
+    ):
+        telemetry.registry.count(f"run_cache.{tally}_hits")
+        telemetry.annotate(**{f"{tally}_memo": "hit"})
+        return entry.output
+    telemetry.registry.count(f"run_cache.{tally}_misses")
+    telemetry.annotate(**{f"{tally}_memo": "miss"})
+    output = compute()
+    _memo[key] = _Memo(tuple(weakref.ref(array) for array in arrays), output)
+    return output
+
+
 def memoized_match(
     arrays: Tuple[np.ndarray, ...],
     bits1: int,
@@ -195,30 +232,38 @@ def memoized_match(
     memo's own histogram; a hit or a miss then copies it into the
     caller's ``histogram``, so a caller editing its array never reaches
     the memo. While the cache is off, or under ``force_reference()``,
-    this is ``join(histogram)``. There is no lock, as for the run memo:
-    callers racing on one key can only each run the join and store a
-    whole entry.
+    this is ``join(histogram)``.
     """
     if not _enabled or reference_mode_active():
         return join(histogram)
-    key = (*map(id, arrays), bits1)
-    entry = _matches.get(key)
-    if entry is not None and all(
-        ref() is array for ref, array in zip(entry.arrays, arrays)
-    ):
-        telemetry.registry.count("run_cache.match_hits")
-        telemetry.annotate(match_memo="hit")
-    else:
-        telemetry.registry.count("run_cache.match_misses")
-        telemetry.annotate(match_memo="miss")
+
+    def compute():
         own = np.empty(1 << bits1, dtype=np.int64)
-        entry = _Match(
-            tuple(weakref.ref(array) for array in arrays), join(own), own
-        )
-        _matches[key] = entry
+        return join(own), own
+
+    match, own = _memoized("match", (bits1,), arrays, compute)
     if histogram is not None:
-        histogram[...] = entry.histogram
-    return entry.match
+        histogram[...] = own
+    return match
+
+
+def memoized_functional(operator, input, facts: dict) -> Any:
+    """``operator.functional(input, **facts)``, memoized on what the
+    operator's family names as its inputs (``operator.memo_key``).
+
+    The caller checks that the cache is on. A family that names no
+    inputs, or a call under ``force_reference()``, runs the step.
+    """
+    key = None if reference_mode_active() else operator.memo_key(input)
+    if key is None:
+        return operator.functional(input, **facts)
+    settings, arrays = key
+    return _memoized(
+        "functional",
+        settings,
+        arrays,
+        lambda: operator.functional(input, **facts),
+    )
 
 
 def cached_run(run_method: Callable) -> Callable:

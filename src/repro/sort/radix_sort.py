@@ -87,6 +87,14 @@ class _RadixSort(Operator):
             return None
         return SortRun(self.name, 0, 0.0, True, 0)
 
+    def memo_key(self, relation: Relation):
+        """Both sorts are stable sorts by key, so they share entries: the
+        order is fixed by the key and payload columns. (A hit's relation
+        keeps the first input's nominal rows; the record reads only its
+        keys.)"""
+        payloads = relation.payloads
+        return ("sort", tuple(payloads)), (relation.keys, *payloads.values())
+
     def record(
         self, relation: Relation, ordered: Relation, sim: SimResult, **_
     ) -> SortRun:

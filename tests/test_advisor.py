@@ -7,7 +7,13 @@ from repro.advisor import _COSTING_DIVISOR, JoinAdvisor, _default_candidates
 from repro.data.generator import generate_workload
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import FaultPlan
-from repro.join import CoProcessingJoin, NoPartitioningJoin, cpu_radix, triton
+from repro.join import (
+    BloomFilteredTritonJoin,
+    CoProcessingJoin,
+    NoPartitioningJoin,
+    cpu_radix,
+    triton,
+)
 from repro.join.ladder import default_rungs
 
 
@@ -149,3 +155,20 @@ class TestCostStep:
         if cpu_fraction is not None:
             assert run.notes["collapsed"]["to"] == "cpu"
         assert estimate.seconds == run.seconds
+
+
+class TestCandidateWithoutCostPath:
+    def test_bloom_filtered_join_cost_is_a_typed_error(self, system):
+        workload = generate_workload(128, 128, scale_divisor=_COSTING_DIVISOR)
+        with pytest.raises(ConfigurationError, match="no cost-only path"):
+            BloomFilteredTritonJoin(system).cost(workload)
+
+    def test_estimate_skips_it(self, system):
+        advisor = JoinAdvisor(system, candidates={
+            "bloom": lambda: BloomFilteredTritonJoin(system),
+            "triton": lambda: triton.TritonJoin(system),
+        })
+        (estimate,) = advisor.estimate(128, 128, on_error="skip")
+        assert estimate.operator == "triton"
+        with pytest.raises(ConfigurationError, match="no cost-only path"):
+            advisor.estimate(128, 128)

@@ -586,8 +586,32 @@ class TestTablesGate:
             run, tmp_path, dump.replace(note + "\n", "")
         )
         assert code == 1
+        functional = "  note: functional memo: 28 hits, 139 misses"
         assert problems == [
-            f"run cache: 1 line(s) differ; line 2 is '<end>', "
+            f"run cache: 2 line(s) differ; line 2 is {functional!r}, "
+            f"baseline {note!r}"
+        ]
+
+    def test_functional_memo_tally_is_gated(self, run, tmp_path, dump):
+        note = "  note: functional memo: 28 hits, 139 misses"
+        assert note in dump.splitlines()
+        code, first, problems = tables_gate(run, tmp_path, dump)
+        assert code == 0 and problems == []
+        changed = note.replace("28 hits", "27 hits")
+        code, first, problems = tables_gate(
+            run, tmp_path, dump.replace(note, changed)
+        )
+        assert code == 1
+        assert problems == [
+            f"run cache: 1 line(s) differ; line 3 is {changed!r}, "
+            f"baseline {note!r}"
+        ]
+        code, first, problems = tables_gate(
+            run, tmp_path, dump.replace(note + "\n", "")
+        )
+        assert code == 1
+        assert problems == [
+            f"run cache: 1 line(s) differ; line 3 is '<end>', "
             f"baseline {note!r}"
         ]
 

@@ -255,3 +255,19 @@ class TestDeferredProbePayloads:
             assert list(payloads) == list(expected)
             for column, values in expected.items():
                 np.testing.assert_array_equal(payloads[column], values)
+
+
+class TestRecordIds:
+    @pytest.mark.parametrize("rows", [0, 1, 7, 4096, 500_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_to_numpys_bounded_draw(self, seed, rows):
+        """The raw-word shortcut gives ``rng.integers``'s values and
+        leaves the stream where ``rng.integers`` leaves it."""
+        ours = np.random.default_rng(seed)
+        numpys = np.random.default_rng(seed)
+        got = generator._record_ids(ours, rows)
+        want = numpys.integers(0, 2**62, size=rows, dtype=np.int64)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        np.testing.assert_array_equal(ours.random(3), numpys.random(3))

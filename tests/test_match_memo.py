@@ -143,7 +143,7 @@ class TestIdentityKey:
         # A dead array's entry never hits.
         del build, probe, other
         gc.collect()
-        (entry,) = run_cache._matches.values()
+        (entry,) = run_cache._memo.values()
         assert all(ref() is None for ref in entry.arrays)
         half = Relation(workload.build.keys[::2].copy(), name="build")
         batched_radix_join(half, copied(workload.probe), BITS1)
@@ -152,7 +152,7 @@ class TestIdentityKey:
     def test_entry_holds_its_arrays_weakly(self, cache, workload):
         build, probe = copied(workload.build), copied(workload.probe)
         batched_radix_join(build, probe, BITS1)
-        (entry,) = run_cache._matches.values()
+        (entry,) = run_cache._memo.values()
         arrays = (build.keys, build_payload_column(build), probe.keys)
         assert all(ref() is array for ref, array in zip(entry.arrays, arrays))
         del build, probe, arrays
@@ -191,7 +191,7 @@ class TestBypass:
         batched_radix_join(workload.build, workload.probe, BITS1)
         batched_radix_join(workload.build, workload.probe, BITS1)
         assert tally() == before
-        assert not run_cache._matches
+        assert not run_cache._memo
 
     def test_force_reference(self, cache, workload, kernel_calls):
         expected = batched_radix_join(workload.build, workload.probe, BITS1)
